@@ -5,7 +5,8 @@ in column order m_12; m_13, m_23; m_14, m_24, m_34; ...  Results are JSON
 on stdout; rational values serialize as "a/b" strings, never floats.
 
 Exit codes: 0 success (and realizable, for `check`), 1 not realizable
-(`check` only), 2 usage or input errors.
+(`check` only), 2 usage or input errors, including integers past the
+interpreter's int parsing digit limit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import __version__
 from .conditions import (
@@ -28,7 +30,6 @@ from .conditions import (
 )
 from .errors import TorusCurvesError
 from .farey import max_packing
-from .intarith import ResidueClass, crt
 from .genus import (
     AlreadyTorus,
     bounded_decomposition_search,
@@ -38,7 +39,7 @@ from .genus import (
 from .oracle import oracle_realizable
 from .render import render_svg
 from .scheme import Scheme, Unresolvable, new_scheme, reduce_zeros
-from .solver import construct_witness, enumerate_orbits
+from .solver import _crt_product, construct_witness, enumerate_orbits
 
 
 class CliError(Exception):
@@ -51,7 +52,9 @@ def _load_scheme(path: str) -> Scheme:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, undecodable bytes, and integers past the
+        # interpreter's digit limit for int parsing
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise CliError('scheme document needs fields "n" and "entries"')
@@ -138,26 +141,18 @@ def _verdict_doc(v: Verdict):
     if v.kappa is not None:
         doc["kappa"] = v.kappa
     if v.constraints is not None and not v.constraints.unconstrained:
-        modulus = 1
-        combined = [0]
-        for pc in v.constraints.per_prime:
-            combined = [
-                crt([ResidueClass(modulus, k % modulus),
-                     ResidueClass(pc.modulus, r)]).residue
-                for k in combined
-                for r in pc.allowed
-            ]
-            modulus *= pc.modulus
+        per_prime = v.constraints.per_prime
+        combined = _crt_product([(pc.modulus, pc.allowed) for pc in per_prime])
         doc["orbits"] = {
-            "modulus": modulus,
-            "allowed_kappa": sorted(combined),
+            "modulus": prod(pc.modulus for pc in per_prime),
+            "allowed_kappa": sorted(cls.residue for cls in combined),
             "per_prime": [
                 {
                     "prime": pc.prime,
                     "modulus": pc.modulus,
                     "allowed_kappa": list(pc.allowed),
                 }
-                for pc in v.constraints.per_prime
+                for pc in per_prime
             ],
         }
     if v.toz is not None:

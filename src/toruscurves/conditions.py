@@ -25,7 +25,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .errors import PreconditionViolated
-from .intarith import factorize, valuation
+from .intarith import factorize, is_probable_prime, valuation
 from .scheme import (
     ReductionLog,
     Scheme,
@@ -37,6 +37,7 @@ from .scheme import (
 )
 from .solver import (
     KappaConstraintSet,
+    _base_triple,
     canonical_kappa,
     construct_witness,
     kappa_constraints,
@@ -120,10 +121,7 @@ def check_triangle(s: Scheme) -> TriangleCheck:
     return TriangleCheck(not failures, tuple(failures), gcds if not failures else {})
 
 
-def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
-    """mu_ijkl = m_ij*m_kl - m_ik*m_jl + m_il*m_jk."""
-    if not (1 <= i < j < k < l <= s.n):
-        raise IndexError(f"need 1 <= i<j<k<l <= {s.n}, got ({i},{j},{k},{l})")
+def _mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
     return (
         get(s, i, j) * get(s, k, l)
         - get(s, i, k) * get(s, j, l)
@@ -131,12 +129,19 @@ def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
     )
 
 
+def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
+    """mu_ijkl = m_ij*m_kl - m_ik*m_jl + m_il*m_jk."""
+    if not (1 <= i < j < k < l <= s.n):
+        raise IndexError(f"need 1 <= i<j<k<l <= {s.n}, got ({i},{j},{k},{l})")
+    return _mu(s, i, j, k, l)
+
+
 def check_pluecker_full(s: Scheme) -> PlueckerCheck:
     """All C(n,4) Pluecker relations; vacuous pass for n < 4."""
     failures = tuple(
         FailedPluecker(i, j, k, l)
         for i, j, k, l in combinations(range(1, s.n + 1), 4)
-        if pluecker_mu(s, i, j, k, l) != 0
+        if _mu(s, i, j, k, l) != 0
     )
     return PlueckerCheck(not failures, failures)
 
@@ -163,19 +168,11 @@ def pluecker_identity(s: Scheme, a: int, b: int, c: int, d: int, e: int) -> int:
     idx = (a, b, c, d, e)
     if len(set(idx)) != 5 or not all(1 <= t <= s.n for t in idx):
         raise IndexError(f"need five distinct valid indices, got {idx}")
-
-    def mu(p, q, r, t):
-        return (
-            get(s, p, q) * get(s, r, t)
-            - get(s, p, r) * get(s, q, t)
-            + get(s, p, t) * get(s, q, r)
-        )
-
     return (
-        get(s, a, e) * mu(a, b, c, d)
-        - get(s, a, d) * mu(a, b, c, e)
-        + get(s, a, c) * mu(a, b, d, e)
-        - get(s, a, b) * mu(a, c, d, e)
+        get(s, a, e) * _mu(s, a, b, c, d)
+        - get(s, a, d) * _mu(s, a, b, c, e)
+        + get(s, a, c) * _mu(s, a, b, d, e)
+        - get(s, a, b) * _mu(s, a, c, d, e)
     )
 
 
@@ -207,11 +204,7 @@ class TozReport:
 
 
 def _primes_below(n: int):
-    out = []
-    for c in range(2, n):
-        if all(c % p for p in out):
-            out.append(c)
-    return out
+    return [c for c in range(2, n) if is_probable_prime(c)]
 
 
 def toz_report(s: Scheme) -> TozReport:
@@ -230,13 +223,7 @@ def toz_report(s: Scheme) -> TozReport:
         raise PreconditionViolated("toz needs at least 3 curves")
     if any(e == 0 for e in s.entries):
         raise PreconditionViolated("zero entries: apply reduce_zeros first")
-    a, b, c = get(s, 1, 2), get(s, 1, 3), get(s, 2, 3)
-    g1, g2, g3 = gcd(a, b), gcd(a, c), gcd(b, c)
-    if not g1 == g2 == g3:
-        raise PreconditionViolated(
-            f"triangle condition fails on base triple: gcds {g1},{g2},{g3}"
-        )
-    g123 = g1
+    g123 = _base_triple(s)[0]
     per = []
     for p, nu in factorize(g123).pairs:
         vals = {
@@ -278,17 +265,11 @@ def check_circledast(s: Scheme):
     if s.n <= 2:
         return None
     report = toz_report(s)
-    cons = kappa_constraints(s)
-    empty = {
-        pc.prime for pc in cons.per_prime if not pc.allowed
-    }
-    for p, total in report.checked_primes:
-        if p in empty:
-            return FailedToz(p, total)
-    return None
+    failures = _circledast_failures(kappa_constraints(s), report)
+    return failures[0] if failures else None
 
 
-def _circledast_failures(s: Scheme, cons: KappaConstraintSet, report: TozReport):
+def _circledast_failures(cons: KappaConstraintSet, report: TozReport):
     empty = {pc.prime for pc in cons.per_prime if not pc.allowed}
     return tuple(
         FailedToz(p, total)
@@ -396,7 +377,7 @@ def decide_torus(s: Scheme) -> Verdict:
 
     report = toz_report(r)
     cons = kappa_constraints(r)
-    toz_fail = _circledast_failures(r, cons, report)
+    toz_fail = _circledast_failures(cons, report)
     if toz_fail:
         return Verdict(False, toz_fail, None, False, red, toz=report,
                        constraints=cons)

@@ -161,5 +161,6 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     witness = tuple(sorted(best_witness))
     for i in range(len(witness)):
         for j in range(i + 1, len(witness)):
-            assert _edge(witness[i], witness[j], d), "invalid packing witness"
+            if not _edge(witness[i], witness[j], d):
+                raise AssertionError("internal fault: invalid packing witness")
     return CliqueResult(best_size, witness, d)

@@ -110,7 +110,8 @@ def decompose_3scheme(s: Scheme) -> Union[Decomposition, AlreadyTorus]:
     lv, rv = decide_torus(left), decide_torus(right)
     if not (lv.realizable and rv.realizable):
         raise AssertionError(f"internal fault: bad 3-scheme split of {s}")
-    assert scheme_sum(left, right) == s
+    if scheme_sum(left, right) != s:
+        raise AssertionError(f"internal fault: split does not sum to {s}")
     return Decomposition(left, right, lv, rv)
 
 

@@ -7,11 +7,15 @@ them are indexed by one integer parameter kappa:
     r_3 = y*m'_23 + kappa*m'_13
     g_123 * r_j = y*m_2j - x*m_3j + kappa*m_1j      (j >= 4)
 
-where x*m'_13 - y*m'_12 = 1.  For each prime power p^e || g_123 the set of
-workable kappa is a union of residue classes mod p^(e+1); we compute those
-classes by direct enumeration rather than by transcribing the case analysis
-that proves they are nonempty.  Shifting kappa by g_123 is the stabilizer
-of (1,0), so orbits of normalized witnesses are kappa classes mod g_123.
+where x*m'_13 - y*m'_12 = 1.  A kappa is admitted exactly when every r_j
+is an integer and primitive against its column, gcd(r_j, m_1j) = 1;
+construct_witness tests that directly on the witness it builds.  For each
+prime power p^e || g_123 the admitted kappa form a union of residue
+classes mod p^(e+1); kappa_constraints computes those classes by direct
+enumeration rather than by transcribing the case analysis that proves
+they are nonempty, and _crt_product combines them across primes.
+Shifting kappa by g_123 is the stabilizer of (1,0), so orbits of
+normalized witnesses are kappa classes mod g_123.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .errors import (
     InvalidShape,
     PreconditionViolated,
 )
-from .intarith import ResidueClass, crt, factorize, xgcd
+from .intarith import ResidueClass, crt, factorize, valuation, xgcd
 from .scheme import Scheme, curve, get
 
 
@@ -101,7 +105,8 @@ def solve_xy(s: Scheme) -> XYWitness:
             f"gcd(m'_13, m'_12) = {gg} != 1; triangle condition violated"
         )
     x, y = u, -v
-    assert x * m13p - y * m12p == 1
+    if x * m13p - y * m12p != 1:
+        raise AssertionError(f"internal fault: bad Bezout pair for {s}")
     return XYWitness(x, y, g, m12p, m13p, m23p)
 
 
@@ -158,30 +163,48 @@ def kappa_constraints(s: Scheme, w: Optional[XYWitness] = None) -> KappaConstrai
     return KappaConstraintSet(tuple(per), unconstrained=False)
 
 
+def _crt_product(choices):
+    """Lazily CRT-combine one residue per (modulus, residues) choice.
+
+    Yields a ResidueClass for every combination, in itertools.product
+    order; each prefix costs one crt step, shared by all its extensions.
+    """
+
+    def extend(prefix, rest):
+        if not rest:
+            yield prefix
+            return
+        modulus, residues = rest[0]
+        for r in residues:
+            cls = ResidueClass(modulus, r)
+            if prefix.modulus > 1:
+                cls = crt([prefix, cls])
+            yield from extend(cls, rest[1:])
+
+    return extend(ResidueClass(1, 0), tuple(choices))
+
+
 def canonical_kappa(cons: KappaConstraintSet) -> int:
     """Smallest nonnegative CRT combination of per-prime minimal residues."""
     if cons.unconstrained:
         return 0
     if not cons.feasible():
         raise DomainError("no allowed kappa: scheme is not realizable")
-    classes = [
-        ResidueClass(pc.modulus, pc.allowed[0]) for pc in cons.per_prime
-    ]
-    return crt(classes).residue
+    choices = [(pc.modulus, pc.allowed) for pc in cons.per_prime]
+    return next(_crt_product(choices)).residue
 
 
 def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
-    """Build and re-verify the normalized witness for an allowed kappa."""
+    """Build and re-verify the normalized witness for kappa.
+
+    kappa is admitted iff every r_j is integral and gcd(r_j, m_1j) = 1;
+    otherwise ConstraintViolation is raised.  Once the triangle and
+    Pluecker conditions hold this is exactly membership in the residue
+    classes of kappa_constraints, without scanning them.
+    """
     if s.n < 3:
         raise DomainError("construct_witness needs at least 3 curves")
     w = solve_xy(s)
-    cons = kappa_constraints(s, w)
-    if not cons.unconstrained:
-        for pc in cons.per_prime:
-            if kappa % pc.modulus not in pc.allowed:
-                raise ConstraintViolation(
-                    f"kappa={kappa} hits a forbidden class mod {pc.modulus}"
-                )
     rs = [w.x * w.m23p + kappa * w.m12p, w.y * w.m23p + kappa * w.m13p]
     for j in range(4, s.n + 1):
         d = w.y * get(s, 2, j) - w.x * get(s, 3, j) + kappa * get(s, 1, j)
@@ -190,6 +213,11 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
                 f"kappa={kappa} gives non-integral r_{j}"
             )
         rs.append(d // w.g123)
+    for j in range(2, s.n + 1):
+        if gcd(rs[j - 2], get(s, 1, j)) != 1:
+            raise ConstraintViolation(
+                f"kappa={kappa} gives r_{j} sharing a factor with m_1{j}"
+            )
     system = (curve(1, 0),) + tuple(
         curve(rs[j - 2], get(s, 1, j)) for j in range(2, s.n + 1)
     )
@@ -239,34 +267,18 @@ def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
         return [construct_witness(s, 0)]
     # Allowed classes mod g_123 combine independently across primes; pick,
     # for each projected residue mod p^nu, the smallest allowed lift.
-    per_prime_choices = []
+    choices = []
     for pc in cons.per_prime:
         proj: dict[int, int] = {}
         for k in pc.allowed:
-            proj.setdefault(k % p_pow(pc), k)
-        per_prime_choices.append(
-            [(pc.modulus, lift) for _, lift in sorted(proj.items())]
-        )
+            proj.setdefault(k % pc.prime**pc.nu, k)
+        choices.append((pc.modulus, [lift for _, lift in sorted(proj.items())]))
     out = []
-    for combo in _product(per_prime_choices):
-        kappa = crt([ResidueClass(m, r % m) for m, r in combo]).residue
-        out.append(construct_witness(s, kappa))
+    for cls in _crt_product(choices):
+        out.append(construct_witness(s, cls.residue))
         if limit is not None and len(out) >= limit:
             break
     return out
-
-
-def p_pow(pc: PrimeConstraint) -> int:
-    return pc.prime**pc.nu
-
-
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for rest in _product(choices[1:]):
-            yield (head,) + rest
 
 
 def forbidden_count(s: Scheme, g_l: int) -> int:
@@ -282,13 +294,8 @@ def forbidden_count(s: Scheme, g_l: int) -> int:
         return 0
     if g_l < 2 or w.g123 % g_l != 0:
         raise DomainError(f"{g_l} does not divide g_123 = {w.g123}")
-    allowed = sum(
-        1
-        for k in range(g_l)
-        if (w.x * w.m23p + k * w.m12p) % g_l != 0
-        and (w.y * w.m23p + k * w.m13p) % g_l != 0
-    )
-    return g_l - allowed
+    nu = valuation(w.g123, g_l)
+    return sum(1 for k in range(g_l) if not _kappa_ok(s, w, g_l, nu, k))
 
 
 def sl2_act(a_matrix, system) -> tuple:

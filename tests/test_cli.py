@@ -140,6 +140,11 @@ def test_input_errors(tmp_path):
     floats.write_text(json.dumps({"n": 2, "entries": [1.5]}))
     assert run(["check", str(floats)]) == 2
 
+    # past the interpreter's digit limit for parsing an int
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 2, "entries": [1' + "0" * 5000 + "]}")
+    assert run(["check", str(huge)]) == 2
+
     assert run(["nosuchcommand"]) == 2
 
 

@@ -232,3 +232,25 @@ def test_verify_system():
     )
     with pytest.raises(InvalidShape):
         verify_system(s, (curve(1, 0),))
+
+
+def test_one_kappa_scan_per_decision(monkeypatch):
+    from toruscurves import conditions, solver
+
+    calls = []
+    scan = solver.kappa_constraints
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "kappa_constraints", counted)
+    monkeypatch.setattr(conditions, "kappa_constraints", counted)
+    # vectors (1,0), (1,30), (7,30), (11,60): g_123 = 30, four orbits
+    s = new_scheme(4, [30, 30, -180, 60, -270, 90])
+    v = decide_torus(s)
+    assert v.realizable and len(calls) == 1
+
+    calls.clear()
+    reps = enumerate_orbits(s, limit=5)
+    assert len(reps) > 1 and len(calls) == 1
