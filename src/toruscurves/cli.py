@@ -12,6 +12,7 @@ interpreter's int parsing digit limit.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -161,8 +162,21 @@ def _verdict_doc(v: Verdict):
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # Serialize the whole document before writing, so a failure never leaves
+    # partial JSON on stdout.  Output integers (witness coordinates, kappa)
+    # may pass the interpreter's int-to-str digit limit even when every input
+    # entry is within it, so the limit is lifted only for this call; input
+    # parsing keeps it.  json.dump into a buffer streams its chunks, where
+    # json.dumps would hold them all in a list before joining them.
+    buf = io.StringIO()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        json.dump(doc, buf, indent=2, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    buf.write("\n")
+    sys.stdout.write(buf.getvalue())
 
 
 def _scheme_doc(s: Scheme):

@@ -14,23 +14,31 @@ that invariant literally; the verdict itself is decided by enumerating
 kappa residues (solver.kappa_constraints), which is what the bound counts:
 the two agree except that the per-column formula can double-count a
 forbidden residue shared by two columns, so enumeration is authoritative.
+
+decide_torus runs certificate first: after zero reduction it scans the
+kappa residues and builds the witness for the canonical kappa, and a
+witness that verifies settles realizability without the O(n^3) triangle
+and O(n^4) Pluecker checks.  Only when no witness comes out are the
+conditions checked in stage order (triangle, Pluecker, kappa residues)
+to list every failure of the first failing stage.  The triangle and
+Pluecker checks walk a dense copy of the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Optional, Union
 
-from .errors import PreconditionViolated
+from .errors import ConstraintViolation, DomainError, PreconditionViolated
 from .intarith import factorize, is_probable_prime, valuation
 from .scheme import (
     ReductionLog,
     Scheme,
     Unresolvable,
     curve,
+    dense_rows,
     get,
     lift_system,
     reduce_zeros,
@@ -107,17 +115,23 @@ class PlueckerCheck:
 
 def check_triangle(s: Scheme) -> TriangleCheck:
     """Equal pairwise gcds on every index triple; exposes g_ijk on pass."""
-    if any(e == 0 for e in s.entries):
+    if 0 in s.entries:
         raise PreconditionViolated("zero entries: apply reduce_zeros first")
+    n = s.n
+    rows = dense_rows(s)
     failures = []
     gcds = {}
-    for i, j, k in combinations(range(1, s.n + 1), 3):
-        a, b, c = get(s, i, j), get(s, i, k), get(s, j, k)
-        g1, g2, g3 = gcd(a, b), gcd(a, c), gcd(b, c)
-        if g1 == g2 == g3:
-            gcds[(i, j, k)] = g1
-        else:
-            failures.append(FailedTriangle(i, j, k))
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            a, rj = ri[j], rows[j]
+            for k in range(j + 1, n):
+                b, c = ri[k], rj[k]
+                g1 = gcd(a, b)
+                if g1 == gcd(a, c) == gcd(b, c):
+                    gcds[(i + 1, j + 1, k + 1)] = g1
+                else:
+                    failures.append(FailedTriangle(i + 1, j + 1, k + 1))
     return TriangleCheck(not failures, tuple(failures), gcds if not failures else {})
 
 
@@ -138,18 +152,26 @@ def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
 
 def check_pluecker_full(s: Scheme) -> PlueckerCheck:
     """All C(n,4) Pluecker relations; vacuous pass for n < 4."""
-    failures = tuple(
-        FailedPluecker(i, j, k, l)
-        for i, j, k, l in combinations(range(1, s.n + 1), 4)
-        if _mu(s, i, j, k, l) != 0
-    )
-    return PlueckerCheck(not failures, failures)
+    n = s.n
+    rows = dense_rows(s)
+    failures = []
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            m_ij, rj = ri[j], rows[j]
+            for k in range(j + 1, n):
+                m_ik, m_jk, rk = ri[k], rj[k], rows[k]
+                # mu_ijkl = m_ij*m_kl - m_ik*m_jl + m_il*m_jk
+                for l in range(k + 1, n):
+                    if m_ij * rk[l] - m_ik * rj[l] + ri[l] * m_jk:
+                        failures.append(FailedPluecker(i + 1, j + 1, k + 1, l + 1))
+    return PlueckerCheck(not failures, tuple(failures))
 
 
 def check_pluecker_reduced(s: Scheme) -> PlueckerCheck:
     """Only the (n-3)(n-2)/2 relations mu_{1,i,i+1,j}; equivalent to the
     full check when no entry vanishes."""
-    if any(e == 0 for e in s.entries):
+    if 0 in s.entries:
         raise PreconditionViolated("zero entries: apply reduce_zeros first")
     failures = tuple(
         FailedPluecker(1, i, i + 1, j)
@@ -221,7 +243,7 @@ def toz_report(s: Scheme) -> TozReport:
     """
     if s.n < 3:
         raise PreconditionViolated("toz needs at least 3 curves")
-    if any(e == 0 for e in s.entries):
+    if 0 in s.entries:
         raise PreconditionViolated("zero entries: apply reduce_zeros first")
     g123 = _base_triple(s)[0]
     per = []
@@ -265,8 +287,14 @@ def check_circledast(s: Scheme):
     if s.n <= 2:
         return None
     report = toz_report(s)
-    failures = _circledast_failures(kappa_constraints(s), report)
+    cons = kappa_constraints(s, factors=_factors(report))
+    failures = _circledast_failures(cons, report)
     return failures[0] if failures else None
+
+
+def _factors(report: TozReport) -> list:
+    # the (prime, nu) pairs of g_123, as toz_report factored them
+    return [(e.prime, e.nu) for e in report.per_prime]
 
 
 def _circledast_failures(cons: KappaConstraintSet, report: TozReport):
@@ -335,10 +363,22 @@ def _map_indices(survivors, *idx):
 
 
 def decide_torus(s: Scheme) -> Verdict:
-    """Full pipeline: zero reduction, triangle, Pluecker, kappa residues,
-    witness construction.  Realizable verdicts carry a verified witness
-    lifted back through the reduction; failure reasons use the original
-    curve indices and list every failure found in the failing stage.
+    """Full pipeline, certificate first.
+
+    1. Zero reduction; an unresolvable zero pair refutes at once.
+    2. When the base triple's three gcds agree: toz report, kappa residues,
+       canonical kappa and the witness for it.  A witness that verifies
+       proves realizability, so the verdict is returned without the
+       triangle and Pluecker checks.
+    3. Otherwise the conditions are checked in order, triangle, Pluecker,
+       then kappa residues (reusing the scan of step 2), and every failure
+       of the first failing stage is listed.
+
+    Realizable verdicts carry a verified witness lifted back through the
+    reduction; failure reasons use the original curve indices.  The
+    verdict is the one the plain stage order gives: a verified witness
+    satisfies every condition, and a realizable scheme's canonical kappa
+    always yields one.
     """
     red = reduce_zeros(s)
     if isinstance(red, Unresolvable):
@@ -359,6 +399,30 @@ def decide_torus(s: Scheme) -> Verdict:
         system = lift_system(red, (curve(1, 0), curve(rep, m)))
         return _realizable(s, red, system, rep, None, None)
 
+    report = cons = scan_error = None
+    m12, m13, m23 = r.entries[:3]
+    if gcd(m12, m13) == gcd(m12, m23) == gcd(m13, m23):
+        report = toz_report(r)
+        try:
+            cons = kappa_constraints(r, factors=_factors(report))
+        except DomainError as exc:
+            # fatal only if no condition fails first, as in stage order
+            scan_error = exc
+        if cons is not None and cons.feasible():
+            kappa = canonical_kappa(cons)
+            try:
+                witness = construct_witness(r, kappa)
+            except ConstraintViolation:
+                pass
+            else:
+                system = lift_system(red, witness.system)
+                return _realizable(s, red, system, kappa, report, cons)
+    return _refutation(red, report, cons, scan_error)
+
+
+def _refutation(red, report, cons, scan_error) -> Verdict:
+    """Stage-order failures of a reduced scheme that has no witness."""
+    r = red.reduced
     tri = check_triangle(r)
     if not tri.ok:
         reasons = tuple(
@@ -375,21 +439,15 @@ def decide_torus(s: Scheme) -> Verdict:
         )
         return Verdict(False, reasons, None, False, red)
 
-    report = toz_report(r)
-    cons = kappa_constraints(r)
+    if scan_error is not None:
+        raise scan_error
     toz_fail = _circledast_failures(cons, report)
     if toz_fail:
         return Verdict(False, toz_fail, None, False, red, toz=report,
                        constraints=cons)
-    if not cons.feasible():
-        # A prime >= n with no allowed residue cannot occur once the three
-        # conditions hold; reaching this line means an internal fault.
-        raise AssertionError(f"internal fault: empty kappa set on {r}")
-
-    kappa = canonical_kappa(cons)
-    witness = construct_witness(r, kappa)
-    system = lift_system(red, witness.system)
-    return _realizable(s, red, system, kappa, report, cons)
+    # Once the three conditions hold, the canonical kappa yields a witness;
+    # reaching this line means an internal fault.
+    raise AssertionError(f"internal fault: no witness and no failure on {r}")
 
 
 def _realizable(s, red, system, kappa, report, cons) -> Verdict:

@@ -96,33 +96,3 @@ def render_svg(system, out_path: str) -> None:
 
 def _px(v: Fraction) -> str:
     return f"{float(v) * SVG_SIZE:.4f}"
-
-
-def signed_crossings(p1: int, q1: int, off1, p2: int, q2: int, off2) -> int:
-    """Signed crossing count of two drawn geodesics, by exact segment
-    intersection with half-open parameter intervals (test oracle)."""
-    total = 0
-    segs1 = curve_segments(p1, q1, off1)
-    segs2 = curve_segments(p2, q2, off2)
-    det = p1 * q2 - p2 * q1
-    if det == 0:
-        return 0
-    sign = 1 if det > 0 else -1
-    for (a0, a1) in segs1:
-        for (b0, b1) in segs2:
-            if _segments_cross(a0, a1, b0, b1):
-                total += sign
-    return total
-
-
-def _segments_cross(a0, a1, b0, b1) -> bool:
-    # solve a0 + t*(a1-a0) = b0 + u*(b1-b0) with t, u in [0, 1)
-    dax, day = a1[0] - a0[0], a1[1] - a0[1]
-    dbx, dby = b1[0] - b0[0], b1[1] - b0[1]
-    den = dax * dby - dbx * day
-    if den == 0:
-        return False
-    rx, ry = b0[0] - a0[0], b0[1] - a0[1]
-    t = Fraction(rx * dby - dbx * ry, den)
-    u = Fraction(rx * day - dax * ry, den)
-    return 0 <= t < 1 and 0 <= u < 1

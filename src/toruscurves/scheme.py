@@ -12,8 +12,10 @@ everything zero times.
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass
 from math import gcd
+from operator import neg
 from typing import Optional, Union
 
 from .errors import InvalidPermutation, InvalidShape
@@ -167,27 +169,19 @@ class Unresolvable:
     survivors: tuple
 
 
-def _drop_curve(s: Scheme, k: int) -> Scheme:
-    keep = [t for t in range(1, s.n + 1) if t != k]
-    out = [
-        get(s, keep[i], keep[j])
-        for j in range(1, len(keep))
-        for i in range(j)
-    ]
-    return Scheme(s.n - 1, tuple(out))
-
-
-def _row_equal(s: Scheme, i: int, j: int, sign: int) -> bool:
-    # rows compared on all indices other than i and j
-    return all(
-        get(s, i, k) == sign * get(s, j, k)
-        for k in range(1, s.n + 1)
-        if k not in (i, j)
-    )
-
-
-def _row_zero(s: Scheme, i: int) -> bool:
-    return all(get(s, i, k) == 0 for k in range(1, s.n + 1) if k != i)
+def dense_rows(s: Scheme) -> list:
+    """The antisymmetric n x n matrix as a list of 0-based rows:
+    rows[i][j] = m_{i+1,j+1}, with a zero diagonal."""
+    n, entries = s.n, s.entries
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for j in range(1, n):
+        col = entries[start:start + j]
+        start += j
+        rows[j][:j] = [-e for e in col]
+        for row, e in zip(rows, col):
+            row[j] = e
+    return rows
 
 
 def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
@@ -198,48 +192,60 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
     has no zero entries (n=1 has none by shape).  If a pass finds zero
     entries but can resolve none of them, that certifies the scheme is not
     realizable on a torus and Unresolvable is returned.
+
+    Dropping a duplicate or empty curve changes neither which entries of
+    the other curves vanish nor whether a zero pair is a (reversed)
+    duplicate or has an empty row, so the scan is a single pass over the
+    original matrix.  Two curves with m_ab = 0 agree off {a, b} exactly
+    when their full rows agree, so duplicates are found by hashing rows.
     """
-    cur = s
+    n = s.n
+    if 0 not in s.entries:
+        return ReductionLog((), s, tuple(range(1, n + 1)))
+    rows = dense_rows(s)
+    row_id: dict = {}
+    ids = [row_id.setdefault(tuple(r), len(row_id)) for r in rows]
+    neg_ids = [row_id.get(tuple(map(neg, r))) for r in rows]
+    alive = [True] * n
+    dropped = []  # 0-based indices of dropped curves, sorted
     steps = []
-    survivors = list(range(1, s.n + 1))
-    while True:
-        zero_pairs = [
-            (i, j)
-            for j in range(2, cur.n + 1)
-            for i in range(1, j)
-            if get(cur, i, j) == 0
-        ]
-        zero_pairs.sort()
-        if not zero_pairs:
-            return ReductionLog(tuple(steps), cur, tuple(survivors))
-        resolved = False
-        for i, j in zero_pairs:
-            if _row_equal(cur, i, j, +1):
-                steps.append(ReductionStep(j, DUPLICATE, of_index=i, sign=+1))
-                cur = _drop_curve(cur, j)
-                del survivors[j - 1]
-            elif _row_equal(cur, i, j, -1):
-                steps.append(ReductionStep(j, DUPLICATE, of_index=i, sign=-1))
-                cur = _drop_curve(cur, j)
-                del survivors[j - 1]
-            elif _row_zero(cur, i):
-                steps.append(ReductionStep(i, EMPTY))
-                cur = _drop_curve(cur, i)
-                del survivors[i - 1]
-            elif _row_zero(cur, j):
-                steps.append(ReductionStep(j, EMPTY))
-                cur = _drop_curve(cur, j)
-                del survivors[j - 1]
-            else:
+    unresolved = []
+
+    def drop(k: int, reason: str, of: Optional[int] = None, sign=None):
+        # record the step in the positions of the scheme just before it
+        pos = k + 1 - bisect(dropped, k)
+        of_pos = None if of is None else of + 1 - bisect(dropped, of)
+        steps.append(ReductionStep(pos, reason, of_index=of_pos, sign=sign))
+        insort(dropped, k)
+        alive[k] = False
+
+    for a in range(n):
+        ra = rows[a]
+        for b in range(a + 1, n):
+            if not alive[a]:
+                break
+            if ra[b] != 0 or not alive[b]:
                 continue
-            resolved = True
-            break
-        if not resolved:
-            i, j = zero_pairs[0]
-            return Unresolvable(
-                survivors[i - 1], survivors[j - 1], tuple(steps), cur,
-                tuple(survivors),
-            )
+            if ids[a] == ids[b]:
+                drop(b, DUPLICATE, a, +1)
+            elif neg_ids[b] == ids[a]:
+                drop(b, DUPLICATE, a, -1)
+            elif not any(ra):
+                drop(a, EMPTY)
+            elif not any(rows[b]):
+                drop(b, EMPTY)
+            else:
+                unresolved.append((a, b))
+    keep = [k for k in range(n) if alive[k]]
+    cur = Scheme(
+        len(keep),
+        tuple(rows[a][b] for t, b in enumerate(keep) for a in keep[:t]),
+    )
+    survivors = tuple(k + 1 for k in keep)
+    for a, b in unresolved:
+        if alive[a] and alive[b]:
+            return Unresolvable(a + 1, b + 1, tuple(steps), cur, survivors)
+    return ReductionLog(tuple(steps), cur, survivors)
 
 
 def replay_reduction(log: ReductionLog) -> Scheme:

@@ -78,7 +78,7 @@ class NormalizedWitness:
 
 
 def _require_nonzero(s: Scheme) -> None:
-    if any(e == 0 for e in s.entries):
+    if 0 in s.entries:
         raise PreconditionViolated("scheme has zero entries; reduce first")
 
 
@@ -137,20 +137,26 @@ def _kappa_ok(s: Scheme, w: XYWitness, p: int, nu: int, kappa: int) -> bool:
 _ENUM_CAP = 10**7
 
 
-def kappa_constraints(s: Scheme, w: Optional[XYWitness] = None) -> KappaConstraintSet:
+def kappa_constraints(
+    s: Scheme, w: Optional[XYWitness] = None, *, factors=None
+) -> KappaConstraintSet:
     """Allowed kappa residues mod p^(nu_p+1) for each prime p | g_123.
 
     An empty allowed set for some prime certifies the scheme is not
     realizable; nonemptiness is guaranteed once the gcd, Pluecker and
     valuation conditions all hold.  The residue scan is exhaustive, so a
     prime-power modulus above 10^7 is refused rather than enumerated.
+    factors, when given, are the (prime, nu) pairs of g_123 in factorize
+    order, so a caller that has already factored g_123 is not charged again.
     """
     if w is None:
         w = solve_xy(s)
     if w.g123 == 1:
         return KappaConstraintSet((), unconstrained=True)
+    if factors is None:
+        factors = factorize(w.g123).pairs
     per = []
-    for p, nu in factorize(w.g123).pairs:
+    for p, nu in factors:
         modulus = p ** (nu + 1)
         if modulus > _ENUM_CAP:
             raise DomainError(
@@ -195,12 +201,15 @@ def canonical_kappa(cons: KappaConstraintSet) -> int:
 
 
 def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
-    """Build and re-verify the normalized witness for kappa.
+    """Build and verify the normalized witness for kappa.
 
     kappa is admitted iff every r_j is integral and gcd(r_j, m_1j) = 1;
     otherwise ConstraintViolation is raised.  Once the triangle and
     Pluecker conditions hold this is exactly membership in the residue
-    classes of kappa_constraints, without scanning them.
+    classes of kappa_constraints, without scanning them.  Without them the
+    system built can miss some determinant m_ij; that also raises
+    ConstraintViolation, so a returned witness always verifies and proves
+    the scheme realizable.
     """
     if s.n < 3:
         raise DomainError("construct_witness needs at least 3 curves")
@@ -222,9 +231,9 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
         curve(rs[j - 2], get(s, 1, j)) for j in range(2, s.n + 1)
     )
     if not verify_system(s, system):
-        raise AssertionError(
-            f"internal fault: constructed witness fails verification "
-            f"(kappa={kappa}, scheme={s})"
+        raise ConstraintViolation(
+            f"kappa={kappa} gives a system whose determinants differ "
+            f"from the scheme"
         )
     return NormalizedWitness(kappa, tuple(rs), system)
 
@@ -322,10 +331,21 @@ def verify_system(s: Scheme, system) -> bool:
     for v in system:
         if not v.is_primitive():
             return False
-    for j in range(2, s.n + 1):
-        for i in range(1, j):
-            u, v = system[i - 1], system[j - 1]
-            det = 0 if (u.is_empty or v.is_empty) else u.p * v.q - v.p * u.q
-            if det != get(s, i, j):
+    vecs = [None if v.is_empty else (v.p, v.q) for v in system]
+    entries = s.entries
+    start = 0
+    # entries come in columns m_1j, ..., m_{j-1,j}; here j is 0-based
+    for j in range(1, s.n):
+        col = entries[start:start + j]
+        start += j
+        vj = vecs[j]
+        if vj is None:
+            if any(col):
+                return False
+            continue
+        pj, qj = vj
+        for u, m in zip(vecs, col):
+            det = 0 if u is None else u[0] * qj - pj * u[1]
+            if det != m:
                 return False
     return True

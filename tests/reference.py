@@ -1,0 +1,186 @@
+"""Straightforward reference versions of the decision pipeline's fast paths.
+
+Each function re-states a stage the direct way, through the get() accessor
+and in the plain stage order, and serves only as an oracle for the
+package's dense and certificate-first implementations:
+
+  * reduce_zeros: rescans the current scheme and rebuilds it after every
+    removed curve;
+  * check_triangle / check_pluecker_full / verify_system: one get() per
+    matrix element;
+  * decide_torus: zero reduction, triangle, Pluecker, kappa residues, then
+    the witness, each stage run only after the previous one passed.
+"""
+
+from itertools import combinations
+from math import gcd
+
+from toruscurves.conditions import (
+    FailedPluecker,
+    FailedTriangle,
+    PlueckerCheck,
+    TriangleCheck,
+    UnresolvableZero,
+    Verdict,
+    _circledast_failures,
+    toz_report,
+)
+from toruscurves.scheme import (
+    DUPLICATE,
+    EMPTY,
+    ReductionLog,
+    ReductionStep,
+    Scheme,
+    Unresolvable,
+    curve,
+    get,
+    lift_system,
+)
+from toruscurves.solver import canonical_kappa, construct_witness, kappa_constraints
+
+
+# ---------------------------------------------------------------------------
+# Zero reduction, one rebuilt scheme per removed curve
+# ---------------------------------------------------------------------------
+
+
+def _drop_curve(s, k):
+    keep = [t for t in range(1, s.n + 1) if t != k]
+    out = [get(s, keep[i], keep[j]) for j in range(1, len(keep)) for i in range(j)]
+    return Scheme(s.n - 1, tuple(out))
+
+
+def _row_equal(s, i, j, sign):
+    # rows compared on all indices other than i and j
+    return all(
+        get(s, i, k) == sign * get(s, j, k)
+        for k in range(1, s.n + 1)
+        if k not in (i, j)
+    )
+
+
+def _row_zero(s, i):
+    return all(get(s, i, k) == 0 for k in range(1, s.n + 1) if k != i)
+
+
+def reduce_zeros(s):
+    cur = s
+    steps = []
+    survivors = list(range(1, s.n + 1))
+    while True:
+        zero_pairs = sorted(
+            (i, j)
+            for j in range(2, cur.n + 1)
+            for i in range(1, j)
+            if get(cur, i, j) == 0
+        )
+        if not zero_pairs:
+            return ReductionLog(tuple(steps), cur, tuple(survivors))
+        for i, j in zero_pairs:
+            if _row_equal(cur, i, j, +1):
+                step, drop = ReductionStep(j, DUPLICATE, of_index=i, sign=+1), j
+            elif _row_equal(cur, i, j, -1):
+                step, drop = ReductionStep(j, DUPLICATE, of_index=i, sign=-1), j
+            elif _row_zero(cur, i):
+                step, drop = ReductionStep(i, EMPTY), i
+            elif _row_zero(cur, j):
+                step, drop = ReductionStep(j, EMPTY), j
+            else:
+                continue
+            steps.append(step)
+            cur = _drop_curve(cur, drop)
+            del survivors[drop - 1]
+            break
+        else:
+            i, j = zero_pairs[0]
+            return Unresolvable(
+                survivors[i - 1], survivors[j - 1], tuple(steps), cur,
+                tuple(survivors),
+            )
+
+
+# ---------------------------------------------------------------------------
+# Element-wise conditions
+# ---------------------------------------------------------------------------
+
+
+def check_triangle(s):
+    failures, gcds = [], {}
+    for i, j, k in combinations(range(1, s.n + 1), 3):
+        a, b, c = get(s, i, j), get(s, i, k), get(s, j, k)
+        g1, g2, g3 = gcd(a, b), gcd(a, c), gcd(b, c)
+        if g1 == g2 == g3:
+            gcds[(i, j, k)] = g1
+        else:
+            failures.append(FailedTriangle(i, j, k))
+    return TriangleCheck(not failures, tuple(failures), gcds if not failures else {})
+
+
+def check_pluecker_full(s):
+    failures = tuple(
+        FailedPluecker(i, j, k, l)
+        for i, j, k, l in combinations(range(1, s.n + 1), 4)
+        if get(s, i, j) * get(s, k, l)
+        - get(s, i, k) * get(s, j, l)
+        + get(s, i, l) * get(s, j, k)
+    )
+    return PlueckerCheck(not failures, failures)
+
+
+def verify_system(s, system):
+    if not all(v.is_primitive() for v in system):
+        return False
+    for j in range(2, s.n + 1):
+        for i in range(1, j):
+            u, v = system[i - 1], system[j - 1]
+            det = 0 if (u.is_empty or v.is_empty) else u.p * v.q - v.p * u.q
+            if det != get(s, i, j):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Stage-order decision
+# ---------------------------------------------------------------------------
+
+
+def decide_torus(s):
+    red = reduce_zeros(s)
+    if isinstance(red, Unresolvable):
+        return Verdict(False, (UnresolvableZero(red.i, red.j),), None, False, None)
+    r = red.reduced
+
+    def realizable(system, kappa, report=None, cons=None):
+        if not verify_system(s, system):
+            raise AssertionError("reference witness fails verification")
+        used_empty = any(v.is_empty for v in system)
+        return Verdict(True, (), system, used_empty, red, kappa=kappa,
+                       toz=report, constraints=cons)
+
+    if r.n == 1:
+        return realizable(lift_system(red, (curve(1, 0),)), None)
+    if r.n == 2:
+        m = get(r, 1, 2)
+        rep = 0 if abs(m) == 1 else 1
+        return realizable(lift_system(red, (curve(1, 0), curve(rep, m))), rep)
+
+    def mapped(f, *idx):
+        return type(f)(*(red.survivors[t - 1] for t in idx))
+
+    tri = check_triangle(r)
+    if not tri.ok:
+        reasons = tuple(mapped(f, f.i, f.j, f.k) for f in tri.failures)
+        return Verdict(False, reasons, None, False, red)
+    plk = check_pluecker_full(r)
+    if not plk.ok:
+        reasons = tuple(mapped(f, f.i, f.j, f.k, f.l) for f in plk.failures)
+        return Verdict(False, reasons, None, False, red)
+    report = toz_report(r)
+    cons = kappa_constraints(r)
+    toz_fail = _circledast_failures(cons, report)
+    if toz_fail:
+        return Verdict(False, toz_fail, None, False, red, toz=report,
+                       constraints=cons)
+    kappa = canonical_kappa(cons)
+    witness = construct_witness(r, kappa)
+    return realizable(lift_system(red, witness.system), kappa, report, cons)

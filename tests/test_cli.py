@@ -1,5 +1,9 @@
 import json
+import random
+import sys
+from math import gcd
 
+from toruscurves import curve, new_scheme, verify_system
 from toruscurves.cli import run
 
 
@@ -156,3 +160,33 @@ def test_json_roundtrip(tmp_path, capsys):
     again.write_text(json.dumps({"n": 4, "entries": [1, 1, 1, 2, 1, -1]}))
     code2, doc2 = run_json(capsys, ["check", str(again)])
     assert doc == doc2
+
+
+def test_check_huge_witness(tmp_path, capsys):
+    # A vector 3-scheme whose entries (1807, 1807 and 3613 digits) parse
+    # within the int digit limit, while its normalized witness has
+    # coordinates of more than 5000 digits.
+    rng = random.Random(5)
+
+    def primitive(digits):
+        while True:
+            x = rng.randrange(10 ** (digits - 2), 10 ** (digits - 1))
+            y = rng.randrange(10 ** (digits - 1), 10**digits)
+            if gcd(x, y) == 1:
+                return x, y
+
+    (x2, y2), (x3, y3) = primitive(1807), primitive(1807)
+    entries = [y2, y3, x2 * y3 - x3 * y2]
+    path = write_scheme(tmp_path, "huge.json", 3, entries)
+    assert run(["check", path]) == 0
+    out = capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(out)
+        assert max(len(str(abs(c))) for v in doc["witness"] for c in v) > 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
+    system = tuple(curve(p, q) for p, q in doc["witness"])
+    assert verify_system(new_scheme(3, entries), system)

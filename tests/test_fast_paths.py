@@ -1,0 +1,191 @@
+"""The dense and certificate-first paths against the references in
+reference.py: one-pass zero reduction, the dense triangle and Pluecker
+checks, verify_system, and decide_torus with its witness tried first."""
+
+import random
+from math import gcd
+
+import pytest
+
+import reference
+from conftest import random_nonzero_scheme, random_vector_scheme
+from toruscurves import (
+    ConstraintViolation,
+    FailedPluecker,
+    FailedToz,
+    FailedTriangle,
+    Scheme,
+    UnresolvableZero,
+    check_pluecker_full,
+    check_triangle,
+    construct_witness,
+    curve,
+    decide_torus,
+    new_scheme,
+    reduce_zeros,
+    verify_system,
+)
+from toruscurves.scheme import EMPTY_CURVE, Unresolvable
+
+
+def _dets(vecs) -> list:
+    """Column-order entries of a system; None stands for an Empty curve."""
+    return [
+        0 if u is None or v is None else u[0] * v[1] - v[0] * u[1]
+        for j, v in enumerate(vecs)
+        for u in vecs[:j]
+    ]
+
+
+def _zero_heavy_scheme(rng: random.Random, n: int) -> Scheme:
+    """A vector scheme drawn from a few classes, with repeated, reversed
+    and Empty curves; sometimes one entry is perturbed so that a zero
+    becomes unresolvable or a duplicate breaks."""
+    base = []
+    while len(base) < rng.randint(1, 4):
+        p, q = rng.randint(-4, 4), rng.randint(-4, 4)
+        if gcd(p, q) == 1:
+            base.append((p, q))
+    vecs = []
+    for _ in range(n):
+        if rng.random() < 0.15:
+            vecs.append(None)
+        else:
+            p, q = rng.choice(base)
+            vecs.append((p, q) if rng.random() < 0.5 else (-p, -q))
+    entries = _dets(vecs)
+    if entries and rng.random() < 0.3:
+        entries[rng.randrange(len(entries))] += rng.choice((-1, 1, 2))
+    return new_scheme(n, entries)
+
+
+def _pluecker_refuted(rng: random.Random, n: int) -> Scheme:
+    """Distinct classes with the lcm L of all entries added to m_{n-1,n}:
+    every gcd is kept and exactly the quadruples (i, j, n-1, n) fail."""
+    while True:
+        s = random_vector_scheme(rng, n, distinct=True)
+        if 0 in s.entries:
+            continue
+        lcm = 1
+        for e in s.entries:
+            lcm = lcm * abs(e) // gcd(lcm, e)
+        entries = list(s.entries)
+        entries[-1] += lcm
+        if entries[-1] != 0:
+            return new_scheme(n, entries)
+
+
+def test_reduce_zeros_matches_reference(rng):
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        if rng.random() < 0.6:
+            s = _zero_heavy_scheme(rng, n)
+        else:
+            k = n * (n - 1) // 2
+            s = Scheme(n, tuple(rng.choice([-2, -1, 0, 0, 1, 2]) for _ in range(k)))
+        got = reduce_zeros(s)
+        assert got == reference.reduce_zeros(s)
+        if isinstance(got, Unresolvable):
+            seen.add("unresolvable")
+        seen.update(step.reason + str(step.sign) for step in got.steps)
+    assert seen == {"unresolvable", "duplicate_of1", "duplicate_of-1", "emptyNone"}
+
+
+def test_dense_checks_match_reference(rng):
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        if rng.random() < 0.5:
+            s = random_nonzero_scheme(rng, n)
+        else:
+            s = random_vector_scheme(rng, n, distinct=True)
+            if 0 in s.entries:
+                continue
+            if rng.random() < 0.5:
+                entries = list(s.entries)
+                entries[rng.randrange(len(entries))] *= rng.choice((2, 3, -1))
+                s = new_scheme(n, entries)
+        assert check_triangle(s) == reference.check_triangle(s)
+        assert check_pluecker_full(s) == reference.check_pluecker_full(s)
+
+
+def test_verify_system_matches_reference(rng):
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        vecs = []
+        while len(vecs) < n:
+            p, q = rng.randint(-5, 5), rng.randint(-5, 5)
+            if rng.random() < 0.15:
+                vecs.append(None)
+            elif (p, q) != (0, 0) and (gcd(p, q) == 1 or rng.random() < 0.1):
+                vecs.append((p, q))
+        entries = _dets(vecs)
+        if entries and rng.random() < 0.5:
+            entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
+        s = new_scheme(n, entries)
+        system = tuple(EMPTY_CURVE if v is None else curve(*v) for v in vecs)
+        assert verify_system(s, system) == reference.verify_system(s, system)
+
+
+def test_decide_matches_stage_order(rng):
+    kinds = set()
+    for t in range(900):
+        n = rng.randint(1, 10)
+        pick = t % 5
+        if pick == 0:
+            s = _zero_heavy_scheme(rng, n)
+        elif pick == 1:
+            s = random_nonzero_scheme(rng, max(n, 3))
+        elif pick == 2:
+            s = random_vector_scheme(rng, n)
+        elif pick == 3:
+            g = rng.choice([2, 3, 4, 6, 9, 30])
+            s = new_scheme(n, [g * e for e in random_vector_scheme(rng, n).entries])
+        else:
+            s = _pluecker_refuted(rng, max(n, 4))
+        v = decide_torus(s)
+        assert v == reference.decide_torus(s)
+        kinds.add(type(v.reasons[0]) if v.reasons else True)
+    assert kinds == {True, FailedTriangle, FailedPluecker, FailedToz, UnresolvableZero}
+
+
+def test_realizable_without_triangle_or_pluecker(monkeypatch):
+    from toruscurves import conditions
+
+    def refuse(s):
+        raise AssertionError("a realizable scheme needs no condition check")
+
+    monkeypatch.setattr(conditions, "check_triangle", refuse)
+    monkeypatch.setattr(conditions, "check_pluecker_full", refuse)
+    s = random_vector_scheme(random.Random(28), 28, qmax=20, distinct=True)
+    assert 0 not in s.entries
+    v = decide_torus(s)
+    assert v.realizable and verify_system(s, v.witness)
+
+
+def test_factorize_once_per_decision(monkeypatch):
+    from toruscurves import conditions, solver
+
+    calls = []
+    factorize = solver.factorize
+
+    def counted(m):
+        calls.append(m)
+        return factorize(m)
+
+    monkeypatch.setattr(solver, "factorize", counted)
+    monkeypatch.setattr(conditions, "factorize", counted)
+    # vectors (1,0), (1,30), (7,30), (11,60): g_123 = 30
+    v = decide_torus(new_scheme(4, [30, 30, -180, 60, -270, 90]))
+    assert v.realizable and v.toz.base_gcd == 30
+    assert calls == [30]
+
+
+def test_construct_witness_rejects_wrong_determinant():
+    # (1,0), (0,1), (1,1), (1,2), (2,1) with m_45 off by one: every r_j is
+    # integral and primitive, but det(gamma_4, gamma_5) != m_45
+    entries = _dets([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
+    entries[-1] += 1
+    s = new_scheme(5, entries)
+    with pytest.raises(ConstraintViolation):
+        construct_witness(s, 0)
