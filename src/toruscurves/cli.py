@@ -190,6 +190,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.orbits is not None and args.orbits < 1:
+        raise CliError(f"--orbits LIMIT must be >= 1, got {args.orbits}")
     s = _load_scheme(args.file)
     verdict = decide_torus(s)
     if not verdict.realizable:
@@ -209,7 +211,7 @@ def _cmd_solve(args) -> int:
             "kappa": args.kappa,
             "witness": _witness_doc(w.system),
         }
-    if args.orbits:
+    if args.orbits is not None:
         reps = enumerate_orbits(red, limit=args.orbits)
         doc["orbit_witnesses"] = [
             {"kappa": w.kappa, "witness": _witness_doc(w.system)} for w in reps

@@ -10,10 +10,11 @@ A scheme with nonzero entries is realized on a torus iff
 
 The last condition is classically stated as a bound toz(m;p) < p on an
 exact-rational invariant built from p-valuations.  toz_report computes
-that invariant literally; the verdict itself is decided by enumerating
-kappa residues (solver.kappa_constraints), which is what the bound counts:
-the two agree except that the per-column formula can double-count a
-forbidden residue shared by two columns, so enumeration is authoritative.
+that invariant literally; the verdict itself is decided by scanning the
+kappa residues mod p^(nu+1) against the linear form D_j = A_j + kappa*B_j
+of every column j >= 2 (solver.kappa_constraints), which is what the
+bound counts: the two agree except that toz can double-count a forbidden
+residue shared by two columns, so the scan is authoritative.
 
 decide_torus runs certificate first: after zero reduction it scans the
 kappa residues and builds the witness for the canonical kappa, and a

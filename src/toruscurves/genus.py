@@ -10,6 +10,7 @@ primes p != q admits none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Optional, Union
 
@@ -168,19 +169,6 @@ def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-class _R3Cache:
-    def __init__(self):
-        self.mem: dict = {}
-
-    def __call__(self, x: int, y: int, z: int) -> bool:
-        key = (x, y, z)
-        hit = self.mem.get(key)
-        if hit is None:
-            hit = _realizable3(x, y, z)
-            self.mem[key] = hit
-        return hit
-
-
 def bounded_decomposition_search(
     s: Scheme, bound: int
 ) -> Optional[Decomposition]:
@@ -219,7 +207,7 @@ def _search_generic(s: Scheme, bound: int):
             for i1 in range(1, i2):
                 slots = (slot[(i1, i2)], slot[(i1, j)], slot[(i2, j)])
                 completed[max(slots)].append(slots)
-    r3 = _R3Cache()
+    r3 = lru_cache(maxsize=None)(_realizable3)
     target = s.entries
     chosen = [0] * k
 
@@ -261,29 +249,22 @@ def _search4(s: Scheme, bound: int):
     s12, s13, s23, s14, s24, s34 = s.entries
     B = bound
     rng = range(-B, B + 1)
-    r3 = _R3Cache()
-    m134: dict = {}  # (b, d) -> bitmask of feasible f, both sides
-    m234: dict = {}  # (c, e) -> bitmask of feasible f, both sides
+    r3 = lru_cache(maxsize=None)(_realizable3)
 
-    def mask134(b, d):
-        hit = m134.get((b, d))
-        if hit is None:
-            hit = 0
-            for f in rng:
-                if r3(b, d, f) and r3(s13 - b, s14 - d, s34 - f):
-                    hit |= 1 << (f + B)
-            m134[(b, d)] = hit
-        return hit
+    def f_masks(s_x3, s_x4):
+        # (m'_x3, m'_x4) -> bitmask of the f keeping triple (x,3,4)
+        # realizable in both summands
+        @lru_cache(maxsize=None)
+        def mask(u, v):
+            return sum(
+                1 << (f + B)
+                for f in rng
+                if r3(u, v, f) and r3(s_x3 - u, s_x4 - v, s34 - f)
+            )
 
-    def mask234(c, e):
-        hit = m234.get((c, e))
-        if hit is None:
-            hit = 0
-            for f in rng:
-                if r3(c, e, f) and r3(s23 - c, s24 - e, s34 - f):
-                    hit |= 1 << (f + B)
-            m234[(c, e)] = hit
-        return hit
+        return mask
+
+    mask134, mask234 = f_masks(s13, s14), f_masks(s23, s24)
 
     for a in rng:
         de_pairs = [

@@ -3,19 +3,20 @@
 Every solution with gamma_1 = (1,0) has gamma_j = (r_j, m_1j), and all of
 them are indexed by one integer parameter kappa:
 
-    r_2 = x*m'_23 + kappa*m'_12        (m'_ij = m_ij / g_123)
-    r_3 = y*m'_23 + kappa*m'_13
-    g_123 * r_j = y*m_2j - x*m_3j + kappa*m_1j      (j >= 4)
+    g_123 * r_j = D_j = A_j + kappa*B_j,  A_j = y*m_2j - x*m_3j,  B_j = m_1j
 
-where x*m'_13 - y*m'_12 = 1.  A kappa is admitted exactly when every r_j
-is an integer and primitive against its column, gcd(r_j, m_1j) = 1;
-construct_witness tests that directly on the witness it builds.  For each
-prime power p^e || g_123 the admitted kappa form a union of residue
-classes mod p^(e+1); kappa_constraints computes those classes by direct
-enumeration rather than by transcribing the case analysis that proves
-they are nonempty, and _crt_product combines them across primes.
-Shifting kappa by g_123 is the stabilizer of (1,0), so orbits of
-normalized witnesses are kappa classes mod g_123.
+for j >= 2, where x*m'_13 - y*m'_12 = 1 (m'_ij = m_ij / g_123).  With
+m_22 = m_33 = 0 and m_32 = -m_23 this gives r_2 = x*m'_23 + kappa*m'_12
+and r_3 = y*m'_23 + kappa*m'_13.  _kappa_line computes the pairs
+(A_j, B_j) once; the residue scan, construct_witness and forbidden_count
+all start from them.  A kappa is admitted exactly when every r_j is an
+integer and gcd(r_j, m_1j) = 1.  At a prime p^nu || g_123 that means
+p^nu | D_j for every j, and p^(nu+1) does not divide D_j when p | B_j
+(for j = 2, 3 this says r_2, r_3 are units mod p).  kappa_constraints
+scans the residues mod p^(nu+1) for it, and _crt_product combines the
+admitted classes across primes.  Shifting kappa by g_123 is the
+stabilizer of (1,0), so orbits of normalized witnesses are kappa classes
+mod g_123.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from .errors import (
     InvalidShape,
     PreconditionViolated,
 )
-from .intarith import ResidueClass, crt, factorize, valuation, xgcd
+from .intarith import (
+    ResidueClass,
+    crt,
+    factorize,
+    is_probable_prime,
+    valuation,
+    xgcd,
+)
 from .scheme import Scheme, curve, get
 
 
@@ -110,28 +118,32 @@ def solve_xy(s: Scheme) -> XYWitness:
     return XYWitness(x, y, g, m12p, m13p, m23p)
 
 
-def _kappa_ok(s: Scheme, w: XYWitness, p: int, nu: int, kappa: int) -> bool:
-    """Does this kappa residue keep every coordinate workable at prime p?
-
-    r_2, r_3 must be units mod p (p always divides m_12 and m_13).  For
-    j >= 4 the combination D_j = y*m_2j - x*m_3j + kappa*m_1j must be
-    divisible by p^nu so that r_j = D_j / g_123 is integral, and when p
-    also divides m_1j the valuation must be exactly nu so that r_j stays a
-    unit (when p does not divide m_1j, p | r_j is harmless for gcd(r_j,
-    m_1j) = 1).
-    """
-    r2 = w.x * w.m23p + kappa * w.m12p
-    r3 = w.y * w.m23p + kappa * w.m13p
-    if r2 % p == 0 or r3 % p == 0:
-        return False
-    pe = p**nu
+def _kappa_line(s: Scheme, w: XYWitness) -> list:
+    """The pairs (A_j, B_j) with D_j = A_j + kappa*B_j, for j = 2..n."""
+    e, x, y = s.entries, w.x, w.y
+    # j = 2, 3 through m_22 = m_33 = 0 and m_32 = -m_23
+    line = [(x * e[2], e[0]), (y * e[2], e[1])]
+    start = 3  # column j occupies entries[start:start + j - 1]
     for j in range(4, s.n + 1):
-        d = w.y * get(s, 2, j) - w.x * get(s, 3, j) + kappa * get(s, 1, j)
-        if d % pe != 0:
-            return False
-        if get(s, 1, j) % p == 0 and d % (pe * p) == 0:
-            return False
-    return True
+        m1j, m2j, m3j = e[start:start + 3]
+        line.append((y * m2j - x * m3j, m1j))
+        start += j - 1
+    return line
+
+
+def _admitted(line, p: int, nu: int, kappas) -> list:
+    """The kappas, in order, with p^nu | D_j for every j and
+    p^(nu+1) not dividing D_j whenever p | B_j."""
+    pe = p**nu
+    q = pe * p
+    out = kappas
+    for a, b in line:
+        a, b = a % q, b % q
+        if b % p:
+            out = [k for k in out if (a + k * b) % pe == 0]
+        else:
+            out = [k for k in out if (d := (a + k * b) % q) and d % pe == 0]
+    return out
 
 
 _ENUM_CAP = 10**7
@@ -155,6 +167,7 @@ def kappa_constraints(
         return KappaConstraintSet((), unconstrained=True)
     if factors is None:
         factors = factorize(w.g123).pairs
+    line = _kappa_line(s, w)
     per = []
     for p, nu in factors:
         modulus = p ** (nu + 1)
@@ -162,9 +175,7 @@ def kappa_constraints(
             raise DomainError(
                 f"residue modulus {p}^{nu + 1} exceeds the enumeration cap"
             )
-        allowed = tuple(
-            k for k in range(modulus) if _kappa_ok(s, w, p, nu, k)
-        )
+        allowed = tuple(_admitted(line, p, nu, range(modulus)))
         per.append(PrimeConstraint(p, nu, modulus, allowed))
     return KappaConstraintSet(tuple(per), unconstrained=False)
 
@@ -214,28 +225,25 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     if s.n < 3:
         raise DomainError("construct_witness needs at least 3 curves")
     w = solve_xy(s)
-    rs = [w.x * w.m23p + kappa * w.m12p, w.y * w.m23p + kappa * w.m13p]
-    for j in range(4, s.n + 1):
-        d = w.y * get(s, 2, j) - w.x * get(s, 3, j) + kappa * get(s, 1, j)
-        if d % w.g123 != 0:
+    rs, system = [], [curve(1, 0)]
+    for j, (a, m1j) in enumerate(_kappa_line(s, w), start=2):
+        r, rem = divmod(a + kappa * m1j, w.g123)
+        if rem:
             raise ConstraintViolation(
                 f"kappa={kappa} gives non-integral r_{j}"
             )
-        rs.append(d // w.g123)
-    for j in range(2, s.n + 1):
-        if gcd(rs[j - 2], get(s, 1, j)) != 1:
+        if gcd(r, m1j) != 1:
             raise ConstraintViolation(
                 f"kappa={kappa} gives r_{j} sharing a factor with m_1{j}"
             )
-    system = (curve(1, 0),) + tuple(
-        curve(rs[j - 2], get(s, 1, j)) for j in range(2, s.n + 1)
-    )
+        rs.append(r)
+        system.append(curve(r, m1j))
     if not verify_system(s, system):
         raise ConstraintViolation(
             f"kappa={kappa} gives a system whose determinants differ "
             f"from the scheme"
         )
-    return NormalizedWitness(kappa, tuple(rs), system)
+    return NormalizedWitness(kappa, tuple(rs), tuple(system))
 
 
 def solve_pair_orbits(m: int) -> list:
@@ -260,8 +268,10 @@ def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
 
     Orbits are classes of witnesses under the stabilizer of (1,0), which
     shifts every r_j by m_1j at once.  Raises DomainError when the scheme
-    is not realizable.
+    is not realizable, and for a limit below 1.
     """
+    if limit is not None and limit < 1:
+        raise DomainError(f"orbit limit must be >= 1, got {limit}")
     if s.n == 1:
         return [NormalizedWitness(0, (), (curve(1, 0),))]
     if s.n == 2:
@@ -294,17 +304,20 @@ def forbidden_count(s: Scheme, g_l: int) -> int:
     """Number of forbidden kappa residues mod a prime g_l | g_123 (n = 3).
 
     Equals 1 when g_l divides m'_12 m'_13 m'_23 and 2 otherwise; 0 when
-    g_123 = 1, where no prime constrains kappa at all.
+    g_123 = 1, where no prime constrains kappa at all.  Raises DomainError
+    when g_l is not a prime.
     """
     if s.n != 3:
         raise DomainError("forbidden_count is defined for 3-schemes")
+    if not is_probable_prime(g_l):
+        raise DomainError(f"{g_l} is not a prime")
     w = solve_xy(s)
     if w.g123 == 1:
         return 0
-    if g_l < 2 or w.g123 % g_l != 0:
+    if w.g123 % g_l != 0:
         raise DomainError(f"{g_l} does not divide g_123 = {w.g123}")
     nu = valuation(w.g123, g_l)
-    return sum(1 for k in range(g_l) if not _kappa_ok(s, w, g_l, nu, k))
+    return g_l - len(_admitted(_kappa_line(s, w), g_l, nu, range(g_l)))
 
 
 def sl2_act(a_matrix, system) -> tuple:

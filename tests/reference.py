@@ -8,6 +8,9 @@ package's dense and certificate-first implementations:
     removed curve;
   * check_triangle / check_pluecker_full / verify_system: one get() per
     matrix element;
+  * kappa_constraints / forbidden_count / witness_r: the base-triple
+    formulas for r_2 and r_3, then D_j read through get() for every column
+    j >= 4, once per residue tested;
   * decide_torus: zero reduction, triangle, Pluecker, kappa residues, then
     the witness, each stage run only after the previous one passed.
 """
@@ -36,7 +39,14 @@ from toruscurves.scheme import (
     get,
     lift_system,
 )
-from toruscurves.solver import canonical_kappa, construct_witness, kappa_constraints
+from toruscurves.intarith import factorize, valuation
+from toruscurves.solver import (
+    KappaConstraintSet,
+    PrimeConstraint,
+    canonical_kappa,
+    construct_witness,
+    solve_xy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +147,65 @@ def verify_system(s, system):
             if det != get(s, i, j):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Kappa residues, one residue at a time
+# ---------------------------------------------------------------------------
+
+
+def kappa_ok(s, w, p, nu, kappa):
+    """Does this kappa residue keep every coordinate workable at prime p?
+
+    r_2, r_3 must be units mod p (p always divides m_12 and m_13).  For
+    j >= 4 the combination D_j = y*m_2j - x*m_3j + kappa*m_1j must be
+    divisible by p^nu so that r_j = D_j / g_123 is integral, and when p
+    also divides m_1j the valuation must be exactly nu so that r_j stays a
+    unit (when p does not divide m_1j, p | r_j is harmless for gcd(r_j,
+    m_1j) = 1).
+    """
+    r2 = w.x * w.m23p + kappa * w.m12p
+    r3 = w.y * w.m23p + kappa * w.m13p
+    if r2 % p == 0 or r3 % p == 0:
+        return False
+    pe = p**nu
+    for j in range(4, s.n + 1):
+        d = w.y * get(s, 2, j) - w.x * get(s, 3, j) + kappa * get(s, 1, j)
+        if d % pe != 0:
+            return False
+        if get(s, 1, j) % p == 0 and d % (pe * p) == 0:
+            return False
+    return True
+
+
+def kappa_constraints(s):
+    w = solve_xy(s)
+    if w.g123 == 1:
+        return KappaConstraintSet((), unconstrained=True)
+    per = []
+    for p, nu in factorize(w.g123).pairs:
+        modulus = p ** (nu + 1)
+        allowed = tuple(k for k in range(modulus) if kappa_ok(s, w, p, nu, k))
+        per.append(PrimeConstraint(p, nu, modulus, allowed))
+    return KappaConstraintSet(tuple(per), unconstrained=False)
+
+
+def forbidden_count(s, g_l):
+    w = solve_xy(s)
+    if w.g123 == 1:
+        return 0
+    nu = valuation(w.g123, g_l)
+    return sum(1 for k in range(g_l) if not kappa_ok(s, w, g_l, nu, k))
+
+
+def witness_r(s, kappa):
+    """(r_2, ..., r_n) for kappa, None where r_j is not an integer."""
+    w = solve_xy(s)
+    rs = [w.x * w.m23p + kappa * w.m12p, w.y * w.m23p + kappa * w.m13p]
+    for j in range(4, s.n + 1):
+        d = w.y * get(s, 2, j) - w.x * get(s, 3, j) + kappa * get(s, 1, j)
+        rs.append(d // w.g123 if d % w.g123 == 0 else None)
+    return tuple(rs)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,12 @@ def test_input_errors(tmp_path):
 
     assert run(["nosuchcommand"]) == 2
 
+    # an orbit limit below 1 is bad input, on realizable schemes or not
+    for n, entries in ((2, [5]), (3, [2, 2, 4]), (3, [6, 10, 14])):
+        path = write_scheme(tmp_path, "orbits.json", n, entries)
+        for limit in ("0", "-1", "-3"):
+            assert run(["solve", path, "--orbits", limit]) == 2
+
 
 def test_json_roundtrip(tmp_path, capsys):
     path = write_scheme(tmp_path, "m.json", 4, [1, 1, 1, 2, 1, -1])

@@ -1,6 +1,7 @@
 """The dense and certificate-first paths against the references in
 reference.py: one-pass zero reduction, the dense triangle and Pluecker
-checks, verify_system, and decide_torus with its witness tried first."""
+checks, verify_system, the kappa residue scan and witness, and
+decide_torus with its witness tried first."""
 
 import random
 from math import gcd
@@ -21,11 +22,15 @@ from toruscurves import (
     construct_witness,
     curve,
     decide_torus,
+    factorize,
+    forbidden_count,
+    kappa_constraints,
     new_scheme,
     reduce_zeros,
+    solve_xy,
     verify_system,
 )
-from toruscurves.scheme import EMPTY_CURVE, Unresolvable
+from toruscurves.scheme import EMPTY_CURVE, Unresolvable, get
 
 
 def _dets(vecs) -> list:
@@ -189,3 +194,77 @@ def test_construct_witness_rejects_wrong_determinant():
     s = new_scheme(5, entries)
     with pytest.raises(ConstraintViolation):
         construct_witness(s, 0)
+
+
+def _kappa_scheme(rng: random.Random, n: int) -> Scheme:
+    """A vector scheme (1,0), (r_j, g*q_j), ... with g_123 divisible by g.
+
+    Half of them get one entry in a column j >= 4 scaled by a prime of g
+    or shifted by g, so the base triple still passes while a later column
+    may cut kappa residues or fail outright."""
+    g = rng.choice([2, 3, 4, 6, 8, 9, 10, 12, 15, 25, 30])
+    vecs = [(1, 0)]
+    while len(vecs) < n:
+        r, q = rng.randint(-9, 9), g * rng.choice([-3, -2, -1, 1, 2, 3])
+        if gcd(r, q) == 1:
+            vecs.append((r, q))
+    entries = _dets(vecs)
+    if n >= 4 and rng.random() < 0.5:
+        t = rng.randrange(3, len(entries))
+        if rng.random() < 0.5:
+            entries[t] *= factorize(g).primes()[0]
+        else:
+            entries[t] += rng.choice((-g, g))
+    return new_scheme(n, entries)
+
+
+def test_kappa_scan_matches_reference(rng):
+    checked = cut = forbidden = 0
+    for t in range(800):
+        n = rng.randint(3, 7)
+        if t % 4 == 0:
+            s = random_nonzero_scheme(rng, n, hi=10)
+        else:
+            s = _kappa_scheme(rng, n)
+        m12, m13, m23 = s.entries[:3]
+        if 0 in s.entries or not gcd(m12, m13) == gcd(m12, m23) == gcd(m13, m23):
+            continue
+        got, want = kappa_constraints(s), reference.kappa_constraints(s)
+        assert got == want
+        checked += 1
+        base = reference.kappa_constraints(new_scheme(3, s.entries[:3]))
+        if got.per_prime != base.per_prime:
+            cut += 1  # a column j >= 4 removed residues the triple allows
+        if n == 3 and not got.unconstrained:
+            for g_l in factorize(solve_xy(s).g123).primes():
+                assert forbidden_count(s, g_l) == reference.forbidden_count(s, g_l)
+                forbidden += 1
+    assert checked >= 400 and cut >= 50 and forbidden >= 30
+
+
+def test_construct_witness_matches_reference(rng):
+    built = refused = 0
+    for t in range(300):
+        n = rng.randint(3, 7)
+        s = _kappa_scheme(rng, n)
+        if 0 in s.entries:
+            continue
+        g = solve_xy(s).g123
+        for kappa in rng.sample(range(-2 * g, 3 * g), min(4, 5 * g)):
+            rs = reference.witness_r(s, kappa)
+            cols = [get(s, 1, j) for j in range(2, n + 1)]
+            admitted = None not in rs and all(
+                gcd(r, m) == 1 for r, m in zip(rs, cols)
+            )
+            system = (curve(1, 0),) + tuple(
+                curve(r, m) for r, m in zip(rs, cols)
+            )
+            if admitted and reference.verify_system(s, system):
+                w = construct_witness(s, kappa)
+                assert w.r == rs and w.system == system and w.kappa == kappa
+                built += 1
+            else:
+                with pytest.raises(ConstraintViolation):
+                    construct_witness(s, kappa)
+                refused += 1
+    assert built >= 100 and refused >= 100

@@ -156,6 +156,11 @@ def test_enumerate_orbits_vs_oracle(rng):
 def test_enumerate_orbits_limit():
     reps = enumerate_orbits(new_scheme(2, [30]), limit=3)
     assert len(reps) == 3
+    # a limit below 1 is refused, not read as a slice bound
+    for n, entries in ((2, [5]), (3, [2, 2, 4])):
+        for limit in (0, -1, -3):
+            with pytest.raises(DomainError):
+                enumerate_orbits(new_scheme(n, entries), limit=limit)
 
 
 def test_kappa_translation_gives_stabilizer_shift():
@@ -173,6 +178,11 @@ def test_forbidden_count():
         forbidden_count(new_scheme(3, [2, 2, 4]), 3)
     with pytest.raises(DomainError):
         forbidden_count(new_scheme(4, [1, 1, 1, 2, 1, -1]), 2)
+    # g_l must be prime, even when it divides g_123
+    with pytest.raises(DomainError):
+        forbidden_count(new_scheme(3, [6, 6, 12]), 6)
+    with pytest.raises(DomainError):
+        forbidden_count(new_scheme(3, [12, 12, 24]), 4)
 
 
 def test_forbidden_count_matches_corollary(rng):
