@@ -4,9 +4,10 @@ Schemes travel as JSON documents {"n": int, "entries": [...]} with entries
 in column order m_12; m_13, m_23; m_14, m_24, m_34; ...  Results are JSON
 on stdout; rational values serialize as "a/b" strings, never floats.
 
-Exit codes: 0 success (and realizable, for `check`), 1 not realizable
-(`check` only), 2 usage or input errors, including integers past the
-interpreter's int parsing digit limit.
+Exit codes: 0 success (and realizable, for `check` and `solve`), 1 not
+realizable (`check` and `solve`), 2 usage or input errors, including
+integers past the interpreter's int parsing digit limit and documents
+nested too deeply to parse.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import io
 import json
 import sys
-from fractions import Fraction
 from math import prod
 
 from . import __version__
@@ -39,7 +39,7 @@ from .genus import (
 )
 from .oracle import oracle_realizable
 from .render import render_svg
-from .scheme import Scheme, Unresolvable, new_scheme, reduce_zeros
+from .scheme import Scheme, Unresolvable, lift_system, new_scheme, reduce_zeros
 from .solver import _crt_product, construct_witness, enumerate_orbits
 
 
@@ -53,9 +53,10 @@ def _load_scheme(path: str) -> Scheme:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        # JSONDecodeError, undecodable bytes, and integers past the
-        # interpreter's digit limit for int parsing
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable bytes, integers past the
+        # interpreter's digit limit for int parsing, and nesting past the
+        # recursion limit
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise CliError('scheme document needs fields "n" and "entries"')
@@ -72,10 +73,6 @@ def _load_scheme(path: str) -> Scheme:
         return new_scheme(n, entries)
     except TorusCurvesError as exc:
         raise CliError(str(exc)) from exc
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _witness_doc(system):
@@ -99,7 +96,7 @@ def _reason_doc(reason):
         return {
             "kind": "toz",
             "prime": reason.prime,
-            "detail": f"toz total {_frac(reason.total)} reaches the prime",
+            "detail": f"toz total {reason.total} reaches the prime",
         }
     if isinstance(reason, UnresolvableZero):
         return {
@@ -120,13 +117,13 @@ def _toz_doc(report: TozReport):
                 "valuations": {
                     f"{i},{j}": v for (i, j), v in sorted(e.valuations.items())
                 },
-                "contributions": [_frac(c) for c in e.contributions],
-                "total": _frac(e.total),
+                "contributions": [str(c) for c in e.contributions],
+                "total": str(e.total),
             }
             for e in report.per_prime
         ],
         "checked_primes": [
-            {"prime": p, "total": _frac(t)} for p, t in report.checked_primes
+            {"prime": p, "total": str(t)} for p, t in report.checked_primes
         ],
     }
 
@@ -143,10 +140,11 @@ def _verdict_doc(v: Verdict):
         doc["kappa"] = v.kappa
     if v.constraints is not None and not v.constraints.unconstrained:
         per_prime = v.constraints.per_prime
-        combined = _crt_product([(pc.modulus, pc.allowed) for pc in per_prime])
         doc["orbits"] = {
             "modulus": prod(pc.modulus for pc in per_prime),
-            "allowed_kappa": sorted(cls.residue for cls in combined),
+            "allowed_kappa": sorted(
+                cls.residue for cls in _crt_product(per_prime)
+            ),
             "per_prime": [
                 {
                     "prime": pc.prime,
@@ -196,9 +194,14 @@ def _cmd_solve(args) -> int:
     verdict = decide_torus(s)
     if not verdict.realizable:
         _emit(_verdict_doc(verdict))
-        return 0
+        return 1
     red = verdict.reduction.reduced
     doc = _verdict_doc(verdict)
+
+    def lifted(w):
+        # witnesses of the reduced scheme, on the original indexing
+        return _witness_doc(lift_system(verdict.reduction, w.system))
+
     if args.kappa is not None:
         if red.n < 3:
             raise CliError("--kappa applies to schemes with >= 3 curves left"
@@ -207,14 +210,11 @@ def _cmd_solve(args) -> int:
             w = construct_witness(red, args.kappa)
         except TorusCurvesError as exc:
             raise CliError(str(exc)) from exc
-        doc["requested"] = {
-            "kappa": args.kappa,
-            "witness": _witness_doc(w.system),
-        }
+        doc["requested"] = {"kappa": args.kappa, "witness": lifted(w)}
     if args.orbits is not None:
         reps = enumerate_orbits(red, limit=args.orbits)
         doc["orbit_witnesses"] = [
-            {"kappa": w.kappa, "witness": _witness_doc(w.system)} for w in reps
+            {"kappa": w.kappa, "witness": lifted(w)} for w in reps
         ]
     _emit(doc)
     return 0

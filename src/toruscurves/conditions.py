@@ -11,10 +11,13 @@ A scheme with nonzero entries is realized on a torus iff
 The last condition is classically stated as a bound toz(m;p) < p on an
 exact-rational invariant built from p-valuations.  toz_report computes
 that invariant literally; the verdict itself is decided by scanning the
-kappa residues mod p^(nu+1) against the linear form D_j = A_j + kappa*B_j
-of every column j >= 2 (solver.kappa_constraints), which is what the
-bound counts: the two agree except that toz can double-count a forbidden
-residue shared by two columns, so the scan is authoritative.
+kappa residues mod p^nu against the linear form D_j = A_j + kappa*B_j of
+every column j >= 2 (solver.kappa_constraints), which is what the bound
+counts: the two agree except that toz can double-count a forbidden
+residue shared by two columns, so the scan is authoritative.  p^nu
+suffices although the exclusion test reads D_j mod p^(nu+1): it applies
+only when p | B_j, and then D_j mod p^(nu+1) depends on kappa mod p^nu
+alone.
 
 decide_torus runs certificate first: after zero reduction it scans the
 kappa residues and builds the witness for the canonical kappa, and a
@@ -255,11 +258,8 @@ def toz_report(s: Scheme) -> TozReport:
             for i in range(1, j)
         }
         contribs = [Fraction(1)]  # column j = 2
-        if s.n >= 3:
-            v12, v13, v23 = vals[(1, 2)], vals[(1, 3)], vals[(2, 3)]
-            contribs.append(
-                Fraction(1) if 0 < v13 == v23 == v12 else Fraction(0)
-            )
+        v12, v13, v23 = vals[(1, 2)], vals[(1, 3)], vals[(2, 3)]
+        contribs.append(Fraction(1) if 0 < v13 == v23 == v12 else Fraction(0))
         for j in range(4, s.n + 1):
             v1, v2, v3 = vals[(1, j)], vals[(2, j)], vals[(3, j)]
             if 0 < v1 == v2 == v3 <= nu:

@@ -12,11 +12,13 @@ and r_3 = y*m'_23 + kappa*m'_13.  _kappa_line computes the pairs
 all start from them.  A kappa is admitted exactly when every r_j is an
 integer and gcd(r_j, m_1j) = 1.  At a prime p^nu || g_123 that means
 p^nu | D_j for every j, and p^(nu+1) does not divide D_j when p | B_j
-(for j = 2, 3 this says r_2, r_3 are units mod p).  kappa_constraints
-scans the residues mod p^(nu+1) for it, and _crt_product combines the
-admitted classes across primes.  Shifting kappa by g_123 is the
-stabilizer of (1,0), so orbits of normalized witnesses are kappa classes
-mod g_123.
+(for j = 2, 3 this says r_2, r_3 are units mod p).  Both tests depend on
+kappa mod p^nu only: the first is a test mod p^nu, and when p | B_j,
+shifting kappa by p^nu moves D_j by a multiple of p^(nu+1).  So
+kappa_constraints scans the residues mod p^nu, and the admitted classes
+of all primes combine by CRT into classes mod g_123 (_crt_product).
+Shifting kappa by g_123 is the stabilizer of (1,0), so these classes are
+exactly the orbits of normalized witnesses.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class XYWitness:
 class PrimeConstraint:
     prime: int
     nu: int  # valuation of g_123 at this prime
-    modulus: int  # prime ** (nu + 1)
+    modulus: int  # prime ** nu; every test on kappa is periodic mod it
     allowed: tuple  # sorted kappa residues mod modulus
 
 
@@ -152,7 +154,7 @@ _ENUM_CAP = 10**7
 def kappa_constraints(
     s: Scheme, w: Optional[XYWitness] = None, *, factors=None
 ) -> KappaConstraintSet:
-    """Allowed kappa residues mod p^(nu_p+1) for each prime p | g_123.
+    """Allowed kappa residues mod p^nu_p for each prime p | g_123.
 
     An empty allowed set for some prime certifies the scheme is not
     realizable; nonemptiness is guaranteed once the gcd, Pluecker and
@@ -170,45 +172,44 @@ def kappa_constraints(
     line = _kappa_line(s, w)
     per = []
     for p, nu in factors:
-        modulus = p ** (nu + 1)
+        modulus = p**nu
         if modulus > _ENUM_CAP:
             raise DomainError(
-                f"residue modulus {p}^{nu + 1} exceeds the enumeration cap"
+                f"residue modulus {p}^{nu} exceeds the enumeration cap"
             )
         allowed = tuple(_admitted(line, p, nu, range(modulus)))
         per.append(PrimeConstraint(p, nu, modulus, allowed))
     return KappaConstraintSet(tuple(per), unconstrained=False)
 
 
-def _crt_product(choices):
-    """Lazily CRT-combine one residue per (modulus, residues) choice.
+def _crt_product(per_prime):
+    """Lazily CRT-combine one allowed residue per PrimeConstraint.
 
-    Yields a ResidueClass for every combination, in itertools.product
-    order; each prefix costs one crt step, shared by all its extensions.
+    Yields a ResidueClass mod g_123 for every allowed kappa class, in
+    itertools.product order; each prefix costs one crt step, shared by
+    all its extensions.  No constraints yield the one class 0 mod 1.
     """
 
     def extend(prefix, rest):
         if not rest:
             yield prefix
             return
-        modulus, residues = rest[0]
-        for r in residues:
-            cls = ResidueClass(modulus, r)
+        pc = rest[0]
+        for r in pc.allowed:
+            cls = ResidueClass(pc.modulus, r)
             if prefix.modulus > 1:
                 cls = crt([prefix, cls])
             yield from extend(cls, rest[1:])
 
-    return extend(ResidueClass(1, 0), tuple(choices))
+    return extend(ResidueClass(1, 0), tuple(per_prime))
 
 
 def canonical_kappa(cons: KappaConstraintSet) -> int:
-    """Smallest nonnegative CRT combination of per-prime minimal residues."""
-    if cons.unconstrained:
-        return 0
+    """Smallest nonnegative kappa whose residue mod each p^nu is the
+    minimal allowed one; it lies below g_123."""
     if not cons.feasible():
         raise DomainError("no allowed kappa: scheme is not realizable")
-    choices = [(pc.modulus, pc.allowed) for pc in cons.per_prime]
-    return next(_crt_product(choices)).residue
+    return next(_crt_product(cons.per_prime)).residue
 
 
 def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
@@ -282,18 +283,8 @@ def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
     cons = kappa_constraints(s, w)
     if not cons.feasible():
         raise DomainError("scheme is not realizable on a torus")
-    if cons.unconstrained:
-        return [construct_witness(s, 0)]
-    # Allowed classes mod g_123 combine independently across primes; pick,
-    # for each projected residue mod p^nu, the smallest allowed lift.
-    choices = []
-    for pc in cons.per_prime:
-        proj: dict[int, int] = {}
-        for k in pc.allowed:
-            proj.setdefault(k % pc.prime**pc.nu, k)
-        choices.append((pc.modulus, [lift for _, lift in sorted(proj.items())]))
     out = []
-    for cls in _crt_product(choices):
+    for cls in _crt_product(cons.per_prime):
         out.append(construct_witness(s, cls.residue))
         if limit is not None and len(out) >= limit:
             break

@@ -10,7 +10,9 @@ package's dense and certificate-first implementations:
     matrix element;
   * kappa_constraints / forbidden_count / witness_r: the base-triple
     formulas for r_2 and r_3, then D_j read through get() for every column
-    j >= 4, once per residue tested;
+    j >= 4, once per residue tested; kappa_constraints scans every residue
+    mod p^(nu+1) and projects the admitted set to mod p^nu only after
+    checking that it is exactly the p lifts of its projection;
   * decide_torus: zero reduction, triangle, Pluecker, kappa residues, then
     the witness, each stage run only after the previous one passed.
 """
@@ -178,15 +180,33 @@ def kappa_ok(s, w, p, nu, kappa):
     return True
 
 
+def scan_lifted(s, w, p, nu):
+    """The admitted kappa residues mod p^(nu+1), one kappa_ok per residue."""
+    return [k for k in range(p ** (nu + 1)) if kappa_ok(s, w, p, nu, k)]
+
+
+def project(scanned, p, nu):
+    """The residues mod p^nu whose p lifts mod p^(nu+1) are the scanned set.
+
+    Raises AssertionError unless the scanned set is periodic mod p^nu,
+    which is what lets the package scan mod p^nu in the first place.
+    """
+    pe = p**nu
+    classes = sorted({k % pe for k in scanned})
+    lifts = sorted(c + t * pe for c in classes for t in range(p))
+    if lifts != sorted(scanned):
+        raise AssertionError(f"admitted set mod {p}^{nu + 1} is not periodic")
+    return tuple(classes)
+
+
 def kappa_constraints(s):
     w = solve_xy(s)
     if w.g123 == 1:
         return KappaConstraintSet((), unconstrained=True)
     per = []
     for p, nu in factorize(w.g123).pairs:
-        modulus = p ** (nu + 1)
-        allowed = tuple(k for k in range(modulus) if kappa_ok(s, w, p, nu, k))
-        per.append(PrimeConstraint(p, nu, modulus, allowed))
+        allowed = project(scan_lifted(s, w, p, nu), p, nu)
+        per.append(PrimeConstraint(p, nu, p**nu, allowed))
     return KappaConstraintSet(tuple(per), unconstrained=False)
 
 

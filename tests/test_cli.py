@@ -37,9 +37,26 @@ def test_check_realizable(tmp_path, capsys):
     assert code == 0
     assert doc["status"] == "torus"
     assert doc["witness"] == [[1, 0], [1, 2], [-1, 2]]
-    assert doc["orbits"]["modulus"] == 4
-    assert doc["orbits"]["allowed_kappa"] == [1, 3]
-    assert doc["orbits"]["per_prime"][0]["allowed_kappa"] == [1, 3]
+    assert doc["orbits"]["modulus"] == 2
+    assert doc["orbits"]["allowed_kappa"] == [1]
+    assert doc["orbits"]["per_prime"] == [
+        {"prime": 2, "modulus": 2, "allowed_kappa": [1]}
+    ]
+
+    # three primes: the orbits are the kappa classes mod g_123 = 60, one
+    # per choice of per-prime classes, and the canonical kappa is one of them
+    path = write_scheme(tmp_path, "m60.json", 3, [120, 180, 300])
+    code, doc = run_json(capsys, ["check", path])
+    assert code == 0
+    orbits = doc["orbits"]
+    assert orbits["modulus"] == 60
+    assert [pp["modulus"] for pp in orbits["per_prime"]] == [4, 3, 5]
+    count = 1
+    for pp in orbits["per_prime"]:
+        count *= len(pp["allowed_kappa"])
+    assert len(orbits["allowed_kappa"]) == count
+    assert all(0 <= k < 60 for k in orbits["allowed_kappa"])
+    assert doc["kappa"] in orbits["allowed_kappa"]
 
 
 def test_check_used_empty(tmp_path, capsys):
@@ -78,6 +95,24 @@ def test_solve_command(tmp_path, capsys):
 
     code = run(["solve", path, "--kappa", "2"])
     assert code == 2  # forbidden kappa
+
+    # not realizable: the verdict is printed and the exit code is 1, as
+    # for check
+    path = write_scheme(tmp_path, "no.json", 3, [6, 10, 14])
+    code, doc = run_json(capsys, ["solve", path, "--orbits", "2"])
+    assert code == 1 and doc["status"] == "not_torus"
+
+    # a zero entry: witnesses of the reduced scheme are lifted back to all
+    # five curves (1,0), (0,1), (1,1), (1,0), (2,1)
+    entries = [1, 1, -1, 0, -1, -1, 1, -2, -1, 1]
+    path = write_scheme(tmp_path, "zero.json", 5, entries)
+    code, doc = run_json(capsys, ["solve", path, "--orbits", "5", "--kappa", "3"])
+    assert code == 0
+    s = new_scheme(5, entries)
+    systems = [doc["witness"], doc["requested"]["witness"]]
+    systems += [w["witness"] for w in doc["orbit_witnesses"]]
+    for system in systems:
+        assert verify_system(s, tuple(curve(*v) for v in system))
 
 
 def test_oracle_command(tmp_path, capsys):
@@ -148,6 +183,11 @@ def test_input_errors(tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text('{"n": 2, "entries": [1' + "0" * 5000 + "]}")
     assert run(["check", str(huge)]) == 2
+
+    # nesting past the recursion limit of the JSON parser
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    assert run(["check", str(nested)]) == 2
 
     assert run(["nosuchcommand"]) == 2
 

@@ -11,6 +11,7 @@ from toruscurves import (
     curve,
     decide_torus,
     enumerate_orbits,
+    factorize,
     forbidden_count,
     kappa_constraints,
     new_scheme,
@@ -20,7 +21,9 @@ from toruscurves import (
     solve_xy,
     verify_system,
 )
+import reference
 from conftest import random_vector_scheme
+from toruscurves.solver import canonical_kappa
 
 
 def test_solve_xy_examples():
@@ -36,27 +39,35 @@ def test_solve_xy_examples():
 def test_kappa_constraints_examples():
     cons = kappa_constraints(new_scheme(3, [2, 2, 4]))
     (pc,) = cons.per_prime
-    assert (pc.prime, pc.modulus, pc.allowed) == (2, 4, (1, 3))
+    assert (pc.prime, pc.modulus, pc.allowed) == (2, 2, (1,))
 
     assert kappa_constraints(new_scheme(3, [1, 1, 1])).unconstrained
 
     cons = kappa_constraints(new_scheme(3, [4, 6, 10]))
     (pc,) = cons.per_prime
-    assert pc.allowed == (0, 2)  # kappa even
+    assert pc.allowed == (0,)  # kappa even
 
 
-def test_kappa_translation_invariance(rng):
-    # the allowed set, viewed in Z, is closed under +g_123
-    for _ in range(200):
-        s = random_vector_scheme(rng, rng.choice([3, 4]))
-        if any(e == 0 for e in s.entries):
+def test_kappa_classes_are_periodic_lifts(rng):
+    # The residues mod p^(nu+1) admitted by the one-residue-at-a-time
+    # reference scan are exactly the p lifts of the classes mod p^nu that
+    # kappa_constraints stores; reference.project raises otherwise.
+    checked = deep = 0
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        g = rng.choice([2, 3, 4, 6, 8, 9, 12, 18, 25, 27, 36])
+        s = new_scheme(n, [g * e for e in random_vector_scheme(rng, n).entries])
+        if 0 in s.entries:
             continue
         w = solve_xy(s)
-        cons = kappa_constraints(s, w)
-        for pc in cons.per_prime:
-            allowed = set(pc.allowed)
-            for k in allowed:
-                assert (k + w.g123) % pc.modulus in allowed
+        for pc in kappa_constraints(s, w).per_prime:
+            p, nu = pc.prime, pc.nu
+            assert pc.modulus == p**nu
+            scanned = reference.scan_lifted(s, w, p, nu)
+            assert reference.project(scanned, p, nu) == pc.allowed
+            checked += 1
+            deep += nu >= 2
+    assert checked >= 300 and deep >= 50
 
 
 def test_construct_witness_goldens():
@@ -137,20 +148,43 @@ def test_enumerate_orbits_counts():
         enumerate_orbits(new_scheme(3, [6, 10, 14]))
 
 
+def _scaled_triples(rng, count):
+    # (a,b,c)*g with a, b, c pairwise coprime, so that g_123 = g, and g
+    # with at least two primes, one of them squared
+    for _ in range(count):
+        while True:
+            a, b, c = (rng.randint(1, 7) * rng.choice((-1, 1)) for _ in range(3))
+            if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1:
+                break
+        g = rng.choice([12, 18, 20, 36, 45, 50, 60, 63, 90, 150])
+        yield new_scheme(3, [a * g, b * g, c * g])
+
+
 def test_enumerate_orbits_vs_oracle(rng):
-    for _ in range(200):
-        n = rng.choice([2, 3, 4])
-        s = random_vector_scheme(rng, n, qmax=5)
+    schemes = [random_vector_scheme(rng, rng.choice([2, 3, 4]), qmax=5)
+               for _ in range(200)]
+    multi = 0
+    for s in schemes + list(_scaled_triples(rng, 60)):
         if any(e == 0 for e in s.entries):
             continue
+        count = oracle_orbit_count(s)
+        if count == 0:
+            with pytest.raises(DomainError):
+                enumerate_orbits(s)
+            continue
         reps = enumerate_orbits(s)
-        assert len(reps) == oracle_orbit_count(s)
+        assert len(reps) == count
+        if s.n >= 3:
+            g123 = solve_xy(s).g123
+            assert reps[0].kappa == canonical_kappa(kappa_constraints(s)) < g123
+            multi += len(factorize(g123).primes()) >= 2
         for w in reps:
             assert verify_system(s, w.system)
         # orbit representatives are pairwise inequivalent under the
         # stabilizer shift r_j -> r_j + t*m_1j
         r2s = {w.system[1].p % abs(w.system[1].q) for w in reps}
         assert len(r2s) == len(reps)
+    assert multi >= 20
 
 
 def test_enumerate_orbits_limit():
@@ -204,8 +238,11 @@ def test_forbidden_count_matches_corollary(rng):
 
 
 def test_enumeration_cap():
-    # the residue scan refuses prime-power moduli past the documented cap
-    big = 10007
+    # the residue scan refuses prime-power moduli past the documented cap;
+    # the modulus is p^nu, so g_123 = 10007 is scanned and 10007^2 is not
+    (pc,) = kappa_constraints(new_scheme(3, [10007] * 3)).per_prime
+    assert pc.modulus == 10007 and len(pc.allowed) == 10005
+    big = 10007**2
     with pytest.raises(DomainError):
         kappa_constraints(new_scheme(3, [big, big, big]))
     s = new_scheme(3, [1890, 1890, 41580])  # 2-valuations 1,1,2
