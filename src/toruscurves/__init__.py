@@ -18,12 +18,10 @@ from .conditions import (
     Verdict,
     check_circledast,
     check_pluecker_full,
-    check_pluecker_reduced,
     check_triangle,
     decide_torus,
     pluecker_identity,
     pluecker_mu,
-    quick_screen,
     toz_report,
 )
 from .errors import (

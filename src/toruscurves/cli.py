@@ -40,7 +40,7 @@ from .genus import (
 from .oracle import oracle_realizable
 from .render import render_svg
 from .scheme import Scheme, Unresolvable, lift_system, new_scheme, reduce_zeros
-from .solver import _crt_product, construct_witness, enumerate_orbits
+from .solver import construct_witness, enumerate_orbits
 
 
 class CliError(Exception):
@@ -142,9 +142,7 @@ def _verdict_doc(v: Verdict):
         per_prime = v.constraints.per_prime
         doc["orbits"] = {
             "modulus": prod(pc.modulus for pc in per_prime),
-            "allowed_kappa": sorted(
-                cls.residue for cls in _crt_product(per_prime)
-            ),
+            "count": prod(len(pc.allowed) for pc in per_prime),
             "per_prime": [
                 {
                     "prime": pc.prime,
@@ -154,8 +152,6 @@ def _verdict_doc(v: Verdict):
                 for pc in per_prime
             ],
         }
-    if v.toz is not None:
-        doc["toz"] = _toz_doc(v.toz)
     return doc
 
 

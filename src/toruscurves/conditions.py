@@ -9,15 +9,17 @@ A scheme with nonzero entries is realized on a torus iff
     residue class for the solution parameter kappa.
 
 The last condition is classically stated as a bound toz(m;p) < p on an
-exact-rational invariant built from p-valuations.  toz_report computes
-that invariant literally; the verdict itself is decided by scanning the
-kappa residues mod p^nu against the linear form D_j = A_j + kappa*B_j of
-every column j >= 2 (solver.kappa_constraints), which is what the bound
-counts: the two agree except that toz can double-count a forbidden
-residue shared by two columns, so the scan is authoritative.  p^nu
-suffices although the exclusion test reads D_j mod p^(nu+1): it applies
-only when p | B_j, and then D_j mod p^(nu+1) depends on kappa mod p^nu
-alone.
+exact-rational invariant built from p-valuations.  The verdict is decided
+by scanning the kappa residues mod p^nu against the linear form
+D_j = A_j + kappa*B_j of every column j >= 2 (solver.kappa_constraints),
+which is what the bound counts: the two agree except that toz can
+double-count a forbidden residue shared by two columns, so the scan is
+authoritative.  p^nu suffices although the exclusion test reads D_j mod
+p^(nu+1): it applies only when p | B_j, and then D_j mod p^(nu+1) depends
+on kappa mod p^nu alone.  toz_report computes the invariant literally and
+is not on the decision path; a FailedToz refutation computes the toz total
+of its failing primes only (_circledast_failures), from the (p, nu) pairs
+the scan already holds.
 
 decide_torus runs certificate first: after zero reduction it scans the
 kappa residues and builds the witness for the canonical kappa, and a
@@ -95,7 +97,6 @@ Reason = Union[FailedTriangle, FailedPluecker, FailedToz, UnresolvableZero]
 class TriangleCheck:
     ok: bool
     failures: tuple  # tuple[FailedTriangle, ...]
-    gcds: dict  # (i,j,k) -> common gcd, only on pass
 
     @property
     def failure(self) -> Optional[FailedTriangle]:
@@ -118,25 +119,21 @@ class PlueckerCheck:
 
 
 def check_triangle(s: Scheme) -> TriangleCheck:
-    """Equal pairwise gcds on every index triple; exposes g_ijk on pass."""
+    """Equal pairwise gcds on every index triple."""
     if 0 in s.entries:
         raise PreconditionViolated("zero entries: apply reduce_zeros first")
     n = s.n
     rows = dense_rows(s)
     failures = []
-    gcds = {}
     for i in range(n):
         ri = rows[i]
         for j in range(i + 1, n):
             a, rj = ri[j], rows[j]
             for k in range(j + 1, n):
                 b, c = ri[k], rj[k]
-                g1 = gcd(a, b)
-                if g1 == gcd(a, c) == gcd(b, c):
-                    gcds[(i + 1, j + 1, k + 1)] = g1
-                else:
+                if not gcd(a, b) == gcd(a, c) == gcd(b, c):
                     failures.append(FailedTriangle(i + 1, j + 1, k + 1))
-    return TriangleCheck(not failures, tuple(failures), gcds if not failures else {})
+    return TriangleCheck(not failures, tuple(failures))
 
 
 def _mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
@@ -170,20 +167,6 @@ def check_pluecker_full(s: Scheme) -> PlueckerCheck:
                     if m_ij * rk[l] - m_ik * rj[l] + ri[l] * m_jk:
                         failures.append(FailedPluecker(i + 1, j + 1, k + 1, l + 1))
     return PlueckerCheck(not failures, tuple(failures))
-
-
-def check_pluecker_reduced(s: Scheme) -> PlueckerCheck:
-    """Only the (n-3)(n-2)/2 relations mu_{1,i,i+1,j}; equivalent to the
-    full check when no entry vanishes."""
-    if 0 in s.entries:
-        raise PreconditionViolated("zero entries: apply reduce_zeros first")
-    failures = tuple(
-        FailedPluecker(1, i, i + 1, j)
-        for i in range(2, s.n - 1)
-        for j in range(i + 2, s.n + 1)
-        if pluecker_mu(s, 1, i, i + 1, j) != 0
-    )
-    return PlueckerCheck(not failures, failures)
 
 
 def pluecker_identity(s: Scheme, a: int, b: int, c: int, d: int, e: int) -> int:
@@ -233,6 +216,25 @@ def _primes_below(n: int):
     return [c for c in range(2, n) if is_probable_prime(c)]
 
 
+def _toz_entry(s: Scheme, p: int, nu: int) -> PrimeTozEntry:
+    """The column contributions to toz(m;p), where nu = nu_p(g_123)."""
+    vals = {
+        (i, j): valuation(get(s, i, j), p)
+        for j in range(2, s.n + 1)
+        for i in range(1, j)
+    }
+    contribs = [Fraction(1)]  # column j = 2
+    v12, v13, v23 = vals[(1, 2)], vals[(1, 3)], vals[(2, 3)]
+    contribs.append(Fraction(1) if 0 < v13 == v23 == v12 else Fraction(0))
+    for j in range(4, s.n + 1):
+        v1, v2, v3 = vals[(1, j)], vals[(2, j)], vals[(3, j)]
+        if 0 < v1 == v2 == v3 <= nu:
+            contribs.append(Fraction(p) ** (v1 - nu))
+        else:
+            contribs.append(Fraction(0))
+    return PrimeTozEntry(p, nu, vals, tuple(contribs), sum(contribs))
+
+
 def toz_report(s: Scheme) -> TozReport:
     """Exact-rational valuation invariant with respect to the base triple.
 
@@ -250,30 +252,12 @@ def toz_report(s: Scheme) -> TozReport:
     if 0 in s.entries:
         raise PreconditionViolated("zero entries: apply reduce_zeros first")
     g123 = _base_triple(s)[0]
-    per = []
-    for p, nu in factorize(g123).pairs:
-        vals = {
-            (i, j): valuation(get(s, i, j), p)
-            for j in range(2, s.n + 1)
-            for i in range(1, j)
-        }
-        contribs = [Fraction(1)]  # column j = 2
-        v12, v13, v23 = vals[(1, 2)], vals[(1, 3)], vals[(2, 3)]
-        contribs.append(Fraction(1) if 0 < v13 == v23 == v12 else Fraction(0))
-        for j in range(4, s.n + 1):
-            v1, v2, v3 = vals[(1, j)], vals[(2, j)], vals[(3, j)]
-            if 0 < v1 == v2 == v3 <= nu:
-                contribs.append(Fraction(p) ** (v1 - nu))
-            else:
-                contribs.append(Fraction(0))
-        per.append(
-            PrimeTozEntry(p, nu, vals, tuple(contribs), sum(contribs))
-        )
+    per = tuple(_toz_entry(s, p, nu) for p, nu in factorize(g123).pairs)
     totals = {e.prime: e.total for e in per}
     checked = tuple(
         (p, totals.get(p, Fraction(0))) for p in _primes_below(s.n)
     )
-    return TozReport(g123, tuple(per), checked)
+    return TozReport(g123, per, checked)
 
 
 def check_circledast(s: Scheme):
@@ -287,55 +271,18 @@ def check_circledast(s: Scheme):
     """
     if s.n <= 2:
         return None
-    report = toz_report(s)
-    cons = kappa_constraints(s, factors=_factors(report))
-    failures = _circledast_failures(cons, report)
+    failures = _circledast_failures(s, kappa_constraints(s))
     return failures[0] if failures else None
 
 
-def _factors(report: TozReport) -> list:
-    # the (prime, nu) pairs of g_123, as toz_report factored them
-    return [(e.prime, e.nu) for e in report.per_prime]
-
-
-def _circledast_failures(cons: KappaConstraintSet, report: TozReport):
-    empty = {pc.prime for pc in cons.per_prime if not pc.allowed}
+def _circledast_failures(s: Scheme, cons: KappaConstraintSet):
+    """FailedToz(p, toz total) for each prime p < n with no allowed kappa
+    class, primes increasing; cons supplies the (p, nu) pairs of g_123."""
     return tuple(
-        FailedToz(p, total)
-        for p, total in report.checked_primes
-        if p in empty
+        FailedToz(pc.prime, _toz_entry(s, pc.prime, pc.nu).total)
+        for pc in cons.per_prime
+        if pc.prime < s.n and not pc.allowed
     )
-
-
-# ---------------------------------------------------------------------------
-# Quick sufficient screens
-# ---------------------------------------------------------------------------
-
-SUFFICIENT_PASS = "sufficient_pass"
-SUFFICIENT_FAIL = "sufficient_fail"
-INCONCLUSIVE = "inconclusive"
-
-
-def quick_screen(s: Scheme) -> str:
-    """Shortcut verdicts that avoid the full valuation check.
-
-    Assumes the triangle and Pluecker conditions are already verified.
-    Passes when some triple gcd is 1 or has no prime factor below n+1;
-    fails when some prime p < n has constant positive valuation on every
-    entry; otherwise inconclusive.
-    """
-    tri = check_triangle(s)
-    if not tri.ok:
-        raise PreconditionViolated("triangle condition must hold first")
-    primes = _primes_below(s.n + 1)
-    for g in tri.gcds.values():
-        if g == 1 or all(g % p for p in primes):
-            return SUFFICIENT_PASS
-    for p in _primes_below(s.n):
-        vs = {valuation(e, p) for e in s.entries}
-        if len(vs) == 1 and vs.pop() > 0:
-            return SUFFICIENT_FAIL
-    return INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +298,6 @@ class Verdict:
     used_empty: bool
     reduction: Optional[ReductionLog]
     kappa: Optional[int] = None
-    toz: Optional[TozReport] = None
     constraints: Optional[KappaConstraintSet] = None
 
     @property
@@ -367,10 +313,11 @@ def decide_torus(s: Scheme) -> Verdict:
     """Full pipeline, certificate first.
 
     1. Zero reduction; an unresolvable zero pair refutes at once.
-    2. When the base triple's three gcds agree: toz report, kappa residues,
-       canonical kappa and the witness for it.  A witness that verifies
-       proves realizability, so the verdict is returned without the
-       triangle and Pluecker checks.
+    2. When the base triple's three gcds agree: kappa residues (which
+       factor g_123, once per decision), canonical kappa and the witness
+       for it.  A witness that verifies proves realizability, so the
+       verdict is returned without the triangle and Pluecker checks or
+       the toz report.
     3. Otherwise the conditions are checked in order, triangle, Pluecker,
        then kappa residues (reusing the scan of step 2), and every failure
        of the first failing stage is listed.
@@ -393,19 +340,18 @@ def decide_torus(s: Scheme) -> Verdict:
     r = red.reduced
     if r.n == 1:
         system = lift_system(red, (curve(1, 0),))
-        return _realizable(s, red, system, None, None, None)
+        return _realizable(s, red, system, None, None)
     if r.n == 2:
         m = get(r, 1, 2)
         rep = 0 if abs(m) == 1 else 1
         system = lift_system(red, (curve(1, 0), curve(rep, m)))
-        return _realizable(s, red, system, rep, None, None)
+        return _realizable(s, red, system, rep, None)
 
-    report = cons = scan_error = None
+    cons = scan_error = None
     m12, m13, m23 = r.entries[:3]
     if gcd(m12, m13) == gcd(m12, m23) == gcd(m13, m23):
-        report = toz_report(r)
         try:
-            cons = kappa_constraints(r, factors=_factors(report))
+            cons = kappa_constraints(r)
         except DomainError as exc:
             # fatal only if no condition fails first, as in stage order
             scan_error = exc
@@ -417,11 +363,11 @@ def decide_torus(s: Scheme) -> Verdict:
                 pass
             else:
                 system = lift_system(red, witness.system)
-                return _realizable(s, red, system, kappa, report, cons)
-    return _refutation(red, report, cons, scan_error)
+                return _realizable(s, red, system, kappa, cons)
+    return _refutation(red, cons, scan_error)
 
 
-def _refutation(red, report, cons, scan_error) -> Verdict:
+def _refutation(red, cons, scan_error) -> Verdict:
     """Stage-order failures of a reduced scheme that has no witness."""
     r = red.reduced
     tri = check_triangle(r)
@@ -442,20 +388,19 @@ def _refutation(red, report, cons, scan_error) -> Verdict:
 
     if scan_error is not None:
         raise scan_error
-    toz_fail = _circledast_failures(cons, report)
+    toz_fail = _circledast_failures(r, cons)
     if toz_fail:
-        return Verdict(False, toz_fail, None, False, red, toz=report,
-                       constraints=cons)
+        return Verdict(False, toz_fail, None, False, red, constraints=cons)
     # Once the three conditions hold, the canonical kappa yields a witness;
     # reaching this line means an internal fault.
     raise AssertionError(f"internal fault: no witness and no failure on {r}")
 
 
-def _realizable(s, red, system, kappa, report, cons) -> Verdict:
+def _realizable(s, red, system, kappa, cons) -> Verdict:
     if not verify_system(s, system):
         raise AssertionError(
             f"internal fault: lifted witness fails verification on {s}"
         )
     used_empty = any(v.is_empty for v in system)
     return Verdict(True, (), system, used_empty, red, kappa=kappa,
-                   toz=report, constraints=cons)
+                   constraints=cons)

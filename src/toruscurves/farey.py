@@ -138,7 +138,7 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     """Largest set of distinct classes with pairwise intersection in [1, d].
 
     Maximizes 2 + max-clique over all anchors; anchors are independent, so
-    jobs > 1 fans them out to worker processes.
+    jobs > 1 fans them out to at most one worker process per anchor.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
@@ -149,8 +149,9 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
         if gcd(p0, q0) == 1
     ]
     tasks = [(d, a) for a in anchors]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_anchor_best, tasks)
     else:
         results = [_anchor_best(t) for t in tasks]

@@ -12,8 +12,11 @@ from math import gcd, isqrt
 
 from .errors import DomainError, InvalidModuli, NotInvertible
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10^24.
+# Witnesses making Miller-Rabin deterministic for all n below
+# _MR_DETERMINISTIC_BOUND, the least strong pseudoprime to all of them
+# (1287836182261 * 2575672364521).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 _TRIAL_DIVISION_BOUND = 10**6
 
@@ -101,8 +104,62 @@ def crt(classes: list[ResidueClass]) -> ResidueClass:
     return ResidueClass(modulus, residue)
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 37 with no prime
+    factor up to 37, with Selfridge's parameters: the first D in
+    5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4 (Baillie and
+    Wagstaff, Math. Comp. 35, 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False  # gcd(|d|, n) > 1 and |d| < n
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n by the binary ladder over the bits of k
+    u, v, qk = 0, 2, 1
+    for bit in bin(k)[2:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            # U_{m+1} = (U_m + V_m)/2, V_{m+1} = (D*U_m + V_m)/2 for P = 1
+            u, v = u + v, d * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
+    """Miller-Rabin with a fixed witness set, deterministic below
+    3317044064679887385961981; above it a strong Lucas test is added, which
+    makes it a Baillie-PSW test (no counterexample is known)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -123,7 +180,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_DETERMINISTIC_BOUND or _strong_lucas(n)
 
 
 def _pollard_rho(n: int) -> int:
@@ -161,8 +218,8 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1.
 
-    Trial division up to 10^6, then Miller-Rabin plus Pollard rho for any
-    leftover cofactor.  factorize(1) has no pairs.
+    Trial division up to 10^6, then is_probable_prime plus Pollard rho for
+    any leftover cofactor.  factorize(1) has no pairs.
     """
     if n < 1:
         raise DomainError(f"factorize needs n >= 1, got {n}")

@@ -152,7 +152,7 @@ _ENUM_CAP = 10**7
 
 
 def kappa_constraints(
-    s: Scheme, w: Optional[XYWitness] = None, *, factors=None
+    s: Scheme, w: Optional[XYWitness] = None
 ) -> KappaConstraintSet:
     """Allowed kappa residues mod p^nu_p for each prime p | g_123.
 
@@ -160,18 +160,14 @@ def kappa_constraints(
     realizable; nonemptiness is guaranteed once the gcd, Pluecker and
     valuation conditions all hold.  The residue scan is exhaustive, so a
     prime-power modulus above 10^7 is refused rather than enumerated.
-    factors, when given, are the (prime, nu) pairs of g_123 in factorize
-    order, so a caller that has already factored g_123 is not charged again.
     """
     if w is None:
         w = solve_xy(s)
     if w.g123 == 1:
         return KappaConstraintSet((), unconstrained=True)
-    if factors is None:
-        factors = factorize(w.g123).pairs
     line = _kappa_line(s, w)
     per = []
-    for p, nu in factors:
+    for p, nu in factorize(w.g123).pairs:
         modulus = p**nu
         if modulus > _ENUM_CAP:
             raise DomainError(

@@ -109,7 +109,12 @@ def kappa_args(check_stdout):
     orbits = doc.get("orbits")
     if doc["status"] != "torus" or orbits is None:
         return [-3]
-    allowed, modulus = orbits["allowed_kappa"], orbits["modulus"]
+    modulus = orbits["modulus"]
+    per_prime = [(pp["modulus"], set(pp["allowed_kappa"]))
+                 for pp in orbits["per_prime"]]
+    # the allowed classes mod g_123: every residue allowed mod each p^nu
+    allowed = [k for k in range(modulus)
+               if all(k % m in classes for m, classes in per_prime)]
     picks = [allowed[len(allowed) // 2] - modulus]
     taken = set(allowed)
     forbidden = next((k for k in range(modulus) if k not in taken), None)

@@ -14,7 +14,8 @@ package's dense and certificate-first implementations:
     mod p^(nu+1) and projects the admitted set to mod p^nu only after
     checking that it is exactly the p lifts of its projection;
   * decide_torus: zero reduction, triangle, Pluecker, kappa residues, then
-    the witness, each stage run only after the previous one passed.
+    the witness, each stage run only after the previous one passed; the
+    FailedToz totals come from the full toz_report.
 """
 
 from itertools import combinations
@@ -22,12 +23,12 @@ from math import gcd
 
 from toruscurves.conditions import (
     FailedPluecker,
+    FailedToz,
     FailedTriangle,
     PlueckerCheck,
     TriangleCheck,
     UnresolvableZero,
     Verdict,
-    _circledast_failures,
     toz_report,
 )
 from toruscurves.scheme import (
@@ -117,15 +118,12 @@ def reduce_zeros(s):
 
 
 def check_triangle(s):
-    failures, gcds = [], {}
+    failures = []
     for i, j, k in combinations(range(1, s.n + 1), 3):
         a, b, c = get(s, i, j), get(s, i, k), get(s, j, k)
-        g1, g2, g3 = gcd(a, b), gcd(a, c), gcd(b, c)
-        if g1 == g2 == g3:
-            gcds[(i, j, k)] = g1
-        else:
+        if not gcd(a, b) == gcd(a, c) == gcd(b, c):
             failures.append(FailedTriangle(i, j, k))
-    return TriangleCheck(not failures, tuple(failures), gcds if not failures else {})
+    return TriangleCheck(not failures, tuple(failures))
 
 
 def check_pluecker_full(s):
@@ -239,12 +237,12 @@ def decide_torus(s):
         return Verdict(False, (UnresolvableZero(red.i, red.j),), None, False, None)
     r = red.reduced
 
-    def realizable(system, kappa, report=None, cons=None):
+    def realizable(system, kappa, cons=None):
         if not verify_system(s, system):
             raise AssertionError("reference witness fails verification")
         used_empty = any(v.is_empty for v in system)
         return Verdict(True, (), system, used_empty, red, kappa=kappa,
-                       toz=report, constraints=cons)
+                       constraints=cons)
 
     if r.n == 1:
         return realizable(lift_system(red, (curve(1, 0),)), None)
@@ -264,12 +262,15 @@ def decide_torus(s):
     if not plk.ok:
         reasons = tuple(mapped(f, f.i, f.j, f.k, f.l) for f in plk.failures)
         return Verdict(False, reasons, None, False, red)
-    report = toz_report(r)
     cons = kappa_constraints(r)
-    toz_fail = _circledast_failures(cons, report)
+    empty = {pc.prime for pc in cons.per_prime if not pc.allowed}
+    toz_fail = tuple(
+        FailedToz(p, total)
+        for p, total in toz_report(r).checked_primes
+        if p in empty
+    )
     if toz_fail:
-        return Verdict(False, toz_fail, None, False, red, toz=report,
-                       constraints=cons)
+        return Verdict(False, toz_fail, None, False, red, constraints=cons)
     kappa = canonical_kappa(cons)
     witness = construct_witness(r, kappa)
-    return realizable(lift_system(red, witness.system), kappa, report, cons)
+    return realizable(lift_system(red, witness.system), kappa, cons)

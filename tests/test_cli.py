@@ -1,7 +1,13 @@
+import io
 import json
+import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
+
+from hypothesis import given, settings, strategies as st
 
 from toruscurves import curve, new_scheme, verify_system
 from toruscurves.cli import run
@@ -29,6 +35,8 @@ def test_check_not_realizable(tmp_path, capsys):
     assert doc["status"] == "not_torus"
     (reason,) = doc["reasons"]
     assert reason["kind"] == "toz" and reason["prime"] == 2
+    assert reason["detail"] == "toz total 2 reaches the prime"
+    assert doc["orbits"]["count"] == 0 and "toz" not in doc
 
 
 def test_check_realizable(tmp_path, capsys):
@@ -37,11 +45,12 @@ def test_check_realizable(tmp_path, capsys):
     assert code == 0
     assert doc["status"] == "torus"
     assert doc["witness"] == [[1, 0], [1, 2], [-1, 2]]
-    assert doc["orbits"]["modulus"] == 2
-    assert doc["orbits"]["allowed_kappa"] == [1]
-    assert doc["orbits"]["per_prime"] == [
-        {"prime": 2, "modulus": 2, "allowed_kappa": [1]}
-    ]
+    assert doc["orbits"] == {
+        "modulus": 2,
+        "count": 1,
+        "per_prime": [{"prime": 2, "modulus": 2, "allowed_kappa": [1]}],
+    }
+    assert "toz" not in doc
 
     # three primes: the orbits are the kappa classes mod g_123 = 60, one
     # per choice of per-prime classes, and the canonical kappa is one of them
@@ -54,9 +63,13 @@ def test_check_realizable(tmp_path, capsys):
     count = 1
     for pp in orbits["per_prime"]:
         count *= len(pp["allowed_kappa"])
-    assert len(orbits["allowed_kappa"]) == count
-    assert all(0 <= k < 60 for k in orbits["allowed_kappa"])
-    assert doc["kappa"] in orbits["allowed_kappa"]
+    assert orbits["count"] == count
+    kappa = doc["kappa"]
+    assert 0 <= kappa < 60 and all(
+        kappa % pp["modulus"] in pp["allowed_kappa"] for pp in orbits["per_prime"]
+    )
+    code, doc = run_json(capsys, ["solve", path, "--orbits", "100"])
+    assert code == 0 and len(doc["orbit_witnesses"]) == count
 
 
 def test_check_used_empty(tmp_path, capsys):
@@ -236,3 +249,72 @@ def test_check_huge_witness(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
     system = tuple(curve(p, q) for p, q in doc["witness"])
     assert verify_system(new_scheme(3, entries), system)
+
+
+# JSON values that are not integers: bools, floats (NaN and the
+# infinities included), strings, null, nested lists and objects
+_NOT_INT = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.lists(st.lists(st.integers(-3, 3), max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+_INTS = st.lists(st.integers(-20, 20), max_size=12)
+
+
+@st.composite
+def _entry_junk(draw):
+    """A valid n with one entry replaced by a non-integer."""
+    n = draw(st.integers(2, 5))
+    entries = draw(st.lists(st.integers(-20, 20), min_size=n * (n - 1) // 2,
+                            max_size=n * (n - 1) // 2))
+    entries[draw(st.integers(0, len(entries) - 1))] = draw(_NOT_INT)
+    return {"n": n, "entries": entries}
+
+
+@st.composite
+def _wrong_count(draw):
+    n = draw(st.integers(1, 6))
+    entries = draw(_INTS.filter(lambda e: len(e) != n * (n - 1) // 2))
+    return {"n": n, "entries": entries}
+
+
+_BAD_DOCS = st.one_of(
+    # wrong top-level type
+    st.integers(),
+    _NOT_INT,
+    # a missing key
+    st.fixed_dictionaries({"n": st.integers(1, 4)}),
+    st.fixed_dictionaries({"entries": _INTS}),
+    st.fixed_dictionaries({}, optional={"m": st.integers(), "entries ": _INTS}),
+    # n or entries of the wrong type
+    st.fixed_dictionaries({"n": _NOT_INT, "entries": _INTS}),
+    st.fixed_dictionaries({"n": st.integers(1, 4),
+                           "entries": _NOT_INT.filter(lambda v: not isinstance(v, list))}),
+    _entry_junk(),
+    _wrong_count(),
+    # n <= 0, whatever the entries
+    st.fixed_dictionaries({"n": st.integers(-10, 0), "entries": _INTS}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_BAD_DOCS,
+       argv=st.sampled_from([["check"], ["solve"], ["solve", "--orbits", "2"],
+                             ["toz"], ["oracle"], ["decompose"], ["render"]]))
+def test_invalid_scheme_documents(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)  # NaN and Infinity are written as such
+        extra = ["--out", os.path.join(tmp, "pic.svg")] if argv == ["render"] else []
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([argv[0], path] + argv[1:] + extra)
+        assert not os.path.exists(os.path.join(tmp, "pic.svg"))
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

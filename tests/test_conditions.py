@@ -11,7 +11,6 @@ from toruscurves import (
     UnresolvableZero,
     check_circledast,
     check_pluecker_full,
-    check_pluecker_reduced,
     check_triangle,
     decide_torus,
     new_scheme,
@@ -19,11 +18,9 @@ from toruscurves import (
     permute,
     pluecker_identity,
     pluecker_mu,
-    quick_screen,
     toz_report,
     verify_system,
 )
-from toruscurves.conditions import INCONCLUSIVE, SUFFICIENT_FAIL, SUFFICIENT_PASS
 from conftest import random_nonzero_scheme, random_permutation, random_vector_scheme
 
 PENTA = new_scheme(4, [5, 15, 15, 15, 15, 3])
@@ -31,11 +28,10 @@ PENTA = new_scheme(4, [5, 15, 15, 15, 15, 3])
 
 def test_check_triangle():
     out = check_triangle(new_scheme(3, [6, 10, 14]))
-    assert out.ok and out.gcds[(1, 2, 3)] == 2
+    assert out.ok and out.failures == ()
     out = check_triangle(PENTA)
     assert not out.ok and out.failure == FailedTriangle(1, 2, 3)
-    out = check_triangle(new_scheme(3, [1, 1, 1]))
-    assert out.ok and out.gcds[(1, 2, 3)] == 1
+    assert check_triangle(new_scheme(3, [1, 1, 1])).ok
     with pytest.raises(PreconditionViolated):
         check_triangle(new_scheme(3, [1, 0, 1]))
 
@@ -53,24 +49,6 @@ def test_check_pluecker_full():
     assert check_pluecker_full(new_scheme(3, [1, 1, 1])).ok  # vacuous
     out = check_pluecker_full(PENTA)
     assert out.failure == FailedPluecker(1, 2, 3, 4)
-
-
-def test_pluecker_reduced_equals_full(rng):
-    for _ in range(300):
-        n = rng.choice([4, 5, 6])
-        s = random_nonzero_scheme(rng, n)
-        assert check_pluecker_reduced(s).ok == check_pluecker_full(s).ok
-    for _ in range(100):
-        s = random_vector_scheme(rng, 5)
-        if any(e == 0 for e in s.entries):
-            continue
-        assert check_pluecker_reduced(s).ok and check_pluecker_full(s).ok
-
-
-def test_pluecker_reduced_relation_count():
-    s = new_scheme(6, [1] * 15)
-    # (n-3)(n-2)/2 relations are inspected for n=6
-    assert len(check_pluecker_reduced(s).failures) <= 6
 
 
 def test_pluecker_identity_worked_example():
@@ -135,26 +113,11 @@ def test_check_circledast():
     assert out == FailedToz(2, Fraction(2))
     assert check_circledast(new_scheme(4, [9, 9, 9, 6, 3, -3])) is None
     assert check_circledast(new_scheme(2, [7])) is None
-
-
-def test_quick_screen():
-    assert quick_screen(new_scheme(4, [1, 1, 1, 2, 1, -1])) == SUFFICIENT_PASS
-    assert quick_screen(new_scheme(3, [2, 2, 2])) == SUFFICIENT_FAIL
-    assert quick_screen(new_scheme(4, [9, 9, 9, 6, 3, -3])) == INCONCLUSIVE
-
-
-def test_quick_screen_consistent_with_decision(rng):
-    for _ in range(300):
-        n = rng.choice([3, 4, 5])
-        s = random_nonzero_scheme(rng, n)
-        if not check_triangle(s).ok or not check_pluecker_full(s).ok:
-            continue
-        screen = quick_screen(s)
-        verdict = decide_torus(s)
-        if screen == SUFFICIENT_PASS:
-            assert verdict.realizable
-        elif screen == SUFFICIENT_FAIL:
-            assert not verdict.realizable
+    # column 4 forbids every kappa residue mod p (p | m_14, p does not
+    # divide D_4); only primes below n count
+    assert check_circledast(new_scheme(4, [2, 2, 2, 2, 1, 1])) == \
+        FailedToz(2, Fraction(2))
+    assert check_circledast(new_scheme(4, [5, 5, 5, 5, 1, 1])) is None
 
 
 def test_verdict_field_invariant(rng):
@@ -208,8 +171,12 @@ def test_constant_valuation_scaling_obstruction(rng):
             scaled = new_scheme(n, [p * e for e in s.entries])
             if not check_triangle(scaled).ok:
                 continue
-            assert toz_report(scaled).total_for(p) == n - 1
+            report = toz_report(scaled)
+            assert report.total_for(p) == n - 1
             assert not decide_torus(scaled).realizable
+            fail = check_circledast(scaled)
+            if fail is not None:
+                assert fail.total == report.total_for(fail.prime)
 
 
 def test_all_equal_schemes():

@@ -116,3 +116,35 @@ def test_max_packing_jobs_matches_serial():
 def test_bad_inputs():
     with pytest.raises(DomainError):
         max_packing(0)
+
+
+def test_max_packing_pool_size(monkeypatch):
+    from toruscurves import farey
+
+    sizes = []
+
+    class FakePool:
+        # records the requested size and maps in-process
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(farey, "Pool", FakePool)
+    # d = 1 has the single anchor (0, 1): no pool at all
+    assert max_packing(1, jobs=64).size == 3
+    assert sizes == []
+    # d = 3 has the four anchors (0,1), (1,2), (1,3), (2,3)
+    res = max_packing(3, jobs=64)
+    assert sizes == [4]
+    serial = max_packing(3, jobs=1)
+    assert (res.size, res.witness) == (serial.size, serial.witness)
+    max_packing(3, jobs=2)
+    assert sizes == [4, 2]

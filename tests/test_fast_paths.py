@@ -4,6 +4,7 @@ checks, verify_system, the kappa residue scan and witness, and
 decide_torus with its witness tried first."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -182,8 +183,44 @@ def test_factorize_once_per_decision(monkeypatch):
     monkeypatch.setattr(conditions, "factorize", counted)
     # vectors (1,0), (1,30), (7,30), (11,60): g_123 = 30
     v = decide_torus(new_scheme(4, [30, 30, -180, 60, -270, 90]))
-    assert v.realizable and v.toz.base_gcd == 30
+    assert v.realizable
+    assert [(pc.prime, pc.modulus) for pc in v.constraints.per_prime] == [
+        (2, 2), (3, 3), (5, 5)
+    ]
     assert calls == [30]
+
+    # a FailedToz refutation reads its primes off the same scan
+    calls.clear()
+    v = decide_torus(new_scheme(3, [6, 10, 14]))
+    assert v.reasons == (FailedToz(2, Fraction(2)),)
+    assert v.constraints.per_prime[0].allowed == ()
+    assert calls == [2]
+
+
+def test_decide_without_toz_report(monkeypatch, rng):
+    from toruscurves import conditions
+
+    def refuse(s):
+        raise AssertionError("the decision needs no toz report")
+
+    monkeypatch.setattr(conditions, "toz_report", refuse)
+    realizable = 0
+    for t in range(300):
+        n = rng.randint(3, 9)
+        if t % 3 == 0:
+            s = _zero_heavy_scheme(rng, n)
+        elif t % 3 == 1:
+            s = random_vector_scheme(rng, n, distinct=True)
+        else:
+            g = rng.choice([2, 3, 4, 6, 9, 30])
+            s = new_scheme(n, [g * e for e in random_vector_scheme(rng, n).entries])
+        v = decide_torus(s)
+        if v.realizable:
+            assert verify_system(s, v.witness)
+            realizable += 1
+    assert realizable >= 150
+    v = decide_torus(new_scheme(3, [6, 10, 14]))
+    assert v.reasons == (FailedToz(2, Fraction(2)),)
 
 
 def test_construct_witness_rejects_wrong_determinant():

@@ -131,3 +131,28 @@ def test_miller_rabin_known_values():
     composites = [1, 4, 9, 561, 41041, 825265, 2**32 + 1]
     assert all(is_probable_prime(p) for p in primes)
     assert not any(is_probable_prime(c) for c in composites)
+
+
+def test_baillie_psw_above_deterministic_bound():
+    # the least strong pseudoprime to the twelve fixed Miller-Rabin bases
+    psp = 1287836182261 * 2575672364521
+    assert psp == 3317044064679887385961981
+    assert not is_probable_prime(psp)
+    assert factorize(psp).pairs == ((1287836182261, 1), (2575672364521, 1))
+    assert is_probable_prime(2**89 - 1)
+    assert is_probable_prime(2**127 - 1)
+    assert not is_probable_prime((2**61 - 1) * (2**89 - 1))
+    assert not is_probable_prime((2**89 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the odd composites below 2*10^4 with no prime factor up to 37 that
+    # pass the strong Lucas test with Selfridge's parameters: the strong
+    # Lucas pseudoprimes of OEIS A217255 (none of them has such a factor)
+    from toruscurves.intarith import _strong_lucas
+
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    odd = [m for m in range(41, 2 * 10**4, 2) if all(m % p for p in small)]
+    # is_probable_prime is deterministic here, far below 3.3 * 10^24
+    pseudo = [m for m in odd if _strong_lucas(m) != is_probable_prime(m)]
+    assert pseudo == [5459, 5777, 10877, 16109, 18971]
