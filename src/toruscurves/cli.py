@@ -69,10 +69,7 @@ def _load_scheme(path: str) -> Scheme:
         is_int(e) for e in entries
     ):
         raise CliError('"n" must be an integer and "entries" a list of integers')
-    try:
-        return new_scheme(n, entries)
-    except TorusCurvesError as exc:
-        raise CliError(str(exc)) from exc
+    return new_scheme(n, entries)
 
 
 def _witness_doc(system):
@@ -202,10 +199,7 @@ def _cmd_solve(args) -> int:
         if red.n < 3:
             raise CliError("--kappa applies to schemes with >= 3 curves left"
                            " after zero reduction")
-        try:
-            w = construct_witness(red, args.kappa)
-        except TorusCurvesError as exc:
-            raise CliError(str(exc)) from exc
+        w = construct_witness(red, args.kappa)
         doc["requested"] = {"kappa": args.kappa, "witness": lifted(w)}
     if args.orbits is not None:
         reps = enumerate_orbits(red, limit=args.orbits)
@@ -223,20 +217,13 @@ def _cmd_toz(args) -> int:
         raise CliError(
             f"zero entry m_{red.i}{red.j} cannot be reduced; toz is undefined"
         )
-    try:
-        report = toz_report(red.reduced)
-    except TorusCurvesError as exc:
-        raise CliError(str(exc)) from exc
-    _emit(_toz_doc(report))
+    _emit(_toz_doc(toz_report(red.reduced)))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     s = _load_scheme(args.file)
-    try:
-        result = oracle_realizable(s)
-    except TorusCurvesError as exc:
-        raise CliError(str(exc)) from exc
+    result = oracle_realizable(s)
     _emit(
         {
             "realizable": result.realizable,
@@ -252,10 +239,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_decompose(args) -> int:
     s = _load_scheme(args.file)
-    try:
-        out = decompose_3scheme(s)
-    except TorusCurvesError as exc:
-        raise CliError(str(exc)) from exc
+    out = decompose_3scheme(s)
     if isinstance(out, AlreadyTorus):
         _emit({"already_torus": True, "verdict": _verdict_doc(out.verdict)})
     else:
@@ -270,10 +254,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_endemic(args) -> int:
-    try:
-        s = endemic_family(args.p, args.q)
-    except TorusCurvesError as exc:
-        raise CliError(str(exc)) from exc
+    s = endemic_family(args.p, args.q)
     doc = {
         "scheme": _scheme_doc(s),
         "verdict": _verdict_doc(decide_torus(s)),
@@ -383,10 +364,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TorusCurvesError as exc:
+    except (CliError, TorusCurvesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

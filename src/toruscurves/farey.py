@@ -10,6 +10,7 @@ relation 1 <= |det| <= d is found by normalizing the clique to contain
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import gcd
 from multiprocessing import Pool
@@ -138,7 +139,8 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     """Largest set of distinct classes with pairwise intersection in [1, d].
 
     Maximizes 2 + max-clique over all anchors; anchors are independent, so
-    jobs > 1 fans them out to at most one worker process per anchor.
+    jobs > 1 fans them out to worker processes, at most one per anchor and
+    one per CPU.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
@@ -149,7 +151,7 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
         if gcd(p0, q0) == 1
     ]
     tasks = [(d, a) for a in anchors]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(_anchor_best, tasks)

@@ -4,7 +4,9 @@ family, and a bounded search for torus+torus decompositions.
 A scheme sum m = m' + m'' with both summands torus-realizable puts m on a
 genus-2 surface (connected sum along compatible arcs); for 3-schemes such a
 split always exists, while the endemic family (q; pq,pq; pq,pq,p) for odd
-primes p != q admits none.
+primes p != q admits none.  The bounded search works for every n: it prunes
+by sub-triple realizability and by the Pluecker relations, which hold in
+every realizable scheme, zero entries included.
 """
 
 from __future__ import annotations
@@ -172,142 +174,104 @@ def _v2(n: int) -> int:
 def bounded_decomposition_search(
     s: Scheme, bound: int
 ) -> Optional[Decomposition]:
-    """First m' (lexicographic over entries in [-bound, bound]) with both
-    m' and s - m' torus-realizable, or None.
+    """First m' (lexicographic in column order over entries in
+    [-bound, bound]) with both m' and s - m' torus-realizable, or None.
 
     None does not prove the scheme endemic; it is evidence at the stated
-    bound.  The enumeration is pruned by sub-triple realizability, which
-    every sub-scheme of a realizable scheme satisfies, so the first hit
-    matches the unpruned scan.
+    bound.  Entries of a realizable scheme are 2x2 determinants of its
+    curves' vectors, Empty being the zero vector, so every sub-triple is
+    realizable and every Pluecker relation
+    m_ab*m_cj = m_ac*m_bj - m_aj*m_bc (a < b < c < j) holds, zero entries
+    included.  The scan fills one slot at a time and keeps, as a bitmask
+    (bit v+bound for value v), only the values on which the quadruples and
+    triples completing at that slot hold in both summands; nothing
+    realizable is pruned, so the first hit matches the unpruned scan.
     """
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
-    if s.n == 4:
-        found = _search4(s, bound)
-    else:
-        found = _search_generic(s, bound)
-    if found is None:
-        return None
-    left = Scheme(s.n, found)
-    right = scheme_sum(s, Scheme(s.n, tuple(-e for e in found)))
-    lv, rv = decide_torus(left), decide_torus(right)
-    degenerate = not any(left.entries) or not any(right.entries)
-    return Decomposition(left, right, lv, rv, degenerate)
-
-
-def _search_generic(s: Scheme, bound: int):
-    """Depth-first lexicographic scan with triple pruning, any n."""
-    k = len(s.entries)
-    # triples become checkable at the slot where their last entry lands
-    pairs = [(i, j) for j in range(2, s.n + 1) for i in range(1, j)]
+    n, target = s.n, s.entries
+    k, full = len(target), (1 << (2 * bound + 1)) - 1
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
     slot = {pr: t for t, pr in enumerate(pairs)}
-    completed = [[] for _ in range(k)]
-    for j in range(3, s.n + 1):
-        for i2 in range(2, j):
-            for i1 in range(1, i2):
-                slots = (slot[(i1, i2)], slot[(i1, j)], slot[(i2, j)])
-                completed[max(slots)].append(slots)
     r3 = lru_cache(maxsize=None)(_realizable3)
-    target = s.entries
-    chosen = [0] * k
-
-    def dfs(t: int):
+    tables = {}  # target triple -> mask per (m'_ac, m'_aj), built on demand
+    # relations completing at slot (c, j): triples (a, c, j) and
+    # quadruples (a, b, c, j)
+    quads = [[] for _ in range(k)]
+    triples = [[] for _ in range(k)]
+    for t, (c, j) in enumerate(pairs):
+        for a in range(1, c):
+            tac, taj = slot[(a, c)], slot[(a, j)]
+            key = (target[tac], target[taj], target[t])
+            triples[t].append((tac, taj, tables.setdefault(key, {})) + key)
+            quads[t] += [
+                (slot[(a, b)], tac, slot[(b, j)], taj, slot[(b, c)])
+                for b in range(a + 1, c)
+            ]
+    chosen, rest = [0] * k, list(target)  # m' and s - m'
+    cands = [0] * k  # values of each slot not yet tried
+    t = 0
+    while True:
         if t == k:
-            left = Scheme(s.n, tuple(chosen))
-            right = Scheme(s.n, tuple(x - y for x, y in zip(target, chosen)))
-            if decide_torus(left).realizable and decide_torus(right).realizable:
-                return tuple(chosen)
-            return None
-        for v in range(-bound, bound + 1):
-            chosen[t] = v
-            ok = True
-            for (t1, t2, t3) in completed[t]:
-                if not r3(chosen[t1], chosen[t2], chosen[t3]) or not r3(
-                    target[t1] - chosen[t1],
-                    target[t2] - chosen[t2],
-                    target[t3] - chosen[t3],
-                ):
-                    ok = False
+            left, right = Scheme(n, tuple(chosen)), Scheme(n, tuple(rest))
+            lv = decide_torus(left)
+            if lv.realizable:
+                rv = decide_torus(right)
+                if rv.realizable:
+                    degenerate = not any(chosen) or not any(rest)
+                    return Decomposition(left, right, lv, rv, degenerate)
+            t -= 1
+        else:
+            m = full
+            for tab, tac, tbj, taj, tbc in quads[t]:
+                # the relation fixes the slot when m_ab != 0 and otherwise
+                # needs its right-hand side to vanish
+                x = chosen[tab]
+                y = chosen[tac] * chosen[tbj] - chosen[taj] * chosen[tbc]
+                if x:
+                    v, r = divmod(y, x)
+                    if r or not -bound <= v <= bound:
+                        m = 0
+                        break
+                    m &= 1 << (v + bound)
+                elif y:
+                    m = 0
                     break
-            if ok:
-                hit = dfs(t + 1)
-                if hit is not None:
-                    return hit
-        return None
-
-    return dfs(0)
-
-
-def _search4(s: Scheme, bound: int):
-    """4-scheme search specialized for speed.
-
-    The last slot f = m'_34 sits in triples (1,3,4) and (2,3,4) of both
-    summands; feasible f values for each (b,d) and (c,e) are cached as
-    bitmasks (bit f+bound set iff the two triples through that pair stay
-    realizable), so the innermost step is two mask lookups and an AND.
-    """
-    s12, s13, s23, s14, s24, s34 = s.entries
-    B = bound
-    rng = range(-B, B + 1)
-    r3 = lru_cache(maxsize=None)(_realizable3)
-
-    def f_masks(s_x3, s_x4):
-        # (m'_x3, m'_x4) -> bitmask of the f keeping triple (x,3,4)
-        # realizable in both summands
-        @lru_cache(maxsize=None)
-        def mask(u, v):
-            return sum(
-                1 << (f + B)
-                for f in rng
-                if r3(u, v, f) and r3(s_x3 - u, s_x4 - v, s34 - f)
-            )
-
-        return mask
-
-    mask134, mask234 = f_masks(s13, s14), f_masks(s23, s24)
-
-    for a in rng:
-        de_pairs = [
-            (d, e)
-            for d in rng
-            for e in rng
-            if r3(a, d, e) and r3(s12 - a, s14 - d, s24 - e)
-        ]
-        if not de_pairs:
-            continue
-        for b in rng:
-            for c in rng:
-                if not (r3(a, b, c) and r3(s12 - a, s13 - b, s23 - c)):
-                    continue
-                for d, e in de_pairs:
-                    cand = mask134(b, d) & mask234(c, e)
-                    if not cand:
-                        continue
-                    lz = 0 not in (a, b, c, d, e)
-                    rz = 0 not in (
-                        s12 - a, s13 - b, s23 - c, s14 - d, s24 - e
-                    )
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        f = low.bit_length() - 1 - B
-                        # zero-free summands must lie on the Pluecker quadric
-                        if lz and f != 0 and a * f - b * e + d * c != 0:
-                            continue
-                        fr = s34 - f
-                        if rz and fr != 0 and (
-                            (s12 - a) * fr
-                            - (s13 - b) * (s24 - e)
-                            + (s14 - d) * (s23 - c)
-                        ) != 0:
-                            continue
-                        left = Scheme(4, (a, b, c, d, e, f))
-                        if not decide_torus(left).realizable:
-                            continue
-                        right = Scheme(
-                            4,
-                            (s12 - a, s13 - b, s23 - c, s14 - d, s24 - e, fr),
+                x = rest[tab]
+                y = rest[tac] * rest[tbj] - rest[taj] * rest[tbc]
+                if x:
+                    v, r = divmod(y, x)
+                    v = target[t] - v
+                    if r or not -bound <= v <= bound:
+                        m = 0
+                        break
+                    m &= 1 << (v + bound)
+                elif y:
+                    m = 0
+                    break
+                if not m:
+                    break
+            if m:
+                for tac, taj, table, sac, saj, scj in triples[t]:
+                    u, w = chosen[tac], chosen[taj]
+                    mask = table.get((u, w))
+                    if mask is None:
+                        mask = table[u, w] = sum(
+                            1 << (v + bound)
+                            for v in range(-bound, bound + 1)
+                            if r3(u, w, v) and r3(sac - u, saj - w, scj - v)
                         )
-                        if decide_torus(right).realizable:
-                            return (a, b, c, d, e, f)
-    return None
+                    m &= mask
+                    if not m:
+                        break
+            cands[t] = m
+        while t >= 0 and not cands[t]:
+            t -= 1
+        if t < 0:
+            return None
+        m = cands[t]
+        low = m & -m
+        cands[t] = m ^ low
+        v = low.bit_length() - 1 - bound
+        chosen[t], rest[t] = v, target[t] - v
+        t += 1

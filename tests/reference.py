@@ -15,9 +15,13 @@ package's dense and certificate-first implementations:
     checking that it is exactly the p lifts of its projection;
   * decide_torus: zero reduction, triangle, Pluecker, kappa residues, then
     the witness, each stage run only after the previous one passed; the
-    FailedToz totals come from the full toz_report.
+    FailedToz totals come from the full toz_report;
+  * search_generic: the bounded decomposition search as a recursive
+    lexicographic scan pruned by sub-triple realizability alone, deciding
+    both summands afresh at every leaf.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -31,6 +35,7 @@ from toruscurves.conditions import (
     Verdict,
     toz_report,
 )
+from toruscurves.genus import _realizable3
 from toruscurves.scheme import (
     DUPLICATE,
     EMPTY,
@@ -274,3 +279,55 @@ def decide_torus(s):
     kappa = canonical_kappa(cons)
     witness = construct_witness(r, kappa)
     return realizable(lift_system(red, witness.system), kappa, cons)
+
+
+# ---------------------------------------------------------------------------
+# Bounded decomposition search, triple pruning only
+# ---------------------------------------------------------------------------
+
+
+def search_generic(s, bound):
+    """Depth-first lexicographic scan with triple pruning, any n.
+
+    Returns the entries of the first left summand m' in [-bound, bound]
+    with m' and s - m' both torus-realizable, or None.
+    """
+    k = len(s.entries)
+    # triples become checkable at the slot where their last entry lands
+    pairs = [(i, j) for j in range(2, s.n + 1) for i in range(1, j)]
+    slot = {pr: t for t, pr in enumerate(pairs)}
+    completed = [[] for _ in range(k)]
+    for j in range(3, s.n + 1):
+        for i2 in range(2, j):
+            for i1 in range(1, i2):
+                slots = (slot[(i1, i2)], slot[(i1, j)], slot[(i2, j)])
+                completed[max(slots)].append(slots)
+    r3 = lru_cache(maxsize=None)(_realizable3)
+    target = s.entries
+    chosen = [0] * k
+
+    def dfs(t: int):
+        if t == k:
+            left = Scheme(s.n, tuple(chosen))
+            right = Scheme(s.n, tuple(x - y for x, y in zip(target, chosen)))
+            if decide_torus(left).realizable and decide_torus(right).realizable:
+                return tuple(chosen)
+            return None
+        for v in range(-bound, bound + 1):
+            chosen[t] = v
+            ok = True
+            for (t1, t2, t3) in completed[t]:
+                if not r3(chosen[t1], chosen[t2], chosen[t3]) or not r3(
+                    target[t1] - chosen[t1],
+                    target[t2] - chosen[t2],
+                    target[t3] - chosen[t3],
+                ):
+                    ok = False
+                    break
+            if ok:
+                hit = dfs(t + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    return dfs(0)

@@ -318,3 +318,26 @@ def test_invalid_scheme_documents(doc, argv):
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_library_errors_exit_2(tmp_path, capsys):
+    # package errors raised inside a command reach the user as one
+    # "error: ..." line on stderr, exit code 2 and nothing on stdout
+    two = write_scheme(tmp_path, "two.json", 2, [3])
+    four = write_scheme(tmp_path, "four.json", 4, [1] * 6)
+    empty = write_scheme(tmp_path, "zero.json", 0, [])
+    big = write_scheme(tmp_path, "big.json", 2, [10**7 + 1])
+    small = write_scheme(tmp_path, "small.json", 3, [2, 2, 4])
+    cases = [
+        (["toz", two], "toz needs at least 3 curves"),
+        (["decompose", four], "need a 3-scheme, got n=4"),
+        (["check", empty], "need n >= 1, got n=0"),
+        (["endemic", "--p", "4", "--q", "3"], "4 is not an odd prime"),
+        (["oracle", big], "|m_12| = 10000001 exceeds the oracle scan cap"),
+        (["solve", small, "--kappa", "2"],
+         "kappa=2 gives r_2 sharing a factor with m_12"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n", argv

@@ -138,6 +138,7 @@ def test_max_packing_pool_size(monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(farey, "Pool", FakePool)
+    monkeypatch.setattr(farey.os, "cpu_count", lambda: 64)
     # d = 1 has the single anchor (0, 1): no pool at all
     assert max_packing(1, jobs=64).size == 3
     assert sizes == []
@@ -148,3 +149,11 @@ def test_max_packing_pool_size(monkeypatch):
     assert (res.size, res.witness) == (serial.size, serial.witness)
     max_packing(3, jobs=2)
     assert sizes == [4, 2]
+    # the CPU count caps the workers too: d = 7 has 18 anchors
+    monkeypatch.setattr(farey.os, "cpu_count", lambda: 3)
+    res = max_packing(7, jobs=5000)
+    assert sizes == [4, 2, 3]
+    # an unknown CPU count means one worker, in-process
+    monkeypatch.setattr(farey.os, "cpu_count", lambda: None)
+    assert max_packing(7, jobs=5000) == res
+    assert sizes == [4, 2, 3]

@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 
 import pytest
@@ -18,8 +19,11 @@ from toruscurves import (
     scheme_sum,
     zero_scheme,
 )
-from toruscurves.genus import _realizable3, _search4, _search_generic
+from toruscurves.genus import _realizable3
 from toruscurves.scheme import Scheme
+
+from conftest import random_vector_scheme
+from reference import search_generic
 
 
 def test_genus_upper_bound():
@@ -111,11 +115,50 @@ def test_realizable3_matches_decide(rng):
             decide_torus(new_scheme(3, [x, y, z])).realizable
 
 
-def test_search4_equals_generic(rng):
-    for _ in range(40):
-        target = Scheme(4, tuple(rng.randint(-4, 4) for _ in range(6)))
-        bound = rng.choice([1, 2])
-        assert _search4(target, bound) == _search_generic(target, bound)
+def test_search_matches_reference(rng):
+    cases = [(Scheme(1, ()), b) for b in (0, 1, 2)]
+    cases += [(Scheme(2, (e,)), b) for e in range(-4, 5) for b in (0, 1, 2)]
+    for n, count in ((3, 60), (4, 60)):
+        for _ in range(count):
+            k = n * (n - 1) // 2
+            target = Scheme(n, tuple(rng.randint(-4, 4) for _ in range(k)))
+            cases.append((target, rng.choice([1, 2])))
+    # n = 5: slot (4,5) completes three triples and three quadruples; the
+    # sums of a vector scheme within the bound and another one mostly split
+    for _ in range(8):
+        cases.append((Scheme(5, tuple(rng.randint(-4, 4) for _ in range(10))), 1))
+    for _ in range(12):
+        target = scheme_sum(random_vector_scheme(rng, 5, 1),
+                            random_vector_scheme(rng, 5, 2))
+        cases.append((target, 1))
+    hits = 0
+    for target, bound in cases:
+        out = bounded_decomposition_search(target, bound)
+        want = search_generic(target, bound)
+        if out is None:
+            assert want is None, (target, bound)
+            continue
+        hits += 1
+        assert out.left.entries == want, (target, bound)
+        assert scheme_sum(out.left, out.right) == target
+        assert out.left_verdict == decide_torus(out.left)
+        assert out.right_verdict == decide_torus(out.right)
+        assert out.degenerate == (not any(out.left.entries)
+                                  or not any(out.right.entries))
+    assert hits >= len(cases) // 2
+
+
+def test_realizable_4schemes_lie_on_the_quadric():
+    # entries are determinants of vectors, Empty being the zero vector, so
+    # the Pluecker relation holds with zero entries too; the bounded search
+    # prunes on it in both summands
+    realizable = 0
+    for e in product(range(-2, 3), repeat=6):
+        if decide_torus(Scheme(4, e)).realizable:
+            m12, m13, m23, m14, m24, m34 = e
+            assert m12 * m34 - m13 * m24 + m14 * m23 == 0, e
+            realizable += 1
+    assert realizable == 841
 
 
 def test_search_finds_decomposition():
