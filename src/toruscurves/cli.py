@@ -16,6 +16,7 @@ import argparse
 import io
 import json
 import sys
+from functools import cache
 from math import prod
 
 from . import __version__
@@ -355,10 +356,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first run, not at import; parse_args leaves it unchanged
+    return _build_parser()
+
+
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)

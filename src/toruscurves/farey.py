@@ -6,6 +6,13 @@ two classes meet |p1*q2 - p2*q1| times.  A maximum clique under the edge
 relation 1 <= |det| <= d is found by normalizing the clique to contain
 (1, 0) with its minimal-positive-q member reduced to an anchor (p0, q0),
 0 <= p0 < q0 <= d, which confines all further members to a finite grid.
+
+Each anchor's grid becomes one graph: max_clique tests every unordered pair
+of grid classes once and keeps each class's neighbours as a bitmask over
+the (-degree, class) ranks.  The serial search passes its best size so far
+to the next anchor as a floor, so an anchor whose grid, or whose clique,
+cannot beat it returns nothing; worker processes search every anchor from
+an empty incumbent.
 """
 
 from __future__ import annotations
@@ -66,27 +73,41 @@ def _edge(u, v, d: int) -> bool:
     return 1 <= det <= d
 
 
-def max_clique(vertices, edge_fn) -> tuple:
+def max_clique(vertices, edge_fn, floor: int = 0) -> tuple:
     """Deterministic branch-and-bound maximum clique (greedy-coloring
-    bound, degree-descending order, lexicographic tie-break)."""
+    bound, degree-descending order, lexicographic tie-break).
+
+    edge_fn must be symmetric; it is called once per unordered pair of
+    distinct vertices, C(n, 2) times.  The vertices are ranked by
+    (-degree, vertex) and each one's neighbours become a bitmask over the
+    ranks.  The search starts from an incumbent of size floor and returns
+    () when no clique has more than floor vertices.  Branches are ordered
+    by the candidate masks alone and cut only when they cannot beat the
+    incumbent, so for any floor below the clique number the result is the
+    clique returned with floor=0.
+    """
     verts0 = sorted(set(vertices))
     n = len(verts0)
-    if n == 0:
-        return ()
-    edges = [
-        [edge_fn(verts0[i], verts0[j]) for j in range(n)] for i in range(n)
-    ]
-    degree = [sum(row) for row in edges]
-    order = sorted(range(n), key=lambda i: (-degree[i], verts0[i]))
+    nbrs = [[] for _ in range(n)]
+    for i, u in enumerate(verts0):
+        for j in range(i + 1, n):
+            if edge_fn(u, verts0[j]):
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    order = sorted(range(n), key=lambda i: (-len(nbrs[i]), verts0[i]))
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
     verts = [verts0[i] for i in order]
     adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if edges[order[i]][order[j]]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for r, i in enumerate(order):
+        mask = 0
+        for j in nbrs[i]:
+            mask |= 1 << rank[j]
+        adj[r] = mask
 
     best: list = []
+    best_size = floor
 
     def color_sort(cand_mask: int):
         # greedy coloring; returns vertices with color bounds, colors ascending
@@ -105,17 +126,18 @@ def max_clique(vertices, edge_fn) -> tuple:
         return colored
 
     def expand(cand_mask: int, current: list):
-        nonlocal best
+        nonlocal best, best_size
         colored = color_sort(cand_mask)
         for v, bound in reversed(colored):
-            if len(current) + bound <= len(best):
+            if len(current) + bound <= best_size:
                 return
             current.append(v)
             sub = cand_mask & adj[v]
             if sub:
                 expand(sub, current)
-            elif len(current) > len(best):
+            elif len(current) > best_size:
                 best = current.copy()
+                best_size = len(best)
             current.pop()
             cand_mask &= ~(1 << v)
 
@@ -123,14 +145,22 @@ def max_clique(vertices, edge_fn) -> tuple:
     return tuple(verts[i] for i in sorted(best))
 
 
-def _anchor_best(args):
+def _anchor_best(args, floor: int = 0):
+    """(size, witness) of the largest packing through (1, 0) and the anchor,
+    or None when none has more than floor + 2 members."""
     d, anchor = args
     verts = [
         v
         for v in candidate_vertices(d, anchor)
         if v not in ((1, 0), anchor)
     ]
-    clique = max_clique(verts, lambda u, v: _edge(u, v, d))
+    if len(verts) <= floor:
+        return None
+    clique = max_clique(
+        verts, lambda u, v: 0 < abs(u[0] * v[1] - v[0] * u[1]) <= d, floor=floor
+    )
+    if not clique:
+        return None
     witness = ((1, 0), anchor) + clique
     return len(witness), witness
 
@@ -138,12 +168,15 @@ def _anchor_best(args):
 def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     """Largest set of distinct classes with pairwise intersection in [1, d].
 
-    Maximizes 2 + max-clique over all anchors; anchors are independent, so
-    jobs > 1 fans them out to worker processes, at most one per anchor and
-    one per CPU.
+    Maximizes 2 + max-clique over all anchors.  With one job the anchors
+    run in order, each searched only for a clique larger than the best so
+    far; jobs > 1 fans them out, independent, to worker processes, at most
+    one per anchor and one per CPU.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
+    if jobs < 1:
+        raise DomainError(f"need jobs >= 1, got {jobs}")
     anchors = [
         (p0, q0)
         for q0 in range(1, d + 1)
@@ -152,15 +185,19 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     ]
     tasks = [(d, a) for a in anchors]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    best_size, best_witness = 2, ((0, 1), (1, 0))
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(_anchor_best, tasks)
+        for res in results:
+            if res is not None and res[0] > best_size:
+                best_size, best_witness = res
     else:
-        results = [_anchor_best(t) for t in tasks]
-    best_size, best_witness = 2, ((0, 1), (1, 0))
-    for size, witness in results:
-        if size > best_size:
-            best_size, best_witness = size, witness
+        # the running best is each anchor's floor, so any result beats it
+        for t in tasks:
+            res = _anchor_best(t, best_size - 2)
+            if res is not None:
+                best_size, best_witness = res
     witness = tuple(sorted(best_witness))
     for i in range(len(witness)):
         for j in range(i + 1, len(witness)):

@@ -18,12 +18,17 @@ package's dense and certificate-first implementations:
     FailedToz totals come from the full toz_report;
   * search_generic: the bounded decomposition search as a recursive
     lexicographic scan pruned by sub-triple realizability alone, deciding
-    both summands afresh at every leaf.
+    both summands afresh at every leaf;
+  * max_clique / max_packing: the packing search on a dense n x n edge
+    matrix, every ordered pair tested, and every anchor searched from an
+    empty incumbent.
 """
 
+import os
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from multiprocessing import Pool
 
 from toruscurves.conditions import (
     FailedPluecker,
@@ -35,6 +40,8 @@ from toruscurves.conditions import (
     Verdict,
     toz_report,
 )
+from toruscurves.errors import DomainError
+from toruscurves.farey import CliqueResult, candidate_vertices
 from toruscurves.genus import _realizable3
 from toruscurves.scheme import (
     DUPLICATE,
@@ -331,3 +338,116 @@ def search_generic(s, bound):
         return None
 
     return dfs(0)
+
+
+# ---------------------------------------------------------------------------
+# Farey packing, dense edge matrix and no incumbent across anchors
+# ---------------------------------------------------------------------------
+
+
+def _edge(u, v, d: int) -> bool:
+    det = abs(u[0] * v[1] - v[0] * u[1])
+    return 1 <= det <= d
+
+
+def max_clique(vertices, edge_fn) -> tuple:
+    """Deterministic branch-and-bound maximum clique (greedy-coloring
+    bound, degree-descending order, lexicographic tie-break)."""
+    verts0 = sorted(set(vertices))
+    n = len(verts0)
+    if n == 0:
+        return ()
+    edges = [
+        [edge_fn(verts0[i], verts0[j]) for j in range(n)] for i in range(n)
+    ]
+    degree = [sum(row) for row in edges]
+    order = sorted(range(n), key=lambda i: (-degree[i], verts0[i]))
+    verts = [verts0[i] for i in order]
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if edges[order[i]][order[j]]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+
+    best: list = []
+
+    def color_sort(cand_mask: int):
+        # greedy coloring; returns vertices with color bounds, colors ascending
+        uncolored = cand_mask
+        colored = []
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                colored.append((v, color))
+                avail &= ~adj[v]
+                uncolored &= ~(1 << v)
+                avail &= uncolored
+        return colored
+
+    def expand(cand_mask: int, current: list):
+        nonlocal best
+        colored = color_sort(cand_mask)
+        for v, bound in reversed(colored):
+            if len(current) + bound <= len(best):
+                return
+            current.append(v)
+            sub = cand_mask & adj[v]
+            if sub:
+                expand(sub, current)
+            elif len(current) > len(best):
+                best = current.copy()
+            current.pop()
+            cand_mask &= ~(1 << v)
+
+    expand((1 << n) - 1, [])
+    return tuple(verts[i] for i in sorted(best))
+
+
+def _anchor_best(args):
+    d, anchor = args
+    verts = [
+        v
+        for v in candidate_vertices(d, anchor)
+        if v not in ((1, 0), anchor)
+    ]
+    clique = max_clique(verts, lambda u, v: _edge(u, v, d))
+    witness = ((1, 0), anchor) + clique
+    return len(witness), witness
+
+
+def max_packing(d: int, jobs: int = 1) -> CliqueResult:
+    """Largest set of distinct classes with pairwise intersection in [1, d].
+
+    Maximizes 2 + max-clique over all anchors; anchors are independent, so
+    jobs > 1 fans them out to worker processes, at most one per anchor and
+    one per CPU.
+    """
+    if d < 1:
+        raise DomainError(f"need d >= 1, got {d}")
+    anchors = [
+        (p0, q0)
+        for q0 in range(1, d + 1)
+        for p0 in range(q0)
+        if gcd(p0, q0) == 1
+    ]
+    tasks = [(d, a) for a in anchors]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
+            results = pool.map(_anchor_best, tasks)
+    else:
+        results = [_anchor_best(t) for t in tasks]
+    best_size, best_witness = 2, ((0, 1), (1, 0))
+    for size, witness in results:
+        if size > best_size:
+            best_size, best_witness = size, witness
+    witness = tuple(sorted(best_witness))
+    for i in range(len(witness)):
+        for j in range(i + 1, len(witness)):
+            if not _edge(witness[i], witness[j], d):
+                raise AssertionError("internal fault: invalid packing witness")
+    return CliqueResult(best_size, witness, d)

@@ -167,6 +167,37 @@ def test_farey_command(capsys):
     assert sorted(map(tuple, doc["witness"])) == [(0, 1), (1, 0), (1, 1)]
 
 
+def test_repeated_runs_reuse_one_parser(tmp_path, capsys, monkeypatch):
+    from toruscurves import cli
+
+    build, built = cli._build_parser, []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._parser.cache_clear()
+    path = write_scheme(tmp_path, "m.json", 3, [2, 2, 4])
+    seq = [["check", path], ["--version"], ["--help"], ["solve"],
+           ["farey", "--d", "1"]]
+    passes, builds = [], []
+    for _ in range(2):
+        results = []
+        for argv in seq:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        passes.append(results)
+        builds.append(len(built))
+    assert passes[0] == passes[1]
+    assert [r[0] for r in passes[0]] == [0, 0, 0, 2, 0]
+    assert passes[0][3][2].count("error:") == 1
+    # one parser, built in the first pass; the second pass built none
+    assert builds == [1, 1]
+    cli._parser.cache_clear()
+
+
 def test_render_command(tmp_path, capsys):
     path = write_scheme(tmp_path, "m.json", 3, [2, 2, 4])
     out = tmp_path / "pic.svg"
@@ -336,6 +367,7 @@ def test_library_errors_exit_2(tmp_path, capsys):
         (["oracle", big], "|m_12| = 10000001 exceeds the oracle scan cap"),
         (["solve", small, "--kappa", "2"],
          "kappa=2 gives r_2 sharing a factor with m_12"),
+        (["farey", "--d", "3", "--jobs", "-3"], "need jobs >= 1, got -3"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

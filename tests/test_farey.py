@@ -1,13 +1,17 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
+import reference
 from toruscurves import (
     DomainError,
     candidate_vertices,
     max_clique,
     max_packing,
 )
+from toruscurves import farey
 from toruscurves.farey import canon_slope
 
 
@@ -53,6 +57,76 @@ def test_max_clique_known_graphs():
     assert set(max_clique(verts, adj)) == {"a", "b", "c"}
     assert max_clique([], adj) == ()
     assert max_clique(["z"], lambda u, v: False) == ("z",)
+
+
+def test_max_clique_floor_matches_reference():
+    # with any floor below the clique number the search returns the
+    # reference clique; from the clique number up it returns ()
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        verts = rng.sample(range(100), n)
+        density = rng.random()
+        edges = {
+            frozenset(e) for e in combinations(verts, 2) if rng.random() < density
+        }
+        calls = []
+
+        def adj(u, v):
+            calls.append(frozenset((u, v)))
+            return frozenset((u, v)) in edges
+
+        ref = reference.max_clique(verts, lambda u, v: frozenset((u, v)) in edges)
+        omega = len(ref)
+        for floor in range(omega + 2):
+            calls.clear()
+            got = max_clique(verts, adj, floor=floor)
+            assert got == (ref if floor < omega else ()), (verts, edges, floor)
+            # one test per unordered pair of distinct vertices
+            assert len(calls) == len(set(calls)) == comb(n, 2)
+            assert all(len(c) == 2 for c in calls)
+        assert max_clique(verts, adj) == ref
+
+
+def test_max_packing_matches_reference(monkeypatch):
+    refs = {}
+    for d in range(1, 17):
+        ref = refs[d] = reference.max_packing(d)
+        got = max_packing(d)
+        assert (got.size, got.witness) == (ref.size, ref.witness), d
+    # at d = 9 the serial path carries its best across the 28 anchors and
+    # searches only some of them; a real 2-worker pool searches them all
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(args[0])
+        return max_clique(*args, **kwargs)
+
+    monkeypatch.setattr(farey, "max_clique", counted)
+    ref = refs[9]
+    got = max_packing(9)
+    assert (got.size, got.witness) == (ref.size, ref.witness)
+    assert 0 < len(searched) < 28
+    monkeypatch.setattr(farey, "max_clique", max_clique)
+    monkeypatch.setattr(farey.os, "cpu_count", lambda: 2)
+    got = max_packing(9, jobs=2)
+    assert (got.size, got.witness) == (ref.size, ref.witness)
+
+
+def _is_prime(m):
+    return m > 1 and all(m % k for k in range(2, int(m**0.5) + 1))
+
+
+def test_packing_prime_bound():
+    # Aougab-Biringer-Gaster: a packing with pairwise intersection in
+    # [1, d] has at most p + 1 classes, p the smallest prime above d, and
+    # reaches p + 1 when d + 1 is prime
+    for d in range(1, 21):
+        p = next(m for m in range(d + 1, 2 * d + 2) if _is_prime(m))
+        size = max_packing(d).size
+        assert size <= p + 1, d
+        if _is_prime(d + 1):
+            assert size == p + 1, d
 
 
 def test_max_packing_small_values():
@@ -116,11 +190,12 @@ def test_max_packing_jobs_matches_serial():
 def test_bad_inputs():
     with pytest.raises(DomainError):
         max_packing(0)
+    for jobs in (0, -3):
+        with pytest.raises(DomainError, match="need jobs >= 1"):
+            max_packing(3, jobs=jobs)
 
 
 def test_max_packing_pool_size(monkeypatch):
-    from toruscurves import farey
-
     sizes = []
 
     class FakePool:
