@@ -52,6 +52,7 @@ from .scheme import (
 from .solver import (
     KappaConstraintSet,
     _base_triple,
+    _pair_classes,
     canonical_kappa,
     construct_witness,
     kappa_constraints,
@@ -342,10 +343,9 @@ def decide_torus(s: Scheme) -> Verdict:
         system = lift_system(red, (curve(1, 0),))
         return _realizable(s, red, system, None, None)
     if r.n == 2:
-        m = get(r, 1, 2)
-        rep = 0 if abs(m) == 1 else 1
-        system = lift_system(red, (curve(1, 0), curve(rep, m)))
-        return _realizable(s, red, system, rep, None)
+        first = next(_pair_classes(get(r, 1, 2)))
+        system = lift_system(red, first.system)
+        return _realizable(s, red, system, first.kappa, None)
 
     cons = scan_error = None
     m12, m13, m23 = r.entries[:3]

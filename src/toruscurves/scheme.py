@@ -12,13 +12,12 @@ everything zero times.
 
 from __future__ import annotations
 
-from bisect import bisect, insort
 from dataclasses import dataclass
 from math import gcd
-from operator import neg
+from operator import index, neg
 from typing import Optional, Union
 
-from .errors import InvalidPermutation, InvalidShape
+from .errors import DomainError, InvalidPermutation, InvalidShape
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,21 @@ class Scheme:
 
 
 def new_scheme(n: int, entries) -> Scheme:
-    """Validated scheme from an entry sequence in column order."""
-    return Scheme(n, tuple(int(e) for e in entries))
+    """Validated scheme from an entry sequence in column order.
+
+    Every entry must be an integer (anything operator.index accepts);
+    floats, strings and fractions raise DomainError rather than being
+    truncated or parsed.
+    """
+    out = []
+    for k, e in enumerate(entries):
+        try:
+            out.append(index(e))
+        except TypeError:
+            raise DomainError(
+                f"entries[{k}] is {e!r}, not an integer"
+            ) from None
+    return Scheme(n, tuple(out))
 
 
 def _pos(i: int, j: int) -> int:
@@ -141,8 +153,9 @@ EMPTY = "empty"
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One curve removal.  Indices are 1-based positions in the scheme as it
-    was just before this step."""
+    """One curve removal.  Indices are original 1-based curve indices, as in
+    ReductionLog.survivors; the twin of a duplicate is alive when the step
+    is taken."""
 
     removed_index: int
     reason: str  # DUPLICATE or EMPTY
@@ -207,16 +220,12 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
     ids = [row_id.setdefault(tuple(r), len(row_id)) for r in rows]
     neg_ids = [row_id.get(tuple(map(neg, r))) for r in rows]
     alive = [True] * n
-    dropped = []  # 0-based indices of dropped curves, sorted
     steps = []
     unresolved = []
 
     def drop(k: int, reason: str, of: Optional[int] = None, sign=None):
-        # record the step in the positions of the scheme just before it
-        pos = k + 1 - bisect(dropped, k)
-        of_pos = None if of is None else of + 1 - bisect(dropped, of)
-        steps.append(ReductionStep(pos, reason, of_index=of_pos, sign=sign))
-        insort(dropped, k)
+        of_index = None if of is None else of + 1
+        steps.append(ReductionStep(k + 1, reason, of_index, sign))
         alive[k] = False
 
     for a in range(n):
@@ -248,46 +257,42 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
     return ReductionLog(tuple(steps), cur, survivors)
 
 
+def _sources(log: ReductionLog) -> list:
+    """For each original curve, in order: its 1-based index in the reduced
+    scheme, negated when the curve is a reversed duplicate, or 0 when the
+    curve is Empty (or a duplicate of an Empty curve)."""
+    src = [0] * (len(log.survivors) + len(log.steps) + 1)
+    for t, k in enumerate(log.survivors, start=1):
+        src[k] = t
+    # a twin is alive when its duplicate is dropped, so it is a survivor or
+    # removed by a later step, which the reversed pass has already mapped
+    for step in reversed(log.steps):
+        if step.reason == DUPLICATE:
+            src[step.removed_index] = step.sign * src[step.of_index]
+    return src[1:]
+
+
 def replay_reduction(log: ReductionLog) -> Scheme:
     """Rebuild the original scheme from the log; inverse of reduce_zeros."""
-    cur = log.reduced
-    for step in reversed(log.steps):
-        n_new = cur.n + 1
-        r = step.removed_index
-
-        def old_to_cur(t: int) -> int:
-            return t if t < r else t - 1
-
-        entries = []
-        for j in range(2, n_new + 1):
-            for i in range(1, j):
-                if i != r and j != r:
-                    entries.append(get(cur, old_to_cur(i), old_to_cur(j)))
-                    continue
-                other = j if i == r else i
-                if step.reason == EMPTY:
-                    entries.append(0)
-                elif other == step.of_index:
-                    entries.append(0)
-                else:
-                    val = step.sign * get(cur, old_to_cur(step.of_index),
-                                          old_to_cur(other))
-                    entries.append(val if i == r else -val)
-        cur = Scheme(n_new, tuple(entries))
-    return cur
+    rows = dense_rows(log.reduced)
+    src = _sources(log)
+    entries = []
+    for j, tj in enumerate(src):
+        for ti in src[:j]:
+            if ti == 0 or tj == 0:
+                entries.append(0)
+            else:
+                m = rows[abs(ti) - 1][abs(tj) - 1]
+                entries.append(m if (ti > 0) == (tj > 0) else -m)
+    return Scheme(len(src), tuple(entries))
 
 
 def lift_system(log: ReductionLog, system) -> tuple:
     """Extend a curve system for the reduced scheme back to the original,
     re-inserting Empty curves and (possibly reversed) duplicates."""
-    cur = list(system)
-    for step in reversed(log.steps):
-        r = step.removed_index
-        if step.reason == EMPTY:
-            new = EMPTY_CURVE
-        else:
-            of_cur = step.of_index - (1 if step.of_index > r else 0)
-            twin = cur[of_cur - 1]
-            new = twin if step.sign == +1 else twin.negated()
-        cur.insert(r - 1, new)
-    return tuple(cur)
+    return tuple(
+        EMPTY_CURVE if t == 0
+        else system[t - 1] if t > 0
+        else system[-t - 1].negated()
+        for t in _sources(log)
+    )

@@ -24,6 +24,7 @@ exactly the orbits of normalized witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from typing import Optional
 
@@ -151,9 +152,7 @@ def _admitted(line, p: int, nu: int, kappas) -> list:
 _ENUM_CAP = 10**7
 
 
-def kappa_constraints(
-    s: Scheme, w: Optional[XYWitness] = None
-) -> KappaConstraintSet:
+def kappa_constraints(s: Scheme) -> KappaConstraintSet:
     """Allowed kappa residues mod p^nu_p for each prime p | g_123.
 
     An empty allowed set for some prime certifies the scheme is not
@@ -161,8 +160,7 @@ def kappa_constraints(
     valuation conditions all hold.  The residue scan is exhaustive, so a
     prime-power modulus above 10^7 is refused rather than enumerated.
     """
-    if w is None:
-        w = solve_xy(s)
+    w = solve_xy(s)
     if w.g123 == 1:
         return KappaConstraintSet((), unconstrained=True)
     line = _kappa_line(s, w)
@@ -243,21 +241,23 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     return NormalizedWitness(kappa, tuple(rs), tuple(system))
 
 
+def _pair_classes(m: int):
+    """Yield the witnesses (1,0),(r,m) for r in [0,|m|) coprime to m, in
+    increasing r, without listing the phi(|m|) of them first."""
+    if m == 0:
+        raise DomainError("m = 0 is handled by zero reduction, not here")
+    for r in range(abs(m)):
+        if gcd(r, m) == 1:
+            yield NormalizedWitness(r, (r,), (curve(1, 0), curve(r, m)))
+
+
 def solve_pair_orbits(m: int) -> list:
     """Orbit representatives (1,0),(r,m) for a single intersection number.
 
     There are phi(|m|) of them, one per r in [0,|m|) coprime to m; the
     convention 0 <= r < |m| covers negative m as well.
     """
-    if m == 0:
-        raise DomainError("m = 0 is handled by zero reduction, not here")
-    out = []
-    for r in range(abs(m)):
-        if gcd(r, abs(m)) == 1:
-            out.append(
-                NormalizedWitness(r, (r,), (curve(1, 0), curve(r, m)))
-            )
-    return out
+    return list(_pair_classes(m))
 
 
 def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
@@ -272,11 +272,9 @@ def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
     if s.n == 1:
         return [NormalizedWitness(0, (), (curve(1, 0),))]
     if s.n == 2:
-        reps = solve_pair_orbits(get(s, 1, 2))
-        return reps if limit is None else reps[:limit]
+        return list(islice(_pair_classes(get(s, 1, 2)), limit))
     _require_nonzero(s)
-    w = solve_xy(s)
-    cons = kappa_constraints(s, w)
+    cons = kappa_constraints(s)
     if not cons.feasible():
         raise DomainError("scheme is not realizable on a torus")
     out = []

@@ -36,6 +36,15 @@ def random_vector_scheme(rng: random.Random, n: int, qmax: int = 6,
     return new_scheme(n, entries)
 
 
+def dets(vecs) -> list:
+    """Column-order entries of a system; None stands for an Empty curve."""
+    return [
+        0 if u is None or v is None else u[0] * v[1] - v[0] * u[1]
+        for j, v in enumerate(vecs)
+        for u in vecs[:j]
+    ]
+
+
 def random_permutation(rng: random.Random, n: int):
     sigma = list(range(1, n + 1))
     rng.shuffle(sigma)

@@ -102,14 +102,16 @@ def reduce_zeros(s):
         if not zero_pairs:
             return ReductionLog(tuple(steps), cur, tuple(survivors))
         for i, j in zero_pairs:
+            # steps name original curves: survivors maps positions back
+            oi, oj = survivors[i - 1], survivors[j - 1]
             if _row_equal(cur, i, j, +1):
-                step, drop = ReductionStep(j, DUPLICATE, of_index=i, sign=+1), j
+                step, drop = ReductionStep(oj, DUPLICATE, of_index=oi, sign=+1), j
             elif _row_equal(cur, i, j, -1):
-                step, drop = ReductionStep(j, DUPLICATE, of_index=i, sign=-1), j
+                step, drop = ReductionStep(oj, DUPLICATE, of_index=oi, sign=-1), j
             elif _row_zero(cur, i):
-                step, drop = ReductionStep(i, EMPTY), i
+                step, drop = ReductionStep(oi, EMPTY), i
             elif _row_zero(cur, j):
-                step, drop = ReductionStep(j, EMPTY), j
+                step, drop = ReductionStep(oj, EMPTY), j
             else:
                 continue
             steps.append(step)

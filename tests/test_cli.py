@@ -99,6 +99,21 @@ def test_toz_command(tmp_path, capsys):
     assert entry["contributions"] == ["1", "1", "1/3"]
 
 
+def test_solve_orbits_stop_at_the_limit(tmp_path, capsys):
+    # phi(10^12) pair classes; the 3-scheme reduces to the 2-scheme, its
+    # third curve a duplicate of the first
+    big = 10**12
+    for n, entries in ((2, [big]), (3, [big, 0, -big])):
+        path = write_scheme(tmp_path, f"pair{n}.json", n, entries)
+        code, doc = run_json(capsys, ["solve", path, "--orbits", "2"])
+        assert code == 0
+        reps = doc["orbit_witnesses"]
+        assert [w["kappa"] for w in reps] == [1, 3]
+        s = new_scheme(n, entries)
+        for w in reps:
+            assert verify_system(s, tuple(curve(*v) for v in w["witness"]))
+
+
 def test_solve_command(tmp_path, capsys):
     path = write_scheme(tmp_path, "m.json", 3, [2, 2, 4])
     code, doc = run_json(capsys, ["solve", path, "--orbits", "5", "--kappa", "3"])

@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 
 import reference
-from conftest import random_nonzero_scheme, random_vector_scheme
+from conftest import dets, random_nonzero_scheme, random_vector_scheme
 from toruscurves import (
     ConstraintViolation,
     FailedPluecker,
@@ -34,15 +34,6 @@ from toruscurves import (
 from toruscurves.scheme import EMPTY_CURVE, Unresolvable, get
 
 
-def _dets(vecs) -> list:
-    """Column-order entries of a system; None stands for an Empty curve."""
-    return [
-        0 if u is None or v is None else u[0] * v[1] - v[0] * u[1]
-        for j, v in enumerate(vecs)
-        for u in vecs[:j]
-    ]
-
-
 def _zero_heavy_scheme(rng: random.Random, n: int) -> Scheme:
     """A vector scheme drawn from a few classes, with repeated, reversed
     and Empty curves; sometimes one entry is perturbed so that a zero
@@ -59,7 +50,7 @@ def _zero_heavy_scheme(rng: random.Random, n: int) -> Scheme:
         else:
             p, q = rng.choice(base)
             vecs.append((p, q) if rng.random() < 0.5 else (-p, -q))
-    entries = _dets(vecs)
+    entries = dets(vecs)
     if entries and rng.random() < 0.3:
         entries[rng.randrange(len(entries))] += rng.choice((-1, 1, 2))
     return new_scheme(n, entries)
@@ -125,7 +116,7 @@ def test_verify_system_matches_reference(rng):
                 vecs.append(None)
             elif (p, q) != (0, 0) and (gcd(p, q) == 1 or rng.random() < 0.1):
                 vecs.append((p, q))
-        entries = _dets(vecs)
+        entries = dets(vecs)
         if entries and rng.random() < 0.5:
             entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
         s = new_scheme(n, entries)
@@ -226,7 +217,7 @@ def test_decide_without_toz_report(monkeypatch, rng):
 def test_construct_witness_rejects_wrong_determinant():
     # (1,0), (0,1), (1,1), (1,2), (2,1) with m_45 off by one: every r_j is
     # integral and primitive, but det(gamma_4, gamma_5) != m_45
-    entries = _dets([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
+    entries = dets([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
     entries[-1] += 1
     s = new_scheme(5, entries)
     with pytest.raises(ConstraintViolation):
@@ -245,7 +236,7 @@ def _kappa_scheme(rng: random.Random, n: int) -> Scheme:
         r, q = rng.randint(-9, 9), g * rng.choice([-3, -2, -1, 1, 2, 3])
         if gcd(r, q) == 1:
             vecs.append((r, q))
-    entries = _dets(vecs)
+    entries = dets(vecs)
     if n >= 4 and rng.random() < 0.5:
         t = rng.randrange(3, len(entries))
         if rng.random() < 0.5:

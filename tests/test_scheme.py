@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from toruscurves import (
+    DomainError,
     EMPTY_CURVE,
     InvalidPermutation,
     InvalidShape,
@@ -8,6 +11,7 @@ from toruscurves import (
     Unresolvable,
     curve,
     get,
+    lift_system,
     new_scheme,
     permute,
     reduce_zeros,
@@ -26,6 +30,14 @@ def test_new_scheme():
         new_scheme(3, [1, 2])
     with pytest.raises(InvalidShape):
         new_scheme(0, [])
+
+
+def test_new_scheme_rejects_non_integers():
+    for bad in (2.9, 4.0, "2", Fraction(4, 1), None):
+        with pytest.raises(DomainError, match=r"entries\[1\] "):
+            new_scheme(3, [2, bad, 4])
+    big = 10**400
+    assert new_scheme(3, [big, -big, True]).entries == (big, -big, 1)
 
 
 def test_get_antisymmetric():
@@ -98,6 +110,22 @@ def test_reduce_zeros_negated_duplicate():
     assert log.reduced == new_scheme(2, [3])
     (step,) = log.steps
     assert step.sign == -1
+
+
+def test_reduce_zeros_steps_name_original_curves():
+    # (1,0), Empty, (0,1), (-1,0), (0,1), (1,1)
+    system = (curve(1, 0), EMPTY_CURVE, curve(0, 1), curve(-1, 0),
+              curve(0, 1), curve(1, 1))
+    s = new_scheme(6, [0, 1, 0, 0, 0, 1, 1, 0, 0, -1, 1, 0, -1, -1, -1])
+    log = reduce_zeros(s)
+    assert [
+        (st.removed_index, st.reason, st.of_index, st.sign) for st in log.steps
+    ] == [(2, "empty", None, None), (4, "duplicate_of", 1, -1),
+          (5, "duplicate_of", 3, 1)]
+    assert log.survivors == (1, 3, 6)
+    assert log.reduced == new_scheme(3, [1, 1, -1])
+    assert lift_system(log, (curve(1, 0), curve(0, 1), curve(1, 1))) == system
+    assert replay_reduction(log) == s
 
 
 def test_reduce_zeros_output_nonzero(rng):

@@ -60,7 +60,7 @@ def test_kappa_classes_are_periodic_lifts(rng):
         if 0 in s.entries:
             continue
         w = solve_xy(s)
-        for pc in kappa_constraints(s, w).per_prime:
+        for pc in kappa_constraints(s).per_prime:
             p, nu = pc.prime, pc.nu
             assert pc.modulus == p**nu
             scanned = reference.scan_lifted(s, w, p, nu)
@@ -190,6 +190,9 @@ def test_enumerate_orbits_vs_oracle(rng):
 def test_enumerate_orbits_limit():
     reps = enumerate_orbits(new_scheme(2, [30]), limit=3)
     assert len(reps) == 3
+    # phi(10^12) classes: the listing stops at the limit
+    reps = enumerate_orbits(new_scheme(2, [10**12]), limit=3)
+    assert [w.kappa for w in reps] == [1, 3, 7]
     # a limit below 1 is refused, not read as a slice bound
     for n, entries in ((2, [5]), (3, [2, 2, 4])):
         for limit in (0, -1, -3):
