@@ -13,10 +13,10 @@ nested too deeply to parse.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from functools import cache
+from itertools import islice
 from math import prod
 
 from . import __version__
@@ -41,7 +41,7 @@ from .genus import (
 from .oracle import oracle_realizable
 from .render import render_svg
 from .scheme import Scheme, Unresolvable, lift_system, new_scheme, reduce_zeros
-from .solver import construct_witness, enumerate_orbits
+from .solver import _orbits, construct_witness
 
 
 class CliError(Exception):
@@ -158,17 +158,14 @@ def _emit(doc) -> None:
     # partial JSON on stdout.  Output integers (witness coordinates, kappa)
     # may pass the interpreter's int-to-str digit limit even when every input
     # entry is within it, so the limit is lifted only for this call; input
-    # parsing keeps it.  json.dump into a buffer streams its chunks, where
-    # json.dumps would hold them all in a list before joining them.
-    buf = io.StringIO()
+    # parsing keeps it.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        json.dump(doc, buf, indent=2, sort_keys=True)
+        text = json.dumps(doc, indent=2, sort_keys=True)
     finally:
         sys.set_int_max_str_digits(limit)
-    buf.write("\n")
-    sys.stdout.write(buf.getvalue())
+    sys.stdout.write(text + "\n")
 
 
 def _scheme_doc(s: Scheme):
@@ -203,7 +200,8 @@ def _cmd_solve(args) -> int:
         w = construct_witness(red, args.kappa)
         doc["requested"] = {"kappa": args.kappa, "witness": lifted(w)}
     if args.orbits is not None:
-        reps = enumerate_orbits(red, limit=args.orbits)
+        # the decision's kappa classes, not a second residue scan
+        reps = islice(_orbits(red, verdict.constraints), args.orbits)
         doc["orbit_witnesses"] = [
             {"kappa": w.kappa, "witness": lifted(w)} for w in reps
         ]

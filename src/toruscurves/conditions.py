@@ -24,10 +24,12 @@ the scan already holds.
 decide_torus runs certificate first: after zero reduction it scans the
 kappa residues and builds the witness for the canonical kappa, and a
 witness that verifies settles realizability without the O(n^3) triangle
-and O(n^4) Pluecker checks.  Only when no witness comes out are the
-conditions checked in stage order (triangle, Pluecker, kappa residues)
-to list every failure of the first failing stage.  The triangle and
-Pluecker checks walk a dense copy of the matrix.
+and O(n^4) Pluecker checks.  construct_witness verifies the witness, and
+the lifted system is verified again only when the reduction removed
+curves.  Only when no witness comes out are the conditions checked in
+stage order (triangle, Pluecker, kappa residues) to list every failure of
+the first failing stage.  The triangle and Pluecker checks walk a dense
+copy of the matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .scheme import (
     ReductionLog,
     Scheme,
     Unresolvable,
-    curve,
     dense_rows,
     get,
     lift_system,
@@ -52,7 +53,7 @@ from .scheme import (
 from .solver import (
     KappaConstraintSet,
     _base_triple,
-    _pair_classes,
+    _orbits,
     canonical_kappa,
     construct_witness,
     kappa_constraints,
@@ -313,12 +314,14 @@ def _map_indices(survivors, *idx):
 def decide_torus(s: Scheme) -> Verdict:
     """Full pipeline, certificate first.
 
-    1. Zero reduction; an unresolvable zero pair refutes at once.
+    1. Zero reduction; an unresolvable zero pair refutes at once, and
+       fewer than 3 curves left take their first orbit as the witness.
     2. When the base triple's three gcds agree: kappa residues (which
        factor g_123, once per decision), canonical kappa and the witness
        for it.  A witness that verifies proves realizability, so the
        verdict is returned without the triangle and Pluecker checks or
-       the toz report.
+       the toz report; the lifted witness is verified again only when
+       the reduction removed curves.
     3. Otherwise the conditions are checked in order, triangle, Pluecker,
        then kappa residues (reusing the scan of step 2), and every failure
        of the first failing stage is listed.
@@ -339,13 +342,11 @@ def decide_torus(s: Scheme) -> Verdict:
             None,
         )
     r = red.reduced
-    if r.n == 1:
-        system = lift_system(red, (curve(1, 0),))
-        return _realizable(s, red, system, None, None)
-    if r.n == 2:
-        first = next(_pair_classes(get(r, 1, 2)))
+    if r.n < 3:
+        first = next(_orbits(r, None))
         system = lift_system(red, first.system)
-        return _realizable(s, red, system, first.kappa, None)
+        kappa = first.kappa if r.n == 2 else None
+        return _realizable(s, red, system, kappa, None)
 
     cons = scan_error = None
     m12, m13, m23 = r.entries[:3]
@@ -363,7 +364,8 @@ def decide_torus(s: Scheme) -> Verdict:
                 pass
             else:
                 system = lift_system(red, witness.system)
-                return _realizable(s, red, system, kappa, cons)
+                # verified on r, which is s when no step removed a curve
+                return _realizable(s, red, system, kappa, cons, not red.steps)
     return _refutation(red, cons, scan_error)
 
 
@@ -396,8 +398,8 @@ def _refutation(red, cons, scan_error) -> Verdict:
     raise AssertionError(f"internal fault: no witness and no failure on {r}")
 
 
-def _realizable(s, red, system, kappa, cons) -> Verdict:
-    if not verify_system(s, system):
+def _realizable(s, red, system, kappa, cons, verified=False) -> Verdict:
+    if not verified and not verify_system(s, system):
         raise AssertionError(
             f"internal fault: lifted witness fails verification on {s}"
         )

@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError
-from .scheme import CurveClass
 
 SVG_SIZE = 512
 STROKE_WIDTH = 2
@@ -68,16 +67,13 @@ def render_svg(system, out_path: str) -> None:
         'stroke="black" stroke-width="1"/>',
     ]
     for i, cls in enumerate(system):
-        if isinstance(cls, CurveClass):
-            if cls.is_empty:
-                print(
-                    f"warning: curve {i + 1} is empty and is not drawn",
-                    file=sys.stderr,
-                )
-                continue
-            p, q = cls.p, cls.q
-        else:
-            p, q = cls
+        if cls.is_empty:
+            print(
+                f"warning: curve {i + 1} is empty and is not drawn",
+                file=sys.stderr,
+            )
+            continue
+        p, q = cls.p, cls.q
         hue = i * 360 // max(n, 1)
         color = f"hsl({hue},85%,40%)"
         for (x0, y0), (x1, y1) in curve_segments(p, q, curve_offset(i, n)):

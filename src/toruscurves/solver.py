@@ -110,12 +110,9 @@ def solve_xy(s: Scheme) -> XYWitness:
     _require_nonzero(s)
     g, a, b, c = _base_triple(s)
     m12p, m13p, m23p = a // g, b // g, c // g
-    gg, u, v = xgcd(m13p, m12p)
-    if gg != 1:
-        raise PreconditionViolated(
-            f"gcd(m'_13, m'_12) = {gg} != 1; triangle condition violated"
-        )
-    x, y = u, -v
+    # g = gcd(m_12, m_13) by _base_triple, so m'_13 and m'_12 are coprime
+    _, x, v = xgcd(m13p, m12p)
+    y = -v
     if x * m13p - y * m12p != 1:
         raise AssertionError(f"internal fault: bad Bezout pair for {s}")
     return XYWitness(x, y, g, m12p, m13p, m23p)
@@ -260,29 +257,34 @@ def solve_pair_orbits(m: int) -> list:
     return list(_pair_classes(m))
 
 
+def _orbits(s: Scheme, cons: Optional[KappaConstraintSet]):
+    """Lazily, one normalized witness per orbit of a realizable zero-free
+    scheme; for n >= 3 cons is its kappa_constraints, else unused."""
+    if s.n == 1:
+        yield NormalizedWitness(0, (), (curve(1, 0),))
+    elif s.n == 2:
+        yield from _pair_classes(get(s, 1, 2))
+    else:
+        for cls in _crt_product(cons.per_prime):
+            yield construct_witness(s, cls.residue)
+
+
 def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
     """One normalized witness per allowed kappa class mod g_123.
 
     Orbits are classes of witnesses under the stabilizer of (1,0), which
-    shifts every r_j by m_1j at once.  Raises DomainError when the scheme
-    is not realizable, and for a limit below 1.
+    shifts every r_j by m_1j at once; only the first limit get a witness.
+    Raises DomainError when the scheme is not realizable, and for a limit
+    below 1.
     """
     if limit is not None and limit < 1:
         raise DomainError(f"orbit limit must be >= 1, got {limit}")
-    if s.n == 1:
-        return [NormalizedWitness(0, (), (curve(1, 0),))]
-    if s.n == 2:
-        return list(islice(_pair_classes(get(s, 1, 2)), limit))
-    _require_nonzero(s)
-    cons = kappa_constraints(s)
-    if not cons.feasible():
-        raise DomainError("scheme is not realizable on a torus")
-    out = []
-    for cls in _crt_product(cons.per_prime):
-        out.append(construct_witness(s, cls.residue))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    cons = None
+    if s.n >= 3:
+        cons = kappa_constraints(s)
+        if not cons.feasible():
+            raise DomainError("scheme is not realizable on a torus")
+    return list(islice(_orbits(s, cons), limit))
 
 
 def forbidden_count(s: Scheme, g_l: int) -> int:

@@ -1,3 +1,4 @@
+import json
 from math import gcd
 
 import pytest
@@ -22,7 +23,7 @@ from toruscurves import (
     verify_system,
 )
 import reference
-from conftest import random_vector_scheme
+from conftest import dets, random_vector_scheme
 from toruscurves.solver import canonical_kappa
 
 
@@ -284,8 +285,8 @@ def test_verify_system():
         verify_system(s, (curve(1, 0),))
 
 
-def test_one_kappa_scan_per_decision(monkeypatch):
-    from toruscurves import conditions, solver
+def test_one_kappa_scan_per_decision(monkeypatch, tmp_path, capsys):
+    from toruscurves import cli, conditions, solver
 
     calls = []
     scan = solver.kappa_constraints
@@ -304,3 +305,43 @@ def test_one_kappa_scan_per_decision(monkeypatch):
     calls.clear()
     reps = enumerate_orbits(s, limit=5)
     assert len(reps) > 1 and len(calls) == 1
+
+    # solve lists its orbits from the decision's kappa classes
+    calls.clear()
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n": s.n, "entries": list(s.entries)}))
+    assert cli.run(["solve", str(path), "--orbits", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [o["kappa"] for o in doc["orbit_witnesses"]] == \
+        [w.kappa for w in reps]
+    assert len(calls) == 1
+
+
+def test_one_verify_per_decision(monkeypatch, rng):
+    from toruscurves import conditions, solver
+
+    calls = []
+    check = solver.verify_system
+
+    def counted(sc, system):
+        calls.append((sc.n, sc.entries, tuple(system)))
+        return check(sc, system)
+
+    monkeypatch.setattr(solver, "verify_system", counted)
+    monkeypatch.setattr(conditions, "verify_system", counted)
+    # pairwise non-parallel vectors: nothing to reduce, one check
+    s = random_vector_scheme(rng, 28, qmax=12, distinct=True)
+    v = decide_torus(s)
+    assert v.realizable and not v.reduction.steps and len(calls) == 1
+
+    # an Empty curve reduces to n = 4: the witness is checked on the
+    # reduced scheme and the lifted one on the original, each once
+    calls.clear()
+    s = new_scheme(5, dets([(1, 0), (1, 30), None, (7, 30), (11, 60)]))
+    v = decide_torus(s)
+    assert v.realizable and v.reduction.reduced.n == 4
+    assert len(calls) == len(set(calls)) == 2
+    assert (s.n, s.entries, v.witness) in calls
+
+    calls.clear()
+    assert decide_torus(new_scheme(2, [6])).realizable and len(calls) == 1
