@@ -28,15 +28,24 @@ and O(n^4) Pluecker checks.  construct_witness verifies the witness, and
 the lifted system is verified again only when the reduction removed
 curves.  Only when no witness comes out are the conditions checked in
 stage order (triangle, Pluecker, kappa residues) to list every failure of
-the first failing stage.  The triangle and Pluecker checks walk a dense
-copy of the matrix.
+the first failing stage.  The triangle check walks all C(n,3) triples of a
+dense copy of the matrix.  The Pluecker check is output-sensitive: the
+relations say the matrix has rank 2, and for a base pair (a, b) with
+m_ab != 0 the rank-2 matrix W that agrees with rows a and b differs from
+the scheme exactly on the "bad pairs" (i, j) with mu_abij != 0.  All
+Pfaffians of W vanish, so each failing quadruple contains a bad pair, and
+only the quadruples through one are tested, in lexicographic order.  The
+base is the one of (1,2), (3,4), (5,6) with the fewest bad pairs; when even
+those would put more than 1/_SPARSE_SHARE of the C(n,4) quadruples in play,
+all quadruples are tested, by the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations, islice
+from math import comb, gcd
 from typing import Optional, Union
 
 from .errors import ConstraintViolation, DomainError, PreconditionViolated
@@ -154,21 +163,111 @@ def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
 
 
 def check_pluecker_full(s: Scheme) -> PlueckerCheck:
-    """All C(n,4) Pluecker relations; vacuous pass for n < 4."""
+    """Every failing Pluecker relation, in lexicographic order; vacuous
+    pass for n < 4.
+
+    The relations hold iff the matrix has rank 2.  For a base pair (a, b)
+    with m_ab != 0, W_ij = (m_ai*m_bj - m_aj*m_bi)/m_ab is the rank-2
+    matrix that agrees with rows a and b, and m_ij != W_ij exactly when
+    the Pfaffian mu_abij is nonzero: (i, j) is then a bad pair.  Every
+    Pfaffian of W vanishes, so every failing quadruple contains a bad
+    pair, and only the quadruples through one are tested.  Of the base
+    pairs (1,2), (3,4), (5,6) the one with the fewest bad pairs is taken.
+    When even those bad pairs bound more than 1/_SPARSE_SHARE of the
+    C(n,4) quadruples (every tried base has a perturbed entry, or the
+    matrix is far from rank 2), the candidates are all quadruples.  The
+    test is the same loop either way.
+    """
     n = s.n
+    if n < 4:
+        return PlueckerCheck(True, ())
     rows = dense_rows(s)
-    failures = []
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            m_ij, rj = ri[j], rows[j]
-            for k in range(j + 1, n):
-                m_ik, m_jk, rk = ri[k], rj[k], rows[k]
-                # mu_ijkl = m_ij*m_kl - m_ik*m_jl + m_il*m_jk
-                for l in range(k + 1, n):
-                    if m_ij * rk[l] - m_ik * rj[l] + ri[l] * m_jk:
-                        failures.append(FailedPluecker(i + 1, j + 1, k + 1, l + 1))
-    return PlueckerCheck(not failures, tuple(failures))
+    failures = tuple(
+        FailedPluecker(i + 1, j + 1, k + 1, l + 1)
+        for i, j, k, l in _nonzero_pfaffians(rows, _candidates(rows, n))
+    )
+    return PlueckerCheck(not failures, failures)
+
+
+# disjoint base pairs tried for the bad-pair screen, 0-based
+_BASE_PAIRS = ((0, 1), (2, 3), (4, 5))
+# The screen's candidates may be at most 1/_SPARSE_SHARE of C(n,4).  Listing
+# a candidate costs a few times testing one, so even if every candidate
+# passed, the screen would cost at most about 1.25x the plain scan.
+_SPARSE_SHARE = 16
+
+
+def _nonzero_pfaffians(rows, groups):
+    """(i, j, k, l), 0-based, for each candidate whose Pfaffian
+    m_ij*m_kl - m_ik*m_jl + m_il*m_jk is nonzero, in the order of groups.
+
+    groups holds (i, j, [(k, ls), ...]): the candidates are (i, j, k, l)
+    for l in ls.  The indices need not be sorted; the Pfaffian is that of
+    the 4 x 4 submatrix in the order given.
+    """
+    for i, j, kls in groups:
+        ri, rj = rows[i], rows[j]
+        m_ij = ri[j]
+        for k, ls in kls:
+            m_ik, m_jk, rk = ri[k], rj[k], rows[k]
+            for l in ls:
+                if m_ij * rk[l] - m_ik * rj[l] + ri[l] * m_jk:
+                    yield i, j, k, l
+
+
+def _bad_pairs(rows, n: int, a: int, b: int, cap: int) -> list:
+    """The pairs (k, l), k < l, off {a, b} with mu_abkl != 0; the scan
+    stops after cap + 1 of them."""
+    rest = [x for x in range(n) if x != a and x != b]
+    kls = [(k, rest[t + 1:]) for t, k in enumerate(rest)]
+    found = _nonzero_pfaffians(rows, [(a, b, kls)])
+    return [(k, l) for _, _, k, l in islice(found, cap + 1)]
+
+
+def _candidates(rows, n: int):
+    """Groups for _nonzero_pfaffians that cover every failing quadruple,
+    in lexicographic order."""
+    limit = comb(n, 4) // (_SPARSE_SHARE * comb(n - 2, 2))
+    best = None
+    for a, b in _BASE_PAIRS:
+        if b >= n or not rows[a][b]:
+            continue
+        cap = limit if best is None else len(best) - 1
+        bad = _bad_pairs(rows, n, a, b, cap)
+        if len(bad) <= cap:
+            best = bad
+            if len(bad) <= 1:  # a failing relation leaves every base one
+                break
+    if best is None:
+        tails = [[(k, range(k + 1, n)) for k in range(j + 1, n)] for j in range(n)]
+        return ((i, j, tails[j]) for i in range(n) for j in range(i + 1, n))
+    # quadruple i < j < k < l as the integer ((i*n + j)*n + k)*n + l, which
+    # orders quadruples lexicographically
+    n2, n3 = n * n, n ** 3
+    keys = set()
+    for p, q in best:
+        lo, mid, hi = range(p), range(p + 1, q), range(q + 1, n)
+        pq = p * n + q
+        # the other two indices, x < y, below, between or above p < q
+        keys.update((x * n + y) * n2 + pq for x, y in combinations(lo, 2))
+        keys.update(x * n3 + p * n2 + y * n + q for x in lo for y in mid)
+        keys.update(x * n3 + p * n2 + q * n + y for x in lo for y in hi)
+        keys.update(p * n3 + x * n2 + y * n + q for x, y in combinations(mid, 2))
+        keys.update(p * n3 + x * n2 + q * n + y for x in mid for y in hi)
+        keys.update(pq * n2 + x * n + y for x, y in combinations(hi, 2))
+    groups = []
+    last_ij = last_k = None
+    for key in sorted(keys):
+        ij, kl = divmod(key, n2)
+        k, l = divmod(kl, n)
+        if ij != last_ij:
+            last_ij, last_k, kls = ij, None, []
+            groups.append((*divmod(ij, n), kls))
+        if k != last_k:
+            last_k, ls = k, []
+            kls.append((k, ls))
+        ls.append(l)
+    return groups
 
 
 def pluecker_identity(s: Scheme, a: int, b: int, c: int, d: int, e: int) -> int:
@@ -218,23 +317,34 @@ def _primes_below(n: int):
     return [c for c in range(2, n) if is_probable_prime(c)]
 
 
+def _toz_contributions(s: Scheme, p: int, nu: int) -> tuple:
+    """The column contributions to toz(m;p), j = 2..n, where
+    nu = nu_p(g_123); they read only the entries m_1j, m_2j and m_3j."""
+
+    def v(i, j):
+        return valuation(get(s, i, j), p)
+
+    contribs = [Fraction(1)]  # column j = 2
+    v12, v13, v23 = v(1, 2), v(1, 3), v(2, 3)
+    contribs.append(Fraction(1) if 0 < v13 == v23 == v12 else Fraction(0))
+    for j in range(4, s.n + 1):
+        v1, v2, v3 = v(1, j), v(2, j), v(3, j)
+        if 0 < v1 == v2 == v3 <= nu:
+            contribs.append(Fraction(p) ** (v1 - nu))
+        else:
+            contribs.append(Fraction(0))
+    return tuple(contribs)
+
+
 def _toz_entry(s: Scheme, p: int, nu: int) -> PrimeTozEntry:
-    """The column contributions to toz(m;p), where nu = nu_p(g_123)."""
+    """toz(m;p) with the valuations of every entry, for the report."""
     vals = {
         (i, j): valuation(get(s, i, j), p)
         for j in range(2, s.n + 1)
         for i in range(1, j)
     }
-    contribs = [Fraction(1)]  # column j = 2
-    v12, v13, v23 = vals[(1, 2)], vals[(1, 3)], vals[(2, 3)]
-    contribs.append(Fraction(1) if 0 < v13 == v23 == v12 else Fraction(0))
-    for j in range(4, s.n + 1):
-        v1, v2, v3 = vals[(1, j)], vals[(2, j)], vals[(3, j)]
-        if 0 < v1 == v2 == v3 <= nu:
-            contribs.append(Fraction(p) ** (v1 - nu))
-        else:
-            contribs.append(Fraction(0))
-    return PrimeTozEntry(p, nu, vals, tuple(contribs), sum(contribs))
+    contribs = _toz_contributions(s, p, nu)
+    return PrimeTozEntry(p, nu, vals, contribs, sum(contribs))
 
 
 def toz_report(s: Scheme) -> TozReport:
@@ -281,7 +391,7 @@ def _circledast_failures(s: Scheme, cons: KappaConstraintSet):
     """FailedToz(p, toz total) for each prime p < n with no allowed kappa
     class, primes increasing; cons supplies the (p, nu) pairs of g_123."""
     return tuple(
-        FailedToz(pc.prime, _toz_entry(s, pc.prime, pc.nu).total)
+        FailedToz(pc.prime, sum(_toz_contributions(s, pc.prime, pc.nu)))
         for pc in cons.per_prime
         if pc.prime < s.n and not pc.allowed
     )

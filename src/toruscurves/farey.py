@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import gcd
-from multiprocessing import Pool
 
 from .errors import DomainError
 
@@ -187,6 +186,9 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     best_size, best_witness = 2, ((0, 1), (1, 0))
     if workers > 1:
+        # imported here: only the worker path needs it, and it is slow to load
+        from multiprocessing import Pool
+
         with Pool(workers) as pool:
             results = pool.map(_anchor_best, tasks)
         for res in results:

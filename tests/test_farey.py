@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from itertools import combinations
 from math import comb
@@ -212,7 +213,7 @@ def test_max_packing_pool_size(monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(farey, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(farey.os, "cpu_count", lambda: 64)
     # d = 1 has the single anchor (0, 1): no pool at all
     assert max_packing(1, jobs=64).size == 3

@@ -5,7 +5,7 @@ decide_torus with its witness tried first."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -29,9 +29,10 @@ from toruscurves import (
     new_scheme,
     reduce_zeros,
     solve_xy,
+    toz_report,
     verify_system,
 )
-from toruscurves.scheme import EMPTY_CURVE, Unresolvable, get
+from toruscurves.scheme import EMPTY_CURVE, Unresolvable, _pos, get
 
 
 def _zero_heavy_scheme(rng: random.Random, n: int) -> Scheme:
@@ -104,6 +105,87 @@ def test_dense_checks_match_reference(rng):
                 s = new_scheme(n, entries)
         assert check_triangle(s) == reference.check_triangle(s)
         assert check_pluecker_full(s) == reference.check_pluecker_full(s)
+
+
+def _perturbed(s: Scheme, pairs, negate: bool = False) -> Scheme:
+    """s with each m_ij, (i, j) in pairs, negated or shifted by the lcm of
+    all entries; either way every pairwise gcd is kept."""
+    entries = list(s.entries)
+    lcm = 1
+    for e in entries:
+        if e:
+            lcm = lcm * abs(e) // gcd(lcm, e)
+    for i, j in pairs:
+        t = _pos(i, j)
+        entries[t] = -entries[t] if negate else entries[t] + lcm
+    return new_scheme(s.n, entries)
+
+
+def test_pluecker_screen_matches_reference(rng):
+    # perturbations in the rows of the base pairs the screen tries, in
+    # every one of them at once, two negated entries, and dense schemes
+    for n in [*range(4, 13), 16, 20, 24]:
+        for _ in range(4 if n <= 12 else 2):
+            s = random_vector_scheme(rng, n, qmax=9, distinct=True)
+            j = rng.randint(3, n)
+            shapes = [[(1, 2)], [(1, 3)], [(1, j)], [(2, j)], [(n - 1, n)]]
+            if n >= 6:
+                shapes.append([(1, 2), (3, 4), (5, 6)])
+            schemes = [_perturbed(s, pairs) for pairs in shapes]
+            two = rng.sample([(i, k) for k in range(2, n + 1) for i in range(1, k)], 2)
+            schemes.append(_perturbed(s, two, negate=True))
+            schemes.append(random_nonzero_scheme(rng, n))
+            for t in schemes:
+                got = check_pluecker_full(t)
+                assert got == reference.check_pluecker_full(t)
+                assert not got.ok
+
+
+def test_pluecker_screen_is_output_sensitive(monkeypatch):
+    from toruscurves import conditions
+
+    tested = []
+    scan = conditions._nonzero_pfaffians
+
+    def counted(rows, groups):
+        groups = list(groups)
+        tested.append(sum(len(ls) for _, _, kls in groups for _, ls in kls))
+        return scan(rows, groups)
+
+    monkeypatch.setattr(conditions, "_nonzero_pfaffians", counted)
+    n = 40
+    s = random_vector_scheme(random.Random(n), n, qmax=30, distinct=True)
+    # one bad pair for the first clean base: C(n-2, 2) failing quadruples,
+    # found with at most three bad-pair scans and C(n-2, 2) tests
+    for pairs in ([(n - 1, n)], [(1, 2)], [(1, 7)], [(2, 7)], [(5, 6)]):
+        tested.clear()
+        t = _perturbed(s, pairs)
+        got = check_pluecker_full(t)
+        assert got == reference.check_pluecker_full(t)
+        assert len(got.failures) == comb(n - 2, 2)
+        assert sum(tested) <= 4 * comb(n - 2, 2)
+    # every tried base pair dirty: the candidates are all quadruples
+    tested.clear()
+    t = _perturbed(s, [(1, 2), (3, 4), (5, 6)])
+    assert check_pluecker_full(t) == reference.check_pluecker_full(t)
+    assert tested[-1] == comb(n, 4)
+
+
+def test_toz_total_matches_report(rng):
+    seen = 0
+    for t in range(400):
+        n = rng.randint(3, 9)
+        g = rng.choice([2, 3, 4, 6, 8, 9, 12, 30])
+        if t % 2:
+            s = new_scheme(n, [g * e for e in random_vector_scheme(rng, n).entries])
+        else:
+            s = _kappa_scheme(rng, n)
+        v = decide_torus(s)
+        for f in v.reasons:
+            if isinstance(f, FailedToz):
+                assert f.total == toz_report(v.reduction.reduced).total_for(f.prime)
+                seen += 1
+    assert seen >= 30
 
 
 def test_verify_system_matches_reference(rng):

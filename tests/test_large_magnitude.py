@@ -3,7 +3,8 @@
 Curves 1 and 2 are (1,0) and (0,1), so m_12 = 1, g_123 = 1 and nothing is
 factored; curves 3..n are huge primitive vectors, repeats of earlier
 curves (possibly reversed) and Empty curves, so most examples give zero
-reduction work to do.
+reduction work to do.  The refutation test perturbs one entry of such a
+scheme, with coordinates up to 10^15 so that entries run up to 10^30.
 """
 
 import io
@@ -13,10 +14,13 @@ import tempfile
 from contextlib import redirect_stdout
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+import reference
+
+from hypothesis import assume, given, settings, strategies as st
 
 from toruscurves import (
     EMPTY_CURVE,
+    check_pluecker_full,
     curve,
     decide_torus,
     new_scheme,
@@ -35,8 +39,8 @@ _COORD = st.integers(-BIG, BIG)
 
 
 @st.composite
-def _primitive(draw):
-    p, q = draw(_COORD), draw(_COORD)
+def _primitive(draw, coord=_COORD):
+    p, q = draw(coord), draw(coord)
     if p == q == 0:
         p = 1
     g = gcd(p, q)
@@ -44,12 +48,13 @@ def _primitive(draw):
 
 
 @st.composite
-def _systems(draw):
+def _systems(draw, extra=(1, 8), kinds=("new", "repeat", "reversed", "empty"),
+             coord=_COORD):
     system = [curve(1, 0), curve(0, 1)]
-    for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["new", "repeat", "reversed", "empty"]))
+    for _ in range(draw(st.integers(*extra))):
+        kind = draw(st.sampled_from(kinds))
         if kind == "new":
-            system.append(draw(_primitive()))
+            system.append(draw(_primitive(coord)))
         elif kind == "empty":
             system.append(EMPTY_CURVE)
         else:
@@ -108,3 +113,45 @@ def test_huge_systems(system, t, u, data):
         for c in json.loads(out.getvalue())["witness"]
     )
     assert verify_system(s, witness)
+
+
+# mostly new curves, so that the reduced scheme is often large enough
+# (n >= 15) for the Pluecker check's bad-pair screen
+_REFUTED_KINDS = ("new",) * 6 + ("repeat", "reversed", "empty")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    system=_systems((13, 20), _REFUTED_KINDS, st.integers(-10**15, 10**15)),
+    data=st.data(),
+)
+def test_huge_pluecker_refutations(system, data):
+    # one entry between two curves that are not Empty and have no repeat
+    # is negated or shifted by the lcm of all entries: every gcd is kept,
+    # so Pluecker refutes, while the other curves still reduce away
+    def lonely(c):
+        return not c.is_empty and sum(d in (c, c.negated()) for d in system) == 1
+
+    n = len(system)
+    pairs = [
+        (i, j)
+        for j in range(2, n + 1)
+        for i in range(1, j)
+        if lonely(system[i - 1]) and lonely(system[j - 1])
+    ]
+    assume(pairs)
+    i, j = data.draw(st.sampled_from(pairs))
+    entries = list(_scheme_of(system).entries)
+    t = (j - 1) * (j - 2) // 2 + i - 1
+    if data.draw(st.booleans()):
+        entries[t] = -entries[t]
+    else:
+        lcm = 1
+        for e in entries:
+            if e:
+                lcm = lcm * abs(e) // gcd(lcm, e)
+        entries[t] += lcm
+    s = new_scheme(n, entries)
+    assert check_pluecker_full(s) == reference.check_pluecker_full(s)
+    # reasons on the reduced scheme map back through the survivors
+    assert decide_torus(s) == reference.decide_torus(s)

@@ -1,0 +1,199 @@
+"""Scaling series for the Pluecker refutation stage, standard library only.
+
+    python3 tools/bench_series.py --parent OTHER/src --out BENCH.json
+    python3 tools/bench_series.py --quick
+
+Each point is a realizable scheme of n distinct curve classes (coordinates
+in [-30, 30], seeded by n) with a perturbation that keeps every pairwise
+gcd, so the triangle condition holds and only Pluecker relations fail:
+
+  last_pair        m_{n-1,n} += L, where L is the lcm of all entries;
+  base_row         m_12 += L, an entry in the rows of the first base pair;
+  two_negated      m_{7,n/2} and m_{n/2+1,n} negated, off the rows of
+                   every base pair;
+  all_bases_dirty  m_12, m_34 and m_56 += L, so every base pair the
+                   bad-pair screen tries has a perturbed entry.
+
+The series runs n = 28, 40, 80, 160 and records, per point, the best of a
+few wall times (time.perf_counter) of check_pluecker_full and of
+check_triangle on the same scheme.  With --parent, a second toruscurves
+tree (the src/ directory of another checkout) is loaded under another
+module name and timed in the same process, alternating with this tree's,
+so both columns see the same machine state; the script fails unless both
+trees give the same reasons.
+
+--quick runs only the points with n <= 40, times nothing, and fails unless
+every point's reasons equal tests/reference.py's check_pluecker_full.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import json
+import os
+import platform
+import random
+import sys
+from math import gcd
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (28, 40, 80, 160)
+QUICK_MAX_N = 40
+SHAPES = ("last_pair", "base_row", "two_negated", "all_bases_dirty")
+CMAX = 30
+
+
+def load_tree(src: Path, alias: str):
+    """Import the toruscurves package under src as the module alias."""
+    init = src / "toruscurves" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pos(i: int, j: int) -> int:
+    """Column-order position of m_ij, 1 <= i < j."""
+    return (j - 1) * (j - 2) // 2 + i - 1
+
+
+def shape_entries(n: int, shape: str) -> list:
+    rng = random.Random(n)
+    seen, vecs = set(), []
+    while len(vecs) < n:
+        p, q = rng.randint(-CMAX, CMAX), rng.randint(-CMAX, CMAX)
+        if (p, q) == (0, 0) or gcd(p, q) != 1:
+            continue
+        key = (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
+        if key not in seen:
+            seen.add(key)
+            vecs.append((p, q))
+    entries = [
+        vecs[i][0] * vecs[j][1] - vecs[j][0] * vecs[i][1]
+        for j in range(1, n)
+        for i in range(j)
+    ]
+    lcm = 1
+    for e in entries:
+        lcm = lcm * abs(e) // gcd(lcm, e)
+    if shape == "last_pair":
+        entries[_pos(n - 1, n)] += lcm
+    elif shape == "base_row":
+        entries[_pos(1, 2)] += lcm
+    elif shape == "two_negated":
+        for i, j in ((7, n // 2), (n // 2 + 1, n)):
+            entries[_pos(i, j)] *= -1
+    elif shape == "all_bases_dirty":
+        for i in (1, 3, 5):
+            entries[_pos(i, i + 1)] += lcm
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    if 0 in entries:
+        raise SystemExit(f"n={n} {shape}: a perturbed entry is 0")
+    return entries
+
+
+def timed(fn, arg):
+    """(wall time in ms, result) of one call."""
+    gc.collect()
+    t0 = perf_counter()
+    out = fn(arg)
+    return (perf_counter() - t0) * 1e3, out
+
+
+def reasons(check) -> list:
+    return [(f.i, f.j, f.k, f.l) for f in check.failures]
+
+
+def quick(tree) -> int:
+    sys.path.insert(0, str(ROOT / "tests"))
+    import reference
+
+    bad = 0
+    for n in (n for n in SIZES if n <= QUICK_MAX_N):
+        for shape in SHAPES:
+            s = tree.new_scheme(n, shape_entries(n, shape))
+            got = tree.check_pluecker_full(s)
+            same = got == reference.check_pluecker_full(s)
+            bad += not same
+            print(f"n={n} {shape}: {len(got.failures)} reasons, "
+                  f"{'match' if same else 'DIFFER from'} the reference")
+    return 1 if bad else 0
+
+
+def series(trees: dict) -> list:
+    points = []
+    for n in SIZES:
+        reps = 5 if n <= 40 else 3
+        for shape in SHAPES:
+            entries = shape_entries(n, shape)
+            schemes = {label: t.new_scheme(n, entries) for label, t in trees.items()}
+            times = {label: ([], []) for label in trees}
+            got = {}
+            for _ in range(reps):
+                for label, tree in trees.items():
+                    ms, plk = timed(tree.check_pluecker_full, schemes[label])
+                    times[label][0].append(ms)
+                    got[label] = reasons(plk)
+                    ms, tri = timed(tree.check_triangle, schemes[label])
+                    times[label][1].append(ms)
+                    if not tri.ok:
+                        raise SystemExit(f"n={n} {shape}: the triangle check fails")
+            if any(r != got["change"] for r in got.values()):
+                raise SystemExit(f"n={n} {shape}: the trees' reasons differ")
+            point = {"n": n, "shape": shape, "reasons": len(got["change"])}
+            for label, (plk_ms, tri_ms) in times.items():
+                point[label] = {
+                    "pluecker_ms": round(min(plk_ms), 3),
+                    "triangle_ms": round(min(tri_ms), 3),
+                }
+            if "parent" in trees:
+                point["pluecker_ratio"] = round(
+                    point["change"]["pluecker_ms"] / point["parent"]["pluecker_ms"], 3
+                )
+            points.append(point)
+            print(json.dumps(point), flush=True)
+    return points
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path,
+                    help="src/ directory of a second tree to time alongside")
+    ap.add_argument("--out", type=Path, help="write the series as JSON here")
+    ap.add_argument("--quick", action="store_true",
+                    help="n <= 40, check reasons against the reference, no timing")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    import toruscurves
+
+    if args.quick:
+        return quick(toruscurves)
+    trees = {}
+    if args.parent is not None:
+        trees["parent"] = load_tree(args.parent.resolve(), "parent_toruscurves")
+    trees["change"] = toruscurves
+    doc = {
+        "what": "check_pluecker_full and check_triangle on Pluecker-refuted "
+                "schemes; best of 5 (n <= 40) or 3 wall times in ms; 'change' "
+                "is this tree, 'parent' the tree given by --parent",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "points": series(trees),
+    }
+    if args.out is not None:
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
