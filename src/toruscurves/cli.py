@@ -140,17 +140,25 @@ def _verdict_doc(v: Verdict):
         per_prime = v.constraints.per_prime
         doc["orbits"] = {
             "modulus": prod(pc.modulus for pc in per_prime),
-            "count": prod(len(pc.allowed) for pc in per_prime),
+            "count": prod(pc.count for pc in per_prime),
             "per_prime": [
                 {
                     "prime": pc.prime,
                     "modulus": pc.modulus,
-                    "allowed_kappa": list(pc.allowed),
+                    "count": pc.count,
+                    "ball": _class_doc(pc.ball),
+                    "excluded": [_class_doc(e) for e in pc.excluded],
                 }
                 for pc in per_prime
             ],
         }
     return doc
+
+
+def _class_doc(cls):
+    return None if cls is None else {
+        "residue": cls.residue, "modulus": cls.modulus
+    }
 
 
 def _emit(doc) -> None:

@@ -10,24 +10,25 @@ A scheme with nonzero entries is realized on a torus iff
 
 The last condition is classically stated as a bound toz(m;p) < p on an
 exact-rational invariant built from p-valuations.  The verdict is decided
-by scanning the kappa residues mod p^nu against the linear form
-D_j = A_j + kappa*B_j of every column j >= 2 (solver.kappa_constraints),
-which is what the bound counts: the two agree except that toz can
-double-count a forbidden residue shared by two columns, so the scan is
-authoritative.  p^nu suffices although the exclusion test reads D_j mod
-p^(nu+1): it applies only when p | B_j, and then D_j mod p^(nu+1) depends
-on kappa mod p^nu alone.  toz_report computes the invariant literally and
-is not on the decision path; a FailedToz refutation computes the toz total
-of its failing primes only (_circledast_failures), from the (p, nu) pairs
-the scan already holds.
+by the admitted kappa classes mod p^nu of the linear forms
+D_j = A_j + kappa*B_j, one per column j >= 2 (solver.kappa_constraints:
+one p-adic class minus the classes the exclusion tests cut out, counted
+exactly), which is what the bound counts: the two agree except that toz
+can double-count a forbidden residue shared by two columns, so the count
+is authoritative.  p^nu suffices although the exclusion test reads D_j
+mod p^(nu+1): it applies only when p | B_j, and then D_j mod p^(nu+1)
+depends on kappa mod p^nu alone.  toz_report computes the invariant
+literally and is not on the decision path; a FailedToz refutation
+computes the toz total of its failing primes only (_circledast_failures),
+from the (p, nu) pairs the kappa classes already hold.
 
-decide_torus runs certificate first: after zero reduction it scans the
-kappa residues and builds the witness for the canonical kappa, and a
+decide_torus runs certificate first: after zero reduction it computes the
+kappa classes and builds the witness for the canonical kappa, and a
 witness that verifies settles realizability without the O(n^3) triangle
 and O(n^4) Pluecker checks.  construct_witness verifies the witness, and
 the lifted system is verified again only when the reduction removed
 curves.  Only when no witness comes out are the conditions checked in
-stage order (triangle, Pluecker, kappa residues) to list every failure of
+stage order (triangle, Pluecker, kappa classes) to list every failure of
 the first failing stage.  The triangle check walks all C(n,3) triples of a
 dense copy of the matrix.  The Pluecker check is output-sensitive: the
 relations say the matrix has rank 2, and for a base pair (a, b) with
@@ -48,7 +49,7 @@ from itertools import combinations, islice
 from math import comb, gcd
 from typing import Optional, Union
 
-from .errors import ConstraintViolation, DomainError, PreconditionViolated
+from .errors import ConstraintViolation, PreconditionViolated
 from .intarith import factorize, is_probable_prime, valuation
 from .scheme import (
     ReductionLog,
@@ -393,7 +394,7 @@ def _circledast_failures(s: Scheme, cons: KappaConstraintSet):
     return tuple(
         FailedToz(pc.prime, sum(_toz_contributions(s, pc.prime, pc.nu)))
         for pc in cons.per_prime
-        if pc.prime < s.n and not pc.allowed
+        if pc.prime < s.n and pc.count == 0
     )
 
 
@@ -426,14 +427,14 @@ def decide_torus(s: Scheme) -> Verdict:
 
     1. Zero reduction; an unresolvable zero pair refutes at once, and
        fewer than 3 curves left take their first orbit as the witness.
-    2. When the base triple's three gcds agree: kappa residues (which
+    2. When the base triple's three gcds agree: kappa classes (which
        factor g_123, once per decision), canonical kappa and the witness
        for it.  A witness that verifies proves realizability, so the
        verdict is returned without the triangle and Pluecker checks or
        the toz report; the lifted witness is verified again only when
        the reduction removed curves.
     3. Otherwise the conditions are checked in order, triangle, Pluecker,
-       then kappa residues (reusing the scan of step 2), and every failure
+       then kappa classes (reusing those of step 2), and every failure
        of the first failing stage is listed.
 
     Realizable verdicts carry a verified witness lifted back through the
@@ -458,15 +459,11 @@ def decide_torus(s: Scheme) -> Verdict:
         kappa = first.kappa if r.n == 2 else None
         return _realizable(s, red, system, kappa, None)
 
-    cons = scan_error = None
+    cons = None
     m12, m13, m23 = r.entries[:3]
     if gcd(m12, m13) == gcd(m12, m23) == gcd(m13, m23):
-        try:
-            cons = kappa_constraints(r)
-        except DomainError as exc:
-            # fatal only if no condition fails first, as in stage order
-            scan_error = exc
-        if cons is not None and cons.feasible():
+        cons = kappa_constraints(r)
+        if cons.feasible():
             kappa = canonical_kappa(cons)
             try:
                 witness = construct_witness(r, kappa)
@@ -476,10 +473,10 @@ def decide_torus(s: Scheme) -> Verdict:
                 system = lift_system(red, witness.system)
                 # verified on r, which is s when no step removed a curve
                 return _realizable(s, red, system, kappa, cons, not red.steps)
-    return _refutation(red, cons, scan_error)
+    return _refutation(red, cons)
 
 
-def _refutation(red, cons, scan_error) -> Verdict:
+def _refutation(red, cons) -> Verdict:
     """Stage-order failures of a reduced scheme that has no witness."""
     r = red.reduced
     tri = check_triangle(r)
@@ -498,8 +495,6 @@ def _refutation(red, cons, scan_error) -> Verdict:
         )
         return Verdict(False, reasons, None, False, red)
 
-    if scan_error is not None:
-        raise scan_error
     toz_fail = _circledast_failures(r, cons)
     if toz_fail:
         return Verdict(False, toz_fail, None, False, red, constraints=cons)

@@ -8,15 +8,26 @@ them are indexed by one integer parameter kappa:
 for j >= 2, where x*m'_13 - y*m'_12 = 1 (m'_ij = m_ij / g_123).  With
 m_22 = m_33 = 0 and m_32 = -m_23 this gives r_2 = x*m'_23 + kappa*m'_12
 and r_3 = y*m'_23 + kappa*m'_13.  _kappa_line computes the pairs
-(A_j, B_j) once; the residue scan, construct_witness and forbidden_count
+(A_j, B_j) once; kappa_constraints, construct_witness and forbidden_count
 all start from them.  A kappa is admitted exactly when every r_j is an
 integer and gcd(r_j, m_1j) = 1.  At a prime p^nu || g_123 that means
 p^nu | D_j for every j, and p^(nu+1) does not divide D_j when p | B_j
 (for j = 2, 3 this says r_2, r_3 are units mod p).  Both tests depend on
 kappa mod p^nu only: the first is a test mod p^nu, and when p | B_j,
-shifting kappa by p^nu moves D_j by a multiple of p^(nu+1).  So
-kappa_constraints scans the residues mod p^nu, and the admitted classes
-of all primes combine by CRT into classes mod g_123 (_crt_product).
+shifting kappa by p^nu moves D_j by a multiple of p^(nu+1).
+
+Each test is linear in kappa, so it holds on a p-adic ball, a class mod a
+power of p.  With t = v_p(B_j), p^e | D_j holds on one class mod p^(e-t)
+when t < e (and p^t | A_j; otherwise nowhere), and for every kappa or
+none when t >= e.  Two p-adic balls are nested or disjoint, so the
+inclusion tests meet in one ball r mod m (or nothing).  A column's
+exclusion ball is at most p times finer than its inclusion ball, which
+holds r mod m, so each exclusion test removes all of r mod m, nothing, or
+one of its p sub-balls mod p*m.  kappa_constraints stores that closed form per
+prime (PrimeConstraint), with an exact count and the residues in
+increasing order on demand, in O(n * nu) steps and without a scan.  The
+admitted classes of all primes combine by CRT into classes mod g_123
+(_crt_product).
 Shifting kappa by g_123 is the stabilizer of (1,0), so these classes are
 exactly the orbits of normalized witnesses.
 """
@@ -60,10 +71,73 @@ class XYWitness:
 
 @dataclass(frozen=True)
 class PrimeConstraint:
+    """The kappa residues mod p^nu admitted at one prime p | g_123.
+
+    They are the residues of one p-adic class, ball (a ResidueClass mod a
+    power of p), outside the classes in excluded, which are some of its p
+    classes mod p * ball.modulus, by residue; fewer than p - 1 of them, so
+    ball is the smallest class holding every admitted residue.  ball is
+    None when none is admitted.  count is their exact number; allowed
+    lists them lazily.
+    """
+
     prime: int
     nu: int  # valuation of g_123 at this prime
     modulus: int  # prime ** nu; every test on kappa is periodic mod it
-    allowed: tuple  # sorted kappa residues mod modulus
+    ball: Optional[ResidueClass]
+    excluded: tuple  # tuple[ResidueClass, ...]
+    count: int
+
+    @property
+    def allowed(self) -> "KappaResidues":
+        """The admitted residues in [0, modulus), increasing."""
+        return KappaResidues(self)
+
+
+class KappaResidues:
+    """The admitted residues of a PrimeConstraint as a lazy sequence.
+
+    With the ball r mod m, the residues are r + m*k for 0 <= k < p^nu/m
+    whose digit k mod p is not excluded, so member i costs
+    O(len(excluded)) whatever p^nu is; iteration goes through it.  len()
+    overflows past sys.maxsize; PrimeConstraint.count does not.
+    """
+
+    __slots__ = ("_pc",)
+
+    def __init__(self, pc: PrimeConstraint):
+        self._pc = pc
+
+    def __len__(self) -> int:
+        return self._pc.count
+
+    def __bool__(self) -> bool:
+        return self._pc.count > 0
+
+    def __contains__(self, k) -> bool:
+        pc = self._pc
+        return (
+            pc.ball is not None
+            and 0 <= k < pc.modulus
+            and k % pc.ball.modulus == pc.ball.residue
+            and all(k % e.modulus != e.residue for e in pc.excluded)
+        )
+
+    def __getitem__(self, i: int) -> int:
+        pc = self._pc
+        if i < 0:
+            i += pc.count
+        if not 0 <= i < pc.count:
+            raise IndexError("kappa residue index out of range")
+        r, m = pc.ball.residue, pc.ball.modulus
+        # the (i mod per)-th digit not excluded, in block i // per
+        per = pc.prime - len(pc.excluded)
+        block, digit = divmod(i, per)
+        for e in pc.excluded:
+            if (e.residue - r) // m > digit:
+                break
+            digit += 1
+        return r + m * (pc.prime * block + digit)
 
 
 @dataclass(frozen=True)
@@ -72,7 +146,7 @@ class KappaConstraintSet:
     unconstrained: bool
 
     def feasible(self) -> bool:
-        return self.unconstrained or all(pc.allowed for pc in self.per_prime)
+        return self.unconstrained or all(pc.count for pc in self.per_prime)
 
 
 @dataclass(frozen=True)
@@ -131,22 +205,77 @@ def _kappa_line(s: Scheme, w: XYWitness) -> list:
     return line
 
 
-def _admitted(line, p: int, nu: int, kappas) -> list:
-    """The kappas, in order, with p^nu | D_j for every j and
-    p^(nu+1) not dividing D_j whenever p | B_j."""
+def _meet(a: int, b: int, t: int, p: int, e: int, m: int, r: int):
+    """The class r mod m met with {kappa : p^e | a + kappa*b}, as
+    (modulus, residue), or None when they are disjoint; m is a power of p
+    and t = min(v_p(b), e).
+
+    The second set is a class mod p^(e-t) (everything or nothing when
+    t = e), and two classes mod powers of p are nested or disjoint.
+    """
+    mz = p ** (e - t)
+    if mz <= m:
+        return (m, r) if (a + r * b) % p**e == 0 else None
+    pt = p**t
+    if a % pt:
+        return None
+    c = -(a // pt) * pow(b // pt, -1, mz) % mz
+    return (mz, c) if c % m == r else None
+
+
+def _prime_constraint(line, p: int, nu: int) -> PrimeConstraint:
+    """The admitted kappa classes mod p^nu in closed form: p^nu | D_j for
+    every j, and p^(nu+1) does not divide D_j whenever p | B_j."""
     pe = p**nu
-    q = pe * p
-    out = kappas
+    m, r = 1, 0  # the inclusion tests so far hold exactly on r mod m
+    cuts = []  # (A_j, B_j, min(v_p(B_j), nu + 1)) for p | B_j
     for a, b in line:
-        a, b = a % q, b % q
-        if b % p:
-            out = [k for k in out if (a + k * b) % pe == 0]
-        else:
-            out = [k for k in out if (d := (a + k * b) % q) and d % pe == 0]
-    return out
+        if b % p:  # one class mod p^nu
+            if m == pe:
+                if (a + r * b) % pe:
+                    return _no_kappa(p, nu)
+                continue
+            c = -a * pow(b, -1, pe) % pe
+            if c % m != r:
+                return _no_kappa(p, nu)
+            m, r = pe, c
+            continue
+        t, bt = 1, b // p
+        while t <= nu and bt % p == 0:
+            t, bt = t + 1, bt // p
+        if t < nu:
+            met = _meet(a, b, t, p, nu, m, r)
+            if met is None:
+                return _no_kappa(p, nu)
+            m, r = met
+        elif a % pe:
+            return _no_kappa(p, nu)
+        cuts.append((a, b, t))
+    # A column's exclusion class is at most p times finer than its
+    # inclusion class, which holds r mod m; so it holds r mod m, misses
+    # it, or is one of its p classes mod p*m.
+    holes = set()
+    for a, b, t in cuts:
+        met = _meet(a, b, t, p, nu + 1, m, r)
+        if met is not None:
+            if met[0] == m:
+                return _no_kappa(p, nu)
+            holes.add(met[1])
+    if not holes:
+        return PrimeConstraint(p, nu, pe, ResidueClass(m, r), (), pe // m)
+    if len(holes) == p:
+        return _no_kappa(p, nu)
+    if len(holes) == p - 1:  # what is left is the last class mod p*m
+        r = next(r + m * d for d in range(p) if r + m * d not in holes)
+        m *= p
+        return PrimeConstraint(p, nu, pe, ResidueClass(m, r), (), pe // m)
+    count = (pe // m) // p * (p - len(holes))
+    excluded = tuple(ResidueClass(m * p, h) for h in sorted(holes))
+    return PrimeConstraint(p, nu, pe, ResidueClass(m, r), excluded, count)
 
 
-_ENUM_CAP = 10**7
+def _no_kappa(p: int, nu: int) -> PrimeConstraint:
+    return PrimeConstraint(p, nu, p**nu, None, (), 0)
 
 
 def kappa_constraints(s: Scheme) -> KappaConstraintSet:
@@ -154,23 +283,17 @@ def kappa_constraints(s: Scheme) -> KappaConstraintSet:
 
     An empty allowed set for some prime certifies the scheme is not
     realizable; nonemptiness is guaranteed once the gcd, Pluecker and
-    valuation conditions all hold.  The residue scan is exhaustive, so a
-    prime-power modulus above 10^7 is refused rather than enumerated.
+    valuation conditions all hold.  Each prime's set is computed in closed
+    form from the kappa line in O(n * nu) steps, whatever p^nu is.
     """
     w = solve_xy(s)
     if w.g123 == 1:
         return KappaConstraintSet((), unconstrained=True)
     line = _kappa_line(s, w)
-    per = []
-    for p, nu in factorize(w.g123).pairs:
-        modulus = p**nu
-        if modulus > _ENUM_CAP:
-            raise DomainError(
-                f"residue modulus {p}^{nu} exceeds the enumeration cap"
-            )
-        allowed = tuple(_admitted(line, p, nu, range(modulus)))
-        per.append(PrimeConstraint(p, nu, modulus, allowed))
-    return KappaConstraintSet(tuple(per), unconstrained=False)
+    per = tuple(
+        _prime_constraint(line, p, nu) for p, nu in factorize(w.g123).pairs
+    )
+    return KappaConstraintSet(per, unconstrained=False)
 
 
 def _crt_product(per_prime):
@@ -304,7 +427,10 @@ def forbidden_count(s: Scheme, g_l: int) -> int:
     if w.g123 % g_l != 0:
         raise DomainError(f"{g_l} does not divide g_123 = {w.g123}")
     nu = valuation(w.g123, g_l)
-    return g_l - len(_admitted(_kappa_line(s, w), g_l, nu, range(g_l)))
+    # for n = 3 both columns have v_p(B_j) >= nu, so the admitted set is
+    # a union of classes mod g_l
+    pc = _prime_constraint(_kappa_line(s, w), g_l, nu)
+    return g_l - pc.count // g_l ** (nu - 1)
 
 
 def sl2_act(a_matrix, system) -> tuple:

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -12,10 +13,24 @@ def random_nonzero_scheme(rng: random.Random, n: int, hi: int = 12) -> Scheme:
     return new_scheme(n, [rng.choice(pool) for _ in range(k)])
 
 
+@lru_cache(maxsize=None)
+def primitive_classes(qmax: int) -> int:
+    """The number of primitive vectors up to sign with coordinates in
+    [-qmax, qmax]: 16 for qmax = 3, 48 for qmax = 6."""
+    box = range(-qmax, qmax + 1)
+    return sum(1 for p in box for q in box if gcd(p, q) == 1) // 2
+
+
 def random_vector_scheme(rng: random.Random, n: int, qmax: int = 6,
                          distinct: bool = False) -> Scheme:
     """Scheme read off an actual system of primitive vectors (always
-    realizable on the torus)."""
+    realizable on the torus).  With distinct, no two vectors agree up to
+    sign; ValueError when the box has fewer than n such classes."""
+    if distinct and n > primitive_classes(qmax):
+        raise ValueError(
+            f"{n} distinct classes requested, [-{qmax}, {qmax}]^2 has "
+            f"{primitive_classes(qmax)}"
+        )
     vecs = []
     seen = set()
     while len(vecs) < n:

@@ -110,11 +110,19 @@ def kappa_args(check_stdout):
     if doc["status"] != "torus" or orbits is None:
         return [-3]
     modulus = orbits["modulus"]
-    per_prime = [(pp["modulus"], set(pp["allowed_kappa"]))
-                 for pp in orbits["per_prime"]]
+
+    def inside(k, cls):
+        return k % cls["modulus"] == cls["residue"]
+
+    def admitted(k, pp):
+        # in the prime's class and in none of the classes it excludes
+        return inside(k, pp["ball"]) and not any(
+            inside(k, e) for e in pp["excluded"]
+        )
+
     # the allowed classes mod g_123: every residue allowed mod each p^nu
     allowed = [k for k in range(modulus)
-               if all(k % m in classes for m, classes in per_prime)]
+               if all(admitted(k, pp) for pp in orbits["per_prime"])]
     picks = [allowed[len(allowed) // 2] - modulus]
     taken = set(allowed)
     forbidden = next((k for k in range(modulus) if k not in taken), None)

@@ -11,8 +11,9 @@ package's dense and certificate-first implementations:
   * kappa_constraints / forbidden_count / witness_r: the base-triple
     formulas for r_2 and r_3, then D_j read through get() for every column
     j >= 4, once per residue tested; kappa_constraints scans every residue
-    mod p^(nu+1) and projects the admitted set to mod p^nu only after
-    checking that it is exactly the p lifts of its projection;
+    mod p^(nu+1), projects the admitted set to mod p^nu only after
+    checking that it is exactly the p lifts of its projection, and reads
+    the closed form off the residue list by walking the p-adic tree;
   * decide_torus: zero reduction, triangle, Pluecker, kappa residues, then
     the witness, each stage run only after the previous one passed; the
     FailedToz totals come from the full toz_report;
@@ -54,7 +55,7 @@ from toruscurves.scheme import (
     get,
     lift_system,
 )
-from toruscurves.intarith import factorize, valuation
+from toruscurves.intarith import ResidueClass, factorize, valuation
 from toruscurves.solver import (
     KappaConstraintSet,
     PrimeConstraint,
@@ -211,6 +212,34 @@ def project(scanned, p, nu):
     return tuple(classes)
 
 
+def closed_form(allowed, p, nu):
+    """The PrimeConstraint of a sorted residue list mod p^nu: the smallest
+    p-adic class holding it, and the maximal classes inside that one
+    holding none of it, found by visiting every class of the tree."""
+    pe = p**nu
+    if not allowed:
+        return PrimeConstraint(p, nu, pe, None, (), 0)
+    m = 1
+    while m < pe and len({k % (m * p) for k in allowed}) == 1:
+        m *= p
+    members = set(allowed)
+    holes = []
+
+    def walk(mod, res):
+        inside = sum(1 for k in range(res, pe, mod) if k in members)
+        if inside == 0:
+            holes.append((mod, res))
+        elif inside < pe // mod:
+            for d in range(p):
+                walk(mod * p, res + mod * d)
+
+    walk(m, allowed[0] % m)
+    excluded = tuple(ResidueClass(hm, hr) for hm, hr in sorted(holes))
+    return PrimeConstraint(
+        p, nu, pe, ResidueClass(m, allowed[0] % m), excluded, len(allowed)
+    )
+
+
 def kappa_constraints(s):
     w = solve_xy(s)
     if w.g123 == 1:
@@ -218,7 +247,7 @@ def kappa_constraints(s):
     per = []
     for p, nu in factorize(w.g123).pairs:
         allowed = project(scan_lifted(s, w, p, nu), p, nu)
-        per.append(PrimeConstraint(p, nu, p**nu, allowed))
+        per.append(closed_form(allowed, p, nu))
     return KappaConstraintSet(tuple(per), unconstrained=False)
 
 

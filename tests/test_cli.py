@@ -48,7 +48,13 @@ def test_check_realizable(tmp_path, capsys):
     assert doc["orbits"] == {
         "modulus": 2,
         "count": 1,
-        "per_prime": [{"prime": 2, "modulus": 2, "allowed_kappa": [1]}],
+        "per_prime": [{
+            "prime": 2,
+            "modulus": 2,
+            "count": 1,
+            "ball": {"residue": 1, "modulus": 2},
+            "excluded": [],
+        }],
     }
     assert "toz" not in doc
 
@@ -62,12 +68,22 @@ def test_check_realizable(tmp_path, capsys):
     assert [pp["modulus"] for pp in orbits["per_prime"]] == [4, 3, 5]
     count = 1
     for pp in orbits["per_prime"]:
-        count *= len(pp["allowed_kappa"])
+        count *= pp["count"]
     assert orbits["count"] == count
+
+    def admitted(k, pp):
+        def inside(c):
+            return k % c["modulus"] == c["residue"]
+
+        return inside(pp["ball"]) and not any(map(inside, pp["excluded"]))
+
     kappa = doc["kappa"]
     assert 0 <= kappa < 60 and all(
-        kappa % pp["modulus"] in pp["allowed_kappa"] for pp in orbits["per_prime"]
+        admitted(kappa, pp) for pp in orbits["per_prime"]
     )
+    for pp in orbits["per_prime"]:
+        m = pp["modulus"]
+        assert pp["count"] == sum(admitted(k, pp) for k in range(m))
     code, doc = run_json(capsys, ["solve", path, "--orbits", "100"])
     assert code == 0 and len(doc["orbit_witnesses"]) == count
 
@@ -112,6 +128,38 @@ def test_solve_orbits_stop_at_the_limit(tmp_path, capsys):
         s = new_scheme(n, entries)
         for w in reps:
             assert verify_system(s, tuple(curve(*v) for v in w["witness"]))
+
+
+def test_kappa_classes_past_the_old_cap(tmp_path, capsys):
+    # g_123 = 2^89 - 1 (prime, 27 digits) and 101^4: the orbits print in
+    # closed form, so the document stays small and the count is exact
+    def system(doc_witness):
+        return tuple(curve(*v) for v in doc_witness)
+
+    g = 2**89 - 1
+    entries = [2 * g, 3 * g, 5 * g]
+    path = write_scheme(tmp_path, "mersenne.json", 3, entries)
+    code, doc = run_json(capsys, ["check", path])
+    assert code == 0 and doc["status"] == "torus"
+    assert verify_system(new_scheme(3, entries), system(doc["witness"]))
+    assert doc["orbits"]["count"] == g - 2
+    (pp,) = doc["orbits"]["per_prime"]
+    assert pp["count"] == g - 2 and len(pp["excluded"]) == 2
+
+    g = 101**4
+    entries = [2 * g, 3 * g, 5 * g]
+    path = write_scheme(tmp_path, "pp.json", 3, entries)
+    code, doc = run_json(capsys, ["solve", path, "--orbits", "3"])
+    assert code == 0
+    reps = doc["orbit_witnesses"]
+    assert len(reps) == 3 and len({w["kappa"] for w in reps}) == 3
+    for w in reps:
+        assert verify_system(new_scheme(3, entries), system(w["witness"]))
+
+    # 7^4: 1715 admitted residues, formerly a 27 KB list
+    path = write_scheme(tmp_path, "seven.json", 3, [2 * 7**4, 3 * 7**4, 5 * 7**4])
+    assert run(["check", path]) == 0
+    assert len(capsys.readouterr().out) < 1024
 
 
 def test_solve_command(tmp_path, capsys):

@@ -5,6 +5,7 @@ decide_torus with its witness tried first."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd
 
 import pytest
@@ -266,7 +267,7 @@ def test_factorize_once_per_decision(monkeypatch):
     calls.clear()
     v = decide_torus(new_scheme(3, [6, 10, 14]))
     assert v.reasons == (FailedToz(2, Fraction(2)),)
-    assert v.constraints.per_prime[0].allowed == ()
+    assert v.constraints.per_prime[0].count == 0
     assert calls == [2]
 
 
@@ -328,7 +329,57 @@ def _kappa_scheme(rng: random.Random, n: int) -> Scheme:
     return new_scheme(n, entries)
 
 
+def _line_scheme(base, cols) -> Scheme:
+    """The scheme with base triple base whose kappa line continues with
+    the pairs (A_j, B_j) in cols for j = 4, 5, ...; m_ij = 1 for i >= 4.
+
+    m_2j = -A*m'_12 and m_3j = -A*m'_13 give y*m_2j - x*m_3j = A."""
+    w = solve_xy(new_scheme(3, list(base)))
+    entries = list(base)
+    for j, (a, b) in enumerate(cols, start=4):
+        entries += [b, -a * w.m12p, -a * w.m13p] + [1] * (j - 4)
+    return new_scheme(3 + len(cols), entries)
+
+
+# (base triple, kappa line columns j >= 4, the admitted residues mod p^nu
+# of g_123 = p^nu, or their first few and their number)
+_KAPPA_LINES = [
+    # 2^9: the columns exclude 1 mod 4, 3 mod 8 and 7 mod 16 inside
+    # their classes 1 mod 2, 3 mod 4 and 7 mod 8, so every residue below
+    # 15 is out and the least admitted kappa exceeds n
+    ((512, 512, 1024), [(768, 256), (640, 128), (576, 64)],
+     (15, 31, 47), 32),
+    # 3^4: the class 5 mod 9 with 23 mod 27 excluded
+    ((81, 81, 81), [(189, 27), (36, 9)], (5, 14, 32, 41, 59, 68), 6),
+    # the same with 14 mod 27 excluded too: one class mod 27 is left
+    ((81, 81, 81), [(189, 27), (36, 9), (117, 9)], (5, 32, 59), 3),
+    # the same with 2 mod 3 excluded, which holds the exclusions 2 mod 9
+    # and 23 mod 27 and every admitted residue
+    ((81, 81, 81), [(189, 27), (36, 9), (81, 81)], (), 0),
+]
+
+
+def _check_kappa_against_scan(s):
+    """kappa_constraints(s) against the residue scan of the reference;
+    returns the result."""
+    got = kappa_constraints(s)
+    assert got == reference.kappa_constraints(s)
+    w = solve_xy(s)
+    for pc in got.per_prime:
+        p, nu = pc.prime, pc.nu
+        scanned = reference.project(reference.scan_lifted(s, w, p, nu), p, nu)
+        assert pc.count == len(scanned)
+        assert list(islice(pc.allowed, 20)) == list(scanned[:20])
+        if scanned:
+            assert pc.allowed[-1] == scanned[-1]
+    return got
+
+
 def test_kappa_scan_matches_reference(rng):
+    for base, cols, first, count in _KAPPA_LINES:
+        s = _line_scheme(base, cols)
+        (pc,) = _check_kappa_against_scan(s).per_prime
+        assert pc.count == count and tuple(pc.allowed)[:len(first)] == first
     checked = cut = forbidden = 0
     for t in range(800):
         n = rng.randint(3, 7)
@@ -339,8 +390,7 @@ def test_kappa_scan_matches_reference(rng):
         m12, m13, m23 = s.entries[:3]
         if 0 in s.entries or not gcd(m12, m13) == gcd(m12, m23) == gcd(m13, m23):
             continue
-        got, want = kappa_constraints(s), reference.kappa_constraints(s)
-        assert got == want
+        got = _check_kappa_against_scan(s)
         checked += 1
         base = reference.kappa_constraints(new_scheme(3, s.entries[:3]))
         if got.per_prime != base.per_prime:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,11 @@ from toruscurves import (
     scheme_sum,
     zero_scheme,
 )
-from conftest import random_nonzero_scheme, random_permutation
+from conftest import (
+    random_nonzero_scheme,
+    random_permutation,
+    random_vector_scheme,
+)
 
 
 def test_new_scheme():
@@ -152,3 +157,13 @@ def test_curveclass_basics():
     assert curve(2, 0).is_primitive() is False
     assert curve(0, 0).is_primitive() is False
     assert curve(-1, 1).negated() == curve(1, -1)
+
+
+def test_random_vector_scheme_distinct_bound():
+    # [-3, 3]^2 holds 16 primitive vectors up to sign: 16 distinct curve
+    # classes can be drawn, 17 cannot and must not loop forever
+    rng = random.Random(3)
+    s = random_vector_scheme(rng, 16, qmax=3, distinct=True)
+    assert s.n == 16 and 0 not in s.entries
+    with pytest.raises(ValueError):
+        random_vector_scheme(rng, 17, qmax=3, distinct=True)

@@ -1,4 +1,6 @@
 import json
+import sys
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -24,6 +26,7 @@ from toruscurves import (
 )
 import reference
 from conftest import dets, random_vector_scheme
+from toruscurves.intarith import ResidueClass
 from toruscurves.solver import canonical_kappa
 
 
@@ -40,13 +43,25 @@ def test_solve_xy_examples():
 def test_kappa_constraints_examples():
     cons = kappa_constraints(new_scheme(3, [2, 2, 4]))
     (pc,) = cons.per_prime
-    assert (pc.prime, pc.modulus, pc.allowed) == (2, 2, (1,))
+    assert (pc.prime, pc.modulus, pc.count, tuple(pc.allowed)) == (2, 2, 1, (1,))
+    assert (pc.ball, pc.excluded) == (ResidueClass(2, 1), ())
 
     assert kappa_constraints(new_scheme(3, [1, 1, 1])).unconstrained
 
     cons = kappa_constraints(new_scheme(3, [4, 6, 10]))
     (pc,) = cons.per_prime
-    assert pc.allowed == (0,)  # kappa even
+    assert tuple(pc.allowed) == (0,)  # kappa even
+    assert 0 in pc.allowed and 1 not in pc.allowed and 2 not in pc.allowed
+
+    # 7^4 || g_123: kappa avoids the classes 1 and 3 mod 7
+    s = new_scheme(3, [2 * 7**4, 3 * 7**4, 5 * 7**4])
+    (pc,) = kappa_constraints(s).per_prime
+    assert (pc.ball, pc.excluded) == (
+        ResidueClass(1, 0), (ResidueClass(7, 1), ResidueClass(7, 3))
+    )
+    assert pc.count == len(pc.allowed) == 5 * 7**3
+    assert list(islice(pc.allowed, 6)) == [0, 2, 4, 5, 6, 7]
+    assert pc.allowed[-1] == 7**4 - 1 and pc.allowed[5 * 7**3 - 3] == 7**4 - 3
 
 
 def test_kappa_classes_are_periodic_lifts(rng):
@@ -65,7 +80,7 @@ def test_kappa_classes_are_periodic_lifts(rng):
             p, nu = pc.prime, pc.nu
             assert pc.modulus == p**nu
             scanned = reference.scan_lifted(s, w, p, nu)
-            assert reference.project(scanned, p, nu) == pc.allowed
+            assert reference.project(scanned, p, nu) == tuple(pc.allowed)
             checked += 1
             deep += nu >= 2
     assert checked >= 300 and deep >= 50
@@ -242,16 +257,37 @@ def test_forbidden_count_matches_corollary(rng):
 
 
 def test_enumeration_cap():
-    # the residue scan refuses prime-power moduli past the documented cap;
-    # the modulus is p^nu, so g_123 = 10007 is scanned and 10007^2 is not
+    # kappa classes have no enumeration cap: moduli p^nu past the 10^7
+    # that an exhaustive residue scan once refused decide like small ones
     (pc,) = kappa_constraints(new_scheme(3, [10007] * 3)).per_prime
-    assert pc.modulus == 10007 and len(pc.allowed) == 10005
-    big = 10007**2
-    with pytest.raises(DomainError):
-        kappa_constraints(new_scheme(3, [big, big, big]))
+    assert pc.modulus == 10007 and pc.count == 10005
+    for g in (10007**2, 101**4):
+        s = new_scheme(3, [2 * g, 3 * g, 5 * g])
+        v = decide_torus(s)
+        assert v.realizable and verify_system(s, v.witness)
+        (pc,) = v.constraints.per_prime
+        assert pc.modulus == g and pc.count == g - 2 * (g // pc.prime)
     s = new_scheme(3, [1890, 1890, 41580])  # 2-valuations 1,1,2
     v = decide_torus(s)
     assert v.realizable and verify_system(s, v.witness)
+
+
+def test_kappa_classes_past_sys_maxsize():
+    # g_123 = 2^89 - 1 is a prime; the verdict, the exact count, the
+    # forbidden classes and the last residue come without listing residues
+    g = 2**89 - 1
+    s = new_scheme(3, [2 * g, 3 * g, 5 * g])
+    assert forbidden_count(s, g) == 2
+    v = decide_torus(s)
+    assert v.realizable and verify_system(s, v.witness)
+    (pc,) = v.constraints.per_prime
+    assert pc.count == g - 2 > sys.maxsize
+    assert pc.allowed[-1] == g - 1 and v.kappa == pc.allowed[0]
+    with pytest.raises(OverflowError):
+        len(pc.allowed)
+    w = enumerate_orbits(s, limit=3)
+    assert [o.kappa for o in w] == list(islice(pc.allowed, 3))
+    assert all(verify_system(s, o.system) for o in w)
 
 
 def test_sl2_act():

@@ -1,11 +1,13 @@
-"""Scaling series for the Pluecker refutation stage, standard library only.
+"""Scaling series for the Pluecker refutation stage and the kappa classes,
+standard library only.
 
     python3 tools/bench_series.py --parent OTHER/src --out BENCH.json
     python3 tools/bench_series.py --quick
 
-Each point is a realizable scheme of n distinct curve classes (coordinates
-in [-30, 30], seeded by n) with a perturbation that keeps every pairwise
-gcd, so the triangle condition holds and only Pluecker relations fail:
+Pluecker series: each point is a realizable scheme of n distinct curve
+classes (coordinates in [-30, 30], seeded by n) with a perturbation that
+keeps every pairwise gcd, so the triangle condition holds and only
+Pluecker relations fail:
 
   last_pair        m_{n-1,n} += L, where L is the lcm of all entries;
   base_row         m_12 += L, an entry in the rows of the first base pair;
@@ -14,30 +16,45 @@ gcd, so the triangle condition holds and only Pluecker relations fail:
   all_bases_dirty  m_12, m_34 and m_56 += L, so every base pair the
                    bad-pair screen tries has a perturbed entry.
 
-The series runs n = 28, 40, 80, 160 and records, per point, the best of a
-few wall times (time.perf_counter) of check_pluecker_full and of
-check_triangle on the same scheme.  With --parent, a second toruscurves
-tree (the src/ directory of another checkout) is loaded under another
-module name and timed in the same process, alternating with this tree's,
-so both columns see the same machine state; the script fails unless both
-trees give the same reasons.
+It runs n = 28, 40, 80, 160 and records, per point, the best of a few
+wall times (time.perf_counter) of check_pluecker_full and of
+check_triangle on the same scheme.
 
---quick runs only the points with n <= 40, times nothing, and fails unless
-every point's reasons equal tests/reference.py's check_pluecker_full.
+Kappa series: the realizable 3-schemes (2,3,5)*p^nu for p = 2, 7, 101,
+up to 2^23, 7^8 and 101^3 (the largest p^nu below 10^7, a cap on the
+residue modulus that older trees enforce), and 2^40 and 101^4 beyond it.
+Per point it records the best of a few wall times of decide_torus and
+the byte length of the `check FILE` document; a tree that refuses the
+point records the name of the exception instead.
+
+With --parent, a second toruscurves tree (the src/ directory of another
+checkout) is loaded under another module name and timed in the same
+process, alternating with this tree's, so both columns see the same
+machine state; the script fails unless both trees give the same reasons,
+and the same kappa and witness wherever both decide.
+
+--quick times nothing: it runs the Pluecker points with n <= 40 and the
+kappa points with p^nu <= 10^4, and fails unless every Pluecker point's
+reasons equal tests/reference.py's check_pluecker_full and every kappa
+point's classes equal tests/reference.py's residue scan.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import importlib.util
+import io
 import json
 import os
 import platform
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from pathlib import Path
+from tempfile import TemporaryDirectory
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +62,13 @@ SIZES = (28, 40, 80, 160)
 QUICK_MAX_N = 40
 SHAPES = ("last_pair", "base_row", "two_negated", "all_bases_dirty")
 CMAX = 30
+# (p, nu) of the kappa series; the last of each prime is past 10^7
+KAPPA_POINTS = (
+    [(2, nu) for nu in (4, 8, 12, 16, 20, 23, 40)]
+    + [(7, nu) for nu in (1, 2, 4, 6, 8)]
+    + [(101, nu) for nu in (1, 2, 3, 4)]
+)
+QUICK_MAX_MODULUS = 10**4
 
 
 def load_tree(src: Path, alias: str):
@@ -112,6 +136,11 @@ def reasons(check) -> list:
     return [(f.i, f.j, f.k, f.l) for f in check.failures]
 
 
+def kappa_entries(p: int, nu: int) -> list:
+    g = p**nu
+    return [2 * g, 3 * g, 5 * g]
+
+
 def quick(tree) -> int:
     sys.path.insert(0, str(ROOT / "tests"))
     import reference
@@ -125,6 +154,16 @@ def quick(tree) -> int:
             bad += not same
             print(f"n={n} {shape}: {len(got.failures)} reasons, "
                   f"{'match' if same else 'DIFFER from'} the reference")
+    for p, nu in KAPPA_POINTS:
+        if p**nu > QUICK_MAX_MODULUS:
+            continue
+        s = tree.new_scheme(3, kappa_entries(p, nu))
+        got = tree.kappa_constraints(s)
+        same = got == reference.kappa_constraints(s)
+        bad += not same
+        count = got.per_prime[0].count
+        print(f"{p}^{nu}: {count} kappa classes, "
+              f"{'match' if same else 'DIFFER from'} the reference scan")
     return 1 if bad else 0
 
 
@@ -163,13 +202,65 @@ def series(trees: dict) -> list:
     return points
 
 
+def check_bytes(cli, path: str):
+    """(exit code, stdout length) of one in-process `check path`."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.run(["check", path])
+    return code, len(out.getvalue())
+
+
+def kappa_series(trees: dict) -> list:
+    clis = {label: importlib.import_module(t.__name__ + ".cli")
+            for label, t in trees.items()}
+    points = []
+    with TemporaryDirectory() as tmp:
+        for p, nu in KAPPA_POINTS:
+            entries = kappa_entries(p, nu)
+            path = os.path.join(tmp, f"k{p}_{nu}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"n": 3, "entries": entries}, fh)
+            reps = 5 if p**nu <= 10**6 else 3
+            times = {label: [] for label in trees}
+            got, refused = {}, {}
+            for _ in range(reps):
+                for label, tree in trees.items():
+                    if label in refused:
+                        continue
+                    s = tree.new_scheme(3, entries)
+                    try:
+                        ms, v = timed(tree.decide_torus, s)
+                    except Exception as exc:  # the tree's refusal is the datum
+                        refused[label] = type(exc).__name__
+                        continue
+                    times[label].append(ms)
+                    got[label] = (v.kappa, [(c.p, c.q) for c in v.witness])
+            if len(set(map(repr, got.values()))) > 1:
+                raise SystemExit(f"{p}^{nu}: the trees' kappa or witness differ")
+            point = {"p": p, "nu": nu, "modulus": p**nu}
+            for label in trees:
+                if label in refused:
+                    point[label] = {"decide_ms": refused[label],
+                                    "check_bytes": refused[label]}
+                    continue
+                code, size = check_bytes(clis[label], path)
+                if code != 0:
+                    raise SystemExit(f"{p}^{nu}: {label} check exits {code}")
+                point[label] = {"decide_ms": round(min(times[label]), 3),
+                                "check_bytes": size}
+            points.append(point)
+            print(json.dumps(point), flush=True)
+    return points
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path,
                     help="src/ directory of a second tree to time alongside")
     ap.add_argument("--out", type=Path, help="write the series as JSON here")
     ap.add_argument("--quick", action="store_true",
-                    help="n <= 40, check reasons against the reference, no timing")
+                    help="small points only, checked against the references, "
+                         "no timing")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -182,13 +273,18 @@ def main(argv=None) -> int:
         trees["parent"] = load_tree(args.parent.resolve(), "parent_toruscurves")
     trees["change"] = toruscurves
     doc = {
-        "what": "check_pluecker_full and check_triangle on Pluecker-refuted "
-                "schemes; best of 5 (n <= 40) or 3 wall times in ms; 'change' "
-                "is this tree, 'parent' the tree given by --parent",
+        "what": "points: check_pluecker_full and check_triangle on "
+                "Pluecker-refuted schemes; best of 5 (n <= 40) or 3 wall "
+                "times in ms. kappa_points: decide_torus on (2,3,5)*p^nu, "
+                "best of 5 (p^nu <= 10^6) or 3 wall times in ms, and the "
+                "byte length of the check document; an exception name where "
+                "the tree refuses the point. 'change' is this tree, 'parent' "
+                "the tree given by --parent",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "points": series(trees),
+        "kappa_points": kappa_series(trees),
     }
     if args.out is not None:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
