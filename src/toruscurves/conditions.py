@@ -29,7 +29,11 @@ and O(n^4) Pluecker checks.  construct_witness verifies the witness, and
 the lifted system is verified again only when the reduction removed
 curves.  Only when no witness comes out are the conditions checked in
 stage order (triangle, Pluecker, kappa classes) to list every failure of
-the first failing stage.  The triangle check walks all C(n,3) triples of a
+the first failing stage.  The triangle and Pluecker stages are one loop
+over the two checks, each returning a StageCheck on the reduced scheme;
+the first failing stage's reasons are moved to the original curve indices
+once, by _relabel, which leaves them as they are when zero reduction
+removed nothing.  The triangle check walks all C(n,3) triples of a
 dense copy of the matrix.  The Pluecker check is output-sensitive: the
 relations say the matrix has rank 2, and for a base pair (a, b) with
 m_ab != 0 the rank-2 matrix W that agrees with rows a and b differs from
@@ -59,6 +63,7 @@ from .scheme import (
     get,
     lift_system,
     reduce_zeros,
+    require_nonzero,
 )
 from .solver import (
     KappaConstraintSet,
@@ -106,22 +111,17 @@ Reason = Union[FailedTriangle, FailedPluecker, FailedToz, UnresolvableZero]
 
 
 @dataclass(frozen=True)
-class TriangleCheck:
-    ok: bool
-    failures: tuple  # tuple[FailedTriangle, ...]
+class StageCheck:
+    """Every failure of the triangle or the Pluecker stage, in order."""
+
+    failures: tuple  # tuple[FailedTriangle, ...] or tuple[FailedPluecker, ...]
 
     @property
-    def failure(self) -> Optional[FailedTriangle]:
-        return self.failures[0] if self.failures else None
-
-
-@dataclass(frozen=True)
-class PlueckerCheck:
-    ok: bool
-    failures: tuple  # tuple[FailedPluecker, ...]
+    def ok(self) -> bool:
+        return not self.failures
 
     @property
-    def failure(self) -> Optional[FailedPluecker]:
+    def failure(self) -> Optional[Reason]:
         return self.failures[0] if self.failures else None
 
 
@@ -130,10 +130,9 @@ class PlueckerCheck:
 # ---------------------------------------------------------------------------
 
 
-def check_triangle(s: Scheme) -> TriangleCheck:
+def check_triangle(s: Scheme) -> StageCheck:
     """Equal pairwise gcds on every index triple."""
-    if 0 in s.entries:
-        raise PreconditionViolated("zero entries: apply reduce_zeros first")
+    require_nonzero(s)
     n = s.n
     rows = dense_rows(s)
     failures = []
@@ -145,7 +144,7 @@ def check_triangle(s: Scheme) -> TriangleCheck:
                 b, c = ri[k], rj[k]
                 if not gcd(a, b) == gcd(a, c) == gcd(b, c):
                     failures.append(FailedTriangle(i + 1, j + 1, k + 1))
-    return TriangleCheck(not failures, tuple(failures))
+    return StageCheck(tuple(failures))
 
 
 def _mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
@@ -163,7 +162,7 @@ def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
     return _mu(s, i, j, k, l)
 
 
-def check_pluecker_full(s: Scheme) -> PlueckerCheck:
+def check_pluecker_full(s: Scheme) -> StageCheck:
     """Every failing Pluecker relation, in lexicographic order; vacuous
     pass for n < 4.
 
@@ -181,13 +180,13 @@ def check_pluecker_full(s: Scheme) -> PlueckerCheck:
     """
     n = s.n
     if n < 4:
-        return PlueckerCheck(True, ())
+        return StageCheck(())
     rows = dense_rows(s)
     failures = tuple(
         FailedPluecker(i + 1, j + 1, k + 1, l + 1)
         for i, j, k, l in _nonzero_pfaffians(rows, _candidates(rows, n))
     )
-    return PlueckerCheck(not failures, failures)
+    return StageCheck(failures)
 
 
 # disjoint base pairs tried for the bad-pair screen, 0-based
@@ -362,8 +361,7 @@ def toz_report(s: Scheme) -> TozReport:
     """
     if s.n < 3:
         raise PreconditionViolated("toz needs at least 3 curves")
-    if 0 in s.entries:
-        raise PreconditionViolated("zero entries: apply reduce_zeros first")
+    require_nonzero(s)
     g123 = _base_triple(s)[0]
     per = tuple(_toz_entry(s, p, nu) for p, nu in factorize(g123).pairs)
     totals = {e.prime: e.total for e in per}
@@ -412,14 +410,6 @@ class Verdict:
     reduction: Optional[ReductionLog]
     kappa: Optional[int] = None
     constraints: Optional[KappaConstraintSet] = None
-
-    @property
-    def status(self) -> str:
-        return "Realizable" if self.realizable else "NotRealizable"
-
-
-def _map_indices(survivors, *idx):
-    return tuple(survivors[t - 1] for t in idx)
 
 
 def decide_torus(s: Scheme) -> Verdict:
@@ -477,30 +467,35 @@ def decide_torus(s: Scheme) -> Verdict:
 
 
 def _refutation(red, cons) -> Verdict:
-    """Stage-order failures of a reduced scheme that has no witness."""
+    """Stage-order failures of a reduced scheme that has no witness.
+
+    The triangle and Pluecker checks run in turn, each looked up in this
+    module at call time; the first that fails gives every reason, moved to
+    the original curve indices by _relabel.  The kappa stage comes last.
+    """
     r = red.reduced
-    tri = check_triangle(r)
-    if not tri.ok:
-        reasons = tuple(
-            FailedTriangle(*_map_indices(red.survivors, f.i, f.j, f.k))
-            for f in tri.failures
-        )
-        return Verdict(False, reasons, None, False, red)
-
-    plk = check_pluecker_full(r)
-    if not plk.ok:
-        reasons = tuple(
-            FailedPluecker(*_map_indices(red.survivors, f.i, f.j, f.k, f.l))
-            for f in plk.failures
-        )
-        return Verdict(False, reasons, None, False, red)
-
+    for check in (check_triangle, check_pluecker_full):
+        failures = check(r).failures
+        if failures:
+            return Verdict(False, _relabel(red, failures), None, False, red)
     toz_fail = _circledast_failures(r, cons)
     if toz_fail:
         return Verdict(False, toz_fail, None, False, red, constraints=cons)
     # Once the three conditions hold, the canonical kappa yields a witness;
     # reaching this line means an internal fault.
     raise AssertionError(f"internal fault: no witness and no failure on {r}")
+
+
+def _relabel(red, failures) -> tuple:
+    """Triangle or Pluecker failures on the reduced scheme, on the original
+    curve indices; the same tuple when the reduction removed nothing."""
+    if not red.steps:
+        return failures
+    idx = red.survivors
+    # every field of these reasons is a 1-based curve index
+    return tuple(
+        type(f)(*(idx[t - 1] for t in vars(f).values())) for f in failures
+    )
 
 
 def _realizable(s, red, system, kappa, cons, verified=False) -> Verdict:

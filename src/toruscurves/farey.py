@@ -33,10 +33,6 @@ def canon_slope(p: int, q: int) -> tuple:
     return (p, q)
 
 
-def is_primitive_slope(p: int, q: int) -> bool:
-    return (p, q) != (0, 0) and gcd(abs(p), abs(q)) == 1
-
-
 @dataclass(frozen=True)
 class CliqueResult:
     size: int
@@ -54,7 +50,7 @@ def candidate_vertices(d: int, anchor) -> list:
     p0, q0 = anchor
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
-    if not is_primitive_slope(p0, q0) or not 0 <= p0 < q0 <= d:
+    if not 0 <= p0 < q0 <= d or gcd(p0, q0) != 1:
         raise DomainError(f"bad anchor {anchor}: need 0 <= p < q <= d, primitive")
     out = {(1, 0), (p0, q0)}
     for q in range(q0, d + 1):
@@ -67,9 +63,9 @@ def candidate_vertices(d: int, anchor) -> list:
     return sorted(out)
 
 
-def _edge(u, v, d: int) -> bool:
-    det = abs(u[0] * v[1] - v[0] * u[1])
-    return 1 <= det <= d
+def _edge(d: int):
+    """The edge relation of packings with bound d: 1 <= |det(u, v)| <= d."""
+    return lambda u, v: 0 < abs(u[0] * v[1] - v[0] * u[1]) <= d
 
 
 def max_clique(vertices, edge_fn, floor: int = 0) -> tuple:
@@ -155,9 +151,7 @@ def _anchor_best(args, floor: int = 0):
     ]
     if len(verts) <= floor:
         return None
-    clique = max_clique(
-        verts, lambda u, v: 0 < abs(u[0] * v[1] - v[0] * u[1]) <= d, floor=floor
-    )
+    clique = max_clique(verts, _edge(d), floor=floor)
     if not clique:
         return None
     witness = ((1, 0), anchor) + clique
@@ -201,8 +195,9 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
             if res is not None:
                 best_size, best_witness = res
     witness = tuple(sorted(best_witness))
+    edge = _edge(d)
     for i in range(len(witness)):
         for j in range(i + 1, len(witness)):
-            if not _edge(witness[i], witness[j], d):
+            if not edge(witness[i], witness[j]):
                 raise AssertionError("internal fault: invalid packing witness")
     return CliqueResult(best_size, witness, d)

@@ -18,7 +18,10 @@ from .errors import DomainError, InvalidModuli, NotInvertible
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
-_TRIAL_DIVISION_BOUND = 10**6
+# Factors up to this bound are found by trial division, larger ones by
+# Pollard rho.  It must stay above 3: _pollard_rho(9) never returns, and
+# among p^2 and p^3 for odd primes p < 5000 it is the only input that loops.
+_TRIAL_DIVISION_BOUND = 2**10
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1.
 
-    Trial division up to 10^6, then is_probable_prime plus Pollard rho for
+    Trial division up to 2^10, then is_probable_prime plus Pollard rho for
     any leftover cofactor.  factorize(1) has no pairs.
     """
     if n < 1:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DomainError, PreconditionViolated
-from .scheme import Scheme, curve, get
+from .errors import DomainError
+from .scheme import Scheme, curve, get, require_nonzero
 from .solver import NormalizedWitness
 
 _SCAN_CAP = 10**6
@@ -30,8 +30,7 @@ def oracle_realizable(s: Scheme) -> OracleResult:
     if s.n == 1:
         w = NormalizedWitness(0, (), (curve(1, 0),))
         return OracleResult(True, (w,), 1)
-    if any(e == 0 for e in s.entries):
-        raise PreconditionViolated("zero entries: apply reduce_zeros first")
+    require_nonzero(s)
     m12 = get(s, 1, 2)
     if abs(m12) > _SCAN_CAP:
         raise DomainError(f"|m_12| = {abs(m12)} exceeds the oracle scan cap")

@@ -17,7 +17,12 @@ from math import gcd
 from operator import index, neg
 from typing import Optional, Union
 
-from .errors import DomainError, InvalidPermutation, InvalidShape
+from .errors import (
+    DomainError,
+    InvalidPermutation,
+    InvalidShape,
+    PreconditionViolated,
+)
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,20 @@ def _pos(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + (i - 1)
 
 
+def columns(s: Scheme):
+    """Yield the column blocks (m_1j, ..., m_{j-1,j}) for j = 2..n."""
+    entries, start = s.entries, 0
+    for j in range(1, s.n):
+        yield entries[start:start + j]
+        start += j
+
+
+def require_nonzero(s: Scheme) -> None:
+    """Raise PreconditionViolated unless every entry of s is nonzero."""
+    if 0 in s.entries:
+        raise PreconditionViolated("zero entries: apply reduce_zeros first")
+
+
 def get(s: Scheme, i: int, j: int) -> int:
     """m_ij for i < j, -m_ji for i > j; the diagonal is undefined."""
     if i == j or not (1 <= i <= s.n and 1 <= j <= s.n):
@@ -185,12 +204,9 @@ class Unresolvable:
 def dense_rows(s: Scheme) -> list:
     """The antisymmetric n x n matrix as a list of 0-based rows:
     rows[i][j] = m_{i+1,j+1}, with a zero diagonal."""
-    n, entries = s.n, s.entries
+    n = s.n
     rows = [[0] * n for _ in range(n)]
-    start = 0
-    for j in range(1, n):
-        col = entries[start:start + j]
-        start += j
+    for j, col in enumerate(columns(s), start=1):
         rows[j][:j] = [-e for e in col]
         for row, e in zip(rows, col):
             row[j] = e

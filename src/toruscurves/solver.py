@@ -19,15 +19,16 @@ shifting kappa by p^nu moves D_j by a multiple of p^(nu+1).
 Each test is linear in kappa, so it holds on a p-adic ball, a class mod a
 power of p.  With t = v_p(B_j), p^e | D_j holds on one class mod p^(e-t)
 when t < e (and p^t | A_j; otherwise nowhere), and for every kappa or
-none when t >= e.  Two p-adic balls are nested or disjoint, so the
-inclusion tests meet in one ball r mod m (or nothing).  A column's
-exclusion ball is at most p times finer than its inclusion ball, which
-holds r mod m, so each exclusion test removes all of r mod m, nothing, or
-one of its p sub-balls mod p*m.  kappa_constraints stores that closed form per
-prime (PrimeConstraint), with an exact count and the residues in
-increasing order on demand, in O(n * nu) steps and without a scan.  The
-admitted classes of all primes combine by CRT into classes mod g_123
-(_crt_product).
+none when t >= e.  A unit column, p not dividing B_j, is the ball of
+t = 0, one class mod p^e, and has no exclusion test.  Two p-adic balls are
+nested or disjoint, so the inclusion tests meet in one ball r mod m (or
+nothing).  A column's exclusion ball is at most p times finer than its
+inclusion ball, which holds r mod m, so each exclusion test removes all of
+r mod m, nothing, or one of its p sub-balls mod p*m.  kappa_constraints
+stores that closed form per prime (PrimeConstraint), with an exact count
+and the residues in increasing order on demand, in O(n * nu) steps and
+without a scan.  The admitted classes of all primes combine by CRT into
+classes mod g_123 (_crt_product).
 Shifting kappa by g_123 is the stabilizer of (1,0), so these classes are
 exactly the orbits of normalized witnesses.
 """
@@ -54,7 +55,7 @@ from .intarith import (
     valuation,
     xgcd,
 )
-from .scheme import Scheme, curve, get
+from .scheme import Scheme, _pos, columns, curve, get, require_nonzero
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,6 @@ class NormalizedWitness:
     system: tuple
 
 
-def _require_nonzero(s: Scheme) -> None:
-    if 0 in s.entries:
-        raise PreconditionViolated("scheme has zero entries; reduce first")
-
-
 def _base_triple(s: Scheme) -> tuple[int, int, int, int]:
     a, b, c = get(s, 1, 2), get(s, 1, 3), get(s, 2, 3)
     g1, g2, g3 = gcd(a, b), gcd(a, c), gcd(b, c)
@@ -181,7 +177,7 @@ def solve_xy(s: Scheme) -> XYWitness:
     """Fix a Bezout pair for the base triple of a scheme with n >= 3."""
     if s.n < 3:
         raise DomainError("solve_xy needs at least 3 curves")
-    _require_nonzero(s)
+    require_nonzero(s)
     g, a, b, c = _base_triple(s)
     m12p, m13p, m23p = a // g, b // g, c // g
     # g = gcd(m_12, m_13) by _base_triple, so m'_13 and m'_12 are coprime
@@ -197,11 +193,10 @@ def _kappa_line(s: Scheme, w: XYWitness) -> list:
     e, x, y = s.entries, w.x, w.y
     # j = 2, 3 through m_22 = m_33 = 0 and m_32 = -m_23
     line = [(x * e[2], e[0]), (y * e[2], e[1])]
-    start = 3  # column j occupies entries[start:start + j - 1]
     for j in range(4, s.n + 1):
-        m1j, m2j, m3j = e[start:start + 3]
+        t = _pos(1, j)
+        m1j, m2j, m3j = e[t:t + 3]  # the first three entries of column j
         line.append((y * m2j - x * m3j, m1j))
-        start += j - 1
     return line
 
 
@@ -230,17 +225,9 @@ def _prime_constraint(line, p: int, nu: int) -> PrimeConstraint:
     m, r = 1, 0  # the inclusion tests so far hold exactly on r mod m
     cuts = []  # (A_j, B_j, min(v_p(B_j), nu + 1)) for p | B_j
     for a, b in line:
-        if b % p:  # one class mod p^nu
-            if m == pe:
-                if (a + r * b) % pe:
-                    return _no_kappa(p, nu)
-                continue
-            c = -a * pow(b, -1, pe) % pe
-            if c % m != r:
-                return _no_kappa(p, nu)
-            m, r = pe, c
-            continue
-        t, bt = 1, b // p
+        # t = min(v_p(B_j), nu + 1); a unit column is the t = 0 ball, one
+        # class mod p^nu, and has no exclusion test
+        t, bt = 0, b
         while t <= nu and bt % p == 0:
             t, bt = t + 1, bt // p
         if t < nu:
@@ -250,7 +237,8 @@ def _prime_constraint(line, p: int, nu: int) -> PrimeConstraint:
             m, r = met
         elif a % pe:
             return _no_kappa(p, nu)
-        cuts.append((a, b, t))
+        if t:
+            cuts.append((a, b, t))
     # A column's exclusion class is at most p times finer than its
     # inclusion class, which holds r mod m; so it holds r mod m, misses
     # it, or is one of its p classes mod p*m.
@@ -458,12 +446,7 @@ def verify_system(s: Scheme, system) -> bool:
         if not v.is_primitive():
             return False
     vecs = [None if v.is_empty else (v.p, v.q) for v in system]
-    entries = s.entries
-    start = 0
-    # entries come in columns m_1j, ..., m_{j-1,j}; here j is 0-based
-    for j in range(1, s.n):
-        col = entries[start:start + j]
-        start += j
+    for j, col in enumerate(columns(s), start=1):  # j is 0-based
         vj = vecs[j]
         if vj is None:
             if any(col):

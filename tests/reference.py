@@ -35,8 +35,7 @@ from toruscurves.conditions import (
     FailedPluecker,
     FailedToz,
     FailedTriangle,
-    PlueckerCheck,
-    TriangleCheck,
+    StageCheck,
     UnresolvableZero,
     Verdict,
     toz_report,
@@ -138,7 +137,7 @@ def check_triangle(s):
         a, b, c = get(s, i, j), get(s, i, k), get(s, j, k)
         if not gcd(a, b) == gcd(a, c) == gcd(b, c):
             failures.append(FailedTriangle(i, j, k))
-    return TriangleCheck(not failures, tuple(failures))
+    return StageCheck(tuple(failures))
 
 
 def check_pluecker_full(s):
@@ -149,7 +148,7 @@ def check_pluecker_full(s):
         - get(s, i, k) * get(s, j, l)
         + get(s, i, l) * get(s, j, k)
     )
-    return PlueckerCheck(not failures, failures)
+    return StageCheck(failures)
 
 
 def verify_system(s, system):
