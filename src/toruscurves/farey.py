@@ -10,9 +10,29 @@ relation 1 <= |det| <= d is found by normalizing the clique to contain
 Each anchor's grid becomes one graph: max_clique tests every unordered pair
 of grid classes once and keeps each class's neighbours as a bitmask over
 the (-degree, class) ranks.  The serial search passes its best size so far
-to the next anchor as a floor, so an anchor whose grid, or whose clique,
-cannot beat it returns nothing; worker processes search every anchor from
-an empty incumbent.
+to the next anchor as a floor, so an anchor whose candidates cover too few
+points of P^1(F_p) (below), or whose clique, cannot beat it returns
+nothing; worker processes search every anchor from an empty incumbent.
+
+The projective-line bound.  Let p be the smallest prime above d.  A
+primitive (a, b) is nonzero mod p, so it reduces to a point of the
+projective line P^1(F_p), which has p + 1 points.  Two members u, v of a
+packing have 1 <= |det(u, v)| <= d < p, so det(u, v) is nonzero mod p and u
+and v reduce to different points.  Hence a packing has at most p + 1
+classes (Agol's bound, as given by Aougab, Biringer and Gaster).  Under the
+anchor normalization (1, 0) is the point infinity, and every candidate
+(p', q') has 1 <= q' <= d < p, so its point is p' * q'^-1 mod p; a candidate
+shares no point with (1, 0) or with the anchor, since its determinants with
+both lie in [1, d].  A clique among an anchor's candidates therefore has at
+most as many members as the distinct points the candidates cover, which is
+at most p - 1.  The bound is used three times:
+
+1. max_clique takes that point count as its ceiling and returns as soon as
+   its incumbent reaches it;
+2. the serial max_packing stops at the first anchor whose packing has
+   p + 1 classes, since a later anchor must beat the running best strictly;
+3. an anchor whose candidates cover at most floor points is skipped before
+   any edge test.
 """
 
 from __future__ import annotations
@@ -22,6 +42,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
+from .intarith import next_prime
 
 
 def canon_slope(p: int, q: int) -> tuple:
@@ -68,7 +89,7 @@ def _edge(d: int):
     return lambda u, v: 0 < abs(u[0] * v[1] - v[0] * u[1]) <= d
 
 
-def max_clique(vertices, edge_fn, floor: int = 0) -> tuple:
+def max_clique(vertices, edge_fn, floor: int = 0, ceiling=None) -> tuple:
     """Deterministic branch-and-bound maximum clique (greedy-coloring
     bound, degree-descending order, lexicographic tie-break).
 
@@ -80,7 +101,16 @@ def max_clique(vertices, edge_fn, floor: int = 0) -> tuple:
     by the candidate masks alone and cut only when they cannot beat the
     incumbent, so for any floor below the clique number the result is the
     clique returned with floor=0.
+
+    A ceiling stops the search as soon as the clique it is growing has
+    ceiling vertices, and returns that clique.  The search only accepts
+    strictly larger cliques, so with any ceiling at or above the clique
+    number the result equals the ceiling=None result; with floor < ceiling
+    below the clique number it is a clique of exactly ceiling vertices; with
+    ceiling <= floor it is ().
     """
+    if ceiling is not None and ceiling <= floor:
+        return ()
     verts0 = sorted(set(vertices))
     n = len(verts0)
     nbrs = [[] for _ in range(n)]
@@ -120,21 +150,27 @@ def max_clique(vertices, edge_fn, floor: int = 0) -> tuple:
                 avail &= uncolored
         return colored
 
-    def expand(cand_mask: int, current: list):
+    def expand(cand_mask: int, current: list) -> bool:
+        # True once current has reached the ceiling and become best
         nonlocal best, best_size
         colored = color_sort(cand_mask)
         for v, bound in reversed(colored):
             if len(current) + bound <= best_size:
-                return
+                return False
             current.append(v)
             sub = cand_mask & adj[v]
+            if len(current) == ceiling:
+                best = current.copy()
+                return True
             if sub:
-                expand(sub, current)
+                if expand(sub, current):
+                    return True
             elif len(current) > best_size:
                 best = current.copy()
                 best_size = len(best)
             current.pop()
             cand_mask &= ~(1 << v)
+        return False
 
     expand((1 << n) - 1, [])
     return tuple(verts[i] for i in sorted(best))
@@ -142,16 +178,23 @@ def max_clique(vertices, edge_fn, floor: int = 0) -> tuple:
 
 def _anchor_best(args, floor: int = 0):
     """(size, witness) of the largest packing through (1, 0) and the anchor,
-    or None when none has more than floor + 2 members."""
-    d, anchor = args
+    or None when none has more than floor + 2 members.
+
+    args is (d, p, anchor), p the smallest prime above d.  A clique of
+    candidates has at most as many members as the points of P^1(F_p) they
+    cover (module docstring), so that count is the ceiling, and an anchor
+    whose count does not exceed floor is not searched.
+    """
+    d, p, anchor = args
     verts = [
         v
         for v in candidate_vertices(d, anchor)
         if v not in ((1, 0), anchor)
     ]
-    if len(verts) <= floor:
+    points = len({a * pow(b, -1, p) % p for a, b in verts})
+    if points <= floor:
         return None
-    clique = max_clique(verts, _edge(d), floor=floor)
+    clique = max_clique(verts, _edge(d), floor=floor, ceiling=points)
     if not clique:
         return None
     witness = ((1, 0), anchor) + clique
@@ -163,8 +206,10 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
 
     Maximizes 2 + max-clique over all anchors.  With one job the anchors
     run in order, each searched only for a clique larger than the best so
-    far; jobs > 1 fans them out, independent, to worker processes, at most
-    one per anchor and one per CPU.
+    far, and the search stops at the first packing of p + 1 classes, p the
+    smallest prime above d (no packing is larger); jobs > 1 fans the
+    anchors out, independent, to worker processes, at most one per anchor
+    and one per CPU.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
@@ -176,7 +221,8 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
         for p0 in range(q0)
         if gcd(p0, q0) == 1
     ]
-    tasks = [(d, a) for a in anchors]
+    p = next_prime(d)
+    tasks = [(d, p, a) for a in anchors]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     best_size, best_witness = 2, ((0, 1), (1, 0))
     if workers > 1:
@@ -194,6 +240,8 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
             res = _anchor_best(t, best_size - 2)
             if res is not None:
                 best_size, best_witness = res
+                if best_size == p + 1:
+                    break
     witness = tuple(sorted(best_witness))
     edge = _edge(d)
     for i in range(len(witness)):

@@ -186,6 +186,14 @@ def is_probable_prime(n: int) -> bool:
     return n < _MR_DETERMINISTIC_BOUND or _strong_lucas(n)
 
 
+def next_prime(n: int) -> int:
+    """The smallest prime above n."""
+    m = max(n + 1, 2)
+    while not is_probable_prime(m):
+        m += 1
+    return m
+
+
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant)."""
     if n % 2 == 0:

@@ -89,14 +89,43 @@ def test_max_clique_floor_matches_reference():
         assert max_clique(verts, adj) == ref
 
 
-def test_max_packing_matches_reference(monkeypatch):
-    refs = {}
-    for d in range(1, 17):
-        ref = refs[d] = reference.max_packing(d)
-        got = max_packing(d)
-        assert (got.size, got.witness) == (ref.size, ref.witness), d
-    # at d = 9 the serial path carries its best across the 28 anchors and
-    # searches only some of them; a real 2-worker pool searches them all
+def _is_clique(verts, edges):
+    return all(frozenset(e) in edges for e in combinations(verts, 2))
+
+
+def test_max_clique_ceiling():
+    # a ceiling at or above the clique number leaves the result as it is,
+    # with any floor below the clique number; a ceiling above the floor
+    # and below the clique number gives a clique of exactly that size
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        verts = rng.sample(range(100), n)
+        density = rng.random()
+        edges = {
+            frozenset(e) for e in combinations(verts, 2) if rng.random() < density
+        }
+
+        def adj(u, v):
+            return frozenset((u, v)) in edges
+
+        ref = reference.max_clique(verts, adj)
+        omega = len(ref)
+        for floor in range(omega):
+            for ceiling in range(omega, omega + 3):
+                got = max_clique(verts, adj, floor=floor, ceiling=ceiling)
+                assert got == ref, (verts, edges, floor, ceiling)
+            for ceiling in range(floor + 1, omega):
+                got = max_clique(verts, adj, floor=floor, ceiling=ceiling)
+                assert len(got) == ceiling and _is_clique(got, edges), (
+                    verts, edges, floor, ceiling)
+        for floor in range(omega + 2):
+            for ceiling in range(floor + 1):
+                assert max_clique(verts, adj, floor=floor, ceiling=ceiling) == ()
+
+
+def _counted_max_clique(monkeypatch):
+    """Replace farey.max_clique by a wrapper; returns its list of calls."""
     searched = []
 
     def counted(*args, **kwargs):
@@ -104,10 +133,22 @@ def test_max_packing_matches_reference(monkeypatch):
         return max_clique(*args, **kwargs)
 
     monkeypatch.setattr(farey, "max_clique", counted)
+    return searched
+
+
+def test_max_packing_matches_reference(monkeypatch):
+    refs = {}
+    for d in range(1, 21):
+        ref = refs[d] = reference.max_packing(d)
+        got = max_packing(d)
+        assert (got.size, got.witness) == (ref.size, ref.witness), d
+    # at d = 9 the first of the 28 anchors already reaches p + 1 = 12, so
+    # the serial path searches no other; a real 2-worker pool searches all
+    searched = _counted_max_clique(monkeypatch)
     ref = refs[9]
     got = max_packing(9)
     assert (got.size, got.witness) == (ref.size, ref.witness)
-    assert 0 < len(searched) < 28
+    assert len(searched) == 1
     monkeypatch.setattr(farey, "max_clique", max_clique)
     monkeypatch.setattr(farey.os, "cpu_count", lambda: 2)
     got = max_packing(9, jobs=2)
@@ -118,16 +159,57 @@ def _is_prime(m):
     return m > 1 and all(m % k for k in range(2, int(m**0.5) + 1))
 
 
+# max_packing(d).size for d = 1, 2, ..., 30
+PACKING_SIZES = (
+    3, 4, 6, 6, 8, 8, 10, 12, 12, 12, 14, 14, 16, 18, 18,
+    18, 20, 20, 23, 24, 24, 24, 27, 30, 30, 30, 30, 30, 32, 32,
+)
+
+
 def test_packing_prime_bound():
-    # Aougab-Biringer-Gaster: a packing with pairwise intersection in
-    # [1, d] has at most p + 1 classes, p the smallest prime above d, and
-    # reaches p + 1 when d + 1 is prime
-    for d in range(1, 21):
+    # p is the smallest prime above d.  A primitive class is nonzero mod p,
+    # so it reduces to a point of the projective line over F_p, which has
+    # p + 1 points.  Two members of a packing have determinant in [1, d],
+    # nonzero mod p, so they reduce to different points: a packing has at
+    # most p + 1 classes (Agol's bound, in Aougab-Biringer-Gaster).  The
+    # search stops at p + 1, so only the exact sizes can show a wrong bound;
+    # the size falls below p + 1 only at d = 7, 13, 19 and 23.
+    # Each witness is checked against that lemma too.
+    short = []
+    for d, size in enumerate(PACKING_SIZES, start=1):
         p = next(m for m in range(d + 1, 2 * d + 2) if _is_prime(m))
-        size = max_packing(d).size
+        result = max_packing(d)
+        assert result.size == size, d
+        points = [None if b % p == 0 else a * pow(b, -1, p) % p
+                  for a, b in result.witness]
+        assert len(set(points)) == len(points), d
         assert size <= p + 1, d
+        if size < p + 1:
+            short.append(d)
         if _is_prime(d + 1):
             assert size == p + 1, d
+    assert short == [7, 13, 19, 23]
+
+
+@pytest.mark.parametrize(
+    "d,calls,anchors", [(17, 1, 1), (19, 1, 120), (23, 2, 172), (25, 1, 1)]
+)
+def test_max_packing_searches_few_anchors(monkeypatch, d, calls, anchors):
+    # the first anchor reaches p + 1 at d = 17 and 25, so no other anchor's
+    # candidates are listed; at d = 19 (120 anchors) the candidates of
+    # every later anchor cover too few points to beat the first; at d = 23
+    # (172 anchors) one later anchor beats it
+    searched = _counted_max_clique(monkeypatch)
+    listed = []
+
+    def counted_candidates(d, anchor):
+        listed.append(anchor)
+        return candidate_vertices(d, anchor)
+
+    monkeypatch.setattr(farey, "candidate_vertices", counted_candidates)
+    assert max_packing(d).size == PACKING_SIZES[d - 1]
+    assert len(searched) == calls
+    assert len(listed) == anchors
 
 
 def test_max_packing_small_values():

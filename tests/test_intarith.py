@@ -133,6 +133,20 @@ def test_miller_rabin_known_values():
     assert not any(is_probable_prime(c) for c in composites)
 
 
+def test_next_prime():
+    from toruscurves.intarith import next_prime
+
+    def brute(n):
+        m = max(n + 1, 2)
+        while any(m % k == 0 for k in range(2, m)):
+            m += 1
+        return m
+
+    for n in range(-3, 300):
+        assert next_prime(n) == brute(n), n
+    assert next_prime(2**89 - 2) == 2**89 - 1
+
+
 def test_baillie_psw_above_deterministic_bound():
     # the least strong pseudoprime to the twelve fixed Miller-Rabin bases
     psp = 1287836182261 * 2575672364521

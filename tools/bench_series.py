@@ -1,5 +1,5 @@
-"""Scaling series for the Pluecker refutation stage and the kappa classes,
-standard library only.
+"""Scaling series for the Pluecker refutation stage, the kappa classes and
+Farey packing, standard library only.
 
     python3 tools/bench_series.py --parent OTHER/src --out BENCH.json
     python3 tools/bench_series.py --quick
@@ -27,16 +27,23 @@ Per point it records the best of a few wall times of decide_torus and
 the byte length of the `check FILE` document; a tree that refuses the
 point records the name of the exception instead.
 
+Packing series: max_packing(d) with one job for d = 8..40.  Per point it
+records the best of a few wall times and the number of farey.max_clique
+calls, counted on one more, untimed call.
+
 With --parent, a second toruscurves tree (the src/ directory of another
 checkout) is loaded under another module name and timed in the same
 process, alternating with this tree's, so both columns see the same
 machine state; the script fails unless both trees give the same reasons,
-and the same kappa and witness wherever both decide.
+and the same kappa and witness wherever both decide, and the same packing
+size and witness at every d.
 
---quick times nothing: it runs the Pluecker points with n <= 40 and the
-kappa points with p^nu <= 10^4, and fails unless every Pluecker point's
-reasons equal tests/reference.py's check_pluecker_full and every kappa
-point's classes equal tests/reference.py's residue scan.
+--quick times nothing: it runs the Pluecker points with n <= 40, the
+kappa points with p^nu <= 10^4 and max_packing(d) for d <= 30, and fails
+unless every Pluecker point's reasons equal tests/reference.py's
+check_pluecker_full, every kappa point's classes equal tests/reference.py's
+residue scan, and every packing's size and witness equal
+tests/reference.py's max_packing.
 """
 
 from __future__ import annotations
@@ -69,6 +76,8 @@ KAPPA_POINTS = (
     + [(101, nu) for nu in (1, 2, 3, 4)]
 )
 QUICK_MAX_MODULUS = 10**4
+PACKING_DS = range(8, 41)
+QUICK_MAX_D = 30
 
 
 def load_tree(src: Path, alias: str):
@@ -164,6 +173,13 @@ def quick(tree) -> int:
         count = got.per_prime[0].count
         print(f"{p}^{nu}: {count} kappa classes, "
               f"{'match' if same else 'DIFFER from'} the reference scan")
+    for d in range(1, QUICK_MAX_D + 1):
+        got = tree.max_packing(d)
+        ref = reference.max_packing(d)
+        same = (got.size, got.witness) == (ref.size, ref.witness)
+        bad += not same
+        print(f"d={d}: packing of {got.size}, "
+              f"{'match' if same else 'DIFFER from'} the reference")
     return 1 if bad else 0
 
 
@@ -253,6 +269,55 @@ def kappa_series(trees: dict) -> list:
     return points
 
 
+def counted_packing(tree, d: int):
+    """(result, farey.max_clique calls) of one max_packing(d)."""
+    farey = importlib.import_module(tree.__name__ + ".farey")
+    inner = farey.max_clique
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inner(*args, **kwargs)
+
+    farey.max_clique = counted
+    try:
+        res = farey.max_packing(d)
+    finally:
+        farey.max_clique = inner
+    return res, calls
+
+
+def packing_series(trees: dict) -> list:
+    points = []
+    for d in PACKING_DS:
+        reps = 5 if d <= 24 else 3
+        times = {label: [] for label in trees}
+        got, calls = {}, {}
+        for label, tree in trees.items():
+            res, calls[label] = counted_packing(tree, d)
+            got[label] = (res.size, res.witness)
+        if len(set(got.values())) > 1:
+            raise SystemExit(f"d={d}: the trees' packing size or witness differ")
+        for _ in range(reps):
+            for label, tree in trees.items():
+                ms, res = timed(tree.max_packing, d)
+                times[label].append(ms)
+                if (res.size, res.witness) != got[label]:
+                    raise SystemExit(f"d={d}: {label} is not deterministic")
+        point = {"d": d, "size": got["change"][0]}
+        for label in trees:
+            point[label] = {"ms": round(min(times[label]), 3),
+                            "max_clique_calls": calls[label]}
+        if "parent" in trees:
+            point["ratio"] = round(
+                point["change"]["ms"] / point["parent"]["ms"], 3
+            )
+        points.append(point)
+        print(json.dumps(point), flush=True)
+    return points
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path,
@@ -278,13 +343,16 @@ def main(argv=None) -> int:
                 "times in ms. kappa_points: decide_torus on (2,3,5)*p^nu, "
                 "best of 5 (p^nu <= 10^6) or 3 wall times in ms, and the "
                 "byte length of the check document; an exception name where "
-                "the tree refuses the point. 'change' is this tree, 'parent' "
-                "the tree given by --parent",
+                "the tree refuses the point. packing_points: max_packing(d, "
+                "jobs=1), best of 5 (d <= 24) or 3 wall times in ms, and the "
+                "farey.max_clique calls of one more call. 'change' is this "
+                "tree, 'parent' the tree given by --parent",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "points": series(trees),
         "kappa_points": kappa_series(trees),
+        "packing_points": packing_series(trees),
     }
     if args.out is not None:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
