@@ -282,7 +282,7 @@ def _cmd_endemic(args) -> int:
 
 
 def _cmd_farey(args) -> int:
-    result = max_packing(args.d, jobs=args.jobs)
+    result = max_packing(args.d)
     _emit(
         {
             "d": result.d,
@@ -350,8 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("farey", help="maximal packing with bounded crossings")
     p.add_argument("--d", type=int, required=True,
                    help="pairwise geometric intersection bound")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for independent anchor subproblems")
     p.set_defaults(fn=_cmd_farey)
 
     p = sub.add_parser("render", help="SVG of the canonical witness")

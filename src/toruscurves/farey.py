@@ -9,10 +9,9 @@ relation 1 <= |det| <= d is found by normalizing the clique to contain
 
 Each anchor's grid becomes one graph: max_clique tests every unordered pair
 of grid classes once and keeps each class's neighbours as a bitmask over
-the (-degree, class) ranks.  The serial search passes its best size so far
-to the next anchor as a floor, so an anchor whose candidates cover too few
-points of P^1(F_p) (below), or whose clique, cannot beat it returns
-nothing; worker processes search every anchor from an empty incumbent.
+the (-degree, class) ranks.  The search passes its best size so far to the
+next anchor as a floor, so an anchor whose candidates cover too few points
+of P^1(F_p) (below), or whose clique, cannot beat it returns nothing.
 
 The projective-line bound.  Let p be the smallest prime above d.  A
 primitive (a, b) is nonzero mod p, so it reduces to a point of the
@@ -29,15 +28,14 @@ at most p - 1.  The bound is used three times:
 
 1. max_clique takes that point count as its ceiling and returns as soon as
    its incumbent reaches it;
-2. the serial max_packing stops at the first anchor whose packing has
-   p + 1 classes, since a later anchor must beat the running best strictly;
+2. max_packing stops at the first anchor whose packing has p + 1 classes,
+   since a later anchor must beat the running best strictly;
 3. an anchor whose candidates cover at most floor points is skipped before
    any edge test.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gcd
 
@@ -176,16 +174,15 @@ def max_clique(vertices, edge_fn, floor: int = 0, ceiling=None) -> tuple:
     return tuple(verts[i] for i in sorted(best))
 
 
-def _anchor_best(args, floor: int = 0):
+def _anchor_best(d: int, p: int, anchor, floor: int):
     """(size, witness) of the largest packing through (1, 0) and the anchor,
     or None when none has more than floor + 2 members.
 
-    args is (d, p, anchor), p the smallest prime above d.  A clique of
-    candidates has at most as many members as the points of P^1(F_p) they
-    cover (module docstring), so that count is the ceiling, and an anchor
-    whose count does not exceed floor is not searched.
+    p is the smallest prime above d.  A clique of candidates has at most as
+    many members as the points of P^1(F_p) they cover (module docstring), so
+    that count is the ceiling, and an anchor whose count does not exceed
+    floor is not searched.
     """
-    d, p, anchor = args
     verts = [
         v
         for v in candidate_vertices(d, anchor)
@@ -204,12 +201,13 @@ def _anchor_best(args, floor: int = 0):
 def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     """Largest set of distinct classes with pairwise intersection in [1, d].
 
-    Maximizes 2 + max-clique over all anchors.  With one job the anchors
-    run in order, each searched only for a clique larger than the best so
-    far, and the search stops at the first packing of p + 1 classes, p the
-    smallest prime above d (no packing is larger); jobs > 1 fans the
-    anchors out, independent, to worker processes, at most one per anchor
-    and one per CPU.
+    Maximizes 2 + max-clique over all anchors.  The anchors run in order,
+    each searched only for a clique larger than the best so far, and the
+    search stops at the first packing of p + 1 classes, p the smallest prime
+    above d (no packing is larger).
+
+    jobs has no effect; it is accepted for older callers, and a value below
+    1 is still a DomainError.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
@@ -222,26 +220,14 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
         if gcd(p0, q0) == 1
     ]
     p = next_prime(d)
-    tasks = [(d, p, a) for a in anchors]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     best_size, best_witness = 2, ((0, 1), (1, 0))
-    if workers > 1:
-        # imported here: only the worker path needs it, and it is slow to load
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            results = pool.map(_anchor_best, tasks)
-        for res in results:
-            if res is not None and res[0] > best_size:
-                best_size, best_witness = res
-    else:
-        # the running best is each anchor's floor, so any result beats it
-        for t in tasks:
-            res = _anchor_best(t, best_size - 2)
-            if res is not None:
-                best_size, best_witness = res
-                if best_size == p + 1:
-                    break
+    # the running best is each anchor's floor, so any result beats it
+    for anchor in anchors:
+        res = _anchor_best(d, p, anchor, best_size - 2)
+        if res is not None:
+            best_size, best_witness = res
+            if best_size == p + 1:
+                break
     witness = tuple(sorted(best_witness))
     edge = _edge(d)
     for i in range(len(witness)):

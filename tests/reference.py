@@ -25,11 +25,9 @@ package's dense and certificate-first implementations:
     empty incumbent.
 """
 
-import os
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from multiprocessing import Pool
 
 from toruscurves.conditions import (
     FailedPluecker,
@@ -437,8 +435,7 @@ def max_clique(vertices, edge_fn) -> tuple:
     return tuple(verts[i] for i in sorted(best))
 
 
-def _anchor_best(args):
-    d, anchor = args
+def _anchor_best(d, anchor):
     verts = [
         v
         for v in candidate_vertices(d, anchor)
@@ -449,12 +446,10 @@ def _anchor_best(args):
     return len(witness), witness
 
 
-def max_packing(d: int, jobs: int = 1) -> CliqueResult:
+def max_packing(d: int) -> CliqueResult:
     """Largest set of distinct classes with pairwise intersection in [1, d].
 
-    Maximizes 2 + max-clique over all anchors; anchors are independent, so
-    jobs > 1 fans them out to worker processes, at most one per anchor and
-    one per CPU.
+    Maximizes 2 + max-clique over all anchors, each searched independently.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
@@ -464,13 +459,7 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
         for p0 in range(q0)
         if gcd(p0, q0) == 1
     ]
-    tasks = [(d, a) for a in anchors]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with Pool(workers) as pool:
-            results = pool.map(_anchor_best, tasks)
-    else:
-        results = [_anchor_best(t) for t in tasks]
+    results = [_anchor_best(d, a) for a in anchors]
     best_size, best_witness = 2, ((0, 1), (1, 0))
     for size, witness in results:
         if size > best_size:

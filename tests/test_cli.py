@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -228,6 +229,32 @@ def test_farey_command(capsys):
     assert code == 0
     assert doc["size"] == 3
     assert sorted(map(tuple, doc["witness"])) == [(0, 1), (1, 0), (1, 1)]
+    # the packing search has no options: --jobs is a usage error
+    assert run(["farey", "--d", "3", "--jobs", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --jobs 2" in err
+
+
+def test_module_entry_point(tmp_path):
+    # python -m toruscurves keeps the exit codes of the installed script
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    garbled = tmp_path / "bad.json"
+    garbled.write_text("{not json")
+    cases = [
+        (write_scheme(tmp_path, "yes.json", 3, [2, 2, 4]), 0, "torus"),
+        (write_scheme(tmp_path, "no.json", 3, [6, 10, 14]), 1, "not_torus"),
+        (str(garbled), 2, None),
+    ]
+    for path, code, status in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toruscurves", "check", path],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, (path, proc.stderr)
+        if status is None:
+            assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        else:
+            assert json.loads(proc.stdout)["status"] == status
 
 
 def test_repeated_runs_reuse_one_parser(tmp_path, capsys, monkeypatch):
@@ -430,7 +457,7 @@ def test_library_errors_exit_2(tmp_path, capsys):
         (["oracle", big], "|m_12| = 10000001 exceeds the oracle scan cap"),
         (["solve", small, "--kappa", "2"],
          "kappa=2 gives r_2 sharing a factor with m_12"),
-        (["farey", "--d", "3", "--jobs", "-3"], "need jobs >= 1, got -3"),
+        (["farey", "--d", "0"], "need d >= 1, got 0"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

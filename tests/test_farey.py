@@ -1,4 +1,3 @@
-import multiprocessing
 import random
 from itertools import combinations
 from math import comb
@@ -143,16 +142,12 @@ def test_max_packing_matches_reference(monkeypatch):
         got = max_packing(d)
         assert (got.size, got.witness) == (ref.size, ref.witness), d
     # at d = 9 the first of the 28 anchors already reaches p + 1 = 12, so
-    # the serial path searches no other; a real 2-worker pool searches all
+    # the search tries no other
     searched = _counted_max_clique(monkeypatch)
     ref = refs[9]
     got = max_packing(9)
     assert (got.size, got.witness) == (ref.size, ref.witness)
     assert len(searched) == 1
-    monkeypatch.setattr(farey, "max_clique", max_clique)
-    monkeypatch.setattr(farey.os, "cpu_count", lambda: 2)
-    got = max_packing(9, jobs=2)
-    assert (got.size, got.witness) == (ref.size, ref.witness)
 
 
 def _is_prime(m):
@@ -264,54 +259,9 @@ def test_exact_intersection_cliques(k, expected):
     assert len(clique) == expected
 
 
-def test_max_packing_jobs_matches_serial():
-    a = max_packing(3, jobs=1)
-    b = max_packing(3, jobs=2)
-    assert (a.size, a.witness) == (b.size, b.witness)
-
-
 def test_bad_inputs():
     with pytest.raises(DomainError):
         max_packing(0)
     for jobs in (0, -3):
         with pytest.raises(DomainError, match="need jobs >= 1"):
             max_packing(3, jobs=jobs)
-
-
-def test_max_packing_pool_size(monkeypatch):
-    sizes = []
-
-    class FakePool:
-        # records the requested size and maps in-process
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(farey.os, "cpu_count", lambda: 64)
-    # d = 1 has the single anchor (0, 1): no pool at all
-    assert max_packing(1, jobs=64).size == 3
-    assert sizes == []
-    # d = 3 has the four anchors (0,1), (1,2), (1,3), (2,3)
-    res = max_packing(3, jobs=64)
-    assert sizes == [4]
-    serial = max_packing(3, jobs=1)
-    assert (res.size, res.witness) == (serial.size, serial.witness)
-    max_packing(3, jobs=2)
-    assert sizes == [4, 2]
-    # the CPU count caps the workers too: d = 7 has 18 anchors
-    monkeypatch.setattr(farey.os, "cpu_count", lambda: 3)
-    res = max_packing(7, jobs=5000)
-    assert sizes == [4, 2, 3]
-    # an unknown CPU count means one worker, in-process
-    monkeypatch.setattr(farey.os, "cpu_count", lambda: None)
-    assert max_packing(7, jobs=5000) == res
-    assert sizes == [4, 2, 3]

@@ -27,9 +27,9 @@ Per point it records the best of a few wall times of decide_torus and
 the byte length of the `check FILE` document; a tree that refuses the
 point records the name of the exception instead.
 
-Packing series: max_packing(d) with one job for d = 8..40.  Per point it
-records the best of a few wall times and the number of farey.max_clique
-calls, counted on one more, untimed call.
+Packing series: max_packing(d) for d = 8..40.  Per point it records the
+best of a few wall times and the number of farey.max_clique calls, counted
+on one more, untimed call.
 
 With --parent, a second toruscurves tree (the src/ directory of another
 checkout) is loaded under another module name and timed in the same
@@ -343,8 +343,8 @@ def main(argv=None) -> int:
                 "times in ms. kappa_points: decide_torus on (2,3,5)*p^nu, "
                 "best of 5 (p^nu <= 10^6) or 3 wall times in ms, and the "
                 "byte length of the check document; an exception name where "
-                "the tree refuses the point. packing_points: max_packing(d, "
-                "jobs=1), best of 5 (d <= 24) or 3 wall times in ms, and the "
+                "the tree refuses the point. packing_points: max_packing(d), "
+                "best of 5 (d <= 24) or 3 wall times in ms, and the "
                 "farey.max_clique calls of one more call. 'change' is this "
                 "tree, 'parent' the tree given by --parent",
         "python": platform.python_version(),
