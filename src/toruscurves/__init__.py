@@ -20,7 +20,6 @@ from .conditions import (
     check_pluecker_full,
     check_triangle,
     decide_torus,
-    pluecker_identity,
     pluecker_mu,
     toz_report,
 )
@@ -56,7 +55,12 @@ from .intarith import (
     valuation,
     xgcd,
 )
-from .oracle import OracleResult, oracle_orbit_count, oracle_realizable
+from .oracle import (
+    OracleResult,
+    oracle_orbit_count,
+    oracle_realizable,
+    pluecker_identity,
+)
 from .render import render_svg
 from .scheme import (
     EMPTY_CURVE,

@@ -38,18 +38,20 @@ dense copy of the matrix.  The Pluecker check is output-sensitive: the
 relations say the matrix has rank 2, and for a base pair (a, b) with
 m_ab != 0 the rank-2 matrix W that agrees with rows a and b differs from
 the scheme exactly on the "bad pairs" (i, j) with mu_abij != 0.  All
-Pfaffians of W vanish, so each failing quadruple contains a bad pair, and
-only the quadruples through one are tested, in lexicographic order.  The
-base is the one of (1,2), (3,4), (5,6) with the fewest bad pairs; when even
-those would put more than 1/_SPARSE_SHARE of the C(n,4) quadruples in play,
-all quadruples are tested, by the same loop.
+Pfaffians of W vanish, so each failing quadruple contains a bad pair.
+The base is the one of (1,2), (3,4), (5,6) with the fewest bad pairs, and
+each of its bad pairs is scanned as the base pair was, against every pair
+of the other indices; each failure found has its indices put in increasing
+order, and the failures, each listed once, are sorted lexicographically.
+When even the fewest bad pairs would put more than 1/_SPARSE_SHARE of the
+C(n,4) quadruples in play, all quadruples are tested, by the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from math import comb, gcd
 from typing import Optional, Union
 
@@ -147,19 +149,15 @@ def check_triangle(s: Scheme) -> StageCheck:
     return StageCheck(tuple(failures))
 
 
-def _mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
+def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
+    """mu_ijkl = m_ij*m_kl - m_ik*m_jl + m_il*m_jk."""
+    if not (1 <= i < j < k < l <= s.n):
+        raise IndexError(f"need 1 <= i<j<k<l <= {s.n}, got ({i},{j},{k},{l})")
     return (
         get(s, i, j) * get(s, k, l)
         - get(s, i, k) * get(s, j, l)
         + get(s, i, l) * get(s, j, k)
     )
-
-
-def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
-    """mu_ijkl = m_ij*m_kl - m_ik*m_jl + m_il*m_jk."""
-    if not (1 <= i < j < k < l <= s.n):
-        raise IndexError(f"need 1 <= i<j<k<l <= {s.n}, got ({i},{j},{k},{l})")
-    return _mu(s, i, j, k, l)
 
 
 def check_pluecker_full(s: Scheme) -> StageCheck:
@@ -171,29 +169,41 @@ def check_pluecker_full(s: Scheme) -> StageCheck:
     matrix that agrees with rows a and b, and m_ij != W_ij exactly when
     the Pfaffian mu_abij is nonzero: (i, j) is then a bad pair.  Every
     Pfaffian of W vanishes, so every failing quadruple contains a bad
-    pair, and only the quadruples through one are tested.  Of the base
-    pairs (1,2), (3,4), (5,6) the one with the fewest bad pairs is taken.
-    When even those bad pairs bound more than 1/_SPARSE_SHARE of the
-    C(n,4) quadruples (every tried base has a perturbed entry, or the
-    matrix is far from rank 2), the candidates are all quadruples.  The
-    test is the same loop either way.
+    pair.  Of the base pairs (1,2), (3,4), (5,6) the one with the fewest
+    bad pairs is taken, and each of its bad pairs (p, q) is scanned as the
+    base pair was: every (p, q, k, l), k < l off {p, q}.  A Pfaffian only
+    changes sign when its indices are permuted, so each failure found is
+    sorted, the duplicates (quadruples through two bad pairs) dropped,
+    and the rest sorted once.  When even the fewest bad pairs put more
+    than 1/_SPARSE_SHARE of the C(n,4) quadruples in play (every tried
+    base has a perturbed entry, or the matrix is far from rank 2), all
+    quadruples are tested instead.
     """
     n = s.n
     if n < 4:
         return StageCheck(())
     rows = dense_rows(s)
-    failures = tuple(
-        FailedPluecker(i + 1, j + 1, k + 1, l + 1)
-        for i, j, k, l in _nonzero_pfaffians(rows, _candidates(rows, n))
-    )
+    bad = _fewest_bad_pairs(rows, n)
+    if bad is None:
+        tails = [[(k, range(k + 1, n)) for k in range(j + 1, n)] for j in range(n)]
+        quads = _nonzero_pfaffians(
+            rows, ((i, j, tails[j]) for i in range(n) for j in range(i + 1, n))
+        )
+    else:
+        # through one bad pair the sorted failures increase, so this sorts
+        # len(bad) runs
+        quads = sorted(dict.fromkeys(
+            tuple(sorted(quad)) for p, q in bad for quad in _through(rows, n, p, q)
+        ))
+    failures = tuple(FailedPluecker(i + 1, j + 1, k + 1, l + 1) for i, j, k, l in quads)
     return StageCheck(failures)
 
 
 # disjoint base pairs tried for the bad-pair screen, 0-based
 _BASE_PAIRS = ((0, 1), (2, 3), (4, 5))
-# The screen's candidates may be at most 1/_SPARSE_SHARE of C(n,4).  Listing
-# a candidate costs a few times testing one, so even if every candidate
-# passed, the screen would cost at most about 1.25x the plain scan.
+# The screen tests at most |B|*C(n-2,2) <= C(n,4)/_SPARSE_SHARE quadruples
+# through the |B| bad pairs, plus at most three bad-pair scans of C(n-2,2)
+# for the bases, and it sorts only the failures.
 _SPARSE_SHARE = 16
 
 
@@ -215,75 +225,31 @@ def _nonzero_pfaffians(rows, groups):
                     yield i, j, k, l
 
 
-def _bad_pairs(rows, n: int, a: int, b: int, cap: int) -> list:
-    """The pairs (k, l), k < l, off {a, b} with mu_abkl != 0; the scan
-    stops after cap + 1 of them."""
-    rest = [x for x in range(n) if x != a and x != b]
+def _through(rows, n: int, p: int, q: int):
+    """(p, q, k, l) for each pair k < l off {p, q} with mu_pqkl != 0, in
+    increasing (k, l)."""
+    rest = [x for x in range(n) if x != p and x != q]
     kls = [(k, rest[t + 1:]) for t, k in enumerate(rest)]
-    found = _nonzero_pfaffians(rows, [(a, b, kls)])
-    return [(k, l) for _, _, k, l in islice(found, cap + 1)]
+    return _nonzero_pfaffians(rows, [(p, q, kls)])
 
 
-def _candidates(rows, n: int):
-    """Groups for _nonzero_pfaffians that cover every failing quadruple,
-    in lexicographic order."""
+def _fewest_bad_pairs(rows, n: int) -> Optional[list]:
+    """The bad pairs (k, l), k < l, of the base pair in _BASE_PAIRS with
+    the fewest, or None when every base has a zero entry or more than the
+    _SPARSE_SHARE limit allows."""
     limit = comb(n, 4) // (_SPARSE_SHARE * comb(n - 2, 2))
     best = None
     for a, b in _BASE_PAIRS:
         if b >= n or not rows[a][b]:
             continue
         cap = limit if best is None else len(best) - 1
-        bad = _bad_pairs(rows, n, a, b, cap)
+        # the scan stops after cap + 1 bad pairs
+        bad = [(k, l) for _, _, k, l in islice(_through(rows, n, a, b), cap + 1)]
         if len(bad) <= cap:
             best = bad
             if len(bad) <= 1:  # a failing relation leaves every base one
                 break
-    if best is None:
-        tails = [[(k, range(k + 1, n)) for k in range(j + 1, n)] for j in range(n)]
-        return ((i, j, tails[j]) for i in range(n) for j in range(i + 1, n))
-    # quadruple i < j < k < l as the integer ((i*n + j)*n + k)*n + l, which
-    # orders quadruples lexicographically
-    n2, n3 = n * n, n ** 3
-    keys = set()
-    for p, q in best:
-        lo, mid, hi = range(p), range(p + 1, q), range(q + 1, n)
-        pq = p * n + q
-        # the other two indices, x < y, below, between or above p < q
-        keys.update((x * n + y) * n2 + pq for x, y in combinations(lo, 2))
-        keys.update(x * n3 + p * n2 + y * n + q for x in lo for y in mid)
-        keys.update(x * n3 + p * n2 + q * n + y for x in lo for y in hi)
-        keys.update(p * n3 + x * n2 + y * n + q for x, y in combinations(mid, 2))
-        keys.update(p * n3 + x * n2 + q * n + y for x in mid for y in hi)
-        keys.update(pq * n2 + x * n + y for x, y in combinations(hi, 2))
-    groups = []
-    last_ij = last_k = None
-    for key in sorted(keys):
-        ij, kl = divmod(key, n2)
-        k, l = divmod(kl, n)
-        if ij != last_ij:
-            last_ij, last_k, kls = ij, None, []
-            groups.append((*divmod(ij, n), kls))
-        if k != last_k:
-            last_k, ls = k, []
-            kls.append((k, ls))
-        ls.append(l)
-    return groups
-
-
-def pluecker_identity(s: Scheme, a: int, b: int, c: int, d: int, e: int) -> int:
-    """m_ae*mu_abcd - m_ad*mu_abce + m_ac*mu_abde - m_ab*mu_acde.
-
-    Identically zero on any scheme; exposed as a self-test oracle.
-    """
-    idx = (a, b, c, d, e)
-    if len(set(idx)) != 5 or not all(1 <= t <= s.n for t in idx):
-        raise IndexError(f"need five distinct valid indices, got {idx}")
-    return (
-        get(s, a, e) * _mu(s, a, b, c, d)
-        - get(s, a, d) * _mu(s, a, b, c, e)
-        + get(s, a, c) * _mu(s, a, b, d, e)
-        - get(s, a, b) * _mu(s, a, c, d, e)
-    )
+    return best
 
 
 # ---------------------------------------------------------------------------

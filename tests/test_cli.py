@@ -236,7 +236,8 @@ def test_farey_command(capsys):
 
 
 def test_module_entry_point(tmp_path):
-    # python -m toruscurves keeps the exit codes of the installed script
+    # python -m toruscurves and python -m toruscurves.cli keep the exit
+    # codes of the installed script
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     garbled = tmp_path / "bad.json"
@@ -246,15 +247,16 @@ def test_module_entry_point(tmp_path):
         (write_scheme(tmp_path, "no.json", 3, [6, 10, 14]), 1, "not_torus"),
         (str(garbled), 2, None),
     ]
-    for path, code, status in cases:
-        proc = subprocess.run(
-            [sys.executable, "-m", "toruscurves", "check", path],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == code, (path, proc.stderr)
-        if status is None:
-            assert proc.stdout == "" and proc.stderr.startswith("error: ")
-        else:
-            assert json.loads(proc.stdout)["status"] == status
+    for module in ("toruscurves", "toruscurves.cli"):
+        for path, code, status in cases:
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "check", path],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == code, (module, path, proc.stderr)
+            if status is None:
+                assert proc.stdout == "" and proc.stderr.startswith("error: ")
+            else:
+                assert json.loads(proc.stdout)["status"] == status
 
 
 def test_repeated_runs_reuse_one_parser(tmp_path, capsys, monkeypatch):

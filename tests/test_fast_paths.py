@@ -129,7 +129,8 @@ def test_pluecker_screen_matches_reference(rng):
         for _ in range(4 if n <= 12 else 2):
             s = random_vector_scheme(rng, n, qmax=9, distinct=True)
             j = rng.randint(3, n)
-            shapes = [[(1, 2)], [(1, 3)], [(1, j)], [(2, j)], [(n - 1, n)]]
+            shapes = [[(1, 2)], [(1, 3)], [(1, j)], [(2, j)], [(n - 1, n)],
+                      [(n - 2, n), (n - 1, n)]]
             if n >= 6:
                 shapes.append([(1, 2), (3, 4), (5, 6)])
             schemes = [_perturbed(s, pairs) for pairs in shapes]
@@ -165,6 +166,15 @@ def test_pluecker_screen_is_output_sensitive(monkeypatch):
         assert got == reference.check_pluecker_full(t)
         assert len(got.failures) == comb(n - 2, 2)
         assert sum(tested) <= 4 * comb(n - 2, 2)
+    # two bad pairs sharing curve n: the quadruples through both, those
+    # holding n - 2, n - 1 and n, are found twice and listed once; three
+    # base scans and two bad-pair scans
+    tested.clear()
+    t = _perturbed(s, [(n - 2, n), (n - 1, n)])
+    got = check_pluecker_full(t)
+    assert got == reference.check_pluecker_full(t)
+    assert len(got.failures) == 2 * comb(n - 2, 2) - (n - 3)
+    assert sum(tested) <= 5 * comb(n - 2, 2)
     # every tried base pair dirty: the candidates are all quadruples
     tested.clear()
     t = _perturbed(s, [(1, 2), (3, 4), (5, 6)])
