@@ -7,11 +7,16 @@ relation 1 <= |det| <= d is found by normalizing the clique to contain
 (1, 0) with its minimal-positive-q member reduced to an anchor (p0, q0),
 0 <= p0 < q0 <= d, which confines all further members to a finite grid.
 
-Each anchor's grid becomes one graph: max_clique tests every unordered pair
-of grid classes once and keeps each class's neighbours as a bitmask over
-the (-degree, class) ranks.  The search passes its best size so far to the
-next anchor as a floor, so an anchor whose candidates cover too few points
-of P^1(F_p) (below), or whose clique, cannot beat it returns nothing.
+Each anchor's grid becomes one graph, read off lattice strips rather than
+pairwise tests: the neighbours of a candidate (a, b), b >= 1, in grid row
+y are the classes (x, y) with |a*y - b*x| <= d, an interval of x found by
+bisection in the row's sorted x values (strip_neighbours).  That is
+O(rows + degree) work per candidate, O(edges + rows * classes) per graph,
+in place of one test per unordered pair.  max_clique keeps each class's
+neighbours as a bitmask over the (-degree, class) ranks.  The search
+passes its best size so far to the next anchor as a floor, so an anchor
+whose candidates cover too few points of P^1(F_p) (below), or whose
+clique, cannot beat it returns nothing.
 
 The projective-line bound.  Let p be the smallest prime above d.  A
 primitive (a, b) is nonzero mod p, so it reduces to a point of the
@@ -31,11 +36,12 @@ at most p - 1.  The bound is used three times:
 2. max_packing stops at the first anchor whose packing has p + 1 classes,
    since a later anchor must beat the running best strictly;
 3. an anchor whose candidates cover at most floor points is skipped before
-   any edge test.
+   its graph is built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd
 
@@ -82,23 +88,67 @@ def candidate_vertices(d: int, anchor) -> list:
     return sorted(out)
 
 
-def _edge(d: int):
-    """The edge relation of packings with bound d: 1 <= |det(u, v)| <= d."""
-    return lambda u, v: 0 < abs(u[0] * v[1] - v[0] * u[1]) <= d
+def strip_neighbours(vertices, d: int) -> list:
+    """Neighbour lists of the packing graph with bound d on vertices:
+    entry i lists the indices j with 1 <= |det(vertices[i], vertices[j])|
+    <= d, once each.
+
+    Every vertex must be a distinct primitive (x, y) with y >= 1; anything
+    else is a DomainError.  The vertices are grouped into rows by y, each
+    row sorted by x.  The neighbours of u = (a, b) in row y are the x in
+    [ceil((a*y - d)/b), floor((a*y + d)/b)], one pair of bisections and a
+    slice per row; in row b itself that is |x - a| <= d // b.  Each pair is
+    found once, from its member in the lower row (from the smaller x within
+    a row), and entered in both lists.  Two distinct primitive classes with
+    positive second coordinates are never parallel, so every pair found has
+    det != 0.
+    """
+    if d < 1:
+        raise DomainError(f"need d >= 1, got {d}")
+    rows: dict = {}
+    for i, (x, y) in enumerate(vertices):
+        if y < 1 or gcd(x, y) != 1:
+            raise DomainError(f"bad packing vertex {(x, y)}: need y >= 1, primitive")
+        rows.setdefault(y, []).append((x, i))
+    strips = []
+    for y in sorted(rows):
+        row = sorted(rows[y])
+        xs = [x for x, _ in row]
+        for k in range(1, len(xs)):
+            if xs[k - 1] == xs[k]:
+                raise DomainError(f"packing vertex {(xs[k], y)} is repeated")
+        strips.append((y, xs, [i for _, i in row]))
+    nbrs: list = [[] for _ in vertices]
+    for s, (b, xs_b, idx_b) in enumerate(strips):
+        higher = strips[s + 1:]
+        for k, a in enumerate(xs_b):
+            found = idx_b[k + 1:bisect_right(xs_b, a + d // b)]
+            for y, xs, idx in higher:
+                ay = a * y
+                lo = bisect_left(xs, -((d - ay) // b))  # ceil((ay - d) / b)
+                hi = bisect_right(xs, (ay + d) // b)
+                if lo < hi:
+                    found += idx[lo:hi]
+            i = idx_b[k]
+            nbrs[i] += found
+            for j in found:
+                nbrs[j].append(i)
+    return nbrs
 
 
-def max_clique(vertices, edge_fn, floor: int = 0, ceiling=None) -> tuple:
+def max_clique(vertices, neighbours, floor: int = 0, ceiling=None) -> tuple:
     """Deterministic branch-and-bound maximum clique (greedy-coloring
     bound, degree-descending order, lexicographic tie-break).
 
-    edge_fn must be symmetric; it is called once per unordered pair of
-    distinct vertices, C(n, 2) times.  The vertices are ranked by
-    (-degree, vertex) and each one's neighbours become a bitmask over the
-    ranks.  The search starts from an incumbent of size floor and returns
-    () when no clique has more than floor vertices.  Branches are ordered
-    by the candidate masks alone and cut only when they cannot beat the
-    incumbent, so for any floor below the clique number the result is the
-    clique returned with floor=0.
+    The vertices must be distinct; neighbours[i] lists, once each, the
+    indices of the vertices adjacent to vertices[i], and the relation must
+    be symmetric and irreflexive (strip_neighbours builds the packing
+    graph).  The vertices are ranked by (-degree, vertex) and each one's
+    neighbours become a bitmask over the ranks.  The search starts from an
+    incumbent of size floor and returns () when no clique has more than
+    floor vertices.  Branches are ordered by the candidate masks alone and
+    cut only when they cannot beat the incumbent, so for any floor below
+    the clique number the result is the clique returned with floor=0.
 
     A ceiling stops the search as soon as the clique it is growing has
     ceiling vertices, and returns that clique.  The search only accepts
@@ -107,27 +157,17 @@ def max_clique(vertices, edge_fn, floor: int = 0, ceiling=None) -> tuple:
     below the clique number it is a clique of exactly ceiling vertices; with
     ceiling <= floor it is ().
     """
+    n = len(vertices)
+    if len(neighbours) != n:
+        raise DomainError(f"{len(neighbours)} neighbour lists for {n} vertices")
     if ceiling is not None and ceiling <= floor:
         return ()
-    verts0 = sorted(set(vertices))
-    n = len(verts0)
-    nbrs = [[] for _ in range(n)]
-    for i, u in enumerate(verts0):
-        for j in range(i + 1, n):
-            if edge_fn(u, verts0[j]):
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-    order = sorted(range(n), key=lambda i: (-len(nbrs[i]), verts0[i]))
-    rank = [0] * n
+    order = sorted(range(n), key=lambda i: (-len(neighbours[i]), vertices[i]))
+    bit = [0] * n
     for r, i in enumerate(order):
-        rank[i] = r
-    verts = [verts0[i] for i in order]
-    adj = [0] * n
-    for r, i in enumerate(order):
-        mask = 0
-        for j in nbrs[i]:
-            mask |= 1 << rank[j]
-        adj[r] = mask
+        bit[i] = 1 << r
+    verts = [vertices[i] for i in order]
+    adj = [sum(map(bit.__getitem__, neighbours[i])) for i in order]
 
     best: list = []
     best_size = floor
@@ -191,7 +231,8 @@ def _anchor_best(d: int, p: int, anchor, floor: int):
     points = len({a * pow(b, -1, p) % p for a, b in verts})
     if points <= floor:
         return None
-    clique = max_clique(verts, _edge(d), floor=floor, ceiling=points)
+    clique = max_clique(verts, strip_neighbours(verts, d), floor=floor,
+                        ceiling=points)
     if not clique:
         return None
     witness = ((1, 0), anchor) + clique
@@ -229,9 +270,8 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
             if best_size == p + 1:
                 break
     witness = tuple(sorted(best_witness))
-    edge = _edge(d)
-    for i in range(len(witness)):
-        for j in range(i + 1, len(witness)):
-            if not edge(witness[i], witness[j]):
+    for i, (a, b) in enumerate(witness):
+        for x, y in witness[i + 1:]:
+            if not 0 < abs(a * y - b * x) <= d:
                 raise AssertionError("internal fault: invalid packing witness")
     return CliqueResult(best_size, witness, d)

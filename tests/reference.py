@@ -22,7 +22,10 @@ package's dense and certificate-first implementations:
     both summands afresh at every leaf;
   * max_clique / max_packing: the packing search on a dense n x n edge
     matrix, every ordered pair tested, and every anchor searched from an
-    empty incumbent.
+    empty incumbent;
+  * pairwise_neighbours: the neighbour lists that farey.max_clique takes,
+    from one edge test per unordered pair, for tests that state a graph
+    by its edge relation and as the oracle of farey.strip_neighbours.
 """
 
 from functools import lru_cache
@@ -376,6 +379,17 @@ def search_generic(s, bound):
 def _edge(u, v, d: int) -> bool:
     det = abs(u[0] * v[1] - v[0] * u[1])
     return 1 <= det <= d
+
+
+def pairwise_neighbours(vertices, edge_fn) -> list:
+    """Neighbour lists in the form farey.max_clique takes, from a symmetric
+    edge_fn called once per unordered pair of distinct vertices."""
+    nbrs = [[] for _ in vertices]
+    for i, j in combinations(range(len(vertices)), 2):
+        if edge_fn(vertices[i], vertices[j]):
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    return nbrs
 
 
 def max_clique(vertices, edge_fn) -> tuple:

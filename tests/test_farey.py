@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import comb
+from math import gcd
 
 import pytest
 
@@ -54,9 +54,12 @@ def test_max_clique_known_graphs():
     def adj(u, v):
         return (u, v) in edges or (v, u) in edges
 
-    assert set(max_clique(verts, adj)) == {"a", "b", "c"}
-    assert max_clique([], adj) == ()
-    assert max_clique(["z"], lambda u, v: False) == ("z",)
+    nbrs = reference.pairwise_neighbours(verts, adj)
+    assert set(max_clique(verts, nbrs)) == {"a", "b", "c"}
+    assert max_clique([], []) == ()
+    assert max_clique(["z"], [[]]) == ("z",)
+    with pytest.raises(DomainError, match="3 neighbour lists for 4 vertices"):
+        max_clique(verts, [[1], [0], []])
 
 
 def test_max_clique_floor_matches_reference():
@@ -70,22 +73,17 @@ def test_max_clique_floor_matches_reference():
         edges = {
             frozenset(e) for e in combinations(verts, 2) if rng.random() < density
         }
-        calls = []
 
         def adj(u, v):
-            calls.append(frozenset((u, v)))
             return frozenset((u, v)) in edges
 
-        ref = reference.max_clique(verts, lambda u, v: frozenset((u, v)) in edges)
+        nbrs = reference.pairwise_neighbours(verts, adj)
+        ref = reference.max_clique(verts, adj)
         omega = len(ref)
         for floor in range(omega + 2):
-            calls.clear()
-            got = max_clique(verts, adj, floor=floor)
+            got = max_clique(verts, nbrs, floor=floor)
             assert got == (ref if floor < omega else ()), (verts, edges, floor)
-            # one test per unordered pair of distinct vertices
-            assert len(calls) == len(set(calls)) == comb(n, 2)
-            assert all(len(c) == 2 for c in calls)
-        assert max_clique(verts, adj) == ref
+        assert max_clique(verts, nbrs) == ref
 
 
 def _is_clique(verts, edges):
@@ -108,19 +106,75 @@ def test_max_clique_ceiling():
         def adj(u, v):
             return frozenset((u, v)) in edges
 
+        nbrs = reference.pairwise_neighbours(verts, adj)
         ref = reference.max_clique(verts, adj)
         omega = len(ref)
         for floor in range(omega):
             for ceiling in range(omega, omega + 3):
-                got = max_clique(verts, adj, floor=floor, ceiling=ceiling)
+                got = max_clique(verts, nbrs, floor=floor, ceiling=ceiling)
                 assert got == ref, (verts, edges, floor, ceiling)
             for ceiling in range(floor + 1, omega):
-                got = max_clique(verts, adj, floor=floor, ceiling=ceiling)
+                got = max_clique(verts, nbrs, floor=floor, ceiling=ceiling)
                 assert len(got) == ceiling and _is_clique(got, edges), (
                     verts, edges, floor, ceiling)
         for floor in range(omega + 2):
             for ceiling in range(floor + 1):
-                assert max_clique(verts, adj, floor=floor, ceiling=ceiling) == ()
+                assert max_clique(verts, nbrs, floor=floor, ceiling=ceiling) == ()
+
+
+def test_strip_neighbours_match_pairwise():
+    # every anchor at d <= 12; at d = 13..40, seeded random anchors, at
+    # least three and until the graphs include pairs with |det| exactly d
+    # (an edge) and d + 1 (not), as they do at every d >= 2.  Most sampled
+    # grids are small, so the full grid of (0, 1) (798 classes at d = 25)
+    # leads the sample at d = 13, 19 and 25
+    rng = random.Random(17)
+    for d in range(1, 41):
+        anchors = [(p0, q0) for q0 in range(1, d + 1) for p0 in range(q0)
+                   if gcd(p0, q0) == 1]
+        if d > 12:
+            rng.shuffle(anchors)
+            if d in (13, 19, 25):
+                anchors.insert(0, (0, 1))
+        seen = set()
+
+        def edge(u, v):
+            seen.add(abs(det(u, v)))
+            return reference._edge(u, v, d)
+
+        for k, anchor in enumerate(anchors):
+            if d > 12 and k >= 3 and {d, d + 1} <= seen:
+                break
+            verts = [v for v in candidate_vertices(d, anchor)
+                     if v not in ((1, 0), anchor)]
+            strip = farey.strip_neighbours(verts, d)
+            pairwise = reference.pairwise_neighbours(verts, edge)
+            assert list(map(set, strip)) == list(map(set, pairwise)), (d, anchor)
+        assert d == 1 or {d, d + 1} <= seen, d
+
+
+def test_strip_neighbours_at_the_bound():
+    # d = 5: |det| is exactly 5 for (0, 1)-(5, 1) in row 1 and for
+    # (1, 2)-(4, 3) in row 3, both edges; it is 6 for (0, 1)-(6, 1) and for
+    # (1, 2)-(5, 4) in row 4, neither an edge
+    verts = [(0, 1), (5, 1), (6, 1), (1, 2), (4, 3), (5, 4)]
+    nbrs = [set(nb) for nb in farey.strip_neighbours(verts, 5)]
+    assert nbrs == [{1, 3, 4, 5}, {0, 2}, {1}, {0, 4}, {0, 3, 5}, {0, 4}]
+    pairwise = reference.pairwise_neighbours(
+        verts, lambda u, v: reference._edge(u, v, 5))
+    assert nbrs == [set(nb) for nb in pairwise]
+
+
+@pytest.mark.parametrize("verts,d,match", [
+    ([(1, 0)], 3, "need y >= 1"),
+    ([(1, -2)], 3, "need y >= 1"),
+    ([(2, 4)], 3, "primitive"),
+    ([(0, 1), (1, 2), (0, 1)], 3, "repeated"),
+    ([(0, 1)], 0, "need d >= 1"),
+], ids=["y=0", "y<0", "not-primitive", "repeated", "d=0"])
+def test_strip_neighbours_preconditions(verts, d, match):
+    with pytest.raises(DomainError, match=match):
+        farey.strip_neighbours(verts, d)
 
 
 def _counted_max_clique(monkeypatch):
@@ -250,12 +304,11 @@ def test_exact_intersection_cliques(k, expected):
     # pairwise |det| exactly k: at most 3 classes for odd k, 2 for even k.
     # normalizing one member to (1,0) pins the rest to (p, +-k), so the
     # grid below is exhaustive.
-    from math import gcd
-
     verts = [(1, 0)] + [
         (p, k) for p in range(-2 * k, 2 * k + 1) if gcd(abs(p), k) == 1
     ]
-    clique = max_clique(verts, lambda u, v: abs(det(u, v)) == k)
+    nbrs = reference.pairwise_neighbours(verts, lambda u, v: abs(det(u, v)) == k)
+    clique = max_clique(verts, nbrs)
     assert len(clique) == expected
 
 

@@ -4,6 +4,9 @@ tests/golden/cli_corpus.json.gz holds the exit code and stdout of `check`,
 `solve --orbits 5`, `solve --kappa K` and `toz` on a few hundred schemes;
 tests/golden/make_corpus.py documents how it was generated.  Refactors of
 the decision and witness code must leave every one of these unchanged.
+tests/golden/farey_stdout.json holds the stdout of `farey --d D` for
+D = 1..40 (tests/golden/make_farey.py), which the packing search must
+keep.
 """
 
 import difflib
@@ -12,6 +15,7 @@ import json
 from pathlib import Path
 
 from golden.make_corpus import CORPUS, run_cli
+from golden.make_farey import DS, FAREY, farey_stdout
 
 
 def test_golden_cli_corpus(tmp_path):
@@ -37,3 +41,10 @@ def test_golden_cli_corpus(tmp_path):
     assert not mismatches, f"{len(mismatches)} runs differ:\n" + "\n".join(
         mismatches[:5]
     )
+
+
+def test_golden_farey_stdout():
+    golden = json.loads(FAREY.read_text(encoding="utf-8"))
+    assert list(golden) == [str(d) for d in DS]
+    differ = [d for d in DS if farey_stdout(d) != golden[str(d)]]
+    assert not differ, f"farey --d D stdout differs at D = {differ}"

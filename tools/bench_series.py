@@ -27,9 +27,12 @@ Per point it records the best of a few wall times of decide_torus and
 the byte length of the `check FILE` document; a tree that refuses the
 point records the name of the exception instead.
 
-Packing series: max_packing(d) for d = 8..40.  Per point it records the
-best of a few wall times and the number of farey.max_clique calls, counted
-on one more, untimed call.
+Packing series: max_packing(d) for d = 1..80.  Per point it records the
+best of a few wall times (5 up to d = 24, 3 up to d = 40 and 1 beyond) and
+the number of farey.max_clique calls, counted on the timed calls.  Past
+d = 40 one call can take a minute or more where the packing stays below
+p + 1 (d = 73, 75 and 79), since the clique search must then prove its
+bound; the packing series alone takes about 12 minutes with --parent.
 
 With --parent, a second toruscurves tree (the src/ directory of another
 checkout) is loaded under another module name and timed in the same
@@ -59,6 +62,7 @@ import platform
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from math import gcd
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -76,7 +80,7 @@ KAPPA_POINTS = (
     + [(101, nu) for nu in (1, 2, 3, 4)]
 )
 QUICK_MAX_MODULUS = 10**4
-PACKING_DS = range(8, 41)
+PACKING_DS = range(1, 81)
 QUICK_MAX_D = 30
 
 
@@ -291,24 +295,22 @@ def counted_packing(tree, d: int):
 def packing_series(trees: dict) -> list:
     points = []
     for d in PACKING_DS:
-        reps = 5 if d <= 24 else 3
+        reps = 5 if d <= 24 else 3 if d <= 40 else 1
         times = {label: [] for label in trees}
-        got, calls = {}, {}
-        for label, tree in trees.items():
-            res, calls[label] = counted_packing(tree, d)
-            got[label] = (res.size, res.witness)
-        if len(set(got.values())) > 1:
-            raise SystemExit(f"d={d}: the trees' packing size or witness differ")
+        got = {}
         for _ in range(reps):
             for label, tree in trees.items():
-                ms, res = timed(tree.max_packing, d)
+                ms, (res, count) = timed(partial(counted_packing, tree), d)
                 times[label].append(ms)
-                if (res.size, res.witness) != got[label]:
+                run = (res.size, res.witness, count)
+                if got.setdefault(label, run) != run:
                     raise SystemExit(f"d={d}: {label} is not deterministic")
+        if len({run[:2] for run in got.values()}) > 1:
+            raise SystemExit(f"d={d}: the trees' packing size or witness differ")
         point = {"d": d, "size": got["change"][0]}
         for label in trees:
             point[label] = {"ms": round(min(times[label]), 3),
-                            "max_clique_calls": calls[label]}
+                            "max_clique_calls": got[label][2]}
         if "parent" in trees:
             point["ratio"] = round(
                 point["change"]["ms"] / point["parent"]["ms"], 3
@@ -344,9 +346,9 @@ def main(argv=None) -> int:
                 "best of 5 (p^nu <= 10^6) or 3 wall times in ms, and the "
                 "byte length of the check document; an exception name where "
                 "the tree refuses the point. packing_points: max_packing(d), "
-                "best of 5 (d <= 24) or 3 wall times in ms, and the "
-                "farey.max_clique calls of one more call. 'change' is this "
-                "tree, 'parent' the tree given by --parent",
+                "best of 5 (d <= 24), 3 (d <= 40) or 1 wall times in ms, "
+                "and the farey.max_clique calls of each timed call. 'change' "
+                "is this tree, 'parent' the tree given by --parent",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
