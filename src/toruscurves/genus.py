@@ -6,7 +6,10 @@ genus-2 surface (connected sum along compatible arcs); for 3-schemes such a
 split always exists, while the endemic family (q; pq,pq; pq,pq,p) for odd
 primes p != q admits none.  The bounded search works for every n: it prunes
 by sub-triple realizability and by the Pluecker relations, which hold in
-every realizable scheme, zero entries included.
+every realizable scheme, zero entries included.  It also prunes by their
+cross-term: mu is quadratic, so a split s = m' + m'' with mu(m') =
+mu(m'') = 0 satisfies the linear equation B(m', s) = mu(s), B the
+polarization of mu.
 """
 
 from __future__ import annotations
@@ -184,8 +187,19 @@ def bounded_decomposition_search(
     m_ab*m_cj = m_ac*m_bj - m_aj*m_bc (a < b < c < j) holds, zero entries
     included.  The scan fills one slot at a time and keeps, as a bitmask
     (bit v+bound for value v), only the values on which the quadruples and
-    triples completing at that slot hold in both summands; nothing
-    realizable is pruned, so the first hit matches the unpruned scan.
+    triples completing at that slot hold in both summands.
+
+    Each quadruple (a, b, c, j) also gives the linear cross-term equation
+    B(m', s) = mu_abcj(s) on m', where B(x, y) = mu(x + y) - mu(x) - mu(y)
+    is the polarization of mu = m_ab*m_cj - m_ac*m_bj + m_aj*m_bc.  It
+    holds because B(m', s) = 2*mu(m') + B(m', m'') equals
+    mu(s) + mu(m') - mu(m''), and both summands satisfy Pluecker.  At each
+    slot of the equation but its last, the residual (mu(s) minus the terms
+    at the slots filled so far) must be divisible by the gcd g of the
+    coefficients at later slots, so a value v stays only if
+    residual - c*v = 0 (mod g), c the slot's coefficient; each (equation,
+    slot) caches one mask per residual mod g.  Nothing realizable is
+    pruned, so the first hit matches the unpruned scan.
     """
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
@@ -199,15 +213,38 @@ def bounded_decomposition_search(
     # quadruples (a, b, c, j)
     quads = [[] for _ in range(k)]
     triples = [[] for _ in range(k)]
+    # cross-term congruences per slot: (earlier terms, coefficient, modulus,
+    # mu(s), mask per residual mod the modulus)
+    cross = [[] for _ in range(k)]
     for t, (c, j) in enumerate(pairs):
         for a in range(1, c):
             tac, taj = slot[(a, c)], slot[(a, j)]
             key = (target[tac], target[taj], target[t])
             triples[t].append((tac, taj, tables.setdefault(key, {})) + key)
-            quads[t] += [
-                (slot[(a, b)], tac, slot[(b, j)], taj, slot[(b, c)])
-                for b in range(a + 1, c)
-            ]
+            for b in range(a + 1, c):
+                tab, tbj, tbc = slot[(a, b)], slot[(b, j)], slot[(b, c)]
+                quads[t].append((tab, tac, tbj, taj, tbc))
+                # B(m', s) = mu(s), its terms in slot order
+                terms = [
+                    (u, x)
+                    for u, x in (
+                        (tab, target[t]), (tac, -target[tbj]),
+                        (tbc, target[taj]), (taj, target[tbc]),
+                        (tbj, -target[tac]), (t, target[tab]),
+                    )
+                    if x
+                ]
+                mu = (target[tab] * target[t] - target[tac] * target[tbj]
+                      + target[taj] * target[tbc])
+                g = 0
+                for i in range(len(terms) - 1, 0, -1):
+                    g = gcd(g, terms[i][1])
+                    # g = 1 prunes nothing; the last term needs no entry,
+                    # since the quadruple check in both summands implies
+                    # the equation
+                    if g > 1:
+                        u, x = terms[i - 1]
+                        cross[u].append((terms[:i - 1], x, g, mu, {}))
     chosen, rest = [0] * k, list(target)  # m' and s - m'
     cands = [0] * k  # values of each slot not yet tried
     t = 0
@@ -223,7 +260,23 @@ def bounded_decomposition_search(
             t -= 1
         else:
             m = full
-            for tab, tac, tbj, taj, tbc in quads[t]:
+            for before, x, g, r, masks in cross[t]:
+                # the residual left for this slot and the later ones must
+                # be divisible by the gcd of the later coefficients
+                for u, y in before:
+                    r -= y * chosen[u]
+                r %= g
+                mask = masks.get(r)
+                if mask is None:
+                    mask = masks[r] = sum(
+                        1 << (v + bound)
+                        for v in range(-bound, bound + 1)
+                        if (r - x * v) % g == 0
+                    )
+                m &= mask
+                if not m:
+                    break
+            for tab, tac, tbj, taj, tbc in quads[t] if m else ():
                 # the relation fixes the slot when m_ab != 0 and otherwise
                 # needs its right-hand side to vanish
                 x = chosen[tab]

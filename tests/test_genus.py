@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -16,13 +16,14 @@ from toruscurves import (
     endemic_family,
     genus_upper_bound,
     new_scheme,
+    pluecker_mu,
     scheme_sum,
     zero_scheme,
 )
 from toruscurves.genus import _realizable3
-from toruscurves.scheme import Scheme
+from toruscurves.scheme import Scheme, get
 
-from conftest import random_vector_scheme
+from conftest import dets, random_vector_scheme
 from reference import search_generic
 
 
@@ -131,6 +132,20 @@ def test_search_matches_reference(rng):
         target = scheme_sum(random_vector_scheme(rng, 5, 1),
                             random_vector_scheme(rng, 5, 2))
         cases.append((target, 1))
+    # the cross-term prune fires where the later coefficients of
+    # B(m', s) = mu(s) share a factor: sums scaled by 3 or 5, and the
+    # endemic family, which has no split
+    for n, bound, count in ((4, 1, 12), (4, 2, 12), (5, 1, 6)):
+        for _ in range(count):
+            target = scheme_sum(random_vector_scheme(rng, n, 1),
+                                random_vector_scheme(rng, n, 2))
+            c = rng.choice((3, 5))
+            cases.append((Scheme(n, tuple(c * e for e in target.entries)),
+                          bound))
+    odd_primes = (3, 5, 7, 11, 13)
+    cases += [(endemic_family(p, q), bound)
+              for p in odd_primes for q in odd_primes if p != q
+              for bound in (2, 4)]
     hits = 0
     for target, bound in cases:
         out = bounded_decomposition_search(target, bound)
@@ -146,6 +161,40 @@ def test_search_matches_reference(rng):
         assert out.degenerate == (not any(out.left.entries)
                                   or not any(out.right.entries))
     assert hits >= len(cases) // 2
+
+
+def _vectors(rng, n):
+    """n curves: Empty, small primitive vectors (so that entries vanish)
+    or primitive vectors with coordinates up to 10**15."""
+    out = []
+    while len(out) < n:
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(None)
+            continue
+        hi = 2 if kind == 1 else 10**15
+        p, q = rng.randint(-hi, hi), rng.randint(-hi, hi)
+        if gcd(p, q) == 1:
+            out.append((p, q))
+    return out
+
+
+def test_cross_term_of_realizable_splits(rng):
+    # mu is quadratic and vanishes on both realizable summands, so its
+    # polarization B gives B(m', m' + m'') = mu(m' + m''): the linear
+    # equation the bounded search prunes by
+    zeros = 0
+    for n in (4, 5) * 150:
+        left, right = dets(_vectors(rng, n)), dets(_vectors(rng, n))
+        x = Scheme(n, tuple(left))
+        s = Scheme(n, tuple(u + w for u, w in zip(left, right)))
+        zeros += 0 in left
+        for a, b, c, j in combinations(range(1, n + 1), 4):
+            cross = (get(x, a, b) * get(s, c, j) + get(s, a, b) * get(x, c, j)
+                     - get(x, a, c) * get(s, b, j) - get(s, a, c) * get(x, b, j)
+                     + get(x, a, j) * get(s, b, c) + get(s, a, j) * get(x, b, c))
+            assert cross == pluecker_mu(s, a, b, c, j), (left, right)
+    assert zeros > 100
 
 
 def test_realizable_4schemes_lie_on_the_quadric():

@@ -1,5 +1,5 @@
-"""Scaling series for the Pluecker refutation stage, the kappa classes and
-Farey packing, standard library only.
+"""Scaling series for the Pluecker refutation stage, the kappa classes,
+Farey packing and the bounded decomposition search, standard library only.
 
     python3 tools/bench_series.py --parent OTHER/src --out BENCH.json
     python3 tools/bench_series.py --quick
@@ -34,19 +34,27 @@ d = 40 one call can take a minute or more where the packing stays below
 p + 1 (d = 73, 75 and 79), since the clique search must then prove its
 bound; the packing series alone takes about 12 minutes with --parent.
 
+Search series: bounded_decomposition_search on the endemic 4-schemes
+(q; pq,pq; pq,pq,p) for the 20 ordered pairs of distinct p, q in
+{3, 5, 7, 11, 13} at bounds 8, 12 and 18, and on (3,5), (5,3) and (3,7)
+at bound 30.  Per point it records the best of a few wall times (5 at
+bound 8, 3 up to bound 18 and 1 at bound 30) and the hit: null when the
+search exhausts, else the left summand's entries.
+
 With --parent, a second toruscurves tree (the src/ directory of another
 checkout) is loaded under another module name and timed in the same
 process, alternating with this tree's, so both columns see the same
 machine state; the script fails unless both trees give the same reasons,
 and the same kappa and witness wherever both decide, and the same packing
-size and witness at every d.
+size and witness at every d, and the same search hit at every point.
 
 --quick times nothing: it runs the Pluecker points with n <= 40, the
-kappa points with p^nu <= 10^4 and max_packing(d) for d <= 30, and fails
-unless every Pluecker point's reasons equal tests/reference.py's
-check_pluecker_full, every kappa point's classes equal tests/reference.py's
-residue scan, and every packing's size and witness equal
-tests/reference.py's max_packing.
+kappa points with p^nu <= 10^4, max_packing(d) for d <= 30 and the 20
+endemic searches at bounds 0..4, and fails unless every Pluecker point's
+reasons equal tests/reference.py's check_pluecker_full, every kappa
+point's classes equal tests/reference.py's residue scan, every packing's
+size and witness equal tests/reference.py's max_packing, and every
+search's hit equals tests/reference.py's search_generic.
 """
 
 from __future__ import annotations
@@ -82,6 +90,13 @@ KAPPA_POINTS = (
 QUICK_MAX_MODULUS = 10**4
 PACKING_DS = range(1, 81)
 QUICK_MAX_D = 30
+ODD_PRIMES = (3, 5, 7, 11, 13)
+ENDEMIC_PAIRS = [(p, q) for p in ODD_PRIMES for q in ODD_PRIMES if p != q]
+SEARCH_POINTS = (
+    [(p, q, bound) for bound in (8, 12, 18) for p, q in ENDEMIC_PAIRS]
+    + [(3, 5, 30), (5, 3, 30), (3, 7, 30)]
+)
+QUICK_SEARCH_BOUNDS = range(5)
 
 
 def load_tree(src: Path, alias: str):
@@ -184,6 +199,16 @@ def quick(tree) -> int:
         bad += not same
         print(f"d={d}: packing of {got.size}, "
               f"{'match' if same else 'DIFFER from'} the reference")
+    for p, q in ENDEMIC_PAIRS:
+        s = tree.endemic_family(p, q)
+        got = [left_entries(tree.bounded_decomposition_search(s, bound))
+               for bound in QUICK_SEARCH_BOUNDS]
+        same = got == [reference.search_generic(s, bound)
+                       for bound in QUICK_SEARCH_BOUNDS]
+        bad += not same
+        print(f"endemic ({p},{q}) at bounds {QUICK_SEARCH_BOUNDS[0]}.."
+              f"{QUICK_SEARCH_BOUNDS[-1]}: {sum(h is not None for h in got)} "
+              f"splits, {'match' if same else 'DIFFER from'} the reference")
     return 1 if bad else 0
 
 
@@ -320,6 +345,37 @@ def packing_series(trees: dict) -> list:
     return points
 
 
+def left_entries(hit):
+    """The left summand's entries of a search hit, or None."""
+    return None if hit is None else hit.left.entries
+
+
+def search_series(trees: dict) -> list:
+    points = []
+    for p, q, bound in SEARCH_POINTS:
+        reps = 5 if bound <= 8 else 3 if bound <= 18 else 1
+        times = {label: [] for label in trees}
+        got = {}
+        for _ in range(reps):
+            for label, tree in trees.items():
+                search = partial(tree.bounded_decomposition_search, bound=bound)
+                ms, hit = timed(search, tree.endemic_family(p, q))
+                times[label].append(ms)
+                got[label] = left_entries(hit)
+        if len(set(got.values())) > 1:
+            raise SystemExit(f"({p},{q}) bound {bound}: the trees' hits differ")
+        point = {"p": p, "q": q, "bound": bound, "hit": got["change"]}
+        for label in trees:
+            point[label] = {"ms": round(min(times[label]), 3)}
+        if "parent" in trees:
+            point["ratio"] = round(
+                point["change"]["ms"] / point["parent"]["ms"], 3
+            )
+        points.append(point)
+        print(json.dumps(point), flush=True)
+    return points
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path,
@@ -347,14 +403,19 @@ def main(argv=None) -> int:
                 "byte length of the check document; an exception name where "
                 "the tree refuses the point. packing_points: max_packing(d), "
                 "best of 5 (d <= 24), 3 (d <= 40) or 1 wall times in ms, "
-                "and the farey.max_clique calls of each timed call. 'change' "
-                "is this tree, 'parent' the tree given by --parent",
+                "and the farey.max_clique calls of each timed call. "
+                "search_points: bounded_decomposition_search on the endemic "
+                "4-scheme of (p, q) at the bound, best of 5 (bound 8), 3 "
+                "(bound <= 18) or 1 wall times in ms, and the hit (null, or "
+                "the left summand's entries). 'change' is this tree, "
+                "'parent' the tree given by --parent",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "points": series(trees),
         "kappa_points": kappa_series(trees),
         "packing_points": packing_series(trees),
+        "search_points": search_series(trees),
     }
     if args.out is not None:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
