@@ -7,13 +7,15 @@ on stdout; rational values serialize as "a/b" strings, never floats.
 Exit codes: 0 success (and realizable, for `check` and `solve`), 1 not
 realizable (`check` and `solve`), 2 usage or input errors, including
 integers past the interpreter's int parsing digit limit and documents
-nested too deeply to parse.
+nested too deeply to parse, and output that could not be written (stdout
+a pipe whose reader has closed it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import islice
@@ -380,7 +382,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed the pipe: send what is left to devnull so the
+        # flush at exit cannot fail again, and report an output error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

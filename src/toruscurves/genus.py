@@ -9,20 +9,19 @@ by sub-triple realizability and by the Pluecker relations, which hold in
 every realizable scheme, zero entries included.  It also prunes by their
 cross-term: mu is quadratic, so a split s = m' + m'' with mu(m') =
 mu(m'') = 0 satisfies the linear equation B(m', s) = mu(s), B the
-polarization of mu.
+polarization of mu.  The search memoizes its masks, not _realizable3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Optional, Union
 
 from .errors import DomainError, InvalidShape, PreconditionViolated
-from .conditions import Verdict, decide_torus
+from .conditions import Verdict, decide_torus, pluecker_mu
 from .intarith import is_probable_prime
-from .scheme import Scheme, get, permute, scheme_sum
+from .scheme import Scheme, _integer, _pos, get, permute, scheme_sum
 
 
 def genus_upper_bound(n: int) -> int:
@@ -197,17 +196,17 @@ def bounded_decomposition_search(
     slot of the equation but its last, the residual (mu(s) minus the terms
     at the slots filled so far) must be divisible by the gcd g of the
     coefficients at later slots, so a value v stays only if
-    residual - c*v = 0 (mod g), c the slot's coefficient; each (equation,
-    slot) caches one mask per residual mod g.  Nothing realizable is
-    pruned, so the first hit matches the unpruned scan.
+    residual - c*v = 0 (mod g), c the slot's coefficient.  A search
+    memoizes cross-term masks per (equation, slot, residual mod g) and
+    triple masks per (target triple, m'_ac, m'_aj), not _realizable3.
+    Nothing realizable is pruned, so the first hit matches the unpruned scan.
     """
+    bound = _integer(bound, "bound")
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     n, target = s.n, s.entries
     k, full = len(target), (1 << (2 * bound + 1)) - 1
     pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-    slot = {pr: t for t, pr in enumerate(pairs)}
-    r3 = lru_cache(maxsize=None)(_realizable3)
     tables = {}  # target triple -> mask per (m'_ac, m'_aj), built on demand
     # relations completing at slot (c, j): triples (a, c, j) and
     # quadruples (a, b, c, j)
@@ -218,11 +217,11 @@ def bounded_decomposition_search(
     cross = [[] for _ in range(k)]
     for t, (c, j) in enumerate(pairs):
         for a in range(1, c):
-            tac, taj = slot[(a, c)], slot[(a, j)]
+            tac, taj = _pos(a, c), _pos(a, j)
             key = (target[tac], target[taj], target[t])
             triples[t].append((tac, taj, tables.setdefault(key, {})) + key)
             for b in range(a + 1, c):
-                tab, tbj, tbc = slot[(a, b)], slot[(b, j)], slot[(b, c)]
+                tab, tbj, tbc = _pos(a, b), _pos(b, j), _pos(b, c)
                 quads[t].append((tab, tac, tbj, taj, tbc))
                 # B(m', s) = mu(s), its terms in slot order
                 terms = [
@@ -234,8 +233,7 @@ def bounded_decomposition_search(
                     )
                     if x
                 ]
-                mu = (target[tab] * target[t] - target[tac] * target[tbj]
-                      + target[taj] * target[tbc])
+                mu = pluecker_mu(s, a, b, c, j)
                 g = 0
                 for i in range(len(terms) - 1, 0, -1):
                     g = gcd(g, terms[i][1])
@@ -312,7 +310,8 @@ def bounded_decomposition_search(
                         mask = table[u, w] = sum(
                             1 << (v + bound)
                             for v in range(-bound, bound + 1)
-                            if r3(u, w, v) and r3(sac - u, saj - w, scj - v)
+                            if _realizable3(u, w, v)
+                            and _realizable3(sac - u, saj - w, scj - v)
                         )
                     m &= mask
                     if not m:

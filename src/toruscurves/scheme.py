@@ -89,13 +89,22 @@ class Scheme:
         return f"Scheme(n={self.n}, {list(self.entries)})"
 
 
+def _integer(value, name: str) -> int:
+    # operator.index, with DomainError instead of TypeError
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{name} is {value!r}, not an integer") from None
+
+
 def new_scheme(n: int, entries) -> Scheme:
     """Validated scheme from an entry sequence in column order.
 
-    Every entry must be an integer (anything operator.index accepts);
+    n and every entry must be integers (anything operator.index accepts);
     floats, strings and fractions raise DomainError rather than being
     truncated or parsed.
     """
+    n = _integer(n, "n")
     out = []
     for k, e in enumerate(entries):
         try:

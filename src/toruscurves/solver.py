@@ -143,11 +143,14 @@ class KappaResidues:
 
 @dataclass(frozen=True)
 class KappaConstraintSet:
-    per_prime: tuple  # tuple[PrimeConstraint, ...]
-    unconstrained: bool
+    per_prime: tuple  # tuple[PrimeConstraint, ...]; empty iff g_123 = 1
+
+    @property
+    def unconstrained(self) -> bool:
+        return not self.per_prime
 
     def feasible(self) -> bool:
-        return self.unconstrained or all(pc.count for pc in self.per_prime)
+        return all(pc.count for pc in self.per_prime)
 
 
 @dataclass(frozen=True)
@@ -276,12 +279,12 @@ def kappa_constraints(s: Scheme) -> KappaConstraintSet:
     """
     w = solve_xy(s)
     if w.g123 == 1:
-        return KappaConstraintSet((), unconstrained=True)
+        return KappaConstraintSet(())
     line = _kappa_line(s, w)
     per = tuple(
         _prime_constraint(line, p, nu) for p, nu in factorize(w.g123).pairs
     )
-    return KappaConstraintSet(per, unconstrained=False)
+    return KappaConstraintSet(per)
 
 
 def _crt_product(per_prime):

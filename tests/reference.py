@@ -243,12 +243,12 @@ def closed_form(allowed, p, nu):
 def kappa_constraints(s):
     w = solve_xy(s)
     if w.g123 == 1:
-        return KappaConstraintSet((), unconstrained=True)
+        return KappaConstraintSet(())
     per = []
     for p, nu in factorize(w.g123).pairs:
         allowed = project(scan_lifted(s, w, p, nu), p, nu)
         per.append(closed_form(allowed, p, nu))
-    return KappaConstraintSet(tuple(per), unconstrained=False)
+    return KappaConstraintSet(tuple(per))
 
 
 def forbidden_count(s, g_l):

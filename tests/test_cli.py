@@ -257,6 +257,23 @@ def test_module_entry_point(tmp_path):
                 assert proc.stdout == "" and proc.stderr.startswith("error: ")
             else:
                 assert json.loads(proc.stdout)["status"] == status
+        # stdout a pipe whose reader closed it before the child started:
+        # the output cannot be written, so exit 2 with one error line
+        for path, _, status in cases:
+            if status is None:
+                continue
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", module, "check", path], env=env,
+                    stdout=write_end, stderr=subprocess.PIPE, text=True,
+                    timeout=60)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 2, (module, path, proc.stderr)
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_repeated_runs_reuse_one_parser(tmp_path, capsys, monkeypatch):

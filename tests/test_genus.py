@@ -225,6 +225,15 @@ def test_search_degenerate_split():
     assert out.left == zero_scheme(3) and out.right == s
 
 
+def test_search_rejects_bad_bounds():
+    s = new_scheme(3, [6, 10, 14])
+    with pytest.raises(DomainError, match="bound must be >= 0"):
+        bounded_decomposition_search(s, -1)
+    for bad in (2.5, 2.0, "2", None):
+        with pytest.raises(DomainError, match="bound is "):
+            bounded_decomposition_search(s, bad)
+
+
 def test_search_none_found_small():
     # at bound 5 the endemic scheme already has no split
     assert bounded_decomposition_search(endemic_family(3, 5), 5) is None

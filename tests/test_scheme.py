@@ -43,6 +43,11 @@ def test_new_scheme_rejects_non_integers():
             new_scheme(3, [2, bad, 4])
     big = 10**400
     assert new_scheme(3, [big, -big, True]).entries == (big, -big, 1)
+    # n too, so a float or string n never reaches Scheme or decide_torus
+    for bad in (3.0, "3", Fraction(3, 1), None):
+        with pytest.raises(DomainError, match=r"^n is "):
+            new_scheme(bad, [1, 1, 1])
+    assert new_scheme(True, []).n == 1
 
 
 def test_get_antisymmetric():

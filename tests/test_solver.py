@@ -27,7 +27,7 @@ from toruscurves import (
 import reference
 from conftest import dets, random_vector_scheme
 from toruscurves.intarith import ResidueClass
-from toruscurves.solver import canonical_kappa
+from toruscurves.solver import KappaConstraintSet, canonical_kappa
 
 
 def test_solve_xy_examples():
@@ -46,7 +46,12 @@ def test_kappa_constraints_examples():
     assert (pc.prime, pc.modulus, pc.count, tuple(pc.allowed)) == (2, 2, 1, (1,))
     assert (pc.ball, pc.excluded) == (ResidueClass(2, 1), ())
 
-    assert kappa_constraints(new_scheme(3, [1, 1, 1])).unconstrained
+    cons = kappa_constraints(new_scheme(3, [1, 1, 1]))
+    assert cons.per_prime == () and cons.unconstrained and cons.feasible()
+    # unconstrained is read off per_prime, not a second field to agree with it
+    assert not kappa_constraints(new_scheme(3, [2, 2, 4])).unconstrained
+    with pytest.raises(TypeError):
+        KappaConstraintSet((), unconstrained=False)
 
     cons = kappa_constraints(new_scheme(3, [4, 6, 10]))
     (pc,) = cons.per_prime
