@@ -33,18 +33,26 @@ the first failing stage.  The triangle and Pluecker stages are one loop
 over the two checks, each returning a StageCheck on the reduced scheme;
 the first failing stage's reasons are moved to the original curve indices
 once, by _relabel, which leaves them as they are when zero reduction
-removed nothing.  The triangle check walks all C(n,3) triples of a
-dense copy of the matrix.  The Pluecker check is output-sensitive: the
-relations say the matrix has rank 2, and for a base pair (a, b) with
-m_ab != 0 the rank-2 matrix W that agrees with rows a and b differs from
-the scheme exactly on the "bad pairs" (i, j) with mu_abij != 0.  All
-Pfaffians of W vanish, so each failing quadruple contains a bad pair.
-The base is the one of (1,2), (3,4), (5,6) with the fewest bad pairs, and
-each of its bad pairs is scanned as the base pair was, against every pair
-of the other indices; each failure found has its indices put in increasing
-order, and the failures, each listed once, are sorted lexicographically.
-When even the fewest bad pairs would put more than 1/_SPARSE_SHARE of the
-C(n,4) quadruples in play, all quadruples are tested, by the same loop.
+removed nothing.
+
+Both checks are output-sensitive through "bad pairs" that every failure
+contains.  A scheme usually reaches the refutation after construct_witness
+has built a system of primitive vectors that misses only some
+determinants; the pairs (i, j) it misses are bad pairs for both stages.
+A triple with none is realized by primitive vectors, so its gcds agree,
+and a quadruple with none is the Pluecker identity of four vectors'
+determinants.  Without such a system the triangle check walks all C(n,3)
+triples of a dense copy of the matrix, and the Pluecker check takes the
+bad pairs of a base: the relations say the matrix has rank 2, and for a
+base pair (a, b) with m_ab != 0 the rank-2 matrix W that agrees with rows
+a and b differs from the scheme exactly on the pairs (i, j) with
+mu_abij != 0; all Pfaffians of W vanish.  The base is the one of (1,2),
+(3,4), (5,6) with the fewest bad pairs.  Each bad pair is scanned against
+every index (triangle) or pair of indices (Pluecker) off it; each failure
+found has its indices put in increasing order, and the failures, each
+listed once, are sorted lexicographically.  When the bad pairs would put
+more than 1/_SPARSE_SHARE of the triples or quadruples in play, all of
+them are tested, by the same loop.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ from .scheme import (
 from .solver import (
     KappaConstraintSet,
     _base_triple,
+    _mismatches,
     _orbits,
     canonical_kappa,
     construct_witness,
@@ -132,21 +141,59 @@ class StageCheck:
 # ---------------------------------------------------------------------------
 
 
-def check_triangle(s: Scheme) -> StageCheck:
-    """Equal pairwise gcds on every index triple."""
+def check_triangle(s: Scheme, system=None) -> StageCheck:
+    """Every index triple without equal pairwise gcds, in lexicographic
+    order.
+
+    system, when given, is a curve system of s's size, as
+    construct_witness attaches to its ConstraintViolation.  When all its
+    vectors are primitive, let B be the pairs (i, j) whose determinant
+    det(v_i, v_j) misses m_ij.  A triple with no pair in B is realized by
+    primitive vectors, and its gcds are equal: move v_i to (1, 0) by
+    SL(2,Z), so v_j = (a, b), v_k = (c, d), m_ij = b, m_ik = d and
+    m_jk = ad - bc; then gcd(b, ad - bc) = gcd(b, d) as gcd(a, b) = 1, and
+    gcd(d, ad - bc) = gcd(d, b) as gcd(c, d) = 1.  So every failing triple
+    contains a pair of B, and when |B| * (n - 2) <= C(n,3)/_SPARSE_SHARE
+    only the triples through B are tested, each failure listed once.
+    Otherwise (no system, a vector that is not primitive, or B too large)
+    all C(n,3) triples are tested, by the same loop.
+    """
     require_nonzero(s)
     n = s.n
+    if n < 3:
+        return StageCheck(())
     rows = dense_rows(s)
-    failures = []
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            a, rj = ri[j], rows[j]
-            for k in range(j + 1, n):
-                b, c = ri[k], rj[k]
-                if not gcd(a, b) == gcd(a, c) == gcd(b, c):
-                    failures.append(FailedTriangle(i + 1, j + 1, k + 1))
-    return StageCheck(tuple(failures))
+    bad = None
+    if system is not None and all(v.is_primitive() for v in system):
+        bad = _mismatches(s, system, comb(n, 3) // (_SPARSE_SHARE * (n - 2)))
+    if bad is None:
+        triples = _unequal_gcds(
+            rows, ((i, j, range(j + 1, n)) for i in range(n) for j in range(i + 1, n))
+        )
+    else:
+        triples = sorted({
+            tuple(sorted(t)) for p, q in bad
+            for t in _unequal_gcds(rows, [(p, q, _off(n, p, q))])
+        })
+    return StageCheck(tuple(FailedTriangle(i + 1, j + 1, k + 1) for i, j, k in triples))
+
+
+def _unequal_gcds(rows, groups):
+    """(i, j, k), 0-based, for each candidate whose pairwise gcds are not
+    all equal, in the order of groups; groups holds (i, j, ks), whose
+    candidates are (i, j, k) for k in ks."""
+    for i, j, ks in groups:
+        ri, rj = rows[i], rows[j]
+        a = ri[j]
+        for k in ks:
+            b, c = ri[k], rj[k]
+            if not gcd(a, b) == gcd(a, c) == gcd(b, c):
+                yield i, j, k
+
+
+def _off(n: int, p: int, q: int) -> list:
+    """The indices 0..n-1 other than p and q, increasing."""
+    return [x for x in range(n) if x != p and x != q]
 
 
 def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
@@ -160,30 +207,38 @@ def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
     )
 
 
-def check_pluecker_full(s: Scheme) -> StageCheck:
+def check_pluecker_full(s: Scheme, system=None) -> StageCheck:
     """Every failing Pluecker relation, in lexicographic order; vacuous
     pass for n < 4.
 
-    The relations hold iff the matrix has rank 2.  For a base pair (a, b)
+    The screen lists the failures through a set of "bad pairs" that every
+    failing quadruple meets.  When system is given (any vectors of s's
+    size, as for check_triangle), the bad pairs are those whose
+    determinant misses m_ij: a quadruple with none is the Pluecker
+    relation of the determinants of four vectors, an identity, so it
+    holds.  Without a system, or when it misses too many entries, the
+    relations hold iff the matrix has rank 2, and for a base pair (a, b)
     with m_ab != 0, W_ij = (m_ai*m_bj - m_aj*m_bi)/m_ab is the rank-2
-    matrix that agrees with rows a and b, and m_ij != W_ij exactly when
-    the Pfaffian mu_abij is nonzero: (i, j) is then a bad pair.  Every
-    Pfaffian of W vanishes, so every failing quadruple contains a bad
-    pair.  Of the base pairs (1,2), (3,4), (5,6) the one with the fewest
-    bad pairs is taken, and each of its bad pairs (p, q) is scanned as the
-    base pair was: every (p, q, k, l), k < l off {p, q}.  A Pfaffian only
-    changes sign when its indices are permuted, so each failure found is
-    sorted, the duplicates (quadruples through two bad pairs) dropped,
-    and the rest sorted once.  When even the fewest bad pairs put more
-    than 1/_SPARSE_SHARE of the C(n,4) quadruples in play (every tried
-    base has a perturbed entry, or the matrix is far from rank 2), all
-    quadruples are tested instead.
+    matrix that agrees with rows a and b; m_ij != W_ij exactly when the
+    Pfaffian mu_abij is nonzero, which makes (i, j) a bad pair, and every
+    Pfaffian of W vanishes.  Of the base pairs (1,2), (3,4), (5,6) the one
+    with the fewest bad pairs is taken.  Each bad pair (p, q) is scanned
+    as the base pair was: every (p, q, k, l), k < l off {p, q}.  A
+    Pfaffian only changes sign when its indices are permuted, so each
+    failure found is sorted, the duplicates (quadruples through two bad
+    pairs) dropped, and the rest sorted once.  When even the fewest bad
+    pairs put more than 1/_SPARSE_SHARE of the C(n,4) quadruples in play
+    (every tried base has a perturbed entry, or the matrix is far from
+    rank 2), all quadruples are tested instead.
     """
     n = s.n
     if n < 4:
         return StageCheck(())
     rows = dense_rows(s)
-    bad = _fewest_bad_pairs(rows, n)
+    limit = comb(n, 4) // (_SPARSE_SHARE * comb(n - 2, 2))
+    bad = None if system is None else _mismatches(s, system, limit)
+    if bad is None:
+        bad = _fewest_bad_pairs(rows, n, limit)
     if bad is None:
         tails = [[(k, range(k + 1, n)) for k in range(j + 1, n)] for j in range(n)]
         quads = _nonzero_pfaffians(
@@ -201,9 +256,11 @@ def check_pluecker_full(s: Scheme) -> StageCheck:
 
 # disjoint base pairs tried for the bad-pair screen, 0-based
 _BASE_PAIRS = ((0, 1), (2, 3), (4, 5))
-# The screen tests at most |B|*C(n-2,2) <= C(n,4)/_SPARSE_SHARE quadruples
-# through the |B| bad pairs, plus at most three bad-pair scans of C(n-2,2)
-# for the bases, and it sorts only the failures.
+# The Pluecker screen tests at most |B|*C(n-2,2) <= C(n,4)/_SPARSE_SHARE
+# quadruples through the |B| bad pairs, plus at most three bad-pair scans of
+# C(n-2,2) for the bases when no system gives B; the triangle screen tests
+# at most |B|*(n-2) <= C(n,3)/_SPARSE_SHARE triples.  Both sort only the
+# failures.
 _SPARSE_SHARE = 16
 
 
@@ -228,16 +285,15 @@ def _nonzero_pfaffians(rows, groups):
 def _through(rows, n: int, p: int, q: int):
     """(p, q, k, l) for each pair k < l off {p, q} with mu_pqkl != 0, in
     increasing (k, l)."""
-    rest = [x for x in range(n) if x != p and x != q]
+    rest = _off(n, p, q)
     kls = [(k, rest[t + 1:]) for t, k in enumerate(rest)]
     return _nonzero_pfaffians(rows, [(p, q, kls)])
 
 
-def _fewest_bad_pairs(rows, n: int) -> Optional[list]:
+def _fewest_bad_pairs(rows, n: int, limit: int) -> Optional[list]:
     """The bad pairs (k, l), k < l, of the base pair in _BASE_PAIRS with
-    the fewest, or None when every base has a zero entry or more than the
-    _SPARSE_SHARE limit allows."""
-    limit = comb(n, 4) // (_SPARSE_SHARE * comb(n - 2, 2))
+    the fewest, or None when every base has a zero entry or more than
+    limit bad pairs."""
     best = None
     for a, b in _BASE_PAIRS:
         if b >= n or not rows[a][b]:
@@ -391,7 +447,11 @@ def decide_torus(s: Scheme) -> Verdict:
        the reduction removed curves.
     3. Otherwise the conditions are checked in order, triangle, Pluecker,
        then kappa classes (reusing those of step 2), and every failure
-       of the first failing stage is listed.
+       of the first failing stage is listed.  When step 2 built a system
+       of primitive vectors that misses only some determinants, every
+       failing triple and quadruple contains a missed pair, and both
+       checks test only those (check_triangle); else they scan as
+       described there.
 
     Realizable verdicts carry a verified witness lifted back through the
     reduction; failure reasons use the original curve indices.  The
@@ -415,7 +475,7 @@ def decide_torus(s: Scheme) -> Verdict:
         kappa = first.kappa if r.n == 2 else None
         return _realizable(s, red, system, kappa, None)
 
-    cons = None
+    cons = system = None
     m12, m13, m23 = r.entries[:3]
     if gcd(m12, m13) == gcd(m12, m23) == gcd(m13, m23):
         cons = kappa_constraints(r)
@@ -423,25 +483,28 @@ def decide_torus(s: Scheme) -> Verdict:
             kappa = canonical_kappa(cons)
             try:
                 witness = construct_witness(r, kappa)
-            except ConstraintViolation:
-                pass
+            except ConstraintViolation as exc:
+                system = exc.system
             else:
                 system = lift_system(red, witness.system)
                 # verified on r, which is s when no step removed a curve
                 return _realizable(s, red, system, kappa, cons, not red.steps)
-    return _refutation(red, cons)
+    return _refutation(red, cons, system)
 
 
-def _refutation(red, cons) -> Verdict:
+def _refutation(red, cons, system) -> Verdict:
     """Stage-order failures of a reduced scheme that has no witness.
 
     The triangle and Pluecker checks run in turn, each looked up in this
-    module at call time; the first that fails gives every reason, moved to
-    the original curve indices by _relabel.  The kappa stage comes last.
+    module at call time and given the primitive system that missed some
+    determinant, if construct_witness built one, so both list only the
+    failures through the pairs it misses.  The first check that fails
+    gives every reason, moved to the original curve indices by _relabel.
+    The kappa stage comes last.
     """
     r = red.reduced
     for check in (check_triangle, check_pluecker_full):
-        failures = check(r).failures
+        failures = check(r, system).failures
         if failures:
             return Verdict(False, _relabel(red, failures), None, False, red)
     toz_fail = _circledast_failures(r, cons)

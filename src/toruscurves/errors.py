@@ -30,7 +30,15 @@ class InvalidModuli(TorusCurvesError):
 
 
 class ConstraintViolation(TorusCurvesError):
-    """A solution parameter lies outside its allowed residue classes."""
+    """A solution parameter lies outside its allowed residue classes.
+
+    system is the curve system that was built when every vector of it is
+    primitive and only some determinant misses its entry, else None.
+    """
+
+    def __init__(self, message: str, system=None):
+        super().__init__(message)
+        self.system = system
 
 
 class InvalidMatrix(TorusCurvesError):

@@ -68,12 +68,21 @@ CurveSystem = tuple  # tuple[CurveClass, ...]
 
 @dataclass(frozen=True)
 class Scheme:
-    """Upper-triangular table of intersection numbers, column order."""
+    """Upper-triangular table of intersection numbers, column order.
+
+    n must be an integer and entries a tuple, else DomainError; the
+    entries themselves are not checked here (new_scheme converts each).
+    """
 
     n: int
     entries: tuple
 
     def __post_init__(self) -> None:
+        _integer(self.n, "n")
+        if not isinstance(self.entries, tuple):
+            raise DomainError(
+                f"entries is a {type(self.entries).__name__}, not a tuple"
+            )
         if self.n < 1:
             raise InvalidShape(f"need n >= 1, got n={self.n}")
         want = self.n * (self.n - 1) // 2

@@ -326,7 +326,10 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     classes of kappa_constraints, without scanning them.  Without them the
     system built can miss some determinant m_ij; that also raises
     ConstraintViolation, so a returned witness always verifies and proves
-    the scheme realizable.
+    the scheme realizable.  In that last case every vector of the system
+    is primitive, and the exception carries it as its system: the pairs
+    whose determinant misses are where the triangle and Pluecker failures
+    lie (see conditions.check_triangle).
     """
     if s.n < 3:
         raise DomainError("construct_witness needs at least 3 curves")
@@ -347,7 +350,8 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     if not verify_system(s, system):
         raise ConstraintViolation(
             f"kappa={kappa} gives a system whose determinants differ "
-            f"from the scheme"
+            f"from the scheme",
+            tuple(system),
         )
     return NormalizedWitness(kappa, tuple(rs), tuple(system))
 
@@ -441,23 +445,25 @@ def sl2_act(a_matrix, system) -> tuple:
 def verify_system(s: Scheme, system) -> bool:
     """True iff every vector is primitive and all pairwise determinants
     match the scheme (Empty curves contribute 0)."""
+    return _mismatches(s, system, 0) == [] and all(v.is_primitive() for v in system)
+
+
+def _mismatches(s: Scheme, system, cap: int) -> Optional[list]:
+    """The pairs (i, j), 0-based, i < j, where det(v_i, v_j) differs from
+    m_ij, in column order, or None as soon as there are more than cap of
+    them; an Empty curve counts as the zero vector."""
     if len(system) != s.n:
         raise InvalidShape(
             f"system has {len(system)} curves, scheme expects {s.n}"
         )
-    for v in system:
-        if not v.is_primitive():
-            return False
-    vecs = [None if v.is_empty else (v.p, v.q) for v in system]
+    vecs = [(0, 0) if v.is_empty else (v.p, v.q) for v in system]
+    bad = []
     for j, col in enumerate(columns(s), start=1):  # j is 0-based
-        vj = vecs[j]
-        if vj is None:
-            if any(col):
-                return False
-            continue
-        pj, qj = vj
-        for u, m in zip(vecs, col):
-            det = 0 if u is None else u[0] * qj - pj * u[1]
-            if det != m:
-                return False
-    return True
+        pj, qj = vecs[j]
+        for i, m in enumerate(col):
+            p, q = vecs[i]
+            if p * qj - pj * q != m:
+                if len(bad) == cap:
+                    return None
+                bad.append((i, j))
+    return bad

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from toruscurves import (
+    ConstraintViolation,
     FailedPluecker,
     FailedToz,
     FailedTriangle,
@@ -12,7 +16,10 @@ from toruscurves import (
     check_circledast,
     check_pluecker_full,
     check_triangle,
+    construct_witness,
+    curve,
     decide_torus,
+    kappa_constraints,
     new_scheme,
     oracle_realizable,
     permute,
@@ -21,7 +28,14 @@ from toruscurves import (
     toz_report,
     verify_system,
 )
-from conftest import random_nonzero_scheme, random_permutation, random_vector_scheme
+from toruscurves.scheme import _pos, get
+from toruscurves.solver import canonical_kappa
+from conftest import (
+    dets,
+    random_nonzero_scheme,
+    random_permutation,
+    random_vector_scheme,
+)
 
 PENTA = new_scheme(4, [5, 15, 15, 15, 15, 3])
 
@@ -209,3 +223,155 @@ def test_decide_agrees_with_oracle_on_overcount_family():
         v = decide_torus(s)
         assert v.realizable == oracle_realizable(s).realizable == True
         assert verify_system(s, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# Screens through the pairs a primitive system misses
+# ---------------------------------------------------------------------------
+
+
+def _vectors(rng: random.Random, n: int, qmax: int) -> list:
+    """n primitive vectors, pairwise independent, coordinates in
+    [-qmax, qmax]."""
+    vecs, seen = [], set()
+    while len(vecs) < n:
+        p, q = rng.randint(-qmax, qmax), rng.randint(-qmax, qmax)
+        if gcd(p, q) != 1:
+            continue
+        key = (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
+        if key not in seen:
+            seen.add(key)
+            vecs.append((p, q))
+    return vecs
+
+
+def _perturb(rng: random.Random, n: int, entries: list, pairs) -> None:
+    """Change m_ij for each (i, j) in pairs: +-1, negated, times a small
+    prime, or plus the lcm of rows i and j, which keeps every gcd."""
+    for i, j in pairs:
+        t = _pos(i, j)
+        how = rng.choice(("unit", "negate", "prime", "lcm"))
+        if how == "unit":
+            entries[t] += rng.choice((-1, 1))
+        elif how == "negate":
+            entries[t] = -entries[t]
+        elif how == "prime":
+            entries[t] *= rng.choice((2, 3, 5))
+        else:
+            lcm = 1
+            for k in range(1, n + 1):
+                for x in (i, j):
+                    if k != x:
+                        e = entries[_pos(min(x, k), max(x, k))]
+                        lcm = lcm * abs(e) // gcd(lcm, e) if e else lcm
+            entries[t] += lcm
+
+
+def _witness_system(s):
+    """The primitive system construct_witness attaches when only some
+    determinant misses, as decide_torus sees it, or None."""
+    try:
+        cons = kappa_constraints(s)
+    except PreconditionViolated:  # the base triple fails
+        return None
+    if not cons.feasible():
+        return None
+    try:
+        construct_witness(s, canonical_kappa(cons))
+    except ConstraintViolation as exc:
+        return exc.system
+    return None
+
+
+def test_screens_match_reference_with_and_without_a_system():
+    rng = random.Random(20)
+    witnessed = refuted = 0
+    for n in [*range(4, 15), 18, 22, 30]:
+        for qmax in (6, 30, 10**6, 10**15):
+            vecs = _vectors(rng, n, qmax)
+            entries = dets(vecs)
+            inside = [(i, j) for j in range(2, n + 1) for i in range(1, min(j, 4))]
+            outside = [(i, j) for j in range(5, n + 1) for i in range(4, j)]
+            where = rng.choice([inside, outside or inside, inside + outside])
+            k = min(len(where), rng.randint(1, 3))
+            _perturb(rng, n, entries, rng.sample(where, k))
+            s = new_scheme(n, entries)
+            v = decide_torus(s)
+            if v.realizable or isinstance(v.reasons[0], FailedToz):
+                # the reference's residue scan cannot reach entries of
+                # 10^30; the witness verifies on its own
+                assert v.realizable == bool(v.witness)
+                assert not v.witness or reference.verify_system(s, v.witness)
+            else:
+                assert v.reasons == reference.decide_torus(s).reasons
+            if 0 in entries:
+                continue
+            systems = [tuple(curve(p, q) for p, q in vecs), _witness_system(s)]
+            witnessed += systems[1] is not None
+            for checker, ref in ((check_triangle, reference.check_triangle),
+                                 (check_pluecker_full,
+                                  reference.check_pluecker_full)):
+                want = ref(s)
+                assert checker(s) == want
+                for system in systems:
+                    if system is not None:
+                        assert checker(s, system) == want
+            refuted += not v.realizable
+    # the witness path and the refutations are both exercised
+    assert witnessed >= 30 and refuted >= 45
+
+
+def test_triangle_screen_tests_only_triples_through_missed_pairs(monkeypatch):
+    from toruscurves import conditions
+
+    tested = []
+    scan = conditions._unequal_gcds
+
+    def counted(rows, groups):
+        groups = list(groups)
+        tested.append(sum(len(ks) for _, _, ks in groups))
+        return scan(rows, groups)
+
+    monkeypatch.setattr(conditions, "_unequal_gcds", counted)
+    n = 40
+    vecs = _vectors(random.Random(n), n, 30)
+    entries = dets(vecs)
+    entries[-1] += 1  # m_{n-1,n}: only triples (i, n-1, n) can fail
+    s = new_scheme(n, entries)
+    system = _witness_system(s)
+    assert system is not None
+    want = reference.check_triangle(s)
+    assert not want.ok
+    tested.clear()
+    assert check_triangle(s, system) == want
+    assert sum(tested) == n - 2
+    tested.clear()
+    assert decide_torus(s).reasons == want.failures
+    assert sum(tested) == n - 2
+    # without a system, or with the vectors of s itself, nothing is missed
+    # or everything is scanned
+    tested.clear()
+    assert check_triangle(s) == want and sum(tested) == comb(n, 3)
+    tested.clear()
+    assert check_triangle(s, tuple(curve(p, q) for p, q in vecs)) == want
+    assert sum(tested) == n - 2
+
+
+def test_non_primitive_system_does_not_narrow_the_triangle_scan():
+    # (2,0), (0,1), (1,1) give every determinant of (3; 2, 2, -1), but
+    # (2,0) is not primitive, and the triple (1,2,3) fails (gcds 2, 1, 1)
+    s = new_scheme(3, [2, 2, -1])
+    system = (curve(2, 0), curve(0, 1), curve(1, 1))
+    assert [get(s, i, j) for i, j in ((1, 2), (1, 3), (2, 3))] == [
+        u.p * w.q - w.p * u.q
+        for u, w in ((system[0], system[1]), (system[0], system[2]),
+                     (system[1], system[2]))
+    ]
+    want = (FailedTriangle(1, 2, 3),)
+    assert check_triangle(s).failures == want
+    assert check_triangle(s, system).failures == want
+    # the Pluecker screen needs no primitivity: a quadruple with every
+    # determinant right is an identity
+    t = new_scheme(4, dets([(2, 0), (0, 1), (1, 1), (1, 3)]))
+    assert check_pluecker_full(t, (curve(2, 0), curve(0, 1), curve(1, 1),
+                                   curve(1, 3))).ok

@@ -50,6 +50,21 @@ def test_new_scheme_rejects_non_integers():
     assert new_scheme(True, []).n == 1
 
 
+def test_scheme_constructor_rejects_non_integer_n_and_non_tuples():
+    # Scheme is public too: a float n used to build and then make
+    # decide_torus raise TypeError, and list entries made it unhashable
+    for bad in (3.0, "3", Fraction(3, 1), None):
+        with pytest.raises(DomainError, match=r"^n is "):
+            Scheme(bad, (1, 1, 1))
+    for bad in ([1, 1, 1], range(1, 4), (x for x in (1, 1, 1))):
+        with pytest.raises(DomainError, match=r"^entries is a "):
+            Scheme(3, bad)
+    s = Scheme(3, (1, 1, 1))
+    assert hash(s) == hash(new_scheme(3, [1, 1, 1])) and s.n == 3
+    with pytest.raises(InvalidShape):
+        Scheme(3, (1, 1))
+
+
 def test_get_antisymmetric():
     s = new_scheme(3, [6, 10, 14])
     assert get(s, 2, 1) == -6

@@ -4,21 +4,27 @@ Farey packing and the bounded decomposition search, standard library only.
     python3 tools/bench_series.py --parent OTHER/src --out BENCH.json
     python3 tools/bench_series.py --quick
 
-Pluecker series: each point is a realizable scheme of n distinct curve
-classes (coordinates in [-30, 30], seeded by n) with a perturbation that
-keeps every pairwise gcd, so the triangle condition holds and only
-Pluecker relations fail:
+Refutation series: each point is a realizable scheme of n distinct curve
+classes (coordinates in [-30, 30], seeded by n) with a perturbation.  The
+first four keep every pairwise gcd, so the triangle condition holds and
+only Pluecker relations fail; the last two break the triangle condition:
 
   last_pair        m_{n-1,n} += L, where L is the lcm of all entries;
   base_row         m_12 += L, an entry in the rows of the first base pair;
   two_negated      m_{7,n/2} and m_{n/2+1,n} negated, off the rows of
                    every base pair;
   all_bases_dirty  m_12, m_34 and m_56 += L, so every base pair the
-                   bad-pair screen tries has a perturbed entry.
+                   bad-pair screen tries has a perturbed entry;
+  last_plus_one    m_{n-1,n} += 1;
+  base_plus_one    m_12 += 1, which leaves decide_torus no primitive
+                   system, so both checks take their fallback.
 
-It runs n = 28, 40, 80, 160 and records, per point, the best of a few
-wall times (time.perf_counter) of check_pluecker_full and of
-check_triangle on the same scheme.
+It runs n = 28, 40, 80, 160, 320 and records, per point, the best of a
+few wall times (time.perf_counter) of check_pluecker_full and of
+check_triangle, each called without a system, and of decide_torus on the
+same scheme, with the stage that refuted it.  all_bases_dirty stops at
+n = 160: there every check tests all C(n,4) quadruples, which takes
+about 2.5 s at n = 160 and some 16 times that at n = 320.
 
 Kappa series: the realizable 3-schemes (2,3,5)*p^nu for p = 2, 7, 101,
 up to 2^23, 7^8 and 101^3 (the largest p^nu below 10^7, a cap on the
@@ -48,10 +54,12 @@ machine state; the script fails unless both trees give the same reasons,
 and the same kappa and witness wherever both decide, and the same packing
 size and witness at every d, and the same search hit at every point.
 
---quick times nothing: it runs the Pluecker points with n <= 40, the
+--quick times nothing: it runs the refutation points with n <= 40, the
 kappa points with p^nu <= 10^4, max_packing(d) for d <= 30 and the 20
-endemic searches at bounds 0..4, and fails unless every Pluecker point's
-reasons equal tests/reference.py's check_pluecker_full, every kappa
+endemic searches at bounds 0..4, and fails unless every refutation
+point's check_triangle and check_pluecker_full equal tests/reference.py's
+scans and its decide_torus reasons equal tests/reference.py's
+decide_torus, every kappa
 point's classes equal tests/reference.py's residue scan, every packing's
 size and witness equal tests/reference.py's max_packing, and every
 search's hit equals tests/reference.py's search_generic.
@@ -77,9 +85,12 @@ from tempfile import TemporaryDirectory
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (28, 40, 80, 160)
+SIZES = (28, 40, 80, 160, 320)
 QUICK_MAX_N = 40
-SHAPES = ("last_pair", "base_row", "two_negated", "all_bases_dirty")
+SHAPES = ("last_pair", "base_row", "two_negated", "all_bases_dirty",
+          "last_plus_one", "base_plus_one")
+# the largest n of each shape whose checks scan all C(n,4) quadruples
+FULL_SCAN_MAX_N = {"all_bases_dirty": 160}
 CMAX = 30
 # (p, nu) of the kappa series; the last of each prime is past 10^7
 KAPPA_POINTS = (
@@ -145,6 +156,10 @@ def shape_entries(n: int, shape: str) -> list:
     elif shape == "all_bases_dirty":
         for i in (1, 3, 5):
             entries[_pos(i, i + 1)] += lcm
+    elif shape == "last_plus_one":
+        entries[_pos(n - 1, n)] += 1
+    elif shape == "base_plus_one":
+        entries[_pos(1, 2)] += 1
     else:
         raise ValueError(f"unknown shape {shape!r}")
     if 0 in entries:
@@ -160,8 +175,15 @@ def timed(fn, arg):
     return (perf_counter() - t0) * 1e3, out
 
 
-def reasons(check) -> list:
-    return [(f.i, f.j, f.k, f.l) for f in check.failures]
+def reasons(failures) -> list:
+    """The index tuples of triangle or Pluecker failures."""
+    return [tuple(vars(f).values()) for f in failures]
+
+
+def shape_points():
+    """(n, shape) of every refutation point, in run order."""
+    return [(n, shape) for n in SIZES for shape in SHAPES
+            if n <= FULL_SCAN_MAX_N.get(shape, n)]
 
 
 def kappa_entries(p: int, nu: int) -> list:
@@ -174,14 +196,19 @@ def quick(tree) -> int:
     import reference
 
     bad = 0
-    for n in (n for n in SIZES if n <= QUICK_MAX_N):
-        for shape in SHAPES:
-            s = tree.new_scheme(n, shape_entries(n, shape))
-            got = tree.check_pluecker_full(s)
-            same = got == reference.check_pluecker_full(s)
-            bad += not same
-            print(f"n={n} {shape}: {len(got.failures)} reasons, "
-                  f"{'match' if same else 'DIFFER from'} the reference")
+    for n, shape in shape_points():
+        if n > QUICK_MAX_N:
+            continue
+        s = tree.new_scheme(n, shape_entries(n, shape))
+        got = tree.decide_torus(s).reasons
+        same = (
+            got == reference.decide_torus(s).reasons
+            and tree.check_triangle(s) == reference.check_triangle(s)
+            and tree.check_pluecker_full(s) == reference.check_pluecker_full(s)
+        )
+        bad += not same
+        print(f"n={n} {shape}: {len(got)} {type(got[0]).__name__} reasons, "
+              f"{'match' if same else 'DIFFER from'} the reference")
     for p, nu in KAPPA_POINTS:
         if p**nu > QUICK_MAX_MODULUS:
             continue
@@ -214,36 +241,37 @@ def quick(tree) -> int:
 
 def series(trees: dict) -> list:
     points = []
-    for n in SIZES:
+    for n, shape in shape_points():
         reps = 5 if n <= 40 else 3
-        for shape in SHAPES:
-            entries = shape_entries(n, shape)
-            schemes = {label: t.new_scheme(n, entries) for label, t in trees.items()}
-            times = {label: ([], []) for label in trees}
-            got = {}
-            for _ in range(reps):
-                for label, tree in trees.items():
-                    ms, plk = timed(tree.check_pluecker_full, schemes[label])
-                    times[label][0].append(ms)
-                    got[label] = reasons(plk)
-                    ms, tri = timed(tree.check_triangle, schemes[label])
-                    times[label][1].append(ms)
-                    if not tri.ok:
-                        raise SystemExit(f"n={n} {shape}: the triangle check fails")
-            if any(r != got["change"] for r in got.values()):
-                raise SystemExit(f"n={n} {shape}: the trees' reasons differ")
-            point = {"n": n, "shape": shape, "reasons": len(got["change"])}
-            for label, (plk_ms, tri_ms) in times.items():
-                point[label] = {
-                    "pluecker_ms": round(min(plk_ms), 3),
-                    "triangle_ms": round(min(tri_ms), 3),
-                }
-            if "parent" in trees:
-                point["pluecker_ratio"] = round(
-                    point["change"]["pluecker_ms"] / point["parent"]["pluecker_ms"], 3
+        entries = shape_entries(n, shape)
+        schemes = {label: t.new_scheme(n, entries) for label, t in trees.items()}
+        times = {label: ([], [], []) for label in trees}
+        got = {}
+        for _ in range(reps):
+            for label, tree in trees.items():
+                s, (plk_ms, tri_ms, dec_ms) = schemes[label], times[label]
+                plk_ms.append(timed(tree.check_pluecker_full, s)[0])
+                tri_ms.append(timed(tree.check_triangle, s)[0])
+                ms, v = timed(tree.decide_torus, s)
+                dec_ms.append(ms)
+                got[label] = (type(v.reasons[0]).__name__, reasons(v.reasons))
+        if any(r != got["change"] for r in got.values()):
+            raise SystemExit(f"n={n} {shape}: the trees' reasons differ")
+        stage, found = got["change"]
+        point = {"n": n, "shape": shape, "stage": stage, "reasons": len(found)}
+        for label, (plk_ms, tri_ms, dec_ms) in times.items():
+            point[label] = {
+                "pluecker_ms": round(min(plk_ms), 3),
+                "triangle_ms": round(min(tri_ms), 3),
+                "decide_ms": round(min(dec_ms), 3),
+            }
+        if "parent" in trees:
+            for key in ("pluecker", "decide"):
+                point[f"{key}_ratio"] = round(
+                    point["change"][f"{key}_ms"] / point["parent"][f"{key}_ms"], 3
                 )
-            points.append(point)
-            print(json.dumps(point), flush=True)
+        points.append(point)
+        print(json.dumps(point), flush=True)
     return points
 
 
@@ -396,9 +424,11 @@ def main(argv=None) -> int:
         trees["parent"] = load_tree(args.parent.resolve(), "parent_toruscurves")
     trees["change"] = toruscurves
     doc = {
-        "what": "points: check_pluecker_full and check_triangle on "
-                "Pluecker-refuted schemes; best of 5 (n <= 40) or 3 wall "
-                "times in ms. kappa_points: decide_torus on (2,3,5)*p^nu, "
+        "what": "points: check_pluecker_full and check_triangle (both "
+                "without a system) and decide_torus on Pluecker- and "
+                "triangle-refuted schemes, with the refuting stage and its "
+                "reason count; best of 5 (n <= 40) or 3 wall times in ms. "
+                "kappa_points: decide_torus on (2,3,5)*p^nu, "
                 "best of 5 (p^nu <= 10^6) or 3 wall times in ms, and the "
                 "byte length of the check document; an exception name where "
                 "the tree refuses the point. packing_points: max_packing(d), "
