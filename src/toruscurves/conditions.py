@@ -33,7 +33,9 @@ the first failing stage.  The triangle and Pluecker stages are one loop
 over the two checks, each returning a StageCheck on the reduced scheme;
 the first failing stage's reasons are moved to the original curve indices
 once, by _relabel, which leaves them as they are when zero reduction
-removed nothing.
+removed nothing.  A reason of either stage is a tuple of its curve
+indices (FailedTriangle, FailedPluecker), built in bulk from the index
+tuples the scans emit.
 
 Both checks are output-sensitive through "bad pairs" that every failure
 contains.  A scheme usually reaches the refutation after construct_witness
@@ -41,26 +43,31 @@ has built a system of primitive vectors that misses only some
 determinants; the pairs (i, j) it misses are bad pairs for both stages.
 A triple with none is realized by primitive vectors, so its gcds agree,
 and a quadruple with none is the Pluecker identity of four vectors'
-determinants.  Without such a system the triangle check walks all C(n,3)
+determinants.  construct_witness lists those pairs with the system, in
+one pass, and the refutation hands them and one dense copy of the matrix
+to both checks.  Without such a system the triangle check walks all C(n,3)
 triples of a dense copy of the matrix, and the Pluecker check takes the
 bad pairs of a base: the relations say the matrix has rank 2, and for a
 base pair (a, b) with m_ab != 0 the rank-2 matrix W that agrees with rows
 a and b differs from the scheme exactly on the pairs (i, j) with
 mu_abij != 0; all Pfaffians of W vanish.  The base is the one of (1,2),
 (3,4), (5,6) with the fewest bad pairs.  Each bad pair is scanned against
-every index (triangle) or pair of indices (Pluecker) off it; each failure
-found has its indices put in increasing order, and the failures, each
-listed once, are sorted lexicographically.  When the bad pairs would put
-more than 1/_SPARSE_SHARE of the triples or quadruples in play, all of
-them are tested, by the same loop.
+every index (triangle) or pair of indices (Pluecker) off it, and each
+failure comes out with its indices increasing, placed by where the pair
+falls among them, so the scan of one bad pair lists its failures in
+lexicographic order without a sort; only the runs of several bad pairs
+are merged, each failure listed once.  When the bad pairs would put more
+than 1/_SPARSE_SHARE of the triples or quadruples in play, all of them
+are tested, by the same loop, in lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import comb, gcd
+from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import ConstraintViolation, PreconditionViolated
@@ -76,6 +83,7 @@ from .scheme import (
     require_nonzero,
 )
 from .solver import (
+    _SPARSE_SHARE,
     KappaConstraintSet,
     _base_triple,
     _mismatches,
@@ -91,19 +99,60 @@ from .solver import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FailedTriangle:
-    i: int
-    j: int
-    k: int
+class _Indices(tuple):
+    """A failure reason that is its 1-based curve indices, increasing.
+
+    Equality is strict in the type: a reason equals a reason of its own
+    class with the same indices and nothing else, a plain tuple included,
+    in either operand order; the hash is the index tuple's.  The checks
+    build reasons in bulk through _records, which skips __new__.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()  # the field names, one per index
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self))
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class FailedPluecker:
-    i: int
-    j: int
-    k: int
-    l: int
+def _records(cls, rows) -> tuple:
+    """cls(*row) for each index sequence in rows, without calling __new__."""
+    return tuple(map(tuple.__new__, repeat(cls), rows))
+
+
+class FailedTriangle(_Indices):
+    __slots__ = ()
+    __match_args__ = ("i", "j", "k")
+    i = property(itemgetter(0))
+    j = property(itemgetter(1))
+    k = property(itemgetter(2))
+
+    def __new__(cls, i: int, j: int, k: int):
+        return tuple.__new__(cls, (i, j, k))
+
+
+class FailedPluecker(_Indices):
+    __slots__ = ()
+    __match_args__ = ("i", "j", "k", "l")
+    i = property(itemgetter(0))
+    j = property(itemgetter(1))
+    k = property(itemgetter(2))
+    l = property(itemgetter(3))
+
+    def __new__(cls, i: int, j: int, k: int, l: int):
+        return tuple.__new__(cls, (i, j, k, l))
 
 
 @dataclass(frozen=True)
@@ -141,7 +190,7 @@ class StageCheck:
 # ---------------------------------------------------------------------------
 
 
-def check_triangle(s: Scheme, system=None) -> StageCheck:
+def check_triangle(s: Scheme, system=None, *, _screen=None) -> StageCheck:
     """Every index triple without equal pairwise gcds, in lexicographic
     order.
 
@@ -154,41 +203,65 @@ def check_triangle(s: Scheme, system=None) -> StageCheck:
     m_jk = ad - bc; then gcd(b, ad - bc) = gcd(b, d) as gcd(a, b) = 1, and
     gcd(d, ad - bc) = gcd(d, b) as gcd(c, d) = 1.  So every failing triple
     contains a pair of B, and when |B| * (n - 2) <= C(n,3)/_SPARSE_SHARE
-    only the triples through B are tested, each failure listed once.
-    Otherwise (no system, a vector that is not primitive, or B too large)
-    all C(n,3) triples are tested, by the same loop.
+    only the triples (p, q, k) through each (p, q) of B are tested, for k
+    off {p, q} increasing.  Each failure comes out with its indices
+    increasing, k placed before p, between p and q or after q, and the run
+    of one pair is in lexicographic order: of the triples of k < k', the
+    smallest index in one and not the other is k, in the first.  The runs
+    of several pairs are merged, each failure listed once.  Otherwise (no system, a vector that
+    is not primitive, or B too large) all C(n,3) triples are tested, by
+    the same loop, in lexicographic order.
     """
     require_nonzero(s)
     n = s.n
     if n < 3:
         return StageCheck(())
-    rows = dense_rows(s)
-    bad = None
-    if system is not None and all(v.is_primitive() for v in system):
-        bad = _mismatches(s, system, comb(n, 3) // (_SPARSE_SHARE * (n - 2)))
+    if system is not None and not all(v.is_primitive() for v in system):
+        system = None
+    cap = comb(n, 3) // (_SPARSE_SHARE * (n - 2))
+    rows, bad = _screen_of(s, system, _screen, cap)
     if bad is None:
-        triples = _unequal_gcds(
-            rows, ((i, j, range(j + 1, n)) for i in range(n) for j in range(i + 1, n))
-        )
+        groups = ((i, j, range(j + 1, n)) for i in range(n) for j in range(i + 1, n))
     else:
-        triples = sorted({
-            tuple(sorted(t)) for p, q in bad
-            for t in _unequal_gcds(rows, [(p, q, _off(n, p, q))])
-        })
-    return StageCheck(tuple(FailedTriangle(i + 1, j + 1, k + 1) for i, j, k in triples))
+        groups = ((p, q, _off(n, p, q)) for p, q in bad)
+    triples = _unequal_gcds(rows, groups)
+    if bad is not None and len(bad) > 1:
+        # dict.fromkeys keeps each run in order, so the sort merges len(bad) runs
+        triples = sorted(dict.fromkeys(triples))
+    return StageCheck(_records(FailedTriangle, triples))
+
+
+def _screen_of(s: Scheme, system, screen, cap: int):
+    """The dense rows of s and the pairs (i, j), 0-based, whose determinant
+    in system misses m_ij, or None for the pairs when there is no system
+    or more than cap of them.  screen, when given, is those rows and pairs
+    already computed under a cap of at least cap (the pairs None past it),
+    as _refutation hands them to both checks."""
+    if screen is None:
+        return dense_rows(s), None if system is None else _mismatches(s, system, cap)
+    rows, bad = screen
+    if system is None or bad is None or len(bad) > cap:
+        bad = None
+    return rows, bad
 
 
 def _unequal_gcds(rows, groups):
-    """(i, j, k), 0-based, for each candidate whose pairwise gcds are not
-    all equal, in the order of groups; groups holds (i, j, ks), whose
-    candidates are (i, j, k) for k in ks."""
+    """The triple {i, j, k}, 1-based and increasing, of each candidate
+    whose pairwise gcds are not all equal, in the order of groups; groups
+    holds (i, j, ks), 0-based with i < j, whose candidates are (i, j, k)
+    for k in ks."""
     for i, j, ks in groups:
         ri, rj = rows[i], rows[j]
         a = ri[j]
+        i1, j1 = i + 1, j + 1
         for k in ks:
             b, c = ri[k], rj[k]
             if not gcd(a, b) == gcd(a, c) == gcd(b, c):
-                yield i, j, k
+                k1 = k + 1
+                if k > j:
+                    yield i1, j1, k1
+                else:
+                    yield (i1, k1, j1) if k > i else (k1, i1, j1)
 
 
 def _off(n: int, p: int, q: int) -> list:
@@ -207,7 +280,7 @@ def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
     )
 
 
-def check_pluecker_full(s: Scheme, system=None) -> StageCheck:
+def check_pluecker_full(s: Scheme, system=None, *, _screen=None) -> StageCheck:
     """Every failing Pluecker relation, in lexicographic order; vacuous
     pass for n < 4.
 
@@ -225,33 +298,34 @@ def check_pluecker_full(s: Scheme, system=None) -> StageCheck:
     with the fewest bad pairs is taken.  Each bad pair (p, q) is scanned
     as the base pair was: every (p, q, k, l), k < l off {p, q}.  A
     Pfaffian only changes sign when its indices are permuted, so each
-    failure found is sorted, the duplicates (quadruples through two bad
-    pairs) dropped, and the rest sorted once.  When even the fewest bad
-    pairs put more than 1/_SPARSE_SHARE of the C(n,4) quadruples in play
-    (every tried base has a perturbed entry, or the matrix is far from
-    rank 2), all quadruples are tested instead.
+    failure comes out as {p, q, k, l} increasing, the order fixed by where
+    p and q fall among k and l, and the run of one bad pair is already in
+    lexicographic order: of the quadruples of (k, l) < (k', l'), the
+    smallest index in one and not the other is k when k < k', else l, and
+    it lies in the first, which therefore sorts first.  The runs of several bad pairs
+    are merged, the duplicates (quadruples through two bad pairs) dropped.
+    When even the fewest bad pairs put more than 1/_SPARSE_SHARE of the
+    C(n,4) quadruples in play (every tried base has a perturbed entry, or
+    the matrix is far from rank 2), all quadruples are tested instead, in
+    lexicographic order.
     """
     n = s.n
     if n < 4:
         return StageCheck(())
-    rows = dense_rows(s)
     limit = comb(n, 4) // (_SPARSE_SHARE * comb(n - 2, 2))
-    bad = None if system is None else _mismatches(s, system, limit)
+    rows, bad = _screen_of(s, system, _screen, limit)
     if bad is None:
         bad = _fewest_bad_pairs(rows, n, limit)
     if bad is None:
         tails = [[(k, range(k + 1, n)) for k in range(j + 1, n)] for j in range(n)]
-        quads = _nonzero_pfaffians(
-            rows, ((i, j, tails[j]) for i in range(n) for j in range(i + 1, n))
-        )
+        groups = ((i, j, tails[j]) for i in range(n) for j in range(i + 1, n))
     else:
-        # through one bad pair the sorted failures increase, so this sorts
-        # len(bad) runs
-        quads = sorted(dict.fromkeys(
-            tuple(sorted(quad)) for p, q in bad for quad in _through(rows, n, p, q)
-        ))
-    failures = tuple(FailedPluecker(i + 1, j + 1, k + 1, l + 1) for i, j, k, l in quads)
-    return StageCheck(failures)
+        groups = ((p, q, _pairs_off(n, p, q)) for p, q in bad)
+    quads = _nonzero_pfaffians(rows, groups)
+    if bad is not None and len(bad) > 1:
+        # dict.fromkeys keeps each run in order, so the sort merges len(bad) runs
+        quads = sorted(dict.fromkeys(quads))
+    return StageCheck(_records(FailedPluecker, quads))
 
 
 # disjoint base pairs tried for the bad-pair screen, 0-based
@@ -259,35 +333,45 @@ _BASE_PAIRS = ((0, 1), (2, 3), (4, 5))
 # The Pluecker screen tests at most |B|*C(n-2,2) <= C(n,4)/_SPARSE_SHARE
 # quadruples through the |B| bad pairs, plus at most three bad-pair scans of
 # C(n-2,2) for the bases when no system gives B; the triangle screen tests
-# at most |B|*(n-2) <= C(n,3)/_SPARSE_SHARE triples.  Both sort only the
-# failures.
-_SPARSE_SHARE = 16
+# at most |B|*(n-2) <= C(n,3)/_SPARSE_SHARE triples (solver._SPARSE_SHARE).
+# Both sort only the failures, and only when |B| > 1.
 
 
 def _nonzero_pfaffians(rows, groups):
-    """(i, j, k, l), 0-based, for each candidate whose Pfaffian
-    m_ij*m_kl - m_ik*m_jl + m_il*m_jk is nonzero, in the order of groups.
+    """The quadruple {i, j, k, l}, 1-based and increasing, of each
+    candidate whose Pfaffian m_ij*m_kl - m_ik*m_jl + m_il*m_jk is nonzero,
+    in the order of groups.
 
-    groups holds (i, j, [(k, ls), ...]): the candidates are (i, j, k, l)
-    for l in ls.  The indices need not be sorted; the Pfaffian is that of
-    the 4 x 4 submatrix in the order given.
+    groups holds (i, j, [(k, ls), ...]), 0-based with i < j and k < l for
+    l in ls: the candidates are (i, j, k, l) for l in ls.  k and l may lie
+    anywhere off {i, j}; the Pfaffian of the permuted 4 x 4 submatrix only
+    changes sign.
     """
     for i, j, kls in groups:
         ri, rj = rows[i], rows[j]
         m_ij = ri[j]
+        i1, j1 = i + 1, j + 1
         for k, ls in kls:
             m_ik, m_jk, rk = ri[k], rj[k], rows[k]
+            k1 = k + 1
             for l in ls:
                 if m_ij * rk[l] - m_ik * rj[l] + ri[l] * m_jk:
-                    yield i, j, k, l
+                    l1 = l + 1
+                    if k > j:
+                        yield i1, j1, k1, l1
+                    elif k > i:
+                        yield (i1, k1, l1, j1) if l < j else (i1, k1, j1, l1)
+                    elif l < i:
+                        yield k1, l1, i1, j1
+                    else:
+                        yield (k1, i1, l1, j1) if l < j else (k1, i1, j1, l1)
 
 
-def _through(rows, n: int, p: int, q: int):
-    """(p, q, k, l) for each pair k < l off {p, q} with mu_pqkl != 0, in
-    increasing (k, l)."""
+def _pairs_off(n: int, p: int, q: int) -> list:
+    """(k, ls) for each k off {p, q}: the candidates of _nonzero_pfaffians
+    for every pair k < l off {p, q}, in increasing (k, l)."""
     rest = _off(n, p, q)
-    kls = [(k, rest[t + 1:]) for t, k in enumerate(rest)]
-    return _nonzero_pfaffians(rows, [(p, q, kls)])
+    return [(k, rest[t + 1:]) for t, k in enumerate(rest)]
 
 
 def _fewest_bad_pairs(rows, n: int, limit: int) -> Optional[list]:
@@ -299,8 +383,13 @@ def _fewest_bad_pairs(rows, n: int, limit: int) -> Optional[list]:
         if b >= n or not rows[a][b]:
             continue
         cap = limit if best is None else len(best) - 1
-        # the scan stops after cap + 1 bad pairs
-        bad = [(k, l) for _, _, k, l in islice(_through(rows, n, a, b), cap + 1)]
+        # the scan stops after cap + 1 bad pairs; each failure is
+        # {a, b, k, l}, 1-based and increasing, and (k, l) is the bad pair
+        quads = _nonzero_pfaffians(rows, [(a, b, _pairs_off(n, a, b))])
+        bad = [
+            tuple(x - 1 for x in quad if x != a + 1 and x != b + 1)
+            for quad in islice(quads, cap + 1)
+        ]
         if len(bad) <= cap:
             best = bad
             if len(bad) <= 1:  # a failing relation leaves every base one
@@ -475,7 +564,7 @@ def decide_torus(s: Scheme) -> Verdict:
         kappa = first.kappa if r.n == 2 else None
         return _realizable(s, red, system, kappa, None)
 
-    cons = system = None
+    cons = system = missed = None
     m12, m13, m23 = r.entries[:3]
     if gcd(m12, m13) == gcd(m12, m23) == gcd(m13, m23):
         cons = kappa_constraints(r)
@@ -484,27 +573,29 @@ def decide_torus(s: Scheme) -> Verdict:
             try:
                 witness = construct_witness(r, kappa)
             except ConstraintViolation as exc:
-                system = exc.system
+                system, missed = exc.system, exc.missed
             else:
                 system = lift_system(red, witness.system)
                 # verified on r, which is s when no step removed a curve
                 return _realizable(s, red, system, kappa, cons, not red.steps)
-    return _refutation(red, cons, system)
+    return _refutation(red, cons, system, missed)
 
 
-def _refutation(red, cons, system) -> Verdict:
+def _refutation(red, cons, system, missed) -> Verdict:
     """Stage-order failures of a reduced scheme that has no witness.
 
     The triangle and Pluecker checks run in turn, each looked up in this
     module at call time and given the primitive system that missed some
-    determinant, if construct_witness built one, so both list only the
-    failures through the pairs it misses.  The first check that fails
-    gives every reason, moved to the original curve indices by _relabel.
-    The kappa stage comes last.
+    determinant, if construct_witness built one, with the pairs it misses
+    (missed, listed once there) and one dense copy of r, so both list only
+    the failures through those pairs, each under its own cap.  The first
+    check that fails gives every reason, moved to the original curve
+    indices by _relabel.  The kappa stage comes last.
     """
     r = red.reduced
+    screen = (dense_rows(r), missed)
     for check in (check_triangle, check_pluecker_full):
-        failures = check(r, system).failures
+        failures = check(r, system, _screen=screen).failures
         if failures:
             return Verdict(False, _relabel(red, failures), None, False, red)
     toz_fail = _circledast_failures(r, cons)
@@ -520,11 +611,10 @@ def _relabel(red, failures) -> tuple:
     curve indices; the same tuple when the reduction removed nothing."""
     if not red.steps:
         return failures
-    idx = red.survivors
-    # every field of these reasons is a 1-based curve index
-    return tuple(
-        type(f)(*(idx[t - 1] for t in vars(f).values())) for f in failures
-    )
+    # idx[t] is the original index of reduced curve t; survivors increase,
+    # so each reason stays increasing and the order lexicographic
+    idx = (0, *red.survivors)
+    return _records(type(failures[0]), (map(idx.__getitem__, f) for f in failures))
 
 
 def _realizable(s, red, system, kappa, cons, verified=False) -> Verdict:

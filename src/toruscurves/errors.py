@@ -34,11 +34,14 @@ class ConstraintViolation(TorusCurvesError):
 
     system is the curve system that was built when every vector of it is
     primitive and only some determinant misses its entry, else None.
+    missed lists, with such a system, the pairs (i, j), 0-based, whose
+    determinant misses, or is None when there are too many to list.
     """
 
-    def __init__(self, message: str, system=None):
+    def __init__(self, message: str, system=None, missed=None):
         super().__init__(message)
         self.system = system
+        self.missed = missed
 
 
 class InvalidMatrix(TorusCurvesError):

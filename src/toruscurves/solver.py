@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd
+from math import comb, gcd
 from typing import Optional
 
 from .errors import (
@@ -317,6 +317,13 @@ def canonical_kappa(cons: KappaConstraintSet) -> int:
     return next(_crt_product(cons.per_prime)).residue
 
 
+# The triangle screen of conditions tests the triples through the missed
+# pairs B only while |B|*(n-2) <= C(n,3)/_SPARSE_SHARE, the Pluecker screen
+# the quadruples through them while |B|*C(n-2,2) <= C(n,4)/_SPARSE_SHARE;
+# the first bound, |B| <= n(n-1)/(6*_SPARSE_SHARE), is twice the second.
+_SPARSE_SHARE = 16
+
+
 def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     """Build and verify the normalized witness for kappa.
 
@@ -327,9 +334,12 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     system built can miss some determinant m_ij; that also raises
     ConstraintViolation, so a returned witness always verifies and proves
     the scheme realizable.  In that last case every vector of the system
-    is primitive, and the exception carries it as its system: the pairs
-    whose determinant misses are where the triangle and Pluecker failures
-    lie (see conditions.check_triangle).
+    is primitive, and the exception carries it as its system, together
+    with the pairs B whose determinant misses, listed by one more
+    _mismatches pass as its missed (None when there are more than
+    C(n,3)/(_SPARSE_SHARE*(n-2)), the larger of the two screens' caps):
+    B is where the triangle and Pluecker failures lie (see
+    conditions.check_triangle), and both checks take it from there.
     """
     if s.n < 3:
         raise DomainError("construct_witness needs at least 3 curves")
@@ -348,10 +358,12 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
         rs.append(r)
         system.append(curve(r, m1j))
     if not verify_system(s, system):
+        n = s.n
         raise ConstraintViolation(
             f"kappa={kappa} gives a system whose determinants differ "
             f"from the scheme",
             tuple(system),
+            _mismatches(s, system, comb(n, 3) // (_SPARSE_SHARE * (n - 2))),
         )
     return NormalizedWitness(kappa, tuple(rs), tuple(system))
 

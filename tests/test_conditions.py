@@ -375,3 +375,135 @@ def test_non_primitive_system_does_not_narrow_the_triangle_scan():
     t = new_scheme(4, dets([(2, 0), (0, 1), (1, 1), (1, 3)]))
     assert check_pluecker_full(t, (curve(2, 0), curve(0, 1), curve(1, 1),
                                    curve(1, 3))).ok
+
+
+@pytest.mark.parametrize("cls, idx", [(FailedTriangle, (2, 5, 7)),
+                                      (FailedPluecker, (1, 3, 4, 8))])
+def test_reason_records_are_type_strict_index_tuples(cls, idx):
+    import copy
+    import pickle
+
+    r = cls(*idx)
+    names = "ijkl"[:len(idx)]
+    assert tuple(getattr(r, a) for a in names) == idx
+    assert cls(**dict(zip(names, idx))) == r
+    assert repr(r) == f"{cls.__name__}(" + ", ".join(
+        f"{a}={v}" for a, v in zip(names, idx)) + ")"
+    assert r == type(r)(*r) and not r != type(r)(*r)
+    # equal only to its own type, whichever operand comes first
+    assert r != tuple(r) and tuple(r) != r
+    assert not r == tuple(r) and not tuple(r) == r
+    assert FailedTriangle(1, 2, 3) != (1, 2, 3)
+    assert FailedTriangle(1, 2, 3) != FailedPluecker(1, 2, 3, 4)[:3]
+    assert hash(r) == hash(tuple(r))
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 9)
+    for back in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)):
+        assert type(back) is cls and back == r and repr(back) == repr(r)
+    with pytest.raises(TypeError):
+        cls(*idx, 1)
+
+
+def test_refuted_verdicts_compare_and_hash_by_their_reasons():
+    for s in (PENTA, new_scheme(4, [5, 15, 15, 15, 15, 4])):
+        a, b = decide_torus(s), decide_torus(new_scheme(s.n, s.entries))
+        assert not a.realizable and a == b and hash(a) == hash(b)
+        assert a.reasons == reference.decide_torus(s).reasons
+    plain = decide_torus(PENTA)
+    swapped = type(plain)(False, tuple(tuple(r) for r in plain.reasons),
+                          None, False, plain.reduction)
+    assert swapped != plain
+
+
+def _plus_lcm(entries: list, pairs) -> list:
+    """m_ij plus the lcm of all entries, for each (i, j) in pairs in turn,
+    which keeps every gcd: only Pluecker relations through them fail."""
+    for i, j in pairs:
+        lcm = 1
+        for e in entries:
+            lcm = lcm * abs(e) // gcd(lcm, e) if e else lcm
+        entries[_pos(i, j)] += lcm
+    return entries
+
+
+def test_plucker_refutation_lists_missed_pairs_once(monkeypatch):
+    from toruscurves import conditions, solver
+
+    n = 28
+    s = new_scheme(n, _plus_lcm(dets(_vectors(random.Random(n), n, 30)),
+                                [(n - 1, n)]))
+    want = reference.decide_torus(s).reasons
+    assert len(want) == comb(n - 2, 2)
+    assert all(isinstance(r, FailedPluecker) for r in want)
+    passes, copies = [], []
+    mismatches, rows = solver._mismatches, conditions.dense_rows
+
+    def counted_mismatches(sc, system, cap):
+        passes.append(cap)
+        return mismatches(sc, system, cap)
+
+    def counted_rows(sc):
+        copies.append(sc.n)
+        return rows(sc)
+
+    for module in (solver, conditions):
+        monkeypatch.setattr(module, "_mismatches", counted_mismatches)
+    monkeypatch.setattr(conditions, "dense_rows", counted_rows)
+    assert decide_torus(s).reasons == want
+    # verify_system's early-exit pass, then one pass listing B for both
+    # checks, which share one dense copy
+    assert passes == [0, comb(n, 3) // (16 * (n - 2))]
+    assert copies == [n]
+    # the public calls still compute their own, at their own caps
+    system = _witness_system(s)
+    passes.clear()
+    copies.clear()
+    assert check_pluecker_full(s, system).failures == want
+    assert check_triangle(s, system).ok
+    assert passes == [comb(n, 4) // (16 * comb(n - 2, 2)),
+                      comb(n, 3) // (16 * (n - 2))]
+    assert copies == [n, n]
+
+
+def test_each_check_applies_its_own_cap_to_the_missed_pairs(monkeypatch):
+    from toruscurves import conditions
+
+    # n = 28: the triangle screen takes up to 7 missed pairs, the Pluecker
+    # screen up to 3; five entries off rows 1-3 plus their rows' lcm keep
+    # every gcd and leave the witness attempt exactly those five misses
+    n = 28
+    assert (comb(n, 3) // (16 * (n - 2)), comb(n, 4) // (16 * comb(n - 2, 2))) == (7, 3)
+    pairs = random.Random(6).sample(
+        [(i, j) for j in range(5, n + 1) for i in range(4, j)], 5)
+    s = new_scheme(n, _plus_lcm(dets(_vectors(random.Random(5), n, 30)), pairs))
+    assert check_triangle(s).ok
+    with pytest.raises(ConstraintViolation) as exc:
+        construct_witness(s, canonical_kappa(kappa_constraints(s)))
+    assert sorted(exc.value.missed) == sorted((i - 1, j - 1) for i, j in pairs)
+    bases = []
+    fewest = conditions._fewest_bad_pairs
+
+    def counted(*args):
+        bases.append(args[1])
+        return fewest(*args)
+
+    monkeypatch.setattr(conditions, "_fewest_bad_pairs", counted)
+    v = decide_torus(s)
+    assert v.reasons == reference.decide_torus(s).reasons
+    assert bases == [n]  # five missed pairs are over the Pluecker cap
+
+
+def test_zero_reduced_refutation_relabels_each_reason_once():
+    n = 20
+    vecs = _vectors(random.Random(n), n, 30)
+    # a duplicate of curve 1 and an Empty curve appended, or put in front
+    # so that every survivor moves
+    for system, last in (([*vecs, vecs[0], None], (n - 1, n)),
+                         ([None, vecs[0], *vecs], (n + 1, n + 2))):
+        s = new_scheme(len(system), _plus_lcm(dets(system), [last]))
+        v = decide_torus(s)
+        assert len(v.reduction.steps) == 2
+        assert v.reasons == reference.decide_torus(s).reasons
+        assert len(v.reasons) == comb(n - 2, 2)
+        assert all(type(r) is FailedPluecker for r in v.reasons)

@@ -55,14 +55,16 @@ and the same kappa and witness wherever both decide, and the same packing
 size and witness at every d, and the same search hit at every point.
 
 --quick times nothing: it runs the refutation points with n <= 40, the
-kappa points with p^nu <= 10^4, max_packing(d) for d <= 30 and the 20
-endemic searches at bounds 0..4, and fails unless every refutation
-point's check_triangle and check_pluecker_full equal tests/reference.py's
-scans and its decide_torus reasons equal tests/reference.py's
-decide_torus, every kappa
-point's classes equal tests/reference.py's residue scan, every packing's
-size and witness equal tests/reference.py's max_packing, and every
-search's hit equals tests/reference.py's search_generic.
+last_pair points again with curve 1 duplicated (decide_torus only: zero
+reduction removes the copy and the reasons are moved back to the original
+indices), the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30
+and the 20 endemic searches at bounds 0..4, and fails unless every
+refutation point's check_triangle and check_pluecker_full equal
+tests/reference.py's scans and its decide_torus reasons equal
+tests/reference.py's decide_torus, every kappa point's classes equal
+tests/reference.py's residue scan, every packing's size and witness equal
+tests/reference.py's max_packing, and every search's hit equals
+tests/reference.py's search_generic.
 """
 
 from __future__ import annotations
@@ -176,8 +178,16 @@ def timed(fn, arg):
 
 
 def reasons(failures) -> list:
-    """The index tuples of triangle or Pluecker failures."""
-    return [tuple(vars(f).values()) for f in failures]
+    """The index tuples of triangle or Pluecker failures, read by field
+    name, so that reasons of any tree's record type compare."""
+    return [tuple(getattr(f, a) for a in "ijkl" if hasattr(f, a))
+            for f in failures]
+
+
+def with_first_duplicated(n: int, entries: list) -> list:
+    """The entries of n + 1 curves, curve n + 1 a copy of curve 1:
+    m_{1,n+1} = 0 and m_{i,n+1} = m_{i,1} = -m_{1i}."""
+    return entries + [0] + [-entries[_pos(1, i)] for i in range(2, n + 1)]
 
 
 def shape_points():
@@ -209,6 +219,18 @@ def quick(tree) -> int:
         bad += not same
         print(f"n={n} {shape}: {len(got)} {type(got[0]).__name__} reasons, "
               f"{'match' if same else 'DIFFER from'} the reference")
+        if shape == "last_pair":
+            # zero reduction drops the copy, and the reasons are moved back
+            # to the original curve indices
+            s = tree.new_scheme(n + 1, with_first_duplicated(
+                n, shape_entries(n, shape)))
+            got = tree.decide_torus(s)
+            same = (len(got.reduction.steps) == 1
+                    and got.reasons == reference.decide_torus(s).reasons)
+            bad += not same
+            print(f"n={n + 1} {shape} with curve 1 duplicated: "
+                  f"{len(got.reasons)} {type(got.reasons[0]).__name__} reasons, "
+                  f"{'match' if same else 'DIFFER from'} the reference")
     for p, nu in KAPPA_POINTS:
         if p**nu > QUICK_MAX_MODULUS:
             continue
