@@ -25,11 +25,12 @@ from the (p, nu) pairs the kappa classes already hold.
 decide_torus runs certificate first: after zero reduction it computes the
 kappa classes and builds the witness for the canonical kappa, and a
 witness that verifies settles realizability without the O(n^3) triangle
-and O(n^4) Pluecker checks.  construct_witness verifies the witness, and
-the lifted system is verified again only when the reduction removed
-curves.  Only when no witness comes out are the conditions checked in
-stage order (triangle, Pluecker, kappa classes) to list every failure of
-the first failing stage.  The triangle and Pluecker stages are one loop
+and O(n^4) Pluecker checks.  construct_witness verifies the witness by
+the determinant pass that would list its missed pairs, and the lifted
+system is verified again only when the reduction removed curves.  Only
+when no witness comes out are the conditions checked in stage order
+(triangle, Pluecker, kappa classes) to list every failure of the first
+failing stage.  The triangle and Pluecker stages are one loop
 over the two checks, each returning a StageCheck on the reduced scheme;
 the first failing stage's reasons are moved to the original curve indices
 once, by _relabel, which leaves them as they are when zero reduction
@@ -208,15 +209,21 @@ def check_triangle(s: Scheme, system=None, *, _screen=None) -> StageCheck:
     increasing, k placed before p, between p and q or after q, and the run
     of one pair is in lexicographic order: of the triples of k < k', the
     smallest index in one and not the other is k, in the first.  The runs
-    of several pairs are merged, each failure listed once.  Otherwise (no system, a vector that
-    is not primitive, or B too large) all C(n,3) triples are tested, by
-    the same loop, in lexicographic order.
+    of several pairs are merged, each failure listed once.  Otherwise (no
+    system, a vector that is not primitive, or B too large) all C(n,3)
+    triples are tested, by the same loop, in lexicographic order.  With
+    _screen, the rows and B that _refutation computed once for both
+    checks, system is the one construct_witness attached to its
+    ConstraintViolation, primitive by construction, and is not tested
+    again.
     """
     require_nonzero(s)
     n = s.n
     if n < 3:
         return StageCheck(())
-    if system is not None and not all(v.is_primitive() for v in system):
+    if _screen is None and system is not None and not all(
+        v.is_primitive() for v in system
+    ):
         system = None
     cap = comb(n, 3) // (_SPARSE_SHARE * (n - 2))
     rows, bad = _screen_of(s, system, _screen, cap)
@@ -530,10 +537,11 @@ def decide_torus(s: Scheme) -> Verdict:
        fewer than 3 curves left take their first orbit as the witness.
     2. When the base triple's three gcds agree: kappa classes (which
        factor g_123, once per decision), canonical kappa and the witness
-       for it.  A witness that verifies proves realizability, so the
-       verdict is returned without the triangle and Pluecker checks or
-       the toz report; the lifted witness is verified again only when
-       the reduction removed curves.
+       for it, verified by one determinant pass that also lists the
+       pairs it misses.  A witness that verifies proves realizability,
+       so the verdict is returned without the triangle and Pluecker
+       checks or the toz report; the lifted witness is verified again
+       only when the reduction removed curves.
     3. Otherwise the conditions are checked in order, triangle, Pluecker,
        then kappa classes (reusing those of step 2), and every failure
        of the first failing stage is listed.  When step 2 built a system
@@ -587,10 +595,12 @@ def _refutation(red, cons, system, missed) -> Verdict:
     The triangle and Pluecker checks run in turn, each looked up in this
     module at call time and given the primitive system that missed some
     determinant, if construct_witness built one, with the pairs it misses
-    (missed, listed once there) and one dense copy of r, so both list only
-    the failures through those pairs, each under its own cap.  The first
-    check that fails gives every reason, moved to the original curve
-    indices by _relabel.  The kappa stage comes last.
+    (missed, listed by the same pass that checked the system) and one
+    dense copy of r, so both list only the failures through those pairs,
+    each under its own cap; the system's vectors are primitive by
+    construction and are not tested again.  The first check that fails
+    gives every reason, moved to the original curve indices by _relabel.
+    The kappa stage comes last.
     """
     r = red.reduced
     screen = (dense_rows(r), missed)

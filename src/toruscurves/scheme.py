@@ -13,6 +13,7 @@ everything zero times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from math import gcd
 from operator import index, neg
 from typing import Optional, Union
@@ -221,14 +222,18 @@ class Unresolvable:
 
 def dense_rows(s: Scheme) -> list:
     """The antisymmetric n x n matrix as a list of 0-based rows:
-    rows[i][j] = m_{i+1,j+1}, with a zero diagonal."""
-    n = s.n
-    rows = [[0] * n for _ in range(n)]
-    for j, col in enumerate(columns(s), start=1):
-        rows[j][:j] = [-e for e in col]
-        for row, e in zip(rows, col):
-            row[j] = e
-    return rows
+    rows[i][j] = m_{i+1,j+1}, with a zero diagonal.
+
+    Row i is column i negated, then 0, then the entries m_{i+1,j+1} for
+    j > i, which are the i-th entries of the later columns: the tuple
+    zip_longest(*columns)[i] past its i leading fill values.
+    """
+    cols = [(), *columns(s)]
+    tails = chain(zip_longest(*cols[1:]), [()])  # the last row has no tail
+    return [
+        [*map(neg, col), 0, *tail[i:]]
+        for i, (col, tail) in enumerate(zip(cols, tails))
+    ]
 
 
 def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
@@ -244,7 +249,10 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
     the other curves vanish nor whether a zero pair is a (reversed)
     duplicate or has an empty row, so the scan is a single pass over the
     original matrix.  Two curves with m_ab = 0 agree off {a, b} exactly
-    when their full rows agree, so duplicates are found by hashing rows.
+    when their full rows agree, so duplicates are found by hashing rows;
+    a reversed duplicate's row is the negated row, which is the column of
+    the same index, so the columns are the negated keys.  Each row is
+    walked from zero to zero, not entry by entry.
     """
     n = s.n
     if 0 not in s.entries:
@@ -252,7 +260,8 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
     rows = dense_rows(s)
     row_id: dict = {}
     ids = [row_id.setdefault(tuple(r), len(row_id)) for r in rows]
-    neg_ids = [row_id.get(tuple(map(neg, r))) for r in rows]
+    # column k of the antisymmetric matrix is row k negated
+    neg_ids = [row_id.get(col) for col in zip(*rows)]
     alive = [True] * n
     steps = []
     unresolved = []
@@ -263,11 +272,13 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
         alive[k] = False
 
     for a in range(n):
-        ra = rows[a]
-        for b in range(a + 1, n):
-            if not alive[a]:
+        ra, b = rows[a], a
+        while alive[a]:
+            try:  # the next zero pair (a, b)
+                b = ra.index(0, b + 1)
+            except ValueError:
                 break
-            if ra[b] != 0 or not alive[b]:
+            if not alive[b]:
                 continue
             if ids[a] == ids[b]:
                 drop(b, DUPLICATE, a, +1)

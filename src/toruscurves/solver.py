@@ -333,13 +333,14 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     classes of kappa_constraints, without scanning them.  Without them the
     system built can miss some determinant m_ij; that also raises
     ConstraintViolation, so a returned witness always verifies and proves
-    the scheme realizable.  In that last case every vector of the system
-    is primitive, and the exception carries it as its system, together
-    with the pairs B whose determinant misses, listed by one more
-    _mismatches pass as its missed (None when there are more than
-    C(n,3)/(_SPARSE_SHARE*(n-2)), the larger of the two screens' caps):
-    B is where the triangle and Pluecker failures lie (see
-    conditions.check_triangle), and both checks take it from there.
+    the scheme realizable.  The gcd test makes every vector primitive, so
+    one _mismatches pass verifies the system: it lists the pairs B whose
+    determinant misses, and the system verifies when B is empty.  It stops
+    past C(n,3)/(_SPARSE_SHARE*(n-2)) pairs, the larger of the two
+    screens' caps.  Otherwise the exception carries the system as its
+    system and B as its missed (None past the cap): B is where the
+    triangle and Pluecker failures lie (see conditions.check_triangle),
+    and both checks take it from there.
     """
     if s.n < 3:
         raise DomainError("construct_witness needs at least 3 curves")
@@ -357,13 +358,14 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
             )
         rs.append(r)
         system.append(curve(r, m1j))
-    if not verify_system(s, system):
-        n = s.n
+    # every vector is primitive: (1,0), and each (r_j, m_1j) by the gcd test
+    missed = _mismatches(s, system, comb(s.n, 3) // (_SPARSE_SHARE * (s.n - 2)))
+    if missed != []:
         raise ConstraintViolation(
             f"kappa={kappa} gives a system whose determinants differ "
             f"from the scheme",
             tuple(system),
-            _mismatches(s, system, comb(n, 3) // (_SPARSE_SHARE * (n - 2))),
+            missed,
         )
     return NormalizedWitness(kappa, tuple(rs), tuple(system))
 
@@ -456,7 +458,13 @@ def sl2_act(a_matrix, system) -> tuple:
 
 def verify_system(s: Scheme, system) -> bool:
     """True iff every vector is primitive and all pairwise determinants
-    match the scheme (Empty curves contribute 0)."""
+    match the scheme (Empty curves contribute 0).
+
+    construct_witness verifies its own systems with one _mismatches pass;
+    the decision calls this only on a witness lifted through a zero
+    reduction that removed curves, and on the witness of fewer than 3
+    reduced curves.
+    """
     return _mismatches(s, system, 0) == [] and all(v.is_primitive() for v in system)
 
 

@@ -451,9 +451,9 @@ def test_plucker_refutation_lists_missed_pairs_once(monkeypatch):
         monkeypatch.setattr(module, "_mismatches", counted_mismatches)
     monkeypatch.setattr(conditions, "dense_rows", counted_rows)
     assert decide_torus(s).reasons == want
-    # verify_system's early-exit pass, then one pass listing B for both
-    # checks, which share one dense copy
-    assert passes == [0, comb(n, 3) // (16 * (n - 2))]
+    # one pass checks the witness and lists B for both checks, which share
+    # one dense copy
+    assert passes == [comb(n, 3) // (16 * (n - 2))]
     assert copies == [n]
     # the public calls still compute their own, at their own caps
     system = _witness_system(s)

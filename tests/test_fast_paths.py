@@ -91,6 +91,36 @@ def test_reduce_zeros_matches_reference(rng):
     assert seen == {"unresolvable", "duplicate_of1", "duplicate_of-1", "emptyNone"}
 
 
+def _duplicate_heavy_scheme(rng: random.Random, n: int) -> Scheme:
+    """n curves over n // 4 classes, each in a random direction, one of
+    them Empty; sometimes one entry is perturbed."""
+    base = []
+    while len(base) < n // 4:
+        p, q = rng.randint(-20, 20), rng.randint(-20, 20)
+        if gcd(p, q) == 1 and (p, q) not in base and (-p, -q) not in base:
+            base.append((p, q))
+    vecs = [base[i % len(base)] for i in range(n - 1)]
+    rng.shuffle(vecs)
+    vecs = [(p, q) if rng.random() < 0.5 else (-p, -q) for p, q in vecs]
+    vecs.insert(rng.randrange(n), None)
+    entries = dets(vecs)
+    if rng.random() < 0.3:
+        entries[rng.randrange(len(entries))] += rng.choice((-1, 1, 2))
+    return new_scheme(n, entries)
+
+
+def test_reduce_zeros_matches_reference_on_duplicate_heavy_schemes(rng):
+    seen = set()
+    for n in (20, 27, 33, 40, 44, 52, 60, 60):
+        s = _duplicate_heavy_scheme(rng, n)
+        got = reduce_zeros(s)
+        assert got == reference.reduce_zeros(s)
+        if isinstance(got, Unresolvable):
+            seen.add("unresolvable")
+        seen.update(step.reason + str(step.sign) for step in got.steps)
+    assert {"duplicate_of1", "duplicate_of-1", "emptyNone"} <= seen
+
+
 def test_dense_checks_match_reference(rng):
     for _ in range(300):
         n = rng.randint(3, 9)

@@ -20,6 +20,7 @@ from toruscurves import (
     scheme_sum,
     zero_scheme,
 )
+from toruscurves.scheme import dense_rows
 from conftest import (
     random_nonzero_scheme,
     random_permutation,
@@ -35,6 +36,19 @@ def test_new_scheme():
         new_scheme(3, [1, 2])
     with pytest.raises(InvalidShape):
         new_scheme(0, [])
+
+
+def test_dense_rows_is_the_antisymmetric_matrix():
+    rng = random.Random(22)
+    for n in (*range(1, 13), 44, 160):
+        entries = [rng.choice((-1, 1)) * rng.randint(10**30 - 10**6, 10**30)
+                   if rng.random() < 0.5 else rng.randint(-9, 9)
+                   for _ in range(n * (n - 1) // 2)]
+        s = new_scheme(n, entries)
+        assert dense_rows(s) == [
+            [0 if i == j else get(s, i + 1, j + 1) for j in range(n)]
+            for i in range(n)
+        ]
 
 
 def test_new_scheme_rejects_non_integers():

@@ -361,28 +361,40 @@ def test_one_kappa_scan_per_decision(monkeypatch, tmp_path, capsys):
 def test_one_verify_per_decision(monkeypatch, rng):
     from toruscurves import conditions, solver
 
-    calls = []
-    check = solver.verify_system
+    # determinant passes, each (n, entries, system), and verify_system calls
+    passes, calls = [], []
+    mismatches, check = solver._mismatches, solver.verify_system
+
+    def counted_pass(sc, system, cap):
+        passes.append((sc.n, sc.entries, tuple(system)))
+        return mismatches(sc, system, cap)
 
     def counted(sc, system):
         calls.append((sc.n, sc.entries, tuple(system)))
         return check(sc, system)
 
+    monkeypatch.setattr(solver, "_mismatches", counted_pass)
     monkeypatch.setattr(solver, "verify_system", counted)
     monkeypatch.setattr(conditions, "verify_system", counted)
-    # pairwise non-parallel vectors: nothing to reduce, one check
+    # pairwise non-parallel vectors: nothing to reduce, and the pass that
+    # would list the witness's missed pairs verifies it
     s = random_vector_scheme(rng, 28, qmax=12, distinct=True)
     v = decide_torus(s)
-    assert v.realizable and not v.reduction.steps and len(calls) == 1
+    assert v.realizable and not v.reduction.steps
+    assert passes == [(s.n, s.entries, v.witness)] and calls == []
 
-    # an Empty curve reduces to n = 4: the witness is checked on the
-    # reduced scheme and the lifted one on the original, each once
-    calls.clear()
+    # an Empty curve reduces to n = 4: one pass on the reduced scheme, and
+    # the lifted witness is verified on the original, once
+    passes.clear()
     s = new_scheme(5, dets([(1, 0), (1, 30), None, (7, 30), (11, 60)]))
     v = decide_torus(s)
-    assert v.realizable and v.reduction.reduced.n == 4
-    assert len(calls) == len(set(calls)) == 2
-    assert (s.n, s.entries, v.witness) in calls
+    red = v.reduction.reduced
+    assert v.realizable and red.n == 4
+    assert calls == [(s.n, s.entries, v.witness)]
+    assert passes == [(red.n, red.entries, passes[0][2]), calls[0]]
 
+    # a 2-scheme takes its first orbit, verified once when lifted
+    passes.clear()
     calls.clear()
-    assert decide_torus(new_scheme(2, [6])).realizable and len(calls) == 1
+    assert decide_torus(new_scheme(2, [6])).realizable
+    assert len(calls) == 1 and passes == calls
