@@ -34,9 +34,9 @@ failing stage.  The triangle and Pluecker stages are one loop
 over the two checks, each returning a StageCheck on the reduced scheme;
 the first failing stage's reasons are moved to the original curve indices
 once, by _relabel, which leaves them as they are when zero reduction
-removed nothing.  A reason of either stage is a tuple of its curve
-indices (FailedTriangle, FailedPluecker), built in bulk from the index
-tuples the scans emit.
+removed nothing.  A reason of either stage is a NamedTuple of its curve
+indices (FailedTriangle, FailedPluecker), equal only to a reason of its
+own type, built in bulk from the index tuples the scans emit.
 
 Both checks are output-sensitive through "bad pairs" that every failure
 contains.  A scheme usually reaches the refutation after construct_witness
@@ -44,14 +44,15 @@ has built a system of primitive vectors that misses only some
 determinants; the pairs (i, j) it misses are bad pairs for both stages.
 A triple with none is realized by primitive vectors, so its gcds agree,
 and a quadruple with none is the Pluecker identity of four vectors'
-determinants.  construct_witness lists those pairs with the system, in
-one pass, and the refutation hands them and one dense copy of the matrix
-to both checks.  Without such a system the triangle check walks all C(n,3)
-triples of a dense copy of the matrix, and the Pluecker check takes the
-bad pairs of a base: the relations say the matrix has rank 2, and for a
-base pair (a, b) with m_ab != 0 the rank-2 matrix W that agrees with rows
-a and b differs from the scheme exactly on the pairs (i, j) with
-mu_abij != 0; all Pfaffians of W vanish.  The base is the one of (1,2),
+determinants.  construct_witness lists every such pair, in one pass that
+also verifies the system; the refutation hands them and one dense copy
+of the matrix to both checks, and each check applies its own cap to
+them.  Without such a system, or past the cap, the triangle check walks
+all C(n,3) triples of a dense copy of the matrix, and the Pluecker check
+takes the bad pairs of a base: the relations say the matrix has rank 2,
+and for a base pair (a, b) with m_ab != 0 the rank-2 matrix W that
+agrees with rows a and b differs from the scheme exactly on the pairs
+(i, j) with mu_abij != 0; all Pfaffians of W vanish.  The base is the one of (1,2),
 (3,4), (5,6) with the fewest bad pairs.  Each bad pair is scanned against
 every index (triangle) or pair of indices (Pluecker) off it, and each
 failure comes out with its indices increasing, placed by where the pair
@@ -68,8 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, gcd
-from operator import itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ConstraintViolation, PreconditionViolated
 from .intarith import factorize, is_probable_prime, valuation
@@ -84,7 +84,6 @@ from .scheme import (
     require_nonzero,
 )
 from .solver import (
-    _SPARSE_SHARE,
     KappaConstraintSet,
     _base_triple,
     _mismatches,
@@ -100,32 +99,15 @@ from .solver import (
 # ---------------------------------------------------------------------------
 
 
-class _Indices(tuple):
-    """A failure reason that is its 1-based curve indices, increasing.
-
-    Equality is strict in the type: a reason equals a reason of its own
+def _same_reason(self, other) -> bool:
+    """Equality strict in the type: a reason equals a reason of its own
     class with the same indices and nothing else, a plain tuple included,
-    in either operand order; the hash is the index tuple's.  The checks
-    build reasons in bulk through _records, which skips __new__.
-    """
+    in either operand order."""
+    return type(other) is type(self) and tuple.__eq__(self, other)
 
-    __slots__ = ()
-    __match_args__ = ()  # the field names, one per index
 
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = tuple.__hash__
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self))
-        return f"{type(self).__qualname__}({fields})"
+def _other_reason(self, other) -> bool:
+    return not _same_reason(self, other)
 
 
 def _records(cls, rows) -> tuple:
@@ -133,27 +115,23 @@ def _records(cls, rows) -> tuple:
     return tuple(map(tuple.__new__, repeat(cls), rows))
 
 
-class FailedTriangle(_Indices):
-    __slots__ = ()
-    __match_args__ = ("i", "j", "k")
-    i = property(itemgetter(0))
-    j = property(itemgetter(1))
-    k = property(itemgetter(2))
+class FailedTriangle(NamedTuple):
+    """A failing triple, its 1-based curve indices increasing."""
 
-    def __new__(cls, i: int, j: int, k: int):
-        return tuple.__new__(cls, (i, j, k))
+    i: int
+    j: int
+    k: int
+    __eq__, __ne__, __hash__ = _same_reason, _other_reason, tuple.__hash__
 
 
-class FailedPluecker(_Indices):
-    __slots__ = ()
-    __match_args__ = ("i", "j", "k", "l")
-    i = property(itemgetter(0))
-    j = property(itemgetter(1))
-    k = property(itemgetter(2))
-    l = property(itemgetter(3))
+class FailedPluecker(NamedTuple):
+    """A failing quadruple, its 1-based curve indices increasing."""
 
-    def __new__(cls, i: int, j: int, k: int, l: int):
-        return tuple.__new__(cls, (i, j, k, l))
+    i: int
+    j: int
+    k: int
+    l: int
+    __eq__, __ne__, __hash__ = _same_reason, _other_reason, tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -190,15 +168,19 @@ class StageCheck:
 # Triangle and Pluecker conditions
 # ---------------------------------------------------------------------------
 
+# the screens scan through the bad pairs B only while they put at most
+# 1/_SPARSE_SHARE of the triples or quadruples in play (see _BASE_PAIRS)
+_SPARSE_SHARE = 16
+
 
 def check_triangle(s: Scheme, system=None, *, _screen=None) -> StageCheck:
     """Every index triple without equal pairwise gcds, in lexicographic
     order.
 
     system, when given, is a curve system of s's size, as
-    construct_witness attaches to its ConstraintViolation.  When all its
-    vectors are primitive, let B be the pairs (i, j) whose determinant
-    det(v_i, v_j) misses m_ij.  A triple with no pair in B is realized by
+    construct_witness attaches to its ConstraintViolation (another size
+    raises InvalidShape).  When all its vectors are primitive, let B be
+    the pairs (i, j) whose determinant det(v_i, v_j) misses m_ij.  A triple with no pair in B is realized by
     primitive vectors, and its gcds are equal: move v_i to (1, 0) by
     SL(2,Z), so v_j = (a, b), v_k = (c, d), m_ij = b, m_ik = d and
     m_jk = ad - bc; then gcd(b, ad - bc) = gcd(b, d) as gcd(a, b) = 1, and
@@ -213,20 +195,15 @@ def check_triangle(s: Scheme, system=None, *, _screen=None) -> StageCheck:
     system, a vector that is not primitive, or B too large) all C(n,3)
     triples are tested, by the same loop, in lexicographic order.  With
     _screen, the rows and B that _refutation computed once for both
-    checks, system is the one construct_witness attached to its
-    ConstraintViolation, primitive by construction, and is not tested
-    again.
+    checks, system is not read.
     """
     require_nonzero(s)
     n = s.n
     if n < 3:
         return StageCheck(())
-    if _screen is None and system is not None and not all(
-        v.is_primitive() for v in system
-    ):
-        system = None
-    cap = comb(n, 3) // (_SPARSE_SHARE * (n - 2))
-    rows, bad = _screen_of(s, system, _screen, cap)
+    rows, bad = _screen_of(s, system) if _screen is None else _screen
+    if bad is not None and len(bad) > comb(n, 3) // (_SPARSE_SHARE * (n - 2)):
+        bad = None
     if bad is None:
         groups = ((i, j, range(j + 1, n)) for i in range(n) for j in range(i + 1, n))
     else:
@@ -238,18 +215,16 @@ def check_triangle(s: Scheme, system=None, *, _screen=None) -> StageCheck:
     return StageCheck(_records(FailedTriangle, triples))
 
 
-def _screen_of(s: Scheme, system, screen, cap: int):
+def _screen_of(s: Scheme, system):
     """The dense rows of s and the pairs (i, j), 0-based, whose determinant
     in system misses m_ij, or None for the pairs when there is no system
-    or more than cap of them.  screen, when given, is those rows and pairs
-    already computed under a cap of at least cap (the pairs None past it),
-    as _refutation hands them to both checks."""
-    if screen is None:
-        return dense_rows(s), None if system is None else _mismatches(s, system, cap)
-    rows, bad = screen
-    if system is None or bad is None or len(bad) > cap:
-        bad = None
-    return rows, bad
+    or a vector of it is not primitive.  A system of the wrong size raises
+    InvalidShape, primitive or not."""
+    rows = dense_rows(s)
+    if system is None:
+        return rows, None
+    bad = list(_mismatches(s, system))
+    return rows, bad if all(v.is_primitive() for v in system) else None
 
 
 def _unequal_gcds(rows, groups):
@@ -292,13 +267,13 @@ def check_pluecker_full(s: Scheme, system=None, *, _screen=None) -> StageCheck:
     pass for n < 4.
 
     The screen lists the failures through a set of "bad pairs" that every
-    failing quadruple meets.  When system is given (any vectors of s's
-    size, as for check_triangle), the bad pairs are those whose
+    failing quadruple meets.  When system is given (primitive vectors of
+    s's size, as for check_triangle), the bad pairs are those whose
     determinant misses m_ij: a quadruple with none is the Pluecker
     relation of the determinants of four vectors, an identity, so it
-    holds.  Without a system, or when it misses too many entries, the
-    relations hold iff the matrix has rank 2, and for a base pair (a, b)
-    with m_ab != 0, W_ij = (m_ai*m_bj - m_aj*m_bi)/m_ab is the rank-2
+    holds.  Without such a system, or when it misses more than
+    C(n,4)/(_SPARSE_SHARE*C(n-2,2)) entries, the relations hold iff the
+    matrix has rank 2, and for a base pair (a, b) with m_ab != 0, W_ij = (m_ai*m_bj - m_aj*m_bi)/m_ab is the rank-2
     matrix that agrees with rows a and b; m_ij != W_ij exactly when the
     Pfaffian mu_abij is nonzero, which makes (i, j) a bad pair, and every
     Pfaffian of W vanishes.  Of the base pairs (1,2), (3,4), (5,6) the one
@@ -314,14 +289,14 @@ def check_pluecker_full(s: Scheme, system=None, *, _screen=None) -> StageCheck:
     When even the fewest bad pairs put more than 1/_SPARSE_SHARE of the
     C(n,4) quadruples in play (every tried base has a perturbed entry, or
     the matrix is far from rank 2), all quadruples are tested instead, in
-    lexicographic order.
+    lexicographic order.  _screen is as for check_triangle.
     """
     n = s.n
     if n < 4:
         return StageCheck(())
     limit = comb(n, 4) // (_SPARSE_SHARE * comb(n - 2, 2))
-    rows, bad = _screen_of(s, system, _screen, limit)
-    if bad is None:
+    rows, bad = _screen_of(s, system) if _screen is None else _screen
+    if bad is None or len(bad) > limit:
         bad = _fewest_bad_pairs(rows, n, limit)
     if bad is None:
         tails = [[(k, range(k + 1, n)) for k in range(j + 1, n)] for j in range(n)]
@@ -340,8 +315,9 @@ _BASE_PAIRS = ((0, 1), (2, 3), (4, 5))
 # The Pluecker screen tests at most |B|*C(n-2,2) <= C(n,4)/_SPARSE_SHARE
 # quadruples through the |B| bad pairs, plus at most three bad-pair scans of
 # C(n-2,2) for the bases when no system gives B; the triangle screen tests
-# at most |B|*(n-2) <= C(n,3)/_SPARSE_SHARE triples (solver._SPARSE_SHARE).
-# Both sort only the failures, and only when |B| > 1.
+# at most |B|*(n-2) <= C(n,3)/_SPARSE_SHARE triples.  The Pluecker cap,
+# |B| <= n(n-1)/(12*_SPARSE_SHARE), is half the triangle's.  Both sort only
+# the failures, and only when |B| > 1.
 
 
 def _nonzero_pfaffians(rows, groups):
@@ -546,9 +522,9 @@ def decide_torus(s: Scheme) -> Verdict:
        then kappa classes (reusing those of step 2), and every failure
        of the first failing stage is listed.  When step 2 built a system
        of primitive vectors that misses only some determinants, every
-       failing triple and quadruple contains a missed pair, and both
-       checks test only those (check_triangle); else they scan as
-       described there.
+       failing triple and quadruple contains a missed pair, and each
+       check tests only those while they are few (check_triangle); else
+       they scan as described there.
 
     Realizable verdicts carry a verified witness lifted back through the
     reduction; failure reasons use the original curve indices.  The
@@ -572,7 +548,7 @@ def decide_torus(s: Scheme) -> Verdict:
         kappa = first.kappa if r.n == 2 else None
         return _realizable(s, red, system, kappa, None)
 
-    cons = system = missed = None
+    cons = missed = None
     m12, m13, m23 = r.entries[:3]
     if gcd(m12, m13) == gcd(m12, m23) == gcd(m13, m23):
         cons = kappa_constraints(r)
@@ -581,31 +557,30 @@ def decide_torus(s: Scheme) -> Verdict:
             try:
                 witness = construct_witness(r, kappa)
             except ConstraintViolation as exc:
-                system, missed = exc.system, exc.missed
+                missed = exc.missed
             else:
                 system = lift_system(red, witness.system)
                 # verified on r, which is s when no step removed a curve
                 return _realizable(s, red, system, kappa, cons, not red.steps)
-    return _refutation(red, cons, system, missed)
+    return _refutation(red, cons, missed)
 
 
-def _refutation(red, cons, system, missed) -> Verdict:
+def _refutation(red, cons, missed) -> Verdict:
     """Stage-order failures of a reduced scheme that has no witness.
 
     The triangle and Pluecker checks run in turn, each looked up in this
-    module at call time and given the primitive system that missed some
-    determinant, if construct_witness built one, with the pairs it misses
-    (missed, listed by the same pass that checked the system) and one
-    dense copy of r, so both list only the failures through those pairs,
-    each under its own cap; the system's vectors are primitive by
-    construction and are not tested again.  The first check that fails
-    gives every reason, moved to the original curve indices by _relabel.
-    The kappa stage comes last.
+    module at call time and given one dense copy of r and missed: every
+    pair whose determinant the primitive system of construct_witness
+    misses, listed by the same pass that checked the system, or None when
+    no such system was built.  Each check lists only the failures through
+    those pairs while they are within its own cap.  The first check that
+    fails gives every reason, moved to the original curve indices by
+    _relabel.  The kappa stage comes last.
     """
     r = red.reduced
     screen = (dense_rows(r), missed)
     for check in (check_triangle, check_pluecker_full):
-        failures = check(r, system, _screen=screen).failures
+        failures = check(r, _screen=screen).failures
         if failures:
             return Verdict(False, _relabel(red, failures), None, False, red)
     toz_fail = _circledast_failures(r, cons)

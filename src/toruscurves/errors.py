@@ -34,8 +34,8 @@ class ConstraintViolation(TorusCurvesError):
 
     system is the curve system that was built when every vector of it is
     primitive and only some determinant misses its entry, else None.
-    missed lists, with such a system, the pairs (i, j), 0-based, whose
-    determinant misses, or is None when there are too many to list.
+    missed lists, with such a system, every pair (i, j), 0-based, whose
+    determinant misses, in column order, else it is None.
     """
 
     def __init__(self, message: str, system=None, missed=None):

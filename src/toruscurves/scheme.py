@@ -251,8 +251,9 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
     original matrix.  Two curves with m_ab = 0 agree off {a, b} exactly
     when their full rows agree, so duplicates are found by hashing rows;
     a reversed duplicate's row is the negated row, which is the column of
-    the same index, so the columns are the negated keys.  Each row is
-    walked from zero to zero, not entry by entry.
+    the same index, so the columns are the negated keys.  Which rows are
+    Empty is read once, and each row is walked from zero to zero, not
+    entry by entry, so a mostly-zero scheme costs O(n^2).
     """
     n = s.n
     if 0 not in s.entries:
@@ -262,6 +263,7 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
     ids = [row_id.setdefault(tuple(r), len(row_id)) for r in rows]
     # column k of the antisymmetric matrix is row k negated
     neg_ids = [row_id.get(col) for col in zip(*rows)]
+    full = list(map(any, rows))  # False for an Empty curve's row
     alive = [True] * n
     steps = []
     unresolved = []
@@ -284,9 +286,9 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
                 drop(b, DUPLICATE, a, +1)
             elif neg_ids[b] == ids[a]:
                 drop(b, DUPLICATE, a, -1)
-            elif not any(ra):
+            elif not full[a]:
                 drop(a, EMPTY)
-            elif not any(rows[b]):
+            elif not full[b]:
                 drop(b, EMPTY)
             else:
                 unresolved.append((a, b))

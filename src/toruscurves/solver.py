@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import comb, gcd
+from math import gcd
 from typing import Optional
 
 from .errors import (
@@ -317,13 +317,6 @@ def canonical_kappa(cons: KappaConstraintSet) -> int:
     return next(_crt_product(cons.per_prime)).residue
 
 
-# The triangle screen of conditions tests the triples through the missed
-# pairs B only while |B|*(n-2) <= C(n,3)/_SPARSE_SHARE, the Pluecker screen
-# the quadruples through them while |B|*C(n-2,2) <= C(n,4)/_SPARSE_SHARE;
-# the first bound, |B| <= n(n-1)/(6*_SPARSE_SHARE), is twice the second.
-_SPARSE_SHARE = 16
-
-
 def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     """Build and verify the normalized witness for kappa.
 
@@ -334,13 +327,12 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     system built can miss some determinant m_ij; that also raises
     ConstraintViolation, so a returned witness always verifies and proves
     the scheme realizable.  The gcd test makes every vector primitive, so
-    one _mismatches pass verifies the system: it lists the pairs B whose
-    determinant misses, and the system verifies when B is empty.  It stops
-    past C(n,3)/(_SPARSE_SHARE*(n-2)) pairs, the larger of the two
-    screens' caps.  Otherwise the exception carries the system as its
-    system and B as its missed (None past the cap): B is where the
-    triangle and Pluecker failures lie (see conditions.check_triangle),
-    and both checks take it from there.
+    one _mismatches pass verifies the system: it lists B, every pair whose
+    determinant misses, and the system verifies when B is empty.
+    Otherwise the exception carries the system as its system and all of B
+    as its missed: B is where the triangle and Pluecker failures lie (see
+    conditions.check_triangle), and each check decides from its size
+    whether to scan through it.
     """
     if s.n < 3:
         raise DomainError("construct_witness needs at least 3 curves")
@@ -359,8 +351,8 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
         rs.append(r)
         system.append(curve(r, m1j))
     # every vector is primitive: (1,0), and each (r_j, m_1j) by the gcd test
-    missed = _mismatches(s, system, comb(s.n, 3) // (_SPARSE_SHARE * (s.n - 2)))
-    if missed != []:
+    missed = list(_mismatches(s, system))
+    if missed:
         raise ConstraintViolation(
             f"kappa={kappa} gives a system whose determinants differ "
             f"from the scheme",
@@ -463,27 +455,26 @@ def verify_system(s: Scheme, system) -> bool:
     construct_witness verifies its own systems with one _mismatches pass;
     the decision calls this only on a witness lifted through a zero
     reduction that removed curves, and on the witness of fewer than 3
-    reduced curves.
+    reduced curves.  The pass stops at the first missed determinant.
     """
-    return _mismatches(s, system, 0) == [] and all(v.is_primitive() for v in system)
+    return next(_mismatches(s, system), None) is None and all(
+        v.is_primitive() for v in system
+    )
 
 
-def _mismatches(s: Scheme, system, cap: int) -> Optional[list]:
-    """The pairs (i, j), 0-based, i < j, where det(v_i, v_j) differs from
-    m_ij, in column order, or None as soon as there are more than cap of
-    them; an Empty curve counts as the zero vector."""
+def _mismatches(s: Scheme, system):
+    """Lazily, the pairs (i, j), 0-based, i < j, where det(v_i, v_j)
+    differs from m_ij, in column order; an Empty curve counts as the zero
+    vector.  InvalidShape is raised at the first step when the system's
+    size is not s's."""
     if len(system) != s.n:
         raise InvalidShape(
             f"system has {len(system)} curves, scheme expects {s.n}"
         )
     vecs = [(0, 0) if v.is_empty else (v.p, v.q) for v in system]
-    bad = []
     for j, col in enumerate(columns(s), start=1):  # j is 0-based
         pj, qj = vecs[j]
         for i, m in enumerate(col):
             p, q = vecs[i]
             if p * qj - pj * q != m:
-                if len(bad) == cap:
-                    return None
-                bad.append((i, j))
-    return bad
+                yield i, j

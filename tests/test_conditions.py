@@ -11,6 +11,7 @@ from toruscurves import (
     FailedPluecker,
     FailedToz,
     FailedTriangle,
+    InvalidShape,
     PreconditionViolated,
     UnresolvableZero,
     check_circledast,
@@ -375,6 +376,11 @@ def test_non_primitive_system_does_not_narrow_the_triangle_scan():
     t = new_scheme(4, dets([(2, 0), (0, 1), (1, 1), (1, 3)]))
     assert check_pluecker_full(t, (curve(2, 0), curve(0, 1), curve(1, 1),
                                    curve(1, 3))).ok
+    # a system of the wrong size is refused by both checks, primitive or not
+    u = new_scheme(4, [1, 1, 1, 2, 1, -1])
+    for check in (check_triangle, check_pluecker_full):
+        with pytest.raises(InvalidShape):
+            check(u, system)
 
 
 @pytest.mark.parametrize("cls, idx", [(FailedTriangle, (2, 5, 7)),
@@ -439,9 +445,9 @@ def test_plucker_refutation_lists_missed_pairs_once(monkeypatch):
     passes, copies = [], []
     mismatches, rows = solver._mismatches, conditions.dense_rows
 
-    def counted_mismatches(sc, system, cap):
-        passes.append(cap)
-        return mismatches(sc, system, cap)
+    def counted_mismatches(sc, system):
+        passes.append(sc.n)
+        return mismatches(sc, system)
 
     def counted_rows(sc):
         copies.append(sc.n)
@@ -453,16 +459,15 @@ def test_plucker_refutation_lists_missed_pairs_once(monkeypatch):
     assert decide_torus(s).reasons == want
     # one pass checks the witness and lists B for both checks, which share
     # one dense copy
-    assert passes == [comb(n, 3) // (16 * (n - 2))]
+    assert passes == [n]
     assert copies == [n]
-    # the public calls still compute their own, at their own caps
+    # the public calls still compute their own
     system = _witness_system(s)
     passes.clear()
     copies.clear()
     assert check_pluecker_full(s, system).failures == want
     assert check_triangle(s, system).ok
-    assert passes == [comb(n, 4) // (16 * comb(n - 2, 2)),
-                      comb(n, 3) // (16 * (n - 2))]
+    assert passes == [n, n]
     assert copies == [n, n]
 
 
@@ -492,6 +497,23 @@ def test_each_check_applies_its_own_cap_to_the_missed_pairs(monkeypatch):
     v = decide_torus(s)
     assert v.reasons == reference.decide_torus(s).reasons
     assert bases == [n]  # five missed pairs are over the Pluecker cap
+
+
+def test_missed_lists_every_missed_pair_past_the_caps():
+    # n = 28: ten entries off rows 1-3 plus their rows' lcm keep every gcd
+    # and leave the witness attempt exactly those ten misses, more than
+    # either screen's cap (7 and 3); all ten are listed, in column order
+    n = 28
+    pairs = random.Random(10).sample(
+        [(i, j) for j in range(5, n + 1) for i in range(4, j)], 10)
+    s = new_scheme(n, _plus_lcm(dets(_vectors(random.Random(9), n, 30)), pairs))
+    with pytest.raises(ConstraintViolation) as exc:
+        construct_witness(s, canonical_kappa(kappa_constraints(s)))
+    assert exc.value.missed == sorted(((i - 1, j - 1) for i, j in pairs),
+                                      key=lambda ij: (ij[1], ij[0]))
+    v = decide_torus(s)
+    assert v.reasons == reference.decide_torus(s).reasons
+    assert v.reasons and all(type(r) is FailedPluecker for r in v.reasons)
 
 
 def test_zero_reduced_refutation_relabels_each_reason_once():

@@ -121,6 +121,43 @@ def test_reduce_zeros_matches_reference_on_duplicate_heavy_schemes(rng):
     assert {"duplicate_of1", "duplicate_of-1", "emptyNone"} <= seen
 
 
+def _mostly_zero_scheme(rng: random.Random, n: int) -> Scheme:
+    """n curves whose entries vanish off the rows of one to three curves,
+    with some rows then copied onto others (possibly negated) and some
+    made Empty: most zero pairs stay unresolved."""
+    rows = [[0] * n for _ in range(n)]
+    for c in rng.sample(range(n), rng.randint(1, 3)):
+        for k in range(n):
+            if k != c:
+                rows[c][k] = rng.choice((-1, 1)) * rng.randint(1, 9)
+                rows[k][c] = -rows[c][k]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(range(n), 2)
+        sign = rng.choice((-1, 1))
+        for k in range(n):
+            if k != a and k != b:
+                rows[b][k] = sign * rows[a][k]
+                rows[k][b] = -rows[b][k]
+        rows[a][b] = rows[b][a] = 0
+    for e in rng.sample(range(n), rng.randint(0, 2)):
+        for k in range(n):
+            rows[e][k] = rows[k][e] = 0
+    return new_scheme(n, [rows[i][j] for j in range(n) for i in range(j)])
+
+
+def test_reduce_zeros_matches_reference_on_mostly_zero_schemes(rng):
+    seen = set()
+    for n in range(5, 41):
+        for _ in range(3):
+            s = _mostly_zero_scheme(rng, n)
+            got = reduce_zeros(s)
+            assert got == reference.reduce_zeros(s)
+            if isinstance(got, Unresolvable):
+                seen.add("unresolvable")
+            seen.update(step.reason + str(step.sign) for step in got.steps)
+    assert {"unresolvable", "duplicate_of1", "duplicate_of-1", "emptyNone"} <= seen
+
+
 def test_dense_checks_match_reference(rng):
     for _ in range(300):
         n = rng.randint(3, 9)

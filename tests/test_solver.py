@@ -365,9 +365,9 @@ def test_one_verify_per_decision(monkeypatch, rng):
     passes, calls = [], []
     mismatches, check = solver._mismatches, solver.verify_system
 
-    def counted_pass(sc, system, cap):
+    def counted_pass(sc, system):
         passes.append((sc.n, sc.entries, tuple(system)))
-        return mismatches(sc, system, cap)
+        return mismatches(sc, system)
 
     def counted(sc, system):
         calls.append((sc.n, sc.entries, tuple(system)))

@@ -34,12 +34,19 @@ whose zero reduction dominates a decision.  Per point it records the best
 of a few wall times of reduce_zeros and of decide_torus, and the number
 of curves the reduction removes.
 
+Mostly-zero series: n = 80, 160, 320 curves whose only nonzero entries
+are the last column's, m_{i,n} = i.  No zero pair resolves, so the
+reduction scans every zero pair of the matrix before it returns the
+first, (1, 2), as unresolvable.  Per point it records the best of a few
+wall times of reduce_zeros and of decide_torus.
+
 Kappa series: the realizable 3-schemes (2,3,5)*p^nu for p = 2, 7, 101,
 up to 2^23, 7^8 and 101^3 (the largest p^nu below 10^7, a cap on the
 residue modulus that older trees enforce), and 2^40 and 101^4 beyond it.
 Per point it records the best of a few wall times of decide_torus and
 the byte length of the `check FILE` document; a tree that refuses the
-point records the name of the exception instead.
+point records the name of the exception instead and is not called again
+on it.
 
 Packing series: max_packing(d) for d = 1..80.  Per point it records the
 best of a few wall times (5 up to d = 24, 3 up to d = 40 and 1 beyond) and
@@ -55,28 +62,33 @@ at bound 30.  Per point it records the best of a few wall times (5 at
 bound 8, 3 up to bound 18 and 1 at bound 30) and the hit: null when the
 search exhausts, else the left summand's entries.
 
-With --parent, a refutation, duplicates, packing or search point whose
-change/parent time ratio exceeds 1.25 is timed again, best of 5 calls
-per tree, alternating, before it is recorded; the first reading's ratios
-are kept under first_ratios.  A point timed once can read noise.
+With --parent, the trees take turns in every series, and which goes
+first alternates from round to round across points, so a point timed
+once is led by the parent and the next one by this tree.  A refutation,
+duplicates, mostly-zero, packing or search point whose change/parent
+time ratio exceeds 1.25 is timed again, best of 5 calls per tree,
+alternating, before it is recorded; the first reading's ratios are kept
+under first_ratios.  A point timed once can read noise.
 
 With --parent, a second toruscurves tree (the src/ directory of another
 checkout) is loaded under another module name and timed in the same
 process, alternating with this tree's, so both columns see the same
 machine state; the script fails unless both trees give the same reasons,
-the same reduction and witness on every duplicates point, the same kappa
-and witness wherever both decide, the same packing size and witness at
-every d, and the same search hit at every point.
+the same reduction and witness on every duplicates point, the same
+unresolvable pair, reduction and reasons on every mostly-zero point, the
+same kappa and witness wherever both decide, the same packing size and
+witness at every d, and the same search hit at every point.
 
 --quick times nothing: it runs the refutation points with n <= 40, the
 last_pair points again with curve 1 duplicated (decide_torus only: zero
 reduction removes the copy and the reasons are moved back to the original
-indices), duplicates points with n = 12, 20, 28 and 40, the kappa points
-with p^nu <= 10^4, max_packing(d) for d <= 30 and the 20 endemic searches
-at bounds 0..4, and fails unless every refutation point's check_triangle
-and check_pluecker_full equal tests/reference.py's scans and its
-decide_torus reasons equal tests/reference.py's decide_torus, every
-duplicates point's reduction and witness equal tests/reference.py's
+indices), duplicates and mostly-zero points with n = 12, 20, 28 and 40,
+the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30 and the
+20 endemic searches at bounds 0..4, and fails unless every refutation
+point's check_triangle and check_pluecker_full equal tests/reference.py's
+scans and its decide_torus reasons equal tests/reference.py's
+decide_torus, every duplicates point's reduction and witness and every
+mostly-zero point's reduction and reasons equal tests/reference.py's
 reduce_zeros and decide_torus, every kappa point's classes equal
 tests/reference.py's residue scan, every packing's size and witness equal
 tests/reference.py's max_packing, and every search's hit equals
@@ -97,6 +109,7 @@ import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from itertools import count
 from math import gcd
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -129,6 +142,9 @@ QUICK_SEARCH_BOUNDS = range(5)
 # curve counts of the duplicates series: n curves over n // 4 classes
 DUP_SIZES = (44, 80, 160, 320)
 QUICK_DUP_SIZES = (12, 20, 28, 40)
+# curve counts of the mostly-zero series
+MOSTLY_ZERO_SIZES = (80, 160, 320)
+QUICK_MOSTLY_ZERO_SIZES = (12, 20, 28, 40)
 # with --parent, a point whose change/parent time ratio exceeds this is
 # timed again, alternating best of RETIME_REPS, before it is recorded
 RETIME_RATIO = 1.25
@@ -200,14 +216,20 @@ def timed(fn, arg):
     return (perf_counter() - t0) * 1e3, out
 
 
+# rounds of alternate, counted across calls, so that which tree goes first
+# alternates from point to point even where a point is timed once
+ROUNDS = count()
+
+
 def alternate(trees: dict, reps: int, run):
     """Call run(label, tree) -> ({key: ms}, output) reps times per tree,
-    the trees taking turns, each going first in every other round;
-    ({label: {key: best ms}}, {label: output of the last call})."""
+    the trees taking turns, each going first in every other round of
+    ROUNDS; ({label: {key: best ms}}, {label: output of the last call})."""
     times = {label: {} for label in trees}
     outs = {}
-    for rep in range(reps):
-        for label, tree in list(trees.items())[::-1 if rep % 2 else 1]:
+    for _ in range(reps):
+        order = list(trees.items())[::-1 if next(ROUNDS) % 2 else 1]
+        for label, tree in order:
             ms, outs[label] = run(label, tree)
             for key, value in ms.items():
                 times[label].setdefault(key, []).append(value)
@@ -292,6 +314,11 @@ def witness_of(v) -> tuple:
     return v.kappa, tuple((c.p, c.q) for c in v.witness)
 
 
+def mostly_zero_entries(n: int) -> list:
+    """The entries of n curves with m_{i,n} = i and every other entry 0."""
+    return [0] * _pos(1, n) + list(range(1, n))
+
+
 def kappa_entries(p: int, nu: int) -> list:
     g = p**nu
     return [2 * g, 3 * g, 5 * g]
@@ -335,6 +362,14 @@ def quick(tree) -> int:
                 and ref.realizable and witness_of(v) == witness_of(ref))
         bad += not same
         print(f"n={n} duplicates: {len(red.steps)} curves removed, "
+              f"{'match' if same else 'DIFFER from'} the reference")
+    for n in QUICK_MOSTLY_ZERO_SIZES:
+        s = tree.new_scheme(n, mostly_zero_entries(n))
+        red, v = tree.reduce_zeros(s), tree.decide_torus(s)
+        same = (red == reference.reduce_zeros(s)
+                and v.reasons == reference.decide_torus(s).reasons)
+        bad += not same
+        print(f"n={n} mostly zero: unresolvable ({red.i}, {red.j}), "
               f"{'match' if same else 'DIFFER from'} the reference")
     for p, nu in KAPPA_POINTS:
         if p**nu > QUICK_MAX_MODULUS:
@@ -419,6 +454,31 @@ def duplicates_series(trees: dict) -> list:
     return points
 
 
+def mostly_zero_series(trees: dict) -> list:
+    points = []
+    for n in MOSTLY_ZERO_SIZES:
+        entries = mostly_zero_entries(n)
+        schemes = {label: t.new_scheme(n, entries) for label, t in trees.items()}
+
+        def run(label, tree):
+            s = schemes[label]
+            ms = {}
+            ms["reduce_ms"], red = timed(tree.reduce_zeros, s)
+            ms["decide_ms"], v = timed(tree.decide_torus, s)
+            return ms, ((red.i, red.j), reduction_of(red),
+                        [(r.i, r.j) for r in v.reasons])
+
+        best, got, extra = measure(trees, 5 if n <= 80 else 3, run,
+                                   ("reduce_ms", "decide_ms"))
+        if any(r != got["change"] for r in got.values()):
+            raise SystemExit(f"n={n} mostly zero: the trees' reduction or "
+                             f"reasons differ")
+        point = {"n": n, "unresolvable": got["change"][0], **best, **extra}
+        points.append(point)
+        print(json.dumps(point), flush=True)
+    return points
+
+
 def check_bytes(cli, path: str):
     """(exit code, stdout length) of one in-process `check path`."""
     out = io.StringIO()
@@ -438,21 +498,22 @@ def kappa_series(trees: dict) -> list:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"n": 3, "entries": entries}, fh)
             reps = 5 if p**nu <= 10**6 else 3
-            times = {label: [] for label in trees}
-            got, refused = {}, {}
-            for _ in range(reps):
-                for label, tree in trees.items():
-                    if label in refused:
-                        continue
-                    s = tree.new_scheme(3, entries)
-                    try:
-                        ms, v = timed(tree.decide_torus, s)
-                    except Exception as exc:  # the tree's refusal is the datum
-                        refused[label] = type(exc).__name__
-                        continue
-                    times[label].append(ms)
-                    got[label] = (v.kappa, [(c.p, c.q) for c in v.witness])
-            if len(set(map(repr, got.values()))) > 1:
+            refused = {}
+
+            def run(label, tree):
+                if label in refused:
+                    return {}, refused[label]
+                try:
+                    ms, v = timed(tree.decide_torus, tree.new_scheme(3, entries))
+                except Exception as exc:  # the tree's refusal is the datum
+                    refused[label] = type(exc).__name__
+                    return {}, refused[label]
+                return ({"decide_ms": ms},
+                        (v.kappa, [(c.p, c.q) for c in v.witness]))
+
+            best, got = alternate(trees, reps, run)
+            decided = [out for label, out in got.items() if label not in refused]
+            if len(set(map(repr, decided))) > 1:
                 raise SystemExit(f"{p}^{nu}: the trees' kappa or witness differ")
             point = {"p": p, "nu": nu, "modulus": p**nu}
             for label in trees:
@@ -463,8 +524,7 @@ def kappa_series(trees: dict) -> list:
                 code, size = check_bytes(clis[label], path)
                 if code != 0:
                     raise SystemExit(f"{p}^{nu}: {label} check exits {code}")
-                point[label] = {"decide_ms": round(min(times[label]), 3),
-                                "check_bytes": size}
+                point[label] = {**best[label], "check_bytes": size}
             points.append(point)
             print(json.dumps(point), flush=True)
     return points
@@ -566,6 +626,10 @@ def main(argv=None) -> int:
                 "duplicates_points: reduce_zeros and decide_torus on n "
                 "curves over n // 4 classes, with the curves the reduction "
                 "removes; best of 5 (n <= 80) or 3 wall times in ms. "
+                "mostly_zero_points: reduce_zeros and decide_torus on n "
+                "curves with m_{i,n} = i and every other entry 0, with the "
+                "unresolvable pair; best of 5 (n <= 80) or 3 wall times in "
+                "ms. "
                 "kappa_points: decide_torus on (2,3,5)*p^nu, "
                 "best of 5 (p^nu <= 10^6) or 3 wall times in ms, and the "
                 "byte length of the check document; an exception name where "
@@ -577,7 +641,8 @@ def main(argv=None) -> int:
                 "(bound <= 18) or 1 wall times in ms, and the hit (null, or "
                 "the left summand's entries). 'change' is this tree, "
                 "'parent' the tree given by --parent; the trees' calls "
-                "alternate, and a point whose change/parent ratio exceeds "
+                "alternate, which goes first alternating from round to "
+                "round across points, and a point whose change/parent ratio exceeds "
                 f"{RETIME_RATIO} is timed again, best of {RETIME_REPS} "
                 "alternating calls, with the first reading's ratios under "
                 "first_ratios",
@@ -586,6 +651,7 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "points": series(trees),
         "duplicates_points": duplicates_series(trees),
+        "mostly_zero_points": mostly_zero_series(trees),
         "kappa_points": kappa_series(trees),
         "packing_points": packing_series(trees),
         "search_points": search_series(trees),
