@@ -226,11 +226,36 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
+def _iroot(m: int, k: int) -> int:
+    """Floor of the k-th root of m >= 1 (Newton's method from above)."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with r**k == m for the least prime k that has one, else
+    (m, 1).  m has no prime factor up to 2^10, so r > 2^10 and only the
+    primes k <= m.bit_length() // 10 are tried."""
+    k = 2
+    while k <= m.bit_length() // 10:
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+        k = next_prime(k)
+    return m, 1
+
+
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1.
 
-    Trial division up to 2^10, then is_probable_prime plus Pollard rho for
-    any leftover cofactor.  factorize(1) has no pairs.
+    Trial division up to 2^10, then is_probable_prime for any leftover
+    cofactor; a composite one is split by its integer root when it is a
+    perfect power, since Pollard rho needs about sqrt(p) steps on p^k,
+    and by Pollard rho otherwise.  factorize(1) has no pairs.
     """
     if n < 1:
         raise DomainError(f"factorize needs n >= 1, got {n}")
@@ -250,17 +275,19 @@ def factorize(n: int) -> Factorization:
         p += step
         step = 6 - step
     if n > 1:
-        stack = [n]
+        # (cofactor, multiplicity) pairs; every cofactor is above 1
+        stack = [(n, 1)]
         while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
+            m, e = stack.pop()
             if is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
+                out[m] = out.get(m, 0) + e
+                continue
+            root, k = _perfect_power(m)
+            if k > 1:
+                stack.append((root, e * k))
                 continue
             d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+            stack += [(d, e), (m // d, e)]
     return Factorization(tuple(sorted(out.items())))
 
 

@@ -18,6 +18,10 @@ from .errors import DomainError
 
 SVG_SIZE = 512
 STROKE_WIDTH = 2
+# render_svg refuses a system drawn with more segments than this, before it
+# builds any: each is one <line> element of about 100 bytes, so the limit
+# is about 10 MB of SVG
+MAX_SEGMENTS = 10**5
 
 
 def curve_offset(index: int, total: int) -> tuple:
@@ -58,7 +62,17 @@ def curve_segments(p: int, q: int, offset) -> list:
 
 def render_svg(system, out_path: str) -> None:
     """Write an SVG of the system on the flat torus; curve i is drawn in
-    hue i*360/N.  Empty curves are skipped with a warning on stderr."""
+    hue i*360/N.  Empty curves are skipped with a warning on stderr.
+
+    A class (p, q) is drawn as at most |p| + |q| + 1 segments; a system
+    whose bound exceeds MAX_SEGMENTS raises DomainError, and no file is
+    written."""
+    segments = sum(abs(c.p) + abs(c.q) + 1 for c in system if not c.is_empty)
+    if segments > MAX_SEGMENTS:
+        raise DomainError(
+            f"the picture has up to {segments} segments, more than the "
+            f"{MAX_SEGMENTS} that render draws"
+        )
     n = len(system)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '

@@ -317,6 +317,22 @@ def test_render_command(tmp_path, capsys):
     assert run(["render", bad, "--out", str(tmp_path / "x.svg")]) == 2
 
 
+def test_render_refuses_a_picture_past_the_segment_limit(tmp_path):
+    # the witness is (1,0), (1,10^12): drawing it would take 10^12 segments,
+    # so render must refuse before building any and write no file
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    path = write_scheme(tmp_path, "big.json", 2, [10**12])
+    out = tmp_path / "pic.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "toruscurves", "render", path, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_input_errors(tmp_path):
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +98,28 @@ def test_factorize_roundtrip(n):
 def test_factorize_large_semiprime():
     n = 1000003 * 1000033  # both above the trial-division bound
     assert factorize(n).pairs == ((1000003, 1), (1000033, 1))
+
+
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("code", [
+    f"assert factorize({M61}**2).pairs == (({M61}, 2),)",
+    f"assert factorize(3**5 * 1031**4 * {M61}**3).pairs == "
+    f"((3, 5), (1031, 4), ({M61}, 3))",
+    f"s = new_scheme(3, [2 * {M61}**2, 3 * {M61}**2, 5 * {M61}**2]); "
+    "v = decide_torus(s); assert v.realizable and verify_system(s, v.witness)",
+], ids=["square", "cube_after_trial_division", "decide"])
+def test_prime_powers_of_a_large_prime_factor_quickly(code):
+    # Pollard rho alone needs about sqrt(p) steps on p^k; factorize splits
+    # the perfect power by its integer root, and a hang fails at the timeout
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from toruscurves import decide_torus, "
+         "factorize, new_scheme, verify_system; " + code],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_valuation_examples():

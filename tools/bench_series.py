@@ -40,13 +40,11 @@ reduction scans every zero pair of the matrix before it returns the
 first, (1, 2), as unresolvable.  Per point it records the best of a few
 wall times of reduce_zeros and of decide_torus.
 
-Kappa series: the realizable 3-schemes (2,3,5)*p^nu for p = 2, 7, 101,
-up to 2^23, 7^8 and 101^3 (the largest p^nu below 10^7, a cap on the
-residue modulus that older trees enforce), and 2^40 and 101^4 beyond it.
+Kappa series: the realizable 3-schemes (2,3,5)*p^nu for p = 2 (nu = 4,
+8, 12, 16, 20, 23, 40), p = 7 (nu = 1, 2, 4, 6, 8) and p = 101 (nu = 1..4).
 Per point it records the best of a few wall times of decide_torus and
-the byte length of the `check FILE` document; a tree that refuses the
-point records the name of the exception instead and is not called again
-on it.
+the byte length of the `check FILE` document.  There is no refusal path:
+a tree that raises on a point stops the script.
 
 Packing series: max_packing(d) for d = 1..80.  Per point it records the
 best of a few wall times (5 up to d = 24, 3 up to d = 40 and 1 beyond) and
@@ -64,11 +62,11 @@ search exhausts, else the left summand's entries.
 
 With --parent, the trees take turns in every series, and which goes
 first alternates from round to round across points, so a point timed
-once is led by the parent and the next one by this tree.  A refutation,
-duplicates, mostly-zero, packing or search point whose change/parent
-time ratio exceeds 1.25 is timed again, best of 5 calls per tree,
-alternating, before it is recorded; the first reading's ratios are kept
-under first_ratios.  A point timed once can read noise.
+once is led by the parent and the next one by this tree.  A point of any
+series, kappa included, whose change/parent time ratio exceeds 1.25 is
+timed again, best of 5 calls per tree, alternating, before it is
+recorded; the first reading's ratios are kept under first_ratios.  A
+point timed once can read noise.
 
 With --parent, a second toruscurves tree (the src/ directory of another
 checkout) is loaded under another module name and timed in the same
@@ -76,7 +74,7 @@ process, alternating with this tree's, so both columns see the same
 machine state; the script fails unless both trees give the same reasons,
 the same reduction and witness on every duplicates point, the same
 unresolvable pair, reduction and reasons on every mostly-zero point, the
-same kappa and witness wherever both decide, the same packing size and
+same kappa and witness at every kappa point, the same packing size and
 witness at every d, and the same search hit at every point.
 
 --quick times nothing: it runs the refutation points with n <= 40, the
@@ -123,7 +121,7 @@ SHAPES = ("last_pair", "base_row", "two_negated", "all_bases_dirty",
 # the largest n of each shape whose checks scan all C(n,4) quadruples
 FULL_SCAN_MAX_N = {"all_bases_dirty": 160}
 CMAX = 30
-# (p, nu) of the kappa series; the last of each prime is past 10^7
+# (p, nu) of the kappa series
 KAPPA_POINTS = (
     [(2, nu) for nu in (4, 8, 12, 16, 20, 23, 40)]
     + [(7, nu) for nu in (1, 2, 4, 6, 8)]
@@ -168,22 +166,26 @@ def _pos(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + i - 1
 
 
-def shape_entries(n: int, shape: str) -> list:
-    rng = random.Random(n)
+def primitive_classes(rng, count: int) -> list:
+    """count primitive classes (p, q), no two equal up to sign, each drawn
+    from rng as two coordinates in [-CMAX, CMAX] until one is new."""
     seen, vecs = set(), []
-    while len(vecs) < n:
+    while len(vecs) < count:
         p, q = rng.randint(-CMAX, CMAX), rng.randint(-CMAX, CMAX)
-        if (p, q) == (0, 0) or gcd(p, q) != 1:
-            continue
-        key = (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
-        if key not in seen:
-            seen.add(key)
+        if gcd(p, q) == 1 and (p, q) not in seen:
+            seen.update({(p, q), (-p, -q)})
             vecs.append((p, q))
-    entries = [
-        vecs[i][0] * vecs[j][1] - vecs[j][0] * vecs[i][1]
-        for j in range(1, n)
-        for i in range(j)
-    ]
+    return vecs
+
+
+def vector_entries(vecs) -> list:
+    """The entries det(v_i, v_j) of the vectors, in column order."""
+    return [vecs[i][0] * vecs[j][1] - vecs[j][0] * vecs[i][1]
+            for j in range(1, len(vecs)) for i in range(j)]
+
+
+def shape_entries(n: int, shape: str) -> list:
+    entries = vector_entries(primitive_classes(random.Random(n), n))
     lcm = 1
     for e in entries:
         lcm = lcm * abs(e) // gcd(lcm, e)
@@ -224,7 +226,9 @@ ROUNDS = count()
 def alternate(trees: dict, reps: int, run):
     """Call run(label, tree) -> ({key: ms}, output) reps times per tree,
     the trees taking turns, each going first in every other round of
-    ROUNDS; ({label: {key: best ms}}, {label: output of the last call})."""
+    ROUNDS; ({label: {key: best ms}}, {label: output of the last call}).
+    A key may also hold a deterministic per-tree count, which the best of
+    the reps then reads unchanged."""
     times = {label: {} for label in trees}
     outs = {}
     for _ in range(reps):
@@ -263,6 +267,19 @@ def measure(trees: dict, reps: int, run, keys):
     return best, outs, extra
 
 
+def record(points: list, trees: dict, reps: int, run, keys, fields) -> None:
+    """measure(trees, reps, run, keys); fails the script unless every
+    tree's output equals this tree's, then appends {**fields(output),
+    **best, **extra} to points and prints it."""
+    best, outs, extra = measure(trees, reps, run, keys)
+    out = outs["change"]
+    if any(o != out for o in outs.values()):
+        raise SystemExit(f"{fields(out)}: the trees' outputs differ")
+    point = {**fields(out), **best, **extra}
+    points.append(point)
+    print(json.dumps(point), flush=True)
+
+
 def reasons(failures) -> list:
     """The index tuples of triangle or Pluecker failures, read by field
     name, so that reasons of any tree's record type compare."""
@@ -288,18 +305,11 @@ def duplicate_entries(n: int) -> list:
     random direction: a realizable scheme whose zero reduction keeps one
     curve per class."""
     rng = random.Random(f"duplicates-{n}")
-    base, seen = [], set()
-    while len(base) < n // 4:
-        p, q = rng.randint(-CMAX, CMAX), rng.randint(-CMAX, CMAX)
-        key = (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
-        if gcd(p, q) == 1 and key not in seen:
-            seen.add(key)
-            base.append((p, q))
+    base = primitive_classes(rng, n // 4)
     picks = [base[i % len(base)] for i in range(n)]
     rng.shuffle(picks)
-    vecs = [(p, q) if rng.random() < 0.5 else (-p, -q) for p, q in picks]
-    return [vecs[i][0] * vecs[j][1] - vecs[j][0] * vecs[i][1]
-            for j in range(1, n) for i in range(j)]
+    return vector_entries(
+        [(p, q) if rng.random() < 0.5 else (-p, -q) for p, q in picks])
 
 
 def reduction_of(log) -> tuple:
@@ -324,6 +334,13 @@ def kappa_entries(p: int, nu: int) -> list:
     return [2 * g, 3 * g, 5 * g]
 
 
+def report(same: bool, line: str) -> bool:
+    """Print line with its %s filled by whether same holds; True on a
+    mismatch."""
+    print(line % ("match" if same else "DIFFER from"))
+    return not same
+
+
 def quick(tree) -> int:
     sys.path.insert(0, str(ROOT / "tests"))
     import reference
@@ -334,70 +351,64 @@ def quick(tree) -> int:
             continue
         s = tree.new_scheme(n, shape_entries(n, shape))
         got = tree.decide_torus(s).reasons
-        same = (
+        bad += report(
             got == reference.decide_torus(s).reasons
             and tree.check_triangle(s) == reference.check_triangle(s)
-            and tree.check_pluecker_full(s) == reference.check_pluecker_full(s)
-        )
-        bad += not same
-        print(f"n={n} {shape}: {len(got)} {type(got[0]).__name__} reasons, "
-              f"{'match' if same else 'DIFFER from'} the reference")
+            and tree.check_pluecker_full(s) == reference.check_pluecker_full(s),
+            f"n={n} {shape}: {len(got)} {type(got[0]).__name__} reasons, "
+            "%s the reference")
         if shape == "last_pair":
             # zero reduction drops the copy, and the reasons are moved back
             # to the original curve indices
             s = tree.new_scheme(n + 1, with_first_duplicated(
                 n, shape_entries(n, shape)))
             got = tree.decide_torus(s)
-            same = (len(got.reduction.steps) == 1
-                    and got.reasons == reference.decide_torus(s).reasons)
-            bad += not same
-            print(f"n={n + 1} {shape} with curve 1 duplicated: "
-                  f"{len(got.reasons)} {type(got.reasons[0]).__name__} reasons, "
-                  f"{'match' if same else 'DIFFER from'} the reference")
+            bad += report(
+                len(got.reduction.steps) == 1
+                and got.reasons == reference.decide_torus(s).reasons,
+                f"n={n + 1} {shape} with curve 1 duplicated: "
+                f"{len(got.reasons)} {type(got.reasons[0]).__name__} reasons, "
+                "%s the reference")
     for n in QUICK_DUP_SIZES:
         s = tree.new_scheme(n, duplicate_entries(n))
         red, v = tree.reduce_zeros(s), tree.decide_torus(s)
         ref = reference.decide_torus(s)
-        same = (red == reference.reduce_zeros(s) and v.realizable
-                and ref.realizable and witness_of(v) == witness_of(ref))
-        bad += not same
-        print(f"n={n} duplicates: {len(red.steps)} curves removed, "
-              f"{'match' if same else 'DIFFER from'} the reference")
+        bad += report(
+            red == reference.reduce_zeros(s) and v.realizable
+            and ref.realizable and witness_of(v) == witness_of(ref),
+            f"n={n} duplicates: {len(red.steps)} curves removed, "
+            "%s the reference")
     for n in QUICK_MOSTLY_ZERO_SIZES:
         s = tree.new_scheme(n, mostly_zero_entries(n))
         red, v = tree.reduce_zeros(s), tree.decide_torus(s)
-        same = (red == reference.reduce_zeros(s)
-                and v.reasons == reference.decide_torus(s).reasons)
-        bad += not same
-        print(f"n={n} mostly zero: unresolvable ({red.i}, {red.j}), "
-              f"{'match' if same else 'DIFFER from'} the reference")
+        bad += report(
+            red == reference.reduce_zeros(s)
+            and v.reasons == reference.decide_torus(s).reasons,
+            f"n={n} mostly zero: unresolvable ({red.i}, {red.j}), "
+            "%s the reference")
     for p, nu in KAPPA_POINTS:
         if p**nu > QUICK_MAX_MODULUS:
             continue
         s = tree.new_scheme(3, kappa_entries(p, nu))
         got = tree.kappa_constraints(s)
-        same = got == reference.kappa_constraints(s)
-        bad += not same
-        count = got.per_prime[0].count
-        print(f"{p}^{nu}: {count} kappa classes, "
-              f"{'match' if same else 'DIFFER from'} the reference scan")
+        bad += report(got == reference.kappa_constraints(s),
+                      f"{p}^{nu}: {got.per_prime[0].count} kappa classes, "
+                      "%s the reference scan")
     for d in range(1, QUICK_MAX_D + 1):
         got = tree.max_packing(d)
         ref = reference.max_packing(d)
-        same = (got.size, got.witness) == (ref.size, ref.witness)
-        bad += not same
-        print(f"d={d}: packing of {got.size}, "
-              f"{'match' if same else 'DIFFER from'} the reference")
+        bad += report((got.size, got.witness) == (ref.size, ref.witness),
+                      f"d={d}: packing of {got.size}, %s the reference")
     for p, q in ENDEMIC_PAIRS:
         s = tree.endemic_family(p, q)
         got = [left_entries(tree.bounded_decomposition_search(s, bound))
                for bound in QUICK_SEARCH_BOUNDS]
-        same = got == [reference.search_generic(s, bound)
-                       for bound in QUICK_SEARCH_BOUNDS]
-        bad += not same
-        print(f"endemic ({p},{q}) at bounds {QUICK_SEARCH_BOUNDS[0]}.."
-              f"{QUICK_SEARCH_BOUNDS[-1]}: {sum(h is not None for h in got)} "
-              f"splits, {'match' if same else 'DIFFER from'} the reference")
+        bad += report(
+            got == [reference.search_generic(s, bound)
+                    for bound in QUICK_SEARCH_BOUNDS],
+            f"endemic ({p},{q}) at bounds {QUICK_SEARCH_BOUNDS[0]}.."
+            f"{QUICK_SEARCH_BOUNDS[-1]}: {sum(h is not None for h in got)} "
+            "splits, %s the reference")
     return 1 if bad else 0
 
 
@@ -414,15 +425,10 @@ def series(trees: dict) -> list:
             ms["decide_ms"], v = timed(tree.decide_torus, s)
             return ms, (type(v.reasons[0]).__name__, reasons(v.reasons))
 
-        best, got, extra = measure(trees, 5 if n <= 40 else 3, run,
-                                   ("pluecker_ms", "decide_ms"))
-        if any(r != got["change"] for r in got.values()):
-            raise SystemExit(f"n={n} {shape}: the trees' reasons differ")
-        stage, found = got["change"]
-        point = {"n": n, "shape": shape, "stage": stage, "reasons": len(found),
-                 **best, **extra}
-        points.append(point)
-        print(json.dumps(point), flush=True)
+        record(points, trees, 5 if n <= 40 else 3, run,
+               ("pluecker_ms", "decide_ms"),
+               lambda out: {"n": n, "shape": shape, "stage": out[0],
+                            "reasons": len(out[1])})
     return points
 
 
@@ -441,16 +447,10 @@ def duplicates_series(trees: dict) -> list:
                 raise SystemExit(f"n={n} duplicates: {label} refutes")
             return ms, (reduction_of(red), witness_of(v))
 
-        best, got, extra = measure(trees, 5 if n <= 80 else 3, run,
-                                   ("reduce_ms", "decide_ms"))
-        if any(r != got["change"] for r in got.values()):
-            raise SystemExit(f"n={n} duplicates: the trees' reduction or "
-                             f"witness differ")
-        steps = got["change"][0][0]
-        point = {"n": n, "classes": n // 4, "removed": len(steps), **best,
-                 **extra}
-        points.append(point)
-        print(json.dumps(point), flush=True)
+        record(points, trees, 5 if n <= 80 else 3, run,
+               ("reduce_ms", "decide_ms"),
+               lambda out: {"n": n, "classes": n // 4,
+                            "removed": len(out[0][0])})
     return points
 
 
@@ -468,23 +468,20 @@ def mostly_zero_series(trees: dict) -> list:
             return ms, ((red.i, red.j), reduction_of(red),
                         [(r.i, r.j) for r in v.reasons])
 
-        best, got, extra = measure(trees, 5 if n <= 80 else 3, run,
-                                   ("reduce_ms", "decide_ms"))
-        if any(r != got["change"] for r in got.values()):
-            raise SystemExit(f"n={n} mostly zero: the trees' reduction or "
-                             f"reasons differ")
-        point = {"n": n, "unresolvable": got["change"][0], **best, **extra}
-        points.append(point)
-        print(json.dumps(point), flush=True)
+        record(points, trees, 5 if n <= 80 else 3, run,
+               ("reduce_ms", "decide_ms"),
+               lambda out: {"n": n, "unresolvable": out[0]})
     return points
 
 
-def check_bytes(cli, path: str):
-    """(exit code, stdout length) of one in-process `check path`."""
+def check_bytes(cli, path: str) -> int:
+    """stdout length of one in-process `check path`, which must exit 0."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = cli.run(["check", path])
-    return code, len(out.getvalue())
+    if code != 0:
+        raise SystemExit(f"check {path} exits {code}")
+    return len(out.getvalue())
 
 
 def kappa_series(trees: dict) -> list:
@@ -497,36 +494,16 @@ def kappa_series(trees: dict) -> list:
             path = os.path.join(tmp, f"k{p}_{nu}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"n": 3, "entries": entries}, fh)
-            reps = 5 if p**nu <= 10**6 else 3
-            refused = {}
 
             def run(label, tree):
-                if label in refused:
-                    return {}, refused[label]
-                try:
-                    ms, v = timed(tree.decide_torus, tree.new_scheme(3, entries))
-                except Exception as exc:  # the tree's refusal is the datum
-                    refused[label] = type(exc).__name__
-                    return {}, refused[label]
-                return ({"decide_ms": ms},
-                        (v.kappa, [(c.p, c.q) for c in v.witness]))
+                ms, v = timed(tree.decide_torus, tree.new_scheme(3, entries))
+                return ({"decide_ms": ms,
+                         "check_bytes": check_bytes(clis[label], path)},
+                        witness_of(v))
 
-            best, got = alternate(trees, reps, run)
-            decided = [out for label, out in got.items() if label not in refused]
-            if len(set(map(repr, decided))) > 1:
-                raise SystemExit(f"{p}^{nu}: the trees' kappa or witness differ")
-            point = {"p": p, "nu": nu, "modulus": p**nu}
-            for label in trees:
-                if label in refused:
-                    point[label] = {"decide_ms": refused[label],
-                                    "check_bytes": refused[label]}
-                    continue
-                code, size = check_bytes(clis[label], path)
-                if code != 0:
-                    raise SystemExit(f"{p}^{nu}: {label} check exits {code}")
-                point[label] = {**best[label], "check_bytes": size}
-            points.append(point)
-            print(json.dumps(point), flush=True)
+            record(points, trees, 5 if p**nu <= 10**6 else 3, run,
+                   ("decide_ms",),
+                   lambda out: {"p": p, "nu": nu, "modulus": p**nu})
     return points
 
 
@@ -552,25 +529,14 @@ def counted_packing(tree, d: int):
 def packing_series(trees: dict) -> list:
     points = []
     for d in PACKING_DS:
-        first = {}
 
         def run(label, tree):
-            ms, (res, count) = timed(partial(counted_packing, tree), d)
-            out = (res.size, res.witness, count)
-            if first.setdefault(label, out) != out:
-                raise SystemExit(f"d={d}: {label} is not deterministic")
-            return {"ms": ms}, out
+            ms, (res, calls) = timed(partial(counted_packing, tree), d)
+            return ({"ms": ms, "max_clique_calls": calls},
+                    (res.size, res.witness))
 
-        reps = 5 if d <= 24 else 3 if d <= 40 else 1
-        best, got, extra = measure(trees, reps, run, ("ms",))
-        if len({out[:2] for out in got.values()}) > 1:
-            raise SystemExit(f"d={d}: the trees' packing size or witness differ")
-        point = {"d": d, "size": got["change"][0]}
-        for label in trees:
-            point[label] = {**best[label], "max_clique_calls": got[label][2]}
-        point.update(extra)
-        points.append(point)
-        print(json.dumps(point), flush=True)
+        record(points, trees, 5 if d <= 24 else 3 if d <= 40 else 1, run,
+               ("ms",), lambda out: {"d": d, "size": out[0]})
     return points
 
 
@@ -588,14 +554,9 @@ def search_series(trees: dict) -> list:
             ms, hit = timed(search, tree.endemic_family(p, q))
             return {"ms": ms}, left_entries(hit)
 
-        reps = 5 if bound <= 8 else 3 if bound <= 18 else 1
-        best, got, extra = measure(trees, reps, run, ("ms",))
-        if len(set(got.values())) > 1:
-            raise SystemExit(f"({p},{q}) bound {bound}: the trees' hits differ")
-        point = {"p": p, "q": q, "bound": bound, "hit": got["change"], **best,
-                 **extra}
-        points.append(point)
-        print(json.dumps(point), flush=True)
+        record(points, trees, 5 if bound <= 8 else 3 if bound <= 18 else 1,
+               run, ("ms",),
+               lambda out: {"p": p, "q": q, "bound": bound, "hit": out})
     return points
 
 
@@ -632,17 +593,19 @@ def main(argv=None) -> int:
                 "ms. "
                 "kappa_points: decide_torus on (2,3,5)*p^nu, "
                 "best of 5 (p^nu <= 10^6) or 3 wall times in ms, and the "
-                "byte length of the check document; an exception name where "
-                "the tree refuses the point. packing_points: max_packing(d), "
-                "best of 5 (d <= 24), 3 (d <= 40) or 1 wall times in ms, "
-                "and the farey.max_clique calls of each timed call. "
+                "byte length of the check document; there is no refusal "
+                "path, a tree that raises stops the run. packing_points: "
+                "max_packing(d), best of 5 (d <= 24), 3 (d <= 40) or 1 wall "
+                "times in ms, and the farey.max_clique calls of each timed "
+                "call. "
                 "search_points: bounded_decomposition_search on the endemic "
                 "4-scheme of (p, q) at the bound, best of 5 (bound 8), 3 "
                 "(bound <= 18) or 1 wall times in ms, and the hit (null, or "
                 "the left summand's entries). 'change' is this tree, "
                 "'parent' the tree given by --parent; the trees' calls "
                 "alternate, which goes first alternating from round to "
-                "round across points, and a point whose change/parent ratio exceeds "
+                "round across points, and a point of any series, kappa "
+                "included, whose change/parent ratio exceeds "
                 f"{RETIME_RATIO} is timed again, best of {RETIME_REPS} "
                 "alternating calls, with the first reading's ratios under "
                 "first_ratios",
