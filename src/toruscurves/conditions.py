@@ -8,6 +8,13 @@ A scheme with nonzero entries is realized on a torus iff
   * for every prime p below the curve count there remains an allowed
     residue class for the solution parameter kappa.
 
+Each condition has one check, a function of the scheme that returns the
+tuple of its failures, empty on a pass: check_triangle (FailedTriangle),
+check_pluecker_full (FailedPluecker) and check_circledast (FailedToz).
+A reason of the first two is a NamedTuple of its curve indices, equal
+only to a reason of its own type, built in bulk from the index tuples the
+scans emit.
+
 The last condition is classically stated as a bound toz(m;p) < p on an
 exact-rational invariant built from p-valuations.  The verdict is decided
 by the admitted kappa classes mod p^nu of the linear forms
@@ -30,37 +37,42 @@ the determinant pass that would list its missed pairs, and the lifted
 system is verified again only when the reduction removed curves.  Only
 when no witness comes out are the conditions checked in stage order
 (triangle, Pluecker, kappa classes) to list every failure of the first
-failing stage.  The triangle and Pluecker stages are one loop
-over the two checks, each returning a StageCheck on the reduced scheme;
-the first failing stage's reasons are moved to the original curve indices
-once, by _relabel, which leaves them as they are when zero reduction
-removed nothing.  A reason of either stage is a NamedTuple of its curve
-indices (FailedTriangle, FailedPluecker), equal only to a reason of its
-own type, built in bulk from the index tuples the scans emit.
+failing stage, on the reduced scheme; the triangle or Pluecker failures
+are moved to the original curve indices once, by _relabel, which leaves
+them as they are when zero reduction removed nothing.
 
-Both checks are output-sensitive through "bad pairs" that every failure
-contains.  A scheme usually reaches the refutation after construct_witness
-has built a system of primitive vectors that misses only some
-determinants; the pairs (i, j) it misses are bad pairs for both stages.
-A triple with none is realized by primitive vectors, so its gcds agree,
-and a quadruple with none is the Pluecker identity of four vectors'
-determinants.  construct_witness lists every such pair, in one pass that
-also verifies the system; the refutation hands them and one dense copy
-of the matrix to both checks, and each check applies its own cap to
-them.  Without such a system, or past the cap, the triangle check walks
-all C(n,3) triples of a dense copy of the matrix, and the Pluecker check
-takes the bad pairs of a base: the relations say the matrix has rank 2,
-and for a base pair (a, b) with m_ab != 0 the rank-2 matrix W that
-agrees with rows a and b differs from the scheme exactly on the pairs
-(i, j) with mu_abij != 0; all Pfaffians of W vanish.  The base is the one of (1,2),
-(3,4), (5,6) with the fewest bad pairs.  Each bad pair is scanned against
-every index (triangle) or pair of indices (Pluecker) off it, and each
-failure comes out with its indices increasing, placed by where the pair
-falls among them, so the scan of one bad pair lists its failures in
-lexicographic order without a sort; only the runs of several bad pairs
-are merged, each failure listed once.  When the bad pairs would put more
-than 1/_SPARSE_SHARE of the triples or quadruples in play, all of them
-are tested, by the same loop, in lexicographic order.
+The screen.  Both checks list their failures through "bad pairs" B that
+every failure contains.  construct_witness may build a system of
+primitive vectors v_i that misses some determinants; it lists B, the
+pairs (i, j) with det(v_i, v_j) != m_ij, in the pass that verifies the
+system, and the refutation hands B and one dense copy of the matrix to
+both checks (their private _screen).  A triple with no pair in B is
+realized by primitive vectors, so its gcds agree: move v_i to (1, 0) by
+SL(2,Z), so v_j = (a, b), v_k = (c, d), m_ij = b, m_ik = d and
+m_jk = ad - bc; then gcd(b, ad - bc) = gcd(b, d) as gcd(a, b) = 1, and
+gcd(d, ad - bc) = gcd(d, b) as gcd(c, d) = 1.  A quadruple with no pair
+in B is the Pluecker relation of four vectors' determinants, an
+identity.  Without B, or past its cap, the Pluecker check takes the bad
+pairs of a base: the relations say the matrix has rank 2, and for a base
+pair (a, b) with m_ab != 0, W_ij = (m_ai*m_bj - m_aj*m_bi)/m_ab is the
+rank-2 matrix that agrees with rows a and b; m_ij != W_ij exactly when
+the Pfaffian mu_abij is nonzero, and every Pfaffian of W vanishes, so
+every failing quadruple meets such a pair.  Of the base pairs in
+_BASE_PAIRS the one with the fewest bad pairs is taken.
+
+A candidate through a bad pair (p, q) is {p, q} with one index
+(triangle) or two indices (Pluecker) off it, and each failure comes out
+with its indices increasing, placed by where p and q fall among the
+others; a Pfaffian only changes sign when its indices are permuted.  The
+run of one bad pair is in lexicographic order: two of its candidates
+differ only off {p, q}, and the smallest index in one and not the other
+lies in the one whose other indices come first, which therefore sorts
+first.  Only the runs of several bad pairs are merged, each failure
+listed once.  For k = 3 (triangle) and k = 4 (Pluecker) the pairs of B
+put |B|*C(n-2,k-2) candidates in play, and they are scanned only while
+|B| <= C(n,k) // (_SPARSE_SHARE*C(n-2,k-2)), at most 1/_SPARSE_SHARE of
+the C(n,k); past that, or without bad pairs, all C(n,k) candidates are
+tested, by the same loop, in lexicographic order.
 """
 
 from __future__ import annotations
@@ -86,7 +98,6 @@ from .scheme import (
 from .solver import (
     KappaConstraintSet,
     _base_triple,
-    _mismatches,
     _orbits,
     canonical_kappa,
     construct_witness,
@@ -149,82 +160,63 @@ class UnresolvableZero:
 Reason = Union[FailedTriangle, FailedPluecker, FailedToz, UnresolvableZero]
 
 
-@dataclass(frozen=True)
-class StageCheck:
-    """Every failure of the triangle or the Pluecker stage, in order."""
-
-    failures: tuple  # tuple[FailedTriangle, ...] or tuple[FailedPluecker, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def failure(self) -> Optional[Reason]:
-        return self.failures[0] if self.failures else None
-
-
 # ---------------------------------------------------------------------------
 # Triangle and Pluecker conditions
 # ---------------------------------------------------------------------------
 
-# the screens scan through the bad pairs B only while they put at most
-# 1/_SPARSE_SHARE of the triples or quadruples in play (see _BASE_PAIRS)
+# the checks scan through the bad pairs only while they put at most
+# 1/_SPARSE_SHARE of the candidates in play (see the module docstring)
 _SPARSE_SHARE = 16
 
 
-def check_triangle(s: Scheme, system=None, *, _screen=None) -> StageCheck:
-    """Every index triple without equal pairwise gcds, in lexicographic
-    order.
+def check_triangle(s: Scheme, *, _screen=None) -> tuple:
+    """Every index triple without equal pairwise gcds, as FailedTriangle
+    records in lexicographic order; () on a pass and for n < 3.
 
-    system, when given, is a curve system of s's size, as
-    construct_witness attaches to its ConstraintViolation (another size
-    raises InvalidShape).  When all its vectors are primitive, let B be
-    the pairs (i, j) whose determinant det(v_i, v_j) misses m_ij.  A triple with no pair in B is realized by
-    primitive vectors, and its gcds are equal: move v_i to (1, 0) by
-    SL(2,Z), so v_j = (a, b), v_k = (c, d), m_ij = b, m_ik = d and
-    m_jk = ad - bc; then gcd(b, ad - bc) = gcd(b, d) as gcd(a, b) = 1, and
-    gcd(d, ad - bc) = gcd(d, b) as gcd(c, d) = 1.  So every failing triple
-    contains a pair of B, and when |B| * (n - 2) <= C(n,3)/_SPARSE_SHARE
-    only the triples (p, q, k) through each (p, q) of B are tested, for k
-    off {p, q} increasing.  Each failure comes out with its indices
-    increasing, k placed before p, between p and q or after q, and the run
-    of one pair is in lexicographic order: of the triples of k < k', the
-    smallest index in one and not the other is k, in the first.  The runs
-    of several pairs are merged, each failure listed once.  Otherwise (no
-    system, a vector that is not primitive, or B too large) all C(n,3)
-    triples are tested, by the same loop, in lexicographic order.  With
-    _screen, the rows and B that _refutation computed once for both
-    checks, system is not read.
+    Raises PreconditionViolated when an entry is zero.  _screen, when
+    given, is the dense rows of s and the pairs construct_witness missed,
+    or None for them (see the module docstring).
     """
     require_nonzero(s)
-    n = s.n
-    if n < 3:
-        return StageCheck(())
-    rows, bad = _screen_of(s, system) if _screen is None else _screen
-    if bad is not None and len(bad) > comb(n, 3) // (_SPARSE_SHARE * (n - 2)):
-        bad = None
+    return _listing(s, _screen, FailedTriangle, _unequal_gcds, list)
+
+
+def check_pluecker_full(s: Scheme, *, _screen=None) -> tuple:
+    """Every failing Pluecker relation, as FailedPluecker records in
+    lexicographic order; () on a pass and for n < 4.  _screen is as for
+    check_triangle.
+    """
+    return _listing(s, _screen, FailedPluecker, _nonzero_pfaffians, _pairs,
+                    _fewest_bad_pairs)
+
+
+def _listing(s: Scheme, screen, cls, scan, spread, base=None) -> tuple:
+    """The failures of one stage as cls records, in lexicographic order.
+
+    k = len(cls._fields) indices make a candidate, and scan(rows, groups)
+    yields the failing ones, where groups holds (i, j, spread(ks)): the
+    candidates {i, j} plus k - 2 indices of ks, increasing.  They are
+    those through each bad pair of screen, or, when there are none or
+    more than the cap, through each pair base(rows, n, cap) returns; when
+    that is None too (or there is no base), all C(n,k) of them.
+    """
+    n, k = s.n, len(cls._fields)
+    if n < k:
+        return ()
+    rows, bad = (dense_rows(s), None) if screen is None else screen
+    cap = comb(n, k) // (_SPARSE_SHARE * comb(n - 2, k - 2))
+    if bad is None or len(bad) > cap:
+        bad = None if base is None else base(rows, n, cap)
     if bad is None:
-        groups = ((i, j, range(j + 1, n)) for i in range(n) for j in range(i + 1, n))
+        tails = [spread(range(j + 1, n)) for j in range(n)]
+        groups = ((i, j, tails[j]) for i in range(n) for j in range(i + 1, n))
     else:
-        groups = ((p, q, _off(n, p, q)) for p, q in bad)
-    triples = _unequal_gcds(rows, groups)
+        groups = ((p, q, spread(_off(n, p, q))) for p, q in bad)
+    found = scan(rows, groups)
     if bad is not None and len(bad) > 1:
         # dict.fromkeys keeps each run in order, so the sort merges len(bad) runs
-        triples = sorted(dict.fromkeys(triples))
-    return StageCheck(_records(FailedTriangle, triples))
-
-
-def _screen_of(s: Scheme, system):
-    """The dense rows of s and the pairs (i, j), 0-based, whose determinant
-    in system misses m_ij, or None for the pairs when there is no system
-    or a vector of it is not primitive.  A system of the wrong size raises
-    InvalidShape, primitive or not."""
-    rows = dense_rows(s)
-    if system is None:
-        return rows, None
-    bad = list(_mismatches(s, system))
-    return rows, bad if all(v.is_primitive() for v in system) else None
+        found = sorted(dict.fromkeys(found))
+    return _records(cls, found)
 
 
 def _unequal_gcds(rows, groups):
@@ -262,62 +254,8 @@ def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
     )
 
 
-def check_pluecker_full(s: Scheme, system=None, *, _screen=None) -> StageCheck:
-    """Every failing Pluecker relation, in lexicographic order; vacuous
-    pass for n < 4.
-
-    The screen lists the failures through a set of "bad pairs" that every
-    failing quadruple meets.  When system is given (primitive vectors of
-    s's size, as for check_triangle), the bad pairs are those whose
-    determinant misses m_ij: a quadruple with none is the Pluecker
-    relation of the determinants of four vectors, an identity, so it
-    holds.  Without such a system, or when it misses more than
-    C(n,4)/(_SPARSE_SHARE*C(n-2,2)) entries, the relations hold iff the
-    matrix has rank 2, and for a base pair (a, b) with m_ab != 0, W_ij = (m_ai*m_bj - m_aj*m_bi)/m_ab is the rank-2
-    matrix that agrees with rows a and b; m_ij != W_ij exactly when the
-    Pfaffian mu_abij is nonzero, which makes (i, j) a bad pair, and every
-    Pfaffian of W vanishes.  Of the base pairs (1,2), (3,4), (5,6) the one
-    with the fewest bad pairs is taken.  Each bad pair (p, q) is scanned
-    as the base pair was: every (p, q, k, l), k < l off {p, q}.  A
-    Pfaffian only changes sign when its indices are permuted, so each
-    failure comes out as {p, q, k, l} increasing, the order fixed by where
-    p and q fall among k and l, and the run of one bad pair is already in
-    lexicographic order: of the quadruples of (k, l) < (k', l'), the
-    smallest index in one and not the other is k when k < k', else l, and
-    it lies in the first, which therefore sorts first.  The runs of several bad pairs
-    are merged, the duplicates (quadruples through two bad pairs) dropped.
-    When even the fewest bad pairs put more than 1/_SPARSE_SHARE of the
-    C(n,4) quadruples in play (every tried base has a perturbed entry, or
-    the matrix is far from rank 2), all quadruples are tested instead, in
-    lexicographic order.  _screen is as for check_triangle.
-    """
-    n = s.n
-    if n < 4:
-        return StageCheck(())
-    limit = comb(n, 4) // (_SPARSE_SHARE * comb(n - 2, 2))
-    rows, bad = _screen_of(s, system) if _screen is None else _screen
-    if bad is None or len(bad) > limit:
-        bad = _fewest_bad_pairs(rows, n, limit)
-    if bad is None:
-        tails = [[(k, range(k + 1, n)) for k in range(j + 1, n)] for j in range(n)]
-        groups = ((i, j, tails[j]) for i in range(n) for j in range(i + 1, n))
-    else:
-        groups = ((p, q, _pairs_off(n, p, q)) for p, q in bad)
-    quads = _nonzero_pfaffians(rows, groups)
-    if bad is not None and len(bad) > 1:
-        # dict.fromkeys keeps each run in order, so the sort merges len(bad) runs
-        quads = sorted(dict.fromkeys(quads))
-    return StageCheck(_records(FailedPluecker, quads))
-
-
-# disjoint base pairs tried for the bad-pair screen, 0-based
+# disjoint base pairs whose bad pairs the Pluecker check may take, 0-based
 _BASE_PAIRS = ((0, 1), (2, 3), (4, 5))
-# The Pluecker screen tests at most |B|*C(n-2,2) <= C(n,4)/_SPARSE_SHARE
-# quadruples through the |B| bad pairs, plus at most three bad-pair scans of
-# C(n-2,2) for the bases when no system gives B; the triangle screen tests
-# at most |B|*(n-2) <= C(n,3)/_SPARSE_SHARE triples.  The Pluecker cap,
-# |B| <= n(n-1)/(12*_SPARSE_SHARE), is half the triangle's.  Both sort only
-# the failures, and only when |B| > 1.
 
 
 def _nonzero_pfaffians(rows, groups):
@@ -350,11 +288,10 @@ def _nonzero_pfaffians(rows, groups):
                         yield (k1, i1, l1, j1) if l < j else (k1, i1, j1, l1)
 
 
-def _pairs_off(n: int, p: int, q: int) -> list:
-    """(k, ls) for each k off {p, q}: the candidates of _nonzero_pfaffians
-    for every pair k < l off {p, q}, in increasing (k, l)."""
-    rest = _off(n, p, q)
-    return [(k, rest[t + 1:]) for t, k in enumerate(rest)]
+def _pairs(ks) -> list:
+    """(k, ls) for each k of the increasing ks, ls the members after it:
+    the candidates of _nonzero_pfaffians for every pair k < l of ks."""
+    return [(k, ks[t:]) for t, k in enumerate(ks, 1)]
 
 
 def _fewest_bad_pairs(rows, n: int, limit: int) -> Optional[list]:
@@ -368,7 +305,7 @@ def _fewest_bad_pairs(rows, n: int, limit: int) -> Optional[list]:
         cap = limit if best is None else len(best) - 1
         # the scan stops after cap + 1 bad pairs; each failure is
         # {a, b, k, l}, 1-based and increasing, and (k, l) is the bad pair
-        quads = _nonzero_pfaffians(rows, [(a, b, _pairs_off(n, a, b))])
+        quads = _nonzero_pfaffians(rows, [(a, b, _pairs(_off(n, a, b)))])
         bad = [
             tuple(x - 1 for x in quad if x != a + 1 and x != b + 1)
             for quad in islice(quads, cap + 1)
@@ -465,19 +402,18 @@ def toz_report(s: Scheme) -> TozReport:
     return TozReport(g123, per, checked)
 
 
-def check_circledast(s: Scheme):
-    """Remaining-allowed-kappa condition for every prime below n.
+def check_circledast(s: Scheme) -> tuple:
+    """Every prime p < n with no admitted kappa class, as FailedToz(p,
+    total) records, primes increasing; () on a pass and for n <= 2.
 
-    Returns None on pass, else FailedToz(p, total) for the first prime
-    whose kappa residues are all forbidden; the reported total is the
-    per-column toz value.  For primes not dividing g_123 the condition is
-    vacuous.  Meaningful once the triangle and Pluecker conditions hold,
-    which is the order decide_torus uses.
+    total is the per-column toz value.  Primes not dividing g_123 always
+    pass.  Meaningful once the triangle and Pluecker conditions hold,
+    which is the order decide_torus uses; raises PreconditionViolated
+    when the base triple's gcds differ or an entry is zero.
     """
     if s.n <= 2:
-        return None
-    failures = _circledast_failures(s, kappa_constraints(s))
-    return failures[0] if failures else None
+        return ()
+    return _circledast_failures(s, kappa_constraints(s))
 
 
 def _circledast_failures(s: Scheme, cons: KappaConstraintSet):
@@ -520,11 +456,8 @@ def decide_torus(s: Scheme) -> Verdict:
        only when the reduction removed curves.
     3. Otherwise the conditions are checked in order, triangle, Pluecker,
        then kappa classes (reusing those of step 2), and every failure
-       of the first failing stage is listed.  When step 2 built a system
-       of primitive vectors that misses only some determinants, every
-       failing triple and quadruple contains a missed pair, and each
-       check tests only those while they are few (check_triangle); else
-       they scan as described there.
+       of the first failing stage is listed; the triangle and Pluecker
+       checks are screened by the pairs that step 2's system missed.
 
     Realizable verdicts carry a verified witness lifted back through the
     reduction; failure reasons use the original curve indices.  The
@@ -568,19 +501,16 @@ def decide_torus(s: Scheme) -> Verdict:
 def _refutation(red, cons, missed) -> Verdict:
     """Stage-order failures of a reduced scheme that has no witness.
 
-    The triangle and Pluecker checks run in turn, each looked up in this
-    module at call time and given one dense copy of r and missed: every
-    pair whose determinant the primitive system of construct_witness
-    misses, listed by the same pass that checked the system, or None when
-    no such system was built.  Each check lists only the failures through
-    those pairs while they are within its own cap.  The first check that
-    fails gives every reason, moved to the original curve indices by
-    _relabel.  The kappa stage comes last.
+    missed is every pair that construct_witness's system missed, or None
+    when it built none.  The triangle and Pluecker checks, looked up in
+    this module at call time, share one dense copy of r and missed as
+    their screen; the first one that fails gives every reason, on the
+    original curve indices.  The kappa stage comes last.
     """
     r = red.reduced
     screen = (dense_rows(r), missed)
     for check in (check_triangle, check_pluecker_full):
-        failures = check(r, _screen=screen).failures
+        failures = check(r, _screen=screen)
         if failures:
             return Verdict(False, _relabel(red, failures), None, False, red)
     toz_fail = _circledast_failures(r, cons)

@@ -32,15 +32,13 @@ class InvalidModuli(TorusCurvesError):
 class ConstraintViolation(TorusCurvesError):
     """A solution parameter lies outside its allowed residue classes.
 
-    system is the curve system that was built when every vector of it is
-    primitive and only some determinant misses its entry, else None.
-    missed lists, with such a system, every pair (i, j), 0-based, whose
-    determinant misses, in column order, else it is None.
+    missed lists every pair (i, j), 0-based, in column order, whose
+    determinant misses its entry in a system of primitive vectors, when
+    one was built; else it is None.
     """
 
-    def __init__(self, message: str, system=None, missed=None):
+    def __init__(self, message: str, missed=None):
         super().__init__(message)
-        self.system = system
         self.missed = missed
 
 

@@ -34,9 +34,16 @@ def curve_offset(index: int, total: int) -> tuple:
 def curve_segments(p: int, q: int, offset) -> list:
     """Wrapped unit-square segments of the geodesic t -> offset + t*(p, q),
     t in [0, 1).  Each segment is ((x0, y0), (x1, y1)) with exact Fraction
-    endpoints; consecutive segments share a wrap point."""
+    endpoints; consecutive segments share a wrap point.  There are at most
+    |p| + |q| + 1 of them, and a class whose bound exceeds MAX_SEGMENTS
+    raises DomainError before any is built."""
     if (p, q) == (0, 0):
         raise DomainError("(0,0) has no direction")
+    if abs(p) + abs(q) + 1 > MAX_SEGMENTS:
+        raise DomainError(
+            f"({p},{q}) is drawn as up to {abs(p) + abs(q) + 1} segments, "
+            f"more than the {MAX_SEGMENTS} that render draws"
+        )
     ox, oy = Fraction(offset[0]), Fraction(offset[1])
     cuts = {Fraction(0), Fraction(1)}
     for start, step in ((ox, p), (oy, q)):

@@ -8,13 +8,14 @@ them are indexed by one integer parameter kappa:
 for j >= 2, where x*m'_13 - y*m'_12 = 1 (m'_ij = m_ij / g_123).  With
 m_22 = m_33 = 0 and m_32 = -m_23 this gives r_2 = x*m'_23 + kappa*m'_12
 and r_3 = y*m'_23 + kappa*m'_13.  _kappa_line computes the pairs
-(A_j, B_j) once; kappa_constraints, construct_witness and forbidden_count
-all start from them.  A kappa is admitted exactly when every r_j is an
-integer and gcd(r_j, m_1j) = 1.  At a prime p^nu || g_123 that means
-p^nu | D_j for every j, and p^(nu+1) does not divide D_j when p | B_j
-(for j = 2, 3 this says r_2, r_3 are units mod p).  Both tests depend on
-kappa mod p^nu only: the first is a test mod p^nu, and when p | B_j,
-shifting kappa by p^nu moves D_j by a multiple of p^(nu+1).
+(A_j, B_j) once per call; kappa_constraints, construct_witness and
+forbidden_count all start from them.  A kappa is admitted exactly when
+every r_j is an integer and gcd(r_j, m_1j) = 1.  At a prime
+p^nu || g_123 that means p^nu | D_j for every j, and p^(nu+1) does not
+divide D_j when p | B_j (for j = 2, 3 this says r_2, r_3 are units mod
+p).  Both tests depend on kappa mod p^nu only: the first is a test mod
+p^nu, and when p | B_j, shifting kappa by p^nu moves D_j by a multiple
+of p^(nu+1).
 
 Each test is linear in kappa, so it holds on a p-adic ball, a class mod a
 power of p.  With t = v_p(B_j), p^e | D_j holds on one class mod p^(e-t)
@@ -324,15 +325,10 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
     otherwise ConstraintViolation is raised.  Once the triangle and
     Pluecker conditions hold this is exactly membership in the residue
     classes of kappa_constraints, without scanning them.  Without them the
-    system built can miss some determinant m_ij; that also raises
-    ConstraintViolation, so a returned witness always verifies and proves
-    the scheme realizable.  The gcd test makes every vector primitive, so
-    one _mismatches pass verifies the system: it lists B, every pair whose
-    determinant misses, and the system verifies when B is empty.
-    Otherwise the exception carries the system as its system and all of B
-    as its missed: B is where the triangle and Pluecker failures lie (see
-    conditions.check_triangle), and each check decides from its size
-    whether to scan through it.
+    system built, of primitive vectors, can miss some determinant m_ij;
+    that also raises ConstraintViolation, whose missed lists every pair
+    that misses, so a returned witness always verifies and proves the
+    scheme realizable.
     """
     if s.n < 3:
         raise DomainError("construct_witness needs at least 3 curves")
@@ -356,7 +352,6 @@ def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
         raise ConstraintViolation(
             f"kappa={kappa} gives a system whose determinants differ "
             f"from the scheme",
-            tuple(system),
             missed,
         )
     return NormalizedWitness(kappa, tuple(rs), tuple(system))

@@ -7,6 +7,8 @@ For each scheme the corpus records the exit code and the exact stdout of
     solve FILE --kappa K     (one allowed K and, where one exists, one
                               forbidden K, both read off the check output)
     toz FILE
+    decompose FILE
+    oracle FILE
 
 The schemes are random vector schemes (always realizable) and random
 nonzero schemes for n = 3..8, vector schemes with g_123 > 1, schemes
@@ -138,7 +140,7 @@ def record(n, entries, path):
     runs = [{"args": ["check"], "code": code, "stdout": check_out}]
     argsets = [["solve", "--orbits", "5"]]
     argsets += [["solve", "--kappa", str(k)] for k in kappa_args(check_out)]
-    argsets.append(["toz"])
+    argsets += [["toz"], ["decompose"], ["oracle"]]
     for args in argsets:
         code, out = run_cli([args[0], path] + args[1:])
         runs.append({"args": args, "code": code, "stdout": out})

@@ -36,7 +36,6 @@ from toruscurves.conditions import (
     FailedPluecker,
     FailedToz,
     FailedTriangle,
-    StageCheck,
     UnresolvableZero,
     Verdict,
     toz_report,
@@ -138,18 +137,17 @@ def check_triangle(s):
         a, b, c = get(s, i, j), get(s, i, k), get(s, j, k)
         if not gcd(a, b) == gcd(a, c) == gcd(b, c):
             failures.append(FailedTriangle(i, j, k))
-    return StageCheck(tuple(failures))
+    return tuple(failures)
 
 
 def check_pluecker_full(s):
-    failures = tuple(
+    return tuple(
         FailedPluecker(i, j, k, l)
         for i, j, k, l in combinations(range(1, s.n + 1), 4)
         if get(s, i, j) * get(s, k, l)
         - get(s, i, k) * get(s, j, l)
         + get(s, i, l) * get(s, j, k)
     )
-    return StageCheck(failures)
 
 
 def verify_system(s, system):
@@ -294,17 +292,13 @@ def decide_torus(s):
         rep = 0 if abs(m) == 1 else 1
         return realizable(lift_system(red, (curve(1, 0), curve(rep, m))), rep)
 
-    def mapped(f, *idx):
-        return type(f)(*(red.survivors[t - 1] for t in idx))
+    def mapped(f):
+        return type(f)(*(red.survivors[t - 1] for t in f))
 
-    tri = check_triangle(r)
-    if not tri.ok:
-        reasons = tuple(mapped(f, f.i, f.j, f.k) for f in tri.failures)
-        return Verdict(False, reasons, None, False, red)
-    plk = check_pluecker_full(r)
-    if not plk.ok:
-        reasons = tuple(mapped(f, f.i, f.j, f.k, f.l) for f in plk.failures)
-        return Verdict(False, reasons, None, False, red)
+    for check in (check_triangle, check_pluecker_full):
+        failures = check(r)
+        if failures:
+            return Verdict(False, tuple(map(mapped, failures)), None, False, red)
     cons = kappa_constraints(r)
     empty = {pc.prime for pc in cons.per_prime if not pc.allowed}
     toz_fail = tuple(

@@ -11,7 +11,6 @@ from toruscurves import (
     FailedPluecker,
     FailedToz,
     FailedTriangle,
-    InvalidShape,
     PreconditionViolated,
     UnresolvableZero,
     check_circledast,
@@ -29,8 +28,8 @@ from toruscurves import (
     toz_report,
     verify_system,
 )
-from toruscurves.scheme import _pos, get
-from toruscurves.solver import canonical_kappa
+from toruscurves.scheme import _pos, dense_rows, get
+from toruscurves.solver import _mismatches, canonical_kappa
 from conftest import (
     dets,
     random_nonzero_scheme,
@@ -42,11 +41,12 @@ PENTA = new_scheme(4, [5, 15, 15, 15, 15, 3])
 
 
 def test_check_triangle():
-    out = check_triangle(new_scheme(3, [6, 10, 14]))
-    assert out.ok and out.failures == ()
+    assert check_triangle(new_scheme(3, [6, 10, 14])) == ()
     out = check_triangle(PENTA)
-    assert not out.ok and out.failure == FailedTriangle(1, 2, 3)
-    assert check_triangle(new_scheme(3, [1, 1, 1])).ok
+    assert type(out) is tuple and out[0] == FailedTriangle(1, 2, 3)
+    assert out == reference.check_triangle(PENTA)
+    assert check_triangle(new_scheme(3, [1, 1, 1])) == ()
+    assert check_triangle(new_scheme(2, [4])) == ()
     with pytest.raises(PreconditionViolated):
         check_triangle(new_scheme(3, [1, 0, 1]))
 
@@ -60,10 +60,9 @@ def test_pluecker_mu():
 
 
 def test_check_pluecker_full():
-    assert check_pluecker_full(new_scheme(4, [1, 1, 1, 2, 1, -1])).ok
-    assert check_pluecker_full(new_scheme(3, [1, 1, 1])).ok  # vacuous
-    out = check_pluecker_full(PENTA)
-    assert out.failure == FailedPluecker(1, 2, 3, 4)
+    assert check_pluecker_full(new_scheme(4, [1, 1, 1, 2, 1, -1])) == ()
+    assert check_pluecker_full(new_scheme(3, [1, 1, 1])) == ()  # vacuous
+    assert check_pluecker_full(PENTA) == (FailedPluecker(1, 2, 3, 4),)
 
 
 def test_pluecker_identity_worked_example():
@@ -105,8 +104,7 @@ def test_toz_contribution_bounds(rng):
     for _ in range(300):
         n = rng.choice([3, 4, 5, 6])
         s = random_nonzero_scheme(rng, n)
-        tri = check_triangle(s)
-        if not tri.ok:
+        if check_triangle(s):
             continue
         r = toz_report(s)
         for entry in r.per_prime:
@@ -125,14 +123,25 @@ def test_toz_preconditions():
 
 def test_check_circledast():
     out = check_circledast(new_scheme(3, [6, 10, 14]))
-    assert out == FailedToz(2, Fraction(2))
-    assert check_circledast(new_scheme(4, [9, 9, 9, 6, 3, -3])) is None
-    assert check_circledast(new_scheme(2, [7])) is None
+    assert out == (FailedToz(2, Fraction(2)),)
+    assert check_circledast(new_scheme(4, [9, 9, 9, 6, 3, -3])) == ()
+    assert check_circledast(new_scheme(2, [7])) == ()
     # column 4 forbids every kappa residue mod p (p | m_14, p does not
     # divide D_4); only primes below n count
     assert check_circledast(new_scheme(4, [2, 2, 2, 2, 1, 1])) == \
-        FailedToz(2, Fraction(2))
-    assert check_circledast(new_scheme(4, [5, 5, 5, 5, 1, 1])) is None
+        (FailedToz(2, Fraction(2)),)
+    assert check_circledast(new_scheme(4, [5, 5, 5, 5, 1, 1])) == ()
+
+
+def test_check_circledast_lists_every_failing_prime():
+    # g_123 = 6 and neither 2 nor 3 admits a kappa class: the check lists
+    # both primes, increasing, as decide_torus does once the triangle and
+    # Pluecker stages pass
+    s = new_scheme(4, [-114, -66, -78, -30, 6, 24])
+    assert check_triangle(s) == check_pluecker_full(s) == ()
+    got = check_circledast(s)
+    assert [f.prime for f in got] == [2, 3]
+    assert got == decide_torus(s).reasons == reference.decide_torus(s).reasons
 
 
 def test_verdict_field_invariant(rng):
@@ -184,13 +193,12 @@ def test_constant_valuation_scaling_obstruction(rng):
             if any(e % p == 0 for e in s.entries):
                 continue
             scaled = new_scheme(n, [p * e for e in s.entries])
-            if not check_triangle(scaled).ok:
+            if check_triangle(scaled):
                 continue
             report = toz_report(scaled)
             assert report.total_for(p) == n - 1
             assert not decide_torus(scaled).realizable
-            fail = check_circledast(scaled)
-            if fail is not None:
+            for fail in check_circledast(scaled):
                 assert fail.total == report.total_for(fail.prime)
 
 
@@ -268,9 +276,10 @@ def _perturb(rng: random.Random, n: int, entries: list, pairs) -> None:
             entries[t] += lcm
 
 
-def _witness_system(s):
-    """The primitive system construct_witness attaches when only some
-    determinant misses, as decide_torus sees it, or None."""
+def _witness_missed(s):
+    """The pairs construct_witness lists as missed when its primitive
+    system misses only some determinants, as decide_torus sees them, or
+    None."""
     try:
         cons = kappa_constraints(s)
     except PreconditionViolated:  # the base triple fails
@@ -280,8 +289,14 @@ def _witness_system(s):
     try:
         construct_witness(s, canonical_kappa(cons))
     except ConstraintViolation as exc:
-        return exc.system
+        return exc.missed
     return None
+
+
+def _screen(s, missed):
+    """The screen decide_torus hands both checks: s's dense rows and the
+    missed pairs."""
+    return dense_rows(s), missed
 
 
 def test_screens_match_reference_with_and_without_a_system():
@@ -307,16 +322,19 @@ def test_screens_match_reference_with_and_without_a_system():
                 assert v.reasons == reference.decide_torus(s).reasons
             if 0 in entries:
                 continue
-            systems = [tuple(curve(p, q) for p, q in vecs), _witness_system(s)]
-            witnessed += systems[1] is not None
+            # the pairs the unperturbed vectors miss, and those the
+            # witness attempt misses
+            screens = [list(_mismatches(s, [curve(p, q) for p, q in vecs])),
+                       _witness_missed(s)]
+            witnessed += screens[1] is not None
             for checker, ref in ((check_triangle, reference.check_triangle),
                                  (check_pluecker_full,
                                   reference.check_pluecker_full)):
                 want = ref(s)
                 assert checker(s) == want
-                for system in systems:
-                    if system is not None:
-                        assert checker(s, system) == want
+                for missed in screens:
+                    if missed is not None:
+                        assert checker(s, _screen=_screen(s, missed)) == want
             refuted += not v.realizable
     # the witness path and the refutations are both exercised
     assert witnessed >= 30 and refuted >= 45
@@ -339,28 +357,31 @@ def test_triangle_screen_tests_only_triples_through_missed_pairs(monkeypatch):
     entries = dets(vecs)
     entries[-1] += 1  # m_{n-1,n}: only triples (i, n-1, n) can fail
     s = new_scheme(n, entries)
-    system = _witness_system(s)
-    assert system is not None
+    missed = _witness_missed(s)
+    assert missed is not None
     want = reference.check_triangle(s)
-    assert not want.ok
+    assert want
     tested.clear()
-    assert check_triangle(s, system) == want
+    assert check_triangle(s, _screen=_screen(s, missed)) == want
     assert sum(tested) == n - 2
     tested.clear()
-    assert decide_torus(s).reasons == want.failures
+    assert decide_torus(s).reasons == want
     assert sum(tested) == n - 2
-    # without a system, or with the vectors of s itself, nothing is missed
-    # or everything is scanned
+    # without a screen everything is scanned; the vectors of s itself miss
+    # only the perturbed pair
     tested.clear()
     assert check_triangle(s) == want and sum(tested) == comb(n, 3)
     tested.clear()
-    assert check_triangle(s, tuple(curve(p, q) for p, q in vecs)) == want
+    vecs_missed = list(_mismatches(s, [curve(p, q) for p, q in vecs]))
+    assert check_triangle(s, _screen=_screen(s, vecs_missed)) == want
     assert sum(tested) == n - 2
 
 
 def test_non_primitive_system_does_not_narrow_the_triangle_scan():
     # (2,0), (0,1), (1,1) give every determinant of (3; 2, 2, -1), but
-    # (2,0) is not primitive, and the triple (1,2,3) fails (gcds 2, 1, 1)
+    # (2,0) is not primitive, and the triple (1,2,3) fails (gcds 2, 1, 1):
+    # the triangle screen needs primitive vectors, which construct_witness
+    # alone supplies
     s = new_scheme(3, [2, 2, -1])
     system = (curve(2, 0), curve(0, 1), curve(1, 1))
     assert [get(s, i, j) for i, j in ((1, 2), (1, 3), (2, 3))] == [
@@ -369,18 +390,11 @@ def test_non_primitive_system_does_not_narrow_the_triangle_scan():
                      (system[1], system[2]))
     ]
     want = (FailedTriangle(1, 2, 3),)
-    assert check_triangle(s).failures == want
-    assert check_triangle(s, system).failures == want
-    # the Pluecker screen needs no primitivity: a quadruple with every
-    # determinant right is an identity
+    assert check_triangle(s) == want
+    assert decide_torus(s).reasons == want
+    # the Pluecker relations of a non-primitive system's determinants hold
     t = new_scheme(4, dets([(2, 0), (0, 1), (1, 1), (1, 3)]))
-    assert check_pluecker_full(t, (curve(2, 0), curve(0, 1), curve(1, 1),
-                                   curve(1, 3))).ok
-    # a system of the wrong size is refused by both checks, primitive or not
-    u = new_scheme(4, [1, 1, 1, 2, 1, -1])
-    for check in (check_triangle, check_pluecker_full):
-        with pytest.raises(InvalidShape):
-            check(u, system)
+    assert check_pluecker_full(t) == ()
 
 
 @pytest.mark.parametrize("cls, idx", [(FailedTriangle, (2, 5, 7)),
@@ -453,22 +467,13 @@ def test_plucker_refutation_lists_missed_pairs_once(monkeypatch):
         copies.append(sc.n)
         return rows(sc)
 
-    for module in (solver, conditions):
-        monkeypatch.setattr(module, "_mismatches", counted_mismatches)
+    monkeypatch.setattr(solver, "_mismatches", counted_mismatches)
     monkeypatch.setattr(conditions, "dense_rows", counted_rows)
     assert decide_torus(s).reasons == want
     # one pass checks the witness and lists B for both checks, which share
     # one dense copy
     assert passes == [n]
     assert copies == [n]
-    # the public calls still compute their own
-    system = _witness_system(s)
-    passes.clear()
-    copies.clear()
-    assert check_pluecker_full(s, system).failures == want
-    assert check_triangle(s, system).ok
-    assert passes == [n, n]
-    assert copies == [n, n]
 
 
 def test_each_check_applies_its_own_cap_to_the_missed_pairs(monkeypatch):
@@ -482,7 +487,7 @@ def test_each_check_applies_its_own_cap_to_the_missed_pairs(monkeypatch):
     pairs = random.Random(6).sample(
         [(i, j) for j in range(5, n + 1) for i in range(4, j)], 5)
     s = new_scheme(n, _plus_lcm(dets(_vectors(random.Random(5), n, 30)), pairs))
-    assert check_triangle(s).ok
+    assert check_triangle(s) == ()
     with pytest.raises(ConstraintViolation) as exc:
         construct_witness(s, canonical_kappa(kappa_constraints(s)))
     assert sorted(exc.value.missed) == sorted((i - 1, j - 1) for i, j in pairs)

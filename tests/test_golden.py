@@ -1,9 +1,10 @@
 """The CLI reproduces the golden corpus byte for byte.
 
 tests/golden/cli_corpus.json.gz holds the exit code and stdout of `check`,
-`solve --orbits 5`, `solve --kappa K` and `toz` on a few hundred schemes;
-tests/golden/make_corpus.py documents how it was generated.  Refactors of
-the decision and witness code must leave every one of these unchanged.
+`solve --orbits 5`, `solve --kappa K`, `toz`, `decompose` and `oracle` on
+a few hundred schemes; tests/golden/make_corpus.py documents how it was
+generated.  Refactors of the decision and witness code must leave every
+one of these unchanged.
 tests/golden/farey_stdout.json holds the stdout of `farey --d D` for
 D = 1..40 (tests/golden/make_farey.py), which the packing search must
 keep.

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from toruscurves import decide_torus, new_scheme, render_svg
+from toruscurves import render
+from toruscurves.errors import DomainError
 from toruscurves.render import curve_offset, curve_segments
 
 
@@ -107,3 +112,31 @@ def test_render_svg_bad_path():
     s = new_scheme(3, [1, 1, 1])
     with pytest.raises(OSError):
         render_svg(decide_torus(s).witness, "/nonexistent-dir/x.svg")
+
+
+
+def test_curve_segments_refuses_a_class_past_the_segment_limit(monkeypatch):
+    # (1, 10^12) crosses the grid 10^12 times: the call must refuse before
+    # it builds a segment.  It runs in a subprocess, with its address space
+    # capped, so that a loop fails by timeout or MemoryError
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from toruscurves.errors import DomainError\n"
+        "from toruscurves.render import curve_offset, curve_segments\n"
+        "try:\n"
+        "    curve_segments(1, 10**12, curve_offset(0, 2))\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "segments" in proc.stdout
+    # the bound is |p| + |q| + 1: a class at the limit is drawn
+    monkeypatch.setattr(render, "MAX_SEGMENTS", 5)
+    assert len(curve_segments(2, -2, curve_offset(0, 1))) <= 5
+    with pytest.raises(DomainError):
+        curve_segments(-2, 3, curve_offset(0, 1))

@@ -21,9 +21,9 @@ only Pluecker relations fail; the last two break the triangle condition:
                    system, so both checks take their fallback.
 
 It runs n = 28, 40, 80, 160, 320 and records, per point, the best of a
-few wall times (time.perf_counter) of check_pluecker_full and of
-check_triangle, each called without a system, and of decide_torus on the
-same scheme, with the stage that refuted it.  all_bases_dirty stops at
+few wall times (time.perf_counter) of check_pluecker_full, of
+check_triangle and of decide_torus on the same scheme, with the stage
+that refuted it.  all_bases_dirty stops at
 n = 160: there every check tests all C(n,4) quadruples, which takes
 about 2.5 s at n = 160 and some 16 times that at n = 320.
 
@@ -580,8 +580,8 @@ def main(argv=None) -> int:
         trees["parent"] = load_tree(args.parent.resolve(), "parent_toruscurves")
     trees["change"] = toruscurves
     doc = {
-        "what": "points: check_pluecker_full and check_triangle (both "
-                "without a system) and decide_torus on Pluecker- and "
+        "what": "points: check_pluecker_full, check_triangle and "
+                "decide_torus on Pluecker- and "
                 "triangle-refuted schemes, with the refuting stage and its "
                 "reason count; best of 5 (n <= 40) or 3 wall times in ms. "
                 "duplicates_points: reduce_zeros and decide_torus on n "
