@@ -52,13 +52,23 @@ SL(2,Z), so v_j = (a, b), v_k = (c, d), m_ij = b, m_ik = d and
 m_jk = ad - bc; then gcd(b, ad - bc) = gcd(b, d) as gcd(a, b) = 1, and
 gcd(d, ad - bc) = gcd(d, b) as gcd(c, d) = 1.  A quadruple with no pair
 in B is the Pluecker relation of four vectors' determinants, an
-identity.  Without B, or past its cap, the Pluecker check takes the bad
-pairs of a base: the relations say the matrix has rank 2, and for a base
-pair (a, b) with m_ab != 0, W_ij = (m_ai*m_bj - m_aj*m_bi)/m_ab is the
-rank-2 matrix that agrees with rows a and b; m_ij != W_ij exactly when
-the Pfaffian mu_abij is nonzero, and every Pfaffian of W vanishes, so
-every failing quadruple meets such a pair.  Of the base pairs in
-_BASE_PAIRS the one with the fewest bad pairs is taken.
+identity.  The Pluecker check is also offered the bad pairs of each base
+pair (a, b) of _BASE_PAIRS with m_ab != 0: the relations say the matrix
+has rank 2, and W_ij = (m_ai*m_bj - m_aj*m_bi)/m_ab is the rank-2 matrix
+that agrees with rows a and b; m_ij != W_ij exactly when the Pfaffian
+mu_abij is nonzero, and every Pfaffian of W vanishes, so every failing
+quadruple meets such a pair.
+
+One rule picks the screen of both stages.  For k = 3 (triangle) and
+k = 4 (Pluecker), bad pairs B put |B|*C(n-2,k-2) candidates in play, and
+a stage's cap admits them while |B| <= C(n,k) // (_SPARSE_SHARE*C(n-2,k-2)),
+at most 1/_SPARSE_SHARE of the C(n,k).  Each stage scans through the
+fewest bad pairs on offer within its cap: the missed pairs, and for the
+Pluecker stage the bad pairs of each base pair, the missed pairs winning
+a tie.  A base pair is probed only where the probes cannot cost more than
+a quarter of the scan they may save, and probing stops at a screen of one
+pair.  When nothing fits the cap, all C(n,k) candidates are tested, by
+the same loop, in lexicographic order.
 
 A candidate through a bad pair (p, q) is {p, q} with one index
 (triangle) or two indices (Pluecker) off it, and each failure comes out
@@ -68,11 +78,7 @@ run of one bad pair is in lexicographic order: two of its candidates
 differ only off {p, q}, and the smallest index in one and not the other
 lies in the one whose other indices come first, which therefore sorts
 first.  Only the runs of several bad pairs are merged, each failure
-listed once.  For k = 3 (triangle) and k = 4 (Pluecker) the pairs of B
-put |B|*C(n-2,k-2) candidates in play, and they are scanned only while
-|B| <= C(n,k) // (_SPARSE_SHARE*C(n-2,k-2)), at most 1/_SPARSE_SHARE of
-the C(n,k); past that, or without bad pairs, all C(n,k) candidates are
-tested, by the same loop, in lexicographic order.
+listed once.
 """
 
 from __future__ import annotations
@@ -167,6 +173,8 @@ Reason = Union[FailedTriangle, FailedPluecker, FailedToz, UnresolvableZero]
 # the checks scan through the bad pairs only while they put at most
 # 1/_SPARSE_SHARE of the candidates in play (see the module docstring)
 _SPARSE_SHARE = 16
+# disjoint base pairs whose bad pairs the Pluecker check is offered, 0-based
+_BASE_PAIRS = ((0, 1), (2, 3), (4, 5))
 
 
 def check_triangle(s: Scheme, *, _screen=None) -> tuple:
@@ -178,7 +186,7 @@ def check_triangle(s: Scheme, *, _screen=None) -> tuple:
     or None for them (see the module docstring).
     """
     require_nonzero(s)
-    return _listing(s, _screen, FailedTriangle, _unequal_gcds, list)
+    return _listing(s, _screen, FailedTriangle, _unequal_gcds, list, ())
 
 
 def check_pluecker_full(s: Scheme, *, _screen=None) -> tuple:
@@ -187,26 +195,44 @@ def check_pluecker_full(s: Scheme, *, _screen=None) -> tuple:
     check_triangle.
     """
     return _listing(s, _screen, FailedPluecker, _nonzero_pfaffians, _pairs,
-                    _fewest_bad_pairs)
+                    _BASE_PAIRS)
 
 
-def _listing(s: Scheme, screen, cls, scan, spread, base=None) -> tuple:
+def _listing(s: Scheme, screen, cls, scan, spread, bases) -> tuple:
     """The failures of one stage as cls records, in lexicographic order.
 
     k = len(cls._fields) indices make a candidate, and scan(rows, groups)
     yields the failing ones, where groups holds (i, j, spread(ks)): the
     candidates {i, j} plus k - 2 indices of ks, increasing.  They are
-    those through each bad pair of screen, or, when there are none or
-    more than the cap, through each pair base(rows, n, cap) returns; when
-    that is None too (or there is no base), all C(n,k) of them.
+    those through the fewest bad pairs on offer within the cap: the pairs
+    of screen, or the bad pairs of a base pair (a, b) of bases, read off
+    the failing candidates through (a, b); when none fits, all C(n,k) of
+    them.
     """
     n, k = s.n, len(cls._fields)
     if n < k:
         return ()
     rows, bad = (dense_rows(s), None) if screen is None else screen
     cap = comb(n, k) // (_SPARSE_SHARE * comb(n - 2, k - 2))
-    if bad is None or len(bad) > cap:
-        bad = None if base is None else base(rows, n, cap)
+    bad = bad if bad is not None and len(bad) <= cap else None
+    # a probe tests at most C(n-2,k-2) candidates, as many as one bad pair
+    # puts in play, so with no missed pairs within the cap, or at least
+    # 4*len(bases) of them, the probes cost at most a quarter of the scan
+    # they may save
+    if bad is None or len(bad) >= 4 * len(bases):
+        for a, b in bases:
+            if b >= n or not rows[a][b]:
+                continue
+            limit = cap if bad is None else len(bad) - 1
+            # the probe stops after limit + 1 failures; each is {a, b} plus
+            # a bad pair, 1-based
+            hits = scan(rows, [(a, b, spread(_off(n, a, b)))])
+            probe = [tuple(x - 1 for x in f if x != a + 1 and x != b + 1)
+                     for f in islice(hits, limit + 1)]
+            if len(probe) <= limit:
+                bad = probe
+                if len(bad) <= 1:  # a failing relation leaves every base one
+                    break
     if bad is None:
         tails = [spread(range(j + 1, n)) for j in range(n)]
         groups = ((i, j, tails[j]) for i in range(n) for j in range(i + 1, n))
@@ -254,10 +280,6 @@ def pluecker_mu(s: Scheme, i: int, j: int, k: int, l: int) -> int:
     )
 
 
-# disjoint base pairs whose bad pairs the Pluecker check may take, 0-based
-_BASE_PAIRS = ((0, 1), (2, 3), (4, 5))
-
-
 def _nonzero_pfaffians(rows, groups):
     """The quadruple {i, j, k, l}, 1-based and increasing, of each
     candidate whose Pfaffian m_ij*m_kl - m_ik*m_jl + m_il*m_jk is nonzero,
@@ -292,29 +314,6 @@ def _pairs(ks) -> list:
     """(k, ls) for each k of the increasing ks, ls the members after it:
     the candidates of _nonzero_pfaffians for every pair k < l of ks."""
     return [(k, ks[t:]) for t, k in enumerate(ks, 1)]
-
-
-def _fewest_bad_pairs(rows, n: int, limit: int) -> Optional[list]:
-    """The bad pairs (k, l), k < l, of the base pair in _BASE_PAIRS with
-    the fewest, or None when every base has a zero entry or more than
-    limit bad pairs."""
-    best = None
-    for a, b in _BASE_PAIRS:
-        if b >= n or not rows[a][b]:
-            continue
-        cap = limit if best is None else len(best) - 1
-        # the scan stops after cap + 1 bad pairs; each failure is
-        # {a, b, k, l}, 1-based and increasing, and (k, l) is the bad pair
-        quads = _nonzero_pfaffians(rows, [(a, b, _pairs(_off(n, a, b)))])
-        bad = [
-            tuple(x - 1 for x in quad if x != a + 1 and x != b + 1)
-            for quad in islice(quads, cap + 1)
-        ]
-        if len(bad) <= cap:
-            best = bad
-            if len(bad) <= 1:  # a failing relation leaves every base one
-                break
-    return best
 
 
 # ---------------------------------------------------------------------------

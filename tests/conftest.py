@@ -60,6 +60,25 @@ def dets(vecs) -> list:
     ]
 
 
+def count_pluecker_tests(monkeypatch) -> list:
+    """Wrap conditions._nonzero_pfaffians so that each call appends
+    (pairs, tested) to the list returned: the pairs (i, j), 0-based, of
+    its groups and the number of quadruples through them it is given."""
+    from toruscurves import conditions
+
+    calls = []
+    scan = conditions._nonzero_pfaffians
+
+    def counted(rows, groups):
+        groups = list(groups)
+        calls.append(([(i, j) for i, j, _ in groups],
+                      sum(len(ls) for _, _, kls in groups for _, ls in kls)))
+        return scan(rows, groups)
+
+    monkeypatch.setattr(conditions, "_nonzero_pfaffians", counted)
+    return calls
+
+
 def random_permutation(rng: random.Random, n: int):
     sigma = list(range(1, n + 1))
     rng.shuffle(sigma)

@@ -31,6 +31,7 @@ from toruscurves import (
 from toruscurves.scheme import _pos, dense_rows, get
 from toruscurves.solver import _mismatches, canonical_kappa
 from conftest import (
+    count_pluecker_tests,
     dets,
     random_nonzero_scheme,
     random_permutation,
@@ -477,8 +478,6 @@ def test_plucker_refutation_lists_missed_pairs_once(monkeypatch):
 
 
 def test_each_check_applies_its_own_cap_to_the_missed_pairs(monkeypatch):
-    from toruscurves import conditions
-
     # n = 28: the triangle screen takes up to 7 missed pairs, the Pluecker
     # screen up to 3; five entries off rows 1-3 plus their rows' lcm keep
     # every gcd and leave the witness attempt exactly those five misses
@@ -491,17 +490,16 @@ def test_each_check_applies_its_own_cap_to_the_missed_pairs(monkeypatch):
     with pytest.raises(ConstraintViolation) as exc:
         construct_witness(s, canonical_kappa(kappa_constraints(s)))
     assert sorted(exc.value.missed) == sorted((i - 1, j - 1) for i, j in pairs)
-    bases = []
-    fewest = conditions._fewest_bad_pairs
-
-    def counted(*args):
-        bases.append(args[1])
-        return fewest(*args)
-
-    monkeypatch.setattr(conditions, "_fewest_bad_pairs", counted)
+    calls = count_pluecker_tests(monkeypatch)
     v = decide_torus(s)
     assert v.reasons == reference.decide_torus(s).reasons
-    assert bases == [n]  # five missed pairs are over the Pluecker cap
+    # five missed pairs are over the Pluecker cap, so the check probes the
+    # three base pairs; the five miss curves 1-6, so each base pair has
+    # those five bad pairs, and all C(n, 4) quadruples are tested
+    assert all(i > 6 for i, _ in pairs)
+    assert [pairs for pairs, _ in calls] == [[(0, 1)], [(2, 3)], [(4, 5)],
+                                             calls[-1][0]]
+    assert calls[-1][1] == comb(n, 4)
 
 
 def test_missed_lists_every_missed_pair_past_the_caps():

@@ -5,13 +5,18 @@ decide_torus with its witness tried first."""
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from math import comb, gcd
 
 import pytest
 
 import reference
-from conftest import dets, random_nonzero_scheme, random_vector_scheme
+from conftest import (
+    count_pluecker_tests,
+    dets,
+    random_nonzero_scheme,
+    random_vector_scheme,
+)
 from toruscurves import (
     ConstraintViolation,
     FailedPluecker,
@@ -34,6 +39,7 @@ from toruscurves import (
     verify_system,
 )
 from toruscurves.scheme import EMPTY_CURVE, Unresolvable, _pos, get
+from toruscurves.solver import canonical_kappa
 
 
 def _zero_heavy_scheme(rng: random.Random, n: int) -> Scheme:
@@ -211,42 +217,71 @@ def test_pluecker_screen_matches_reference(rng):
 
 
 def test_pluecker_screen_is_output_sensitive(monkeypatch):
-    from toruscurves import conditions
-
-    tested = []
-    scan = conditions._nonzero_pfaffians
-
-    def counted(rows, groups):
-        groups = list(groups)
-        tested.append(sum(len(ls) for _, _, kls in groups for _, ls in kls))
-        return scan(rows, groups)
-
-    monkeypatch.setattr(conditions, "_nonzero_pfaffians", counted)
+    calls = count_pluecker_tests(monkeypatch)
     n = 40
     s = random_vector_scheme(random.Random(n), n, qmax=30, distinct=True)
     # one bad pair for the first clean base: C(n-2, 2) failing quadruples,
     # found with at most three bad-pair scans and C(n-2, 2) tests
     for pairs in ([(n - 1, n)], [(1, 2)], [(1, 7)], [(2, 7)], [(5, 6)]):
-        tested.clear()
+        calls.clear()
         t = _perturbed(s, pairs)
         got = check_pluecker_full(t)
         assert got == reference.check_pluecker_full(t)
         assert len(got) == comb(n - 2, 2)
-        assert sum(tested) <= 4 * comb(n - 2, 2)
+        assert sum(c for _, c in calls) <= 4 * comb(n - 2, 2)
     # two bad pairs sharing curve n: the quadruples through both, those
     # holding n - 2, n - 1 and n, are found twice and listed once; three
     # base scans and two bad-pair scans
-    tested.clear()
+    calls.clear()
     t = _perturbed(s, [(n - 2, n), (n - 1, n)])
     got = check_pluecker_full(t)
     assert got == reference.check_pluecker_full(t)
     assert len(got) == 2 * comb(n - 2, 2) - (n - 3)
-    assert sum(tested) <= 5 * comb(n - 2, 2)
+    assert sum(c for _, c in calls) <= 5 * comb(n - 2, 2)
     # every tried base pair dirty: the candidates are all quadruples
-    tested.clear()
+    calls.clear()
     t = _perturbed(s, [(1, 2), (3, 4), (5, 6)])
     assert check_pluecker_full(t) == reference.check_pluecker_full(t)
-    assert tested[-1] == comb(n, 4)
+    assert calls[-1][1] == comb(n, 4)
+
+
+def test_a_base_pair_beats_missed_pairs_within_the_cap(monkeypatch):
+    # m_1n + L leaves the witness attempt the n - 2 pairs of column n,
+    # within the Pluecker cap of 207 at n = 200, but base pair (3, 4) has
+    # the one bad pair (1, n): two probes and one scan of C(n - 2, 2)
+    # tests each, where the missed pairs would test n - 2 times as many
+    n = 200
+    s = _perturbed(random_vector_scheme(random.Random(n), n, qmax=30,
+                                        distinct=True), [(1, n)])
+    with pytest.raises(ConstraintViolation) as exc:
+        construct_witness(s, canonical_kappa(kappa_constraints(s)))
+    assert len(exc.value.missed) == n - 2
+    assert n - 2 <= comb(n, 4) // (16 * comb(n - 2, 2))
+    calls = count_pluecker_tests(monkeypatch)
+    want = tuple(FailedPluecker(1, k, l, n)
+                 for k, l in combinations(range(2, n), 2))
+    assert len(want) == 19503
+    assert decide_torus(s).reasons == want
+    assert sum(c for _, c in calls) <= 4 * comb(n - 2, 2)
+    assert calls[-1][0] == [(0, n - 1)]
+
+
+def test_base_pairs_screen_a_scheme_without_a_witness(monkeypatch):
+    # every entry doubled: no base triple admits a kappa at p = 2, so no
+    # witness lists missed pairs, and the Pluecker stage takes the one bad
+    # pair (n - 1, n) of base pair (1, 2)
+    n = 40
+    doubled = random_vector_scheme(random.Random(n), n, qmax=30, distinct=True)
+    s = _perturbed(new_scheme(n, [2 * e for e in doubled.entries]),
+                   [(n - 1, n)])
+    assert not kappa_constraints(s).feasible()
+    calls = count_pluecker_tests(monkeypatch)
+    v = decide_torus(s)
+    assert len(v.reasons) == comb(n - 2, 2) == 703
+    assert v.reasons == tuple(FailedPluecker(k, l, n - 1, n)
+                              for k, l in combinations(range(1, n - 1), 2))
+    assert calls[0][0] == [(0, 1)] and calls[-1][0] == [(n - 2, n - 1)]
+    assert sum(c for _, c in calls) < comb(n, 4) // 16
 
 
 def test_toz_total_matches_report(rng):

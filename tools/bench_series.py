@@ -7,18 +7,25 @@ standard library only.
 
 Refutation series: each point is a realizable scheme of n distinct curve
 classes (coordinates in [-30, 30], seeded by n) with a perturbation.  The
-first four keep every pairwise gcd, so the triangle condition holds and
+first six keep every pairwise gcd, so the triangle condition holds and
 only Pluecker relations fail; the last two break the triangle condition:
 
   last_pair        m_{n-1,n} += L, where L is the lcm of all entries;
+  first_row        m_{1,n} += L, which leaves the witness attempt the
+                   n - 2 pairs of column n, within the Pluecker cap from
+                   n = 191, where base pair (3, 4) has one bad pair;
   base_row         m_12 += L, an entry in the rows of the first base pair;
   two_negated      m_{7,n/2} and m_{n/2+1,n} negated, off the rows of
                    every base pair;
   all_bases_dirty  m_12, m_34 and m_56 += L, so every base pair the
                    bad-pair screen tries has a perturbed entry;
+  scaled_last_pair every entry doubled, then m_{n-1,n} += L: no base
+                   triple admits a kappa at p = 2, so there is no witness
+                   and the Pluecker stage is screened by the base pairs
+                   alone;
   last_plus_one    m_{n-1,n} += 1;
   base_plus_one    m_12 += 1, which leaves decide_torus no primitive
-                   system, so both checks take their fallback.
+                   system, so neither check has missed pairs on offer.
 
 It runs n = 28, 40, 80, 160, 320 and records, per point, the best of a
 few wall times (time.perf_counter) of check_pluecker_full, of
@@ -116,8 +123,9 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (28, 40, 80, 160, 320)
 QUICK_MAX_N = 40
-SHAPES = ("last_pair", "base_row", "two_negated", "all_bases_dirty",
-          "last_plus_one", "base_plus_one")
+SHAPES = ("last_pair", "first_row", "base_row", "two_negated",
+          "all_bases_dirty", "scaled_last_pair", "last_plus_one",
+          "base_plus_one")
 # the largest n of each shape whose checks scan all C(n,4) quadruples
 FULL_SCAN_MAX_N = {"all_bases_dirty": 160}
 CMAX = 30
@@ -168,7 +176,13 @@ def _pos(i: int, j: int) -> int:
 
 def primitive_classes(rng, count: int) -> list:
     """count primitive classes (p, q), no two equal up to sign, each drawn
-    from rng as two coordinates in [-CMAX, CMAX] until one is new."""
+    from rng as two coordinates in [-CMAX, CMAX] until one is new; raises
+    ValueError when the box holds fewer than count classes up to sign."""
+    box = range(-CMAX, CMAX + 1)
+    held = sum(gcd(p, q) == 1 for p in box for q in box) // 2
+    if count > held:
+        raise ValueError(f"{count} classes asked for, but [-{CMAX}, {CMAX}]^2 "
+                         f"holds {held} primitive classes up to sign")
     seen, vecs = set(), []
     while len(vecs) < count:
         p, q = rng.randint(-CMAX, CMAX), rng.randint(-CMAX, CMAX)
@@ -186,11 +200,15 @@ def vector_entries(vecs) -> list:
 
 def shape_entries(n: int, shape: str) -> list:
     entries = vector_entries(primitive_classes(random.Random(n), n))
+    if shape == "scaled_last_pair":
+        entries = [2 * e for e in entries]
     lcm = 1
     for e in entries:
         lcm = lcm * abs(e) // gcd(lcm, e)
-    if shape == "last_pair":
+    if shape in ("last_pair", "scaled_last_pair"):
         entries[_pos(n - 1, n)] += lcm
+    elif shape == "first_row":
+        entries[_pos(1, n)] += lcm
     elif shape == "base_row":
         entries[_pos(1, 2)] += lcm
     elif shape == "two_negated":
@@ -581,8 +599,8 @@ def main(argv=None) -> int:
     trees["change"] = toruscurves
     doc = {
         "what": "points: check_pluecker_full, check_triangle and "
-                "decide_torus on Pluecker- and "
-                "triangle-refuted schemes, with the refuting stage and its "
+                "decide_torus on the Pluecker- and triangle-refuted shapes "
+                f"{', '.join(SHAPES)}, with the refuting stage and its "
                 "reason count; best of 5 (n <= 40) or 3 wall times in ms. "
                 "duplicates_points: reduce_zeros and decide_torus on n "
                 "curves over n // 4 classes, with the curves the reduction "
