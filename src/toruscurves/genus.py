@@ -4,12 +4,15 @@ family, and a bounded search for torus+torus decompositions.
 A scheme sum m = m' + m'' with both summands torus-realizable puts m on a
 genus-2 surface (connected sum along compatible arcs); for 3-schemes such a
 split always exists, while the endemic family (q; pq,pq; pq,pq,p) for odd
-primes p != q admits none.  The bounded search works for every n: it prunes
-by sub-triple realizability and by the Pluecker relations, which hold in
-every realizable scheme, zero entries included.  It also prunes by their
-cross-term: mu is quadratic, so a split s = m' + m'' with mu(m') =
-mu(m'') = 0 satisfies the linear equation B(m', s) = mu(s), B the
-polarization of mu.  The search memoizes its masks, not _realizable3.
+primes p != q admits none.  The bounded search works for every n and keeps
+each slot's candidate values as a bitmask.  It prunes by sub-triple
+realizability, whose masks it builds in closed form, and by the Pluecker
+relations, which hold in every realizable scheme, zero entries included.
+It also prunes by their cross-term: mu is quadratic, so a split
+s = m' + m'' with mu(m') = mu(m'') = 0 satisfies the linear equation
+B(m', s) = mu(s), B the polarization of mu.  With the left summand's
+Pluecker relation, that equation solves each quadruple's last two slots
+by Cramer's rule as soon as its first slot in the last column is tried.
 """
 
 from __future__ import annotations
@@ -146,31 +149,76 @@ def endemic_family(p: int, q: int) -> Scheme:
 # ---------------------------------------------------------------------------
 
 
-def _realizable3(x: int, y: int, z: int) -> bool:
-    """Torus realizability of the 3-scheme (x; y, z), zeros included.
+def _progression(x: int, r: int, g: int, lo: int, hi: int, bound: int) -> int:
+    """Bitmask (bit v + bound) of the v in [lo, hi] with x*v = r (mod g).
 
-    Closed form: a zero entry resolves iff the opposite two entries agree
-    up to sign or one of them vanishes; otherwise the triangle condition
-    must hold and, when 2 divides the common gcd, the 2-valuations must
-    not all coincide.
+    With h = gcd(x, g) the congruence has no solution unless h | r, and
+    otherwise is v = (r/h)*(x/h)^-1 (mod g/h): one arithmetic progression,
+    whose bits a repunit in base 2^(g/h) sets at once.
     """
-    if z == 0:
-        return x == y or x == -y or x == 0 or y == 0
-    if y == 0:
-        return x == z or x == -z or x == 0 or z == 0
-    if x == 0:
-        return y == z or y == -z or y == 0 or z == 0
-    g1, g2, g3 = gcd(x, y), gcd(x, z), gcd(y, z)
-    if not g1 == g2 == g3:
-        return False
-    if g1 % 2:
-        return True
-    return not (_v2(x) == _v2(y) == _v2(z))
+    h = gcd(x, g)
+    if r % h:
+        return 0
+    g //= h
+    lo += (r // h * pow(x // h, -1, g) - lo) % g
+    if lo > hi:
+        return 0
+    count = (hi - lo) // g + 1
+    if count == 1:
+        return 1 << (lo + bound)
+    return ((1 << g * count) - 1) // ((1 << g) - 1) << (lo + bound)
 
 
-def _v2(n: int) -> int:
-    n = abs(n)
-    return (n & -n).bit_length() - 1
+def _quotient_mask(p: int, q: int, d: int, bound: int) -> int:
+    """Bitmask (bit v + bound) of the v in [-bound, bound] for which
+    (p*v - q)/d is an integer in [-bound, bound]; d != 0.
+
+    One congruence, p*v = q (mod d), and one interval, that of the v with
+    p*v in [q - bound*|d|, q + bound*|d|].
+    """
+    if d < 0:
+        p, q, d = -p, -q, -d
+    if p < 0:
+        p, q = -p, -q
+    if p:
+        lo = max(-bound, -((bound * d - q) // p))
+        hi = min(bound, (q + bound * d) // p)
+    elif -bound * d <= q <= bound * d:
+        lo, hi = -bound, bound
+    else:
+        return 0
+    return _progression(p, q, d, lo, hi, bound)
+
+
+def _triple_mask(x: int, y: int, c: int, bound: int) -> int:
+    """Bitmask (bit v + bound) of the v in [-bound, bound] with the 3-scheme
+    (x; y, c - v) torus-realizable.
+
+    Closed form of the triple's realizability, zeros included: with
+    x = y = 0 every z = c - v is realizable, and with exactly one of x, y
+    zero, the other being t, only z in {0, t, -t}.  With both nonzero and
+    g = gcd(x, y), the triangle condition gcd(x, z) = gcd(y, z) = g says
+    z = g*u with gcd(u, (x/g)*(y/g)) = 1 (so z = 0 only when x = +-y), and
+    when g is even and x/g, y/g are both odd, the 2-valuations of x, y and
+    z must not all coincide, so u must be even too.
+    """
+    if not (x and y):
+        t = abs(x or y)
+        if not t:
+            return (1 << (2 * bound + 1)) - 1
+        mask = 0
+        for v in (c - t, c, c + t):
+            if -bound <= v <= bound:
+                mask |= 1 << (v + bound)
+        return mask
+    g = gcd(x, y)
+    p = x // g * (y // g)
+    step = 2 * g if p % 2 and not g % 2 else g
+    mask = 0
+    for z in range(c - bound + (bound - c) % step, c + bound + 1, step):
+        if gcd(z // g, p) == 1:
+            mask |= 1 << (c - z + bound)
+    return mask
 
 
 def bounded_decomposition_search(
@@ -186,7 +234,10 @@ def bounded_decomposition_search(
     m_ab*m_cj = m_ac*m_bj - m_aj*m_bc (a < b < c < j) holds, zero entries
     included.  The scan fills one slot at a time and keeps, as a bitmask
     (bit v+bound for value v), only the values on which the quadruples and
-    triples completing at that slot hold in both summands.
+    triples completing at that slot hold in both summands.  A triple's
+    mask is built in closed form (_triple_mask) for each summand and
+    memoized per (target triple, m'_ac, m'_aj); the left summand's depends
+    on (m'_ac, m'_aj) alone and is shared by every target triple.
 
     Each quadruple (a, b, c, j) also gives the linear cross-term equation
     B(m', s) = mu_abcj(s) on m', where B(x, y) = mu(x + y) - mu(x) - mu(y)
@@ -196,9 +247,26 @@ def bounded_decomposition_search(
     slot of the equation but its last, the residual (mu(s) minus the terms
     at the slots filled so far) must be divisible by the gcd g of the
     coefficients at later slots, so a value v stays only if
-    residual - c*v = 0 (mod g), c the slot's coefficient.  A search
-    memoizes cross-term masks per (equation, slot, residual mod g) and
-    triple masks per (target triple, m'_ac, m'_aj), not _realizable3.
+    residual - c*v = 0 (mod g), c the slot's coefficient: one arithmetic
+    progression, memoized per (equation, slot, residual mod g).
+
+    Pair elimination: at slot (a, j), with m'_ab, m'_ac, m'_bc chosen and
+    v = m'_aj tried, the quadruple's last two slots y = m'_bj and
+    z = m'_cj satisfy two linear equations, the left summand's Pluecker
+    relation m'_ab*z - m'_ac*y = -v*m'_bc and the cross-term equation
+    s_ab*z - s_ac*y = R0 - s_bc*v, where
+    R0 = mu(s) - (s_cj*m'_ab - s_bj*m'_ac + s_aj*m'_bc).  With
+    det = m'_ab*s_ac - m'_ac*s_ab nonzero, Cramer's rule gives
+    y = ((m'_ab*s_bc - m'_bc*s_ab)*v - m'_ab*R0)/det and
+    z = ((m'_ac*s_bc - s_ac*m'_bc)*v - m'_ac*R0)/det, so v stays only if
+    both are integers in [-bound, bound]: per unknown one congruence and
+    one interval, read off in closed form (_quotient_mask).  At slot
+    (b, j) the same formula fixes y to a single bit, and z is left to the
+    quadruple check at slot (c, j).  det = 0 prunes nothing.  Both equations
+    hold in every split into two realizable summands (the first is
+    Pluecker in m', the second the cross-term above), so a value removed
+    here completes no split.
+
     Nothing realizable is pruned, so the first hit matches the unpruned scan.
     """
     bound = _integer(bound, "bound")
@@ -208,10 +276,15 @@ def bounded_decomposition_search(
     k, full = len(target), (1 << (2 * bound + 1)) - 1
     pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
     tables = {}  # target triple -> mask per (m'_ac, m'_aj), built on demand
+    lefts = {}  # left summand's triple mask per (m'_ac, m'_aj)
     # relations completing at slot (c, j): triples (a, c, j) and
     # quadruples (a, b, c, j)
     quads = [[] for _ in range(k)]
     triples = [[] for _ in range(k)]
+    # quadruples (a, b, c, j) by the slots (a, j), where y = m'_bj and
+    # z = m'_cj are solved for, and (b, j), where y is fixed
+    elims = [[] for _ in range(k)]
+    fixes = [[] for _ in range(k)]
     # cross-term congruences per slot: (earlier terms, coefficient, modulus,
     # mu(s), mask per residual mod the modulus)
     cross = [[] for _ in range(k)]
@@ -223,6 +296,11 @@ def bounded_decomposition_search(
             for b in range(a + 1, c):
                 tab, tbj, tbc = _pos(a, b), _pos(b, j), _pos(b, c)
                 quads[t].append((tab, tac, tbj, taj, tbc))
+                mu = pluecker_mu(s, a, b, c, j)
+                quad = (tab, tac, tbc, taj, target[tab], target[tac],
+                        target[tbc], target[t], target[tbj], target[taj], mu)
+                elims[taj].append(quad)
+                fixes[tbj].append(quad)
                 # B(m', s) = mu(s), its terms in slot order
                 terms = [
                     (u, x)
@@ -233,7 +311,6 @@ def bounded_decomposition_search(
                     )
                     if x
                 ]
-                mu = pluecker_mu(s, a, b, c, j)
                 g = 0
                 for i in range(len(terms) - 1, 0, -1):
                     g = gcd(g, terms[i][1])
@@ -258,22 +335,20 @@ def bounded_decomposition_search(
             t -= 1
         else:
             m = full
-            for before, x, g, r, masks in cross[t]:
-                # the residual left for this slot and the later ones must
-                # be divisible by the gcd of the later coefficients
-                for u, y in before:
-                    r -= y * chosen[u]
-                r %= g
-                mask = masks.get(r)
-                if mask is None:
-                    mask = masks[r] = sum(
-                        1 << (v + bound)
-                        for v in range(-bound, bound + 1)
-                        if (r - x * v) % g == 0
-                    )
-                m &= mask
-                if not m:
-                    break
+            # cheapest first: single bits, then memoized masks, then the
+            # closed forms of the pair elimination
+            for (tab, tac, tbc, taj, sab, sac, sbc, scj, sbj, saj,
+                 mu) in fixes[t]:
+                # y of the pair elimination; slot (a, j) kept m'_aj only
+                # where y is an integer in [-bound, bound]
+                xab, xac, xbc = chosen[tab], chosen[tac], chosen[tbc]
+                det = xab * sac - xac * sab
+                if det:
+                    r = mu - scj * xab + sbj * xac - saj * xbc
+                    y = ((xab * sbc - xbc * sab) * chosen[taj] - xab * r) // det
+                    m &= 1 << (y + bound)
+                    if not m:
+                        break
             for tab, tac, tbj, taj, tbc in quads[t] if m else ():
                 # the relation fixes the slot when m_ab != 0 and otherwise
                 # needs its right-hand side to vanish
@@ -302,18 +377,43 @@ def bounded_decomposition_search(
                     break
                 if not m:
                     break
-            if m:
-                for tac, taj, table, sac, saj, scj in triples[t]:
-                    u, w = chosen[tac], chosen[taj]
-                    mask = table.get((u, w))
-                    if mask is None:
-                        mask = table[u, w] = sum(
-                            1 << (v + bound)
-                            for v in range(-bound, bound + 1)
-                            if _realizable3(u, w, v)
-                            and _realizable3(sac - u, saj - w, scj - v)
-                        )
-                    m &= mask
+            for tac, taj, table, sac, saj, scj in triples[t] if m else ():
+                u, w = chosen[tac], chosen[taj]
+                mask = table.get((u, w))
+                if mask is None:
+                    left = lefts.get((u, w))
+                    if left is None:
+                        left = lefts[u, w] = _triple_mask(u, w, 0, bound)
+                    mask = table[u, w] = left & _triple_mask(
+                        sac - u, saj - w, scj, bound)
+                m &= mask
+                if not m:
+                    break
+            for before, x, g, r, masks in cross[t] if m else ():
+                # the residual left for this slot and the later ones must
+                # be divisible by the gcd of the later coefficients
+                for u, y in before:
+                    r -= y * chosen[u]
+                r %= g
+                mask = masks.get(r)
+                if mask is None:
+                    mask = masks[r] = _progression(x, r, g, -bound, bound,
+                                                   bound)
+                m &= mask
+                if not m:
+                    break
+            for (tab, tac, tbc, _, sab, sac, sbc, scj, sbj, saj,
+                 mu) in elims[t] if m else ():
+                # Cramer's rule for y = m'_bj and z = m'_cj
+                xab, xac, xbc = chosen[tab], chosen[tac], chosen[tbc]
+                det = xab * sac - xac * sab
+                if det:
+                    r = mu - scj * xab + sbj * xac - saj * xbc
+                    m &= _quotient_mask(xab * sbc - xbc * sab, xab * r, det,
+                                        bound)
+                    if m:
+                        m &= _quotient_mask(xac * sbc - sac * xbc, xac * r,
+                                            det, bound)
                     if not m:
                         break
             cands[t] = m

@@ -17,6 +17,8 @@ package's dense and certificate-first implementations:
   * decide_torus: zero reduction, triangle, Pluecker, kappa residues, then
     the witness, each stage run only after the previous one passed; the
     FailedToz totals come from the full toz_report;
+  * realizable3: torus realizability of a 3-scheme by its closed form,
+    one triple at a time, the oracle of genus._triple_mask;
   * search_generic: the bounded decomposition search as a recursive
     lexicographic scan pruned by sub-triple realizability alone, deciding
     both summands afresh at every leaf;
@@ -42,7 +44,6 @@ from toruscurves.conditions import (
 )
 from toruscurves.errors import DomainError
 from toruscurves.farey import CliqueResult, candidate_vertices
-from toruscurves.genus import _realizable3
 from toruscurves.scheme import (
     DUPLICATE,
     EMPTY,
@@ -318,6 +319,33 @@ def decide_torus(s):
 # ---------------------------------------------------------------------------
 
 
+def realizable3(x: int, y: int, z: int) -> bool:
+    """Torus realizability of the 3-scheme (x; y, z), zeros included.
+
+    Closed form: a zero entry resolves iff the opposite two entries agree
+    up to sign or one of them vanishes; otherwise the triangle condition
+    must hold and, when 2 divides the common gcd, the 2-valuations must
+    not all coincide.
+    """
+    if z == 0:
+        return x == y or x == -y or x == 0 or y == 0
+    if y == 0:
+        return x == z or x == -z or x == 0 or z == 0
+    if x == 0:
+        return y == z or y == -z or y == 0 or z == 0
+    g1, g2, g3 = gcd(x, y), gcd(x, z), gcd(y, z)
+    if not g1 == g2 == g3:
+        return False
+    if g1 % 2:
+        return True
+    return not (_v2(x) == _v2(y) == _v2(z))
+
+
+def _v2(n: int) -> int:
+    n = abs(n)
+    return (n & -n).bit_length() - 1
+
+
 def search_generic(s, bound):
     """Depth-first lexicographic scan with triple pruning, any n.
 
@@ -334,7 +362,7 @@ def search_generic(s, bound):
             for i1 in range(1, i2):
                 slots = (slot[(i1, i2)], slot[(i1, j)], slot[(i2, j)])
                 completed[max(slots)].append(slots)
-    r3 = lru_cache(maxsize=None)(_realizable3)
+    r3 = lru_cache(maxsize=None)(realizable3)
     target = s.entries
     chosen = [0] * k
 

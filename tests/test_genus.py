@@ -20,11 +20,11 @@ from toruscurves import (
     scheme_sum,
     zero_scheme,
 )
-from toruscurves.genus import _realizable3
+from toruscurves.genus import _progression, _quotient_mask, _triple_mask
 from toruscurves.scheme import Scheme, get
 
 from conftest import dets, random_vector_scheme
-from reference import search_generic
+from reference import realizable3, search_generic
 
 
 def test_genus_upper_bound():
@@ -112,8 +112,38 @@ def test_endemic_family_not_torus():
 def test_realizable3_matches_decide(rng):
     for _ in range(800):
         x, y, z = (rng.randint(-9, 9) for _ in range(3))
-        assert _realizable3(x, y, z) == \
+        assert realizable3(x, y, z) == \
             decide_torus(new_scheme(3, [x, y, z])).realizable
+
+
+def test_triple_mask_matches_realizable3():
+    # the range holds zeros, x = +-y, and even common gcds with odd
+    # cofactors (6, 10) and with an even one (4, 8)
+    r3 = {(x, y, z): realizable3(x, y, z)
+          for x in range(-12, 13) for y in range(-12, 13)
+          for z in range(-20, 21)}
+    for x, y, c in product(range(-12, 13), repeat=3):
+        want = sum(1 << (v + 8) for v in range(-8, 9) if r3[x, y, c - v])
+        for bound in range(9):
+            # the bits of v in [-bound, bound] of the bound-8 mask
+            low = want >> (8 - bound) & (1 << (2 * bound + 1)) - 1
+            assert _triple_mask(x, y, c, bound) == low, (x, y, c, bound)
+
+
+def test_progression_and_quotient_masks_match_brute_force():
+    for bound in (0, 1, 3, 6):
+        width = range(-bound, bound + 1)
+        for x, r, g in product(range(-7, 8), range(-9, 10), range(1, 9)):
+            for lo, hi in ((-bound, bound), (-bound + 1, bound - 2)):
+                want = sum(1 << (v + bound) for v in range(lo, hi + 1)
+                           if (x * v - r) % g == 0)
+                assert _progression(x, r, g, lo, hi, bound) == want
+        for p, q, d in product(range(-6, 7), range(-20, 21), range(-5, 6)):
+            if d:
+                want = sum(1 << (v + bound) for v in width
+                           if (p * v - q) % d == 0
+                           and -bound <= (p * v - q) // d <= bound)
+                assert _quotient_mask(p, q, d, bound) == want, (p, q, d)
 
 
 def test_search_matches_reference(rng):
@@ -142,6 +172,31 @@ def test_search_matches_reference(rng):
             c = rng.choice((3, 5))
             cases.append((Scheme(n, tuple(c * e for e in target.entries)),
                           bound))
+    # pair elimination: zero-heavy entries and even multiples at n = 4,
+    # bound 3, where slot (1,4) solves for m'_24 and m'_34
+    for _ in range(20):
+        cases.append((Scheme(4, tuple(rng.choice((0, 0, 0, 2, -2, 4, -6))
+                                      for _ in range(6))), 3))
+    for _ in range(10):
+        target = scheme_sum(random_vector_scheme(rng, 4, 1),
+                            random_vector_scheme(rng, 4, 2))
+        cases.append((Scheme(4, tuple(2 * e for e in target.entries)), 3))
+    # det = m'_12*s_13 - m'_13*s_12 vanishes at every node when
+    # s_12 = s_13 = 0, and wherever m'_12 = m'_13 when s_12 = s_13
+    for i in range(12):
+        e = [rng.randint(-4, 4) for _ in range(6)]
+        e[0] = e[1] = 0 if i % 2 else rng.choice((2, 3, -4))
+        cases.append((Scheme(4, tuple(e)), 2))
+    for _ in range(6):
+        target = scheme_sum(random_vector_scheme(rng, 4, 1),
+                            random_vector_scheme(rng, 4, 2))
+        e = list(target.entries)
+        e[1] = e[0]
+        cases.append((Scheme(4, tuple(e)), 2))
+    # n = 5 with zeros: slot (1,5) eliminates three quadruples at once
+    for _ in range(6):
+        cases.append((Scheme(5, tuple(rng.choice((0, 0, 1, -1, 2, 3))
+                                      for _ in range(10))), 1))
     odd_primes = (3, 5, 7, 11, 13)
     cases += [(endemic_family(p, q), bound)
               for p in odd_primes for q in odd_primes if p != q

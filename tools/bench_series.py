@@ -67,6 +67,14 @@ at bound 30.  Per point it records the best of a few wall times (5 at
 bound 8, 3 up to bound 18 and 1 at bound 30) and the hit: null when the
 search exhausts, else the left summand's entries.
 
+Split series: bounded_decomposition_search on schemes that do split, at
+n = 4 and 5 and bounds 8 and 12, five seeds each.  Each is the sum of a
+vector scheme of primitive vectors with coordinates in [-2, 2] whose
+entries lie within the bound and one with coordinates in [-3, 3], drawn
+again until the sum has no zero entry and fails the triangle condition,
+so it is not torus-realizable but has a split within the bound.  Per
+point it records the best of 5 wall times and the hit.
+
 With --parent, the trees take turns in every series, and which goes
 first alternates from round to round across points, so a point timed
 once is led by the parent and the next one by this tree.  A point of any
@@ -82,14 +90,17 @@ machine state; the script fails unless both trees give the same reasons,
 the same reduction and witness on every duplicates point, the same
 unresolvable pair, reduction and reasons on every mostly-zero point, the
 same kappa and witness at every kappa point, the same packing size and
-witness at every d, and the same search hit at every point.
+witness at every d, and the same search hit at every search and split
+point.
 
 --quick times nothing: it runs the refutation points with n <= 40, the
 last_pair points again with curve 1 duplicated (decide_torus only: zero
 reduction removes the copy and the reasons are moved back to the original
 indices), duplicates and mostly-zero points with n = 12, 20, 28 and 40,
-the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30 and the
-20 endemic searches at bounds 0..4, and fails unless every refutation
+the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30, the
+20 endemic searches at bounds 0..4 and the split points' construction at
+bounds 2 and 3 (n = 4) and 1 and 2 (n = 5), and fails unless every
+refutation
 point's check_triangle and check_pluecker_full equal tests/reference.py's
 scans and its decide_torus reasons equal tests/reference.py's
 decide_torus, every duplicates point's reduction and witness and every
@@ -145,6 +156,12 @@ SEARCH_POINTS = (
     + [(3, 5, 30), (5, 3, 30), (3, 7, 30)]
 )
 QUICK_SEARCH_BOUNDS = range(5)
+# (n, bound, seed) of the split series, and of its --quick check
+SPLIT_POINTS = [(n, bound, seed) for n in (4, 5) for bound in (8, 12)
+                for seed in range(5)]
+QUICK_SPLIT_POINTS = [(n, bound, seed)
+                      for n, bounds in ((4, (2, 3)), (5, (1, 2)))
+                      for bound in bounds for seed in range(5)]
 # curve counts of the duplicates series: n curves over n // 4 classes
 DUP_SIZES = (44, 80, 160, 320)
 QUICK_DUP_SIZES = (12, 20, 28, 40)
@@ -196,6 +213,37 @@ def vector_entries(vecs) -> list:
     """The entries det(v_i, v_j) of the vectors, in column order."""
     return [vecs[i][0] * vecs[j][1] - vecs[j][0] * vecs[i][1]
             for j in range(1, len(vecs)) for i in range(j)]
+
+
+def split_entries(n: int, bound: int, seed: int) -> list:
+    """A non-torus n-scheme with a split whose left summand lies within
+    the bound: the vector scheme of n primitive vectors in [-2, 2]^2 with
+    entries in [-bound, bound] plus one of vectors in [-3, 3]^2, drawn
+    again until the sum has no zero entry and a triple whose three
+    pairwise gcds differ."""
+    rng = random.Random(f"split-{n}-{bound}-{seed}")
+
+    def vectors(c):
+        out = []
+        while len(out) < n:
+            p, q = rng.randint(-c, c), rng.randint(-c, c)
+            if gcd(p, q) == 1:
+                out.append((p, q))
+        return out
+
+    while True:
+        left = vector_entries(vectors(2))
+        if max(map(abs, left)) > bound:
+            continue
+        entries = [a + b for a, b in zip(left, vector_entries(vectors(3)))]
+        if 0 not in entries and any(
+            not gcd(x, y) == gcd(x, z) == gcd(y, z)
+            for x, y, z in (
+                (entries[_pos(i, j)], entries[_pos(i, k)], entries[_pos(j, k)])
+                for k in range(3, n + 1) for j in range(2, k)
+                for i in range(1, j))
+        ):
+            return entries
 
 
 def shape_entries(n: int, shape: str) -> list:
@@ -427,6 +475,12 @@ def quick(tree) -> int:
             f"endemic ({p},{q}) at bounds {QUICK_SEARCH_BOUNDS[0]}.."
             f"{QUICK_SEARCH_BOUNDS[-1]}: {sum(h is not None for h in got)} "
             "splits, %s the reference")
+    for n, bound, seed in QUICK_SPLIT_POINTS:
+        s = tree.new_scheme(n, split_entries(n, bound, seed))
+        got = left_entries(tree.bounded_decomposition_search(s, bound))
+        bad += report(
+            got is not None and got == reference.search_generic(s, bound),
+            f"split n={n} bound {bound} seed {seed}: {got}, %s the reference")
     return 1 if bad else 0
 
 
@@ -578,6 +632,25 @@ def search_series(trees: dict) -> list:
     return points
 
 
+def split_series(trees: dict) -> list:
+    points = []
+    for n, bound, seed in SPLIT_POINTS:
+        entries = split_entries(n, bound, seed)
+
+        def run(label, tree):
+            search = partial(tree.bounded_decomposition_search, bound=bound)
+            ms, hit = timed(search, tree.new_scheme(n, entries))
+            if hit is None:
+                raise SystemExit(f"split n={n} bound {bound} seed {seed}: "
+                                 f"{label} finds no split")
+            return {"ms": ms}, left_entries(hit)
+
+        record(points, trees, 5, run, ("ms",),
+               lambda out: {"n": n, "bound": bound, "seed": seed,
+                            "entries": entries, "hit": out})
+    return points
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path,
@@ -619,7 +692,11 @@ def main(argv=None) -> int:
                 "search_points: bounded_decomposition_search on the endemic "
                 "4-scheme of (p, q) at the bound, best of 5 (bound 8), 3 "
                 "(bound <= 18) or 1 wall times in ms, and the hit (null, or "
-                "the left summand's entries). 'change' is this tree, "
+                "the left summand's entries). split_points: "
+                "bounded_decomposition_search on a non-torus sum of a "
+                "vector scheme within the bound and another one, n = 4 and "
+                "5, bounds 8 and 12, five seeds each, best of 5 wall times "
+                "in ms, and the hit. 'change' is this tree, "
                 "'parent' the tree given by --parent; the trees' calls "
                 "alternate, which goes first alternating from round to "
                 "round across points, and a point of any series, kappa "
@@ -636,6 +713,7 @@ def main(argv=None) -> int:
         "kappa_points": kappa_series(trees),
         "packing_points": packing_series(trees),
         "search_points": search_series(trees),
+        "split_points": split_series(trees),
     }
     if args.out is not None:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
