@@ -11,9 +11,9 @@ A scheme with nonzero entries is realized on a torus iff
 Each condition has one check, a function of the scheme that returns the
 tuple of its failures, empty on a pass: check_triangle (FailedTriangle),
 check_pluecker_full (FailedPluecker) and check_circledast (FailedToz).
-A reason of the first two is a NamedTuple of its curve indices, equal
-only to a reason of its own type, built in bulk from the index tuples the
-scans emit.
+A reason of the first two is a NamedTuple of its curve indices, built in
+bulk from the index tuples the scans emit; like every result record of
+the package it is equal only to a record of its own type.
 
 The last condition is classically stated as a bound toz(m;p) < p on an
 exact-rational invariant built from p-valuations.  The verdict is decided
@@ -83,13 +83,12 @@ listed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, gcd
 from typing import NamedTuple, Optional, Union
 
-from .errors import ConstraintViolation, PreconditionViolated
+from .errors import ConstraintViolation, PreconditionViolated, type_strict
 from .intarith import factorize, is_probable_prime, valuation
 from .scheme import (
     ReductionLog,
@@ -116,31 +115,21 @@ from .solver import (
 # ---------------------------------------------------------------------------
 
 
-def _same_reason(self, other) -> bool:
-    """Equality strict in the type: a reason equals a reason of its own
-    class with the same indices and nothing else, a plain tuple included,
-    in either operand order."""
-    return type(other) is type(self) and tuple.__eq__(self, other)
-
-
-def _other_reason(self, other) -> bool:
-    return not _same_reason(self, other)
-
-
 def _records(cls, rows) -> tuple:
     """cls(*row) for each index sequence in rows, without calling __new__."""
     return tuple(map(tuple.__new__, repeat(cls), rows))
 
 
+@type_strict
 class FailedTriangle(NamedTuple):
     """A failing triple, its 1-based curve indices increasing."""
 
     i: int
     j: int
     k: int
-    __eq__, __ne__, __hash__ = _same_reason, _other_reason, tuple.__hash__
 
 
+@type_strict
 class FailedPluecker(NamedTuple):
     """A failing quadruple, its 1-based curve indices increasing."""
 
@@ -148,17 +137,16 @@ class FailedPluecker(NamedTuple):
     j: int
     k: int
     l: int
-    __eq__, __ne__, __hash__ = _same_reason, _other_reason, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class FailedToz:
+@type_strict
+class FailedToz(NamedTuple):
     prime: int
     total: Fraction
 
 
-@dataclass(frozen=True)
-class UnresolvableZero:
+@type_strict
+class UnresolvableZero(NamedTuple):
     i: int
     j: int
 
@@ -321,8 +309,8 @@ def _pairs(ks) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeTozEntry:
+@type_strict
+class PrimeTozEntry(NamedTuple):
     prime: int
     nu: int  # valuation of g_123
     valuations: dict  # (i,j) -> valuation of m_ij
@@ -330,8 +318,8 @@ class PrimeTozEntry:
     total: Fraction
 
 
-@dataclass(frozen=True)
-class TozReport:
+@type_strict
+class TozReport(NamedTuple):
     base_gcd: int
     per_prime: tuple  # tuple[PrimeTozEntry, ...], one per prime of base_gcd
     checked_primes: tuple  # ((p, total) for primes p < n)
@@ -430,8 +418,8 @@ def _circledast_failures(s: Scheme, cons: KappaConstraintSet):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+@type_strict
+class Verdict(NamedTuple):
     realizable: bool
     reasons: tuple  # tuple[Reason, ...]; empty iff realizable
     witness: Optional[tuple]  # CurveSystem on the original indexing

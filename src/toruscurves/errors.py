@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the equality rule of
+its result records."""
 
 
 class TorusCurvesError(Exception):
@@ -44,3 +45,21 @@ class ConstraintViolation(TorusCurvesError):
 
 class InvalidMatrix(TorusCurvesError):
     """Matrix is not in SL(2,Z)."""
+
+
+def _same_record(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _other_record(self, other) -> bool:
+    return not _same_record(self, other)
+
+
+def type_strict(cls):
+    """Class decorator for a NamedTuple result record: equal only to a
+    record of its own class with equal fields, never to a plain tuple or
+    to a record of another class, in either operand order.  The hash is
+    the tuple's, so equal records hash equal."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = (
+        _same_record, _other_record, tuple.__hash__)
+    return cls

@@ -42,10 +42,10 @@ at most p - 1.  The bound is used three times:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, type_strict
 from .intarith import next_prime
 
 
@@ -58,8 +58,8 @@ def canon_slope(p: int, q: int) -> tuple:
     return (p, q)
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+@type_strict
+class CliqueResult(NamedTuple):
     size: int
     witness: tuple  # tuple[(p, q), ...]
     d: int

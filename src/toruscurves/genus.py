@@ -17,11 +17,15 @@ by Cramer's rule as soon as its first slot in the last column is tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .errors import DomainError, InvalidShape, PreconditionViolated
+from .errors import (
+    DomainError,
+    InvalidShape,
+    PreconditionViolated,
+    type_strict,
+)
 from .conditions import Verdict, decide_torus, pluecker_mu
 from .intarith import is_probable_prime
 from .scheme import Scheme, _integer, _pos, get, permute, scheme_sum
@@ -57,8 +61,8 @@ def coprime_shift(a: int, b: int, c: int) -> int:
         magnitude += 1
 
 
-@dataclass(frozen=True)
-class Decomposition:
+@type_strict
+class Decomposition(NamedTuple):
     left: Scheme
     right: Scheme
     left_verdict: Verdict
@@ -66,8 +70,8 @@ class Decomposition:
     degenerate: bool = False  # one summand is the zero scheme
 
 
-@dataclass(frozen=True)
-class AlreadyTorus:
+@type_strict
+class AlreadyTorus(NamedTuple):
     verdict: Verdict
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
-from .errors import DomainError, InvalidModuli, NotInvertible
+from .errors import DomainError, InvalidModuli, NotInvertible, type_strict
 
 # Witnesses making Miller-Rabin deterministic for all n below
 # _MR_DETERMINISTIC_BOUND, the least strong pseudoprime to all of them
@@ -24,8 +25,8 @@ _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _TRIAL_DIVISION_BOUND = 2**10
 
 
-@dataclass(frozen=True)
-class Factorization:
+@type_strict
+class Factorization(NamedTuple):
     """Prime factorization as (prime, exponent) pairs, primes increasing."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -40,6 +41,8 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
 
+# a frozen dataclass, not a NamedTuple record: __post_init__ validates
+# every instance, which NamedTuple's _make and _replace would bypass
 @dataclass(frozen=True)
 class ResidueClass:
     """A residue class r mod m with 0 <= r < m."""

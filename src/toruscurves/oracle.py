@@ -9,18 +9,18 @@ orbit.  This is a validation device, never a production path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, type_strict
 from .scheme import Scheme, curve, get, require_nonzero
 from .solver import NormalizedWitness
 
 _SCAN_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class OracleResult:
+@type_strict
+class OracleResult(NamedTuple):
     realizable: bool
     witnesses: tuple  # tuple[NormalizedWitness, ...]
     orbit_count: int

@@ -16,18 +16,19 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 from math import gcd
 from operator import index, neg
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     DomainError,
     InvalidPermutation,
     InvalidShape,
     PreconditionViolated,
+    type_strict,
 )
 
 
-@dataclass(frozen=True)
-class CurveClass:
+@type_strict
+class CurveClass(NamedTuple):
     """Oriented isotopy class: an integer vector (p, q), or Empty.
 
     The Empty class is represented by p = q = None.  Primitivity is not
@@ -67,6 +68,8 @@ def curve(p: int, q: int) -> CurveClass:
 CurveSystem = tuple  # tuple[CurveClass, ...]
 
 
+# a frozen dataclass, not a NamedTuple record: __post_init__ validates
+# every instance, which NamedTuple's _make and _replace would bypass
 @dataclass(frozen=True)
 class Scheme:
     """Upper-triangular table of intersection numbers, column order.
@@ -189,8 +192,8 @@ DUPLICATE = "duplicate_of"
 EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+@type_strict
+class ReductionStep(NamedTuple):
     """One curve removal.  Indices are original 1-based curve indices, as in
     ReductionLog.survivors; the twin of a duplicate is alive when the step
     is taken."""
@@ -201,15 +204,15 @@ class ReductionStep:
     sign: Optional[int] = None  # for DUPLICATE: +1 parallel, -1 reversed
 
 
-@dataclass(frozen=True)
-class ReductionLog:
+@type_strict
+class ReductionLog(NamedTuple):
     steps: tuple  # tuple[ReductionStep, ...]
     reduced: Scheme
     survivors: tuple  # original 1-based indices of the reduced curves
 
 
-@dataclass(frozen=True)
-class Unresolvable:
+@type_strict
+class Unresolvable(NamedTuple):
     """A zero entry admits no duplicate/empty resolution; this certifies
     non-realizability on the torus.  Indices are original positions."""
 

@@ -36,10 +36,9 @@ exactly the orbits of normalized witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ConstraintViolation,
@@ -47,6 +46,7 @@ from .errors import (
     InvalidMatrix,
     InvalidShape,
     PreconditionViolated,
+    type_strict,
 )
 from .intarith import (
     ResidueClass,
@@ -59,8 +59,8 @@ from .intarith import (
 from .scheme import Scheme, _pos, columns, curve, get, require_nonzero
 
 
-@dataclass(frozen=True)
-class XYWitness:
+@type_strict
+class XYWitness(NamedTuple):
     """Bezout data for the base triple: x*m13p - y*m12p = 1."""
 
     x: int
@@ -71,8 +71,8 @@ class XYWitness:
     m23p: int
 
 
-@dataclass(frozen=True)
-class PrimeConstraint:
+@type_strict
+class PrimeConstraint(NamedTuple):
     """The kappa residues mod p^nu admitted at one prime p | g_123.
 
     They are the residues of one p-adic class, ball (a ResidueClass mod a
@@ -142,8 +142,8 @@ class KappaResidues:
         return r + m * (pc.prime * block + digit)
 
 
-@dataclass(frozen=True)
-class KappaConstraintSet:
+@type_strict
+class KappaConstraintSet(NamedTuple):
     per_prime: tuple  # tuple[PrimeConstraint, ...]; empty iff g_123 = 1
 
     @property
@@ -154,8 +154,8 @@ class KappaConstraintSet:
         return all(pc.count for pc in self.per_prime)
 
 
-@dataclass(frozen=True)
-class NormalizedWitness:
+@type_strict
+class NormalizedWitness(NamedTuple):
     """A witness (1,0), (r_2, m_12), ..., (r_N, m_1N).
 
     kappa is the solution parameter; for 2-schemes, where no base triple

@@ -57,6 +57,22 @@ def test_inv_mod_prime_power_identity(a, p, e):
     assert a * b % p**e == 1
 
 
+def test_residue_class_validates_and_is_frozen():
+    # a dataclass, unlike the result records: __post_init__ checks every
+    # instance, where a NamedTuple's _make and _replace would skip a check
+    # made in __new__
+    for m, r in ((0, 0), (-3, 1)):
+        with pytest.raises(DomainError, match=r"^modulus must be >= 1, got "):
+            ResidueClass(m, r)
+    for m, r in ((5, -1), (5, 5), (1, 1)):
+        with pytest.raises(DomainError, match=rf"^residue {r} not in "):
+            ResidueClass(m, r)
+    c = ResidueClass(5, 4)
+    assert (c.modulus, c.residue) == (5, 4) and ResidueClass(1, 0).residue == 0
+    with pytest.raises(AttributeError):
+        c.residue = 7
+
+
 def test_crt_examples():
     assert crt([ResidueClass(2, 1), ResidueClass(3, 2)]) == ResidueClass(6, 5)
     out = crt([ResidueClass(2, 1), ResidueClass(9, 5)])

@@ -77,6 +77,10 @@ def test_scheme_constructor_rejects_non_integer_n_and_non_tuples():
     assert hash(s) == hash(new_scheme(3, [1, 1, 1])) and s.n == 3
     with pytest.raises(InvalidShape):
         Scheme(3, (1, 1))
+    with pytest.raises(InvalidShape):
+        Scheme(0, ())
+    with pytest.raises(AttributeError):
+        s.n = 4
 
 
 def test_get_antisymmetric():

@@ -75,13 +75,24 @@ again until the sum has no zero entry and fails the triangle condition,
 so it is not torus-realizable but has a split within the bound.  Per
 point it records the best of 5 wall times and the hit.
 
+Cold-start series: wall times of whole processes, each tree's package
+copied afresh (without __pycache__) and put first on PYTHONPATH:
+`python -c pass` (the bare interpreter), `python -c "import toruscurves"`
+and `python -m toruscurves check FILE` on a realizable 6-scheme (the
+determinants of six primitive classes, exit 0).  It runs in two bytecode
+modes: source, with PYTHONDONTWRITEBYTECODE=1, so the package compiles on
+every run (the standard library reads its installed bytecode); and
+cached, with a fresh PYTHONPYCACHEPREFIX per tree warmed by one run of
+each command.  Per (mode, command) and tree it records the median and
+quartiles of COLD_REPS runs, the trees taking turns.
+
 With --parent, the trees take turns in every series, and which goes
 first alternates from round to round across points, so a point timed
 once is led by the parent and the next one by this tree.  A point of any
-series, kappa included, whose change/parent time ratio exceeds 1.25 is
-timed again, best of 5 calls per tree, alternating, before it is
-recorded; the first reading's ratios are kept under first_ratios.  A
-point timed once can read noise.
+series but the cold-start one, kappa included, whose change/parent time
+ratio exceeds 1.25 is timed again, best of 5 calls per tree,
+alternating, before it is recorded; the first reading's ratios are kept
+under first_ratios.  A point timed once can read noise.
 
 With --parent, a second toruscurves tree (the src/ directory of another
 checkout) is loaded under another module name and timed in the same
@@ -99,7 +110,9 @@ reduction removes the copy and the reasons are moved back to the original
 indices), duplicates and mostly-zero points with n = 12, 20, 28 and 40,
 the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30, the
 20 endemic searches at bounds 0..4 and the split points' construction at
-bounds 2 and 3 (n = 4) and 1 and 2 (n = 5), and fails unless every
+bounds 2 and 3 (n = 4) and 1 and 2 (n = 5), runs each cold-start
+command once in each bytecode mode, with and without -O, and fails unless
+every cold-start command exits 0 (check printing status "torus"), every
 refutation
 point's check_triangle and check_pluecker_full equal tests/reference.py's
 scans and its decide_torus reasons equal tests/reference.py's
@@ -122,6 +135,9 @@ import json
 import os
 import platform
 import random
+import shutil
+import statistics
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
@@ -168,6 +184,14 @@ QUICK_DUP_SIZES = (12, 20, 28, 40)
 # curve counts of the mostly-zero series
 MOSTLY_ZERO_SIZES = (80, 160, 320)
 QUICK_MOSTLY_ZERO_SIZES = (12, 20, 28, 40)
+# processes per (mode, command) and tree in the cold-start series
+COLD_REPS = 30
+# the cold-start commands, each after the interpreter's path
+COLD_COMMANDS = {
+    "bare": ["-c", "pass"],
+    "import": ["-c", "import toruscurves"],
+    "check": ["-m", "toruscurves", "check"],  # + the scheme file
+}
 # with --parent, a point whose change/parent time ratio exceeds this is
 # timed again, alternating best of RETIME_REPS, before it is recorded
 RETIME_RATIO = 1.25
@@ -651,6 +675,92 @@ def split_series(trees: dict) -> list:
     return points
 
 
+def cold_setup(srcs: dict, tmp: Path):
+    """The path of the cold-start scheme file, written into tmp, and the
+    environment of each (bytecode mode, tree label): each tree's package
+    is copied into tmp without __pycache__ and put first on PYTHONPATH."""
+    path = tmp / "cold6.json"
+    entries = vector_entries(primitive_classes(random.Random("cold"), 6))
+    path.write_text(json.dumps({"n": 6, "entries": entries}))
+    base = {k: v for k, v in os.environ.items() if k not in (
+        "PYTHONPATH", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    envs = {}
+    for label, src in srcs.items():
+        shutil.copytree(src / "toruscurves", tmp / label / "toruscurves",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**base, "PYTHONPATH": str(tmp / label)}
+        envs["source", label] = {**env, "PYTHONDONTWRITEBYTECODE": "1"}
+        envs["cached", label] = {
+            **env, "PYTHONPYCACHEPREFIX": str(tmp / f"{label}-pycache")}
+    return str(path), envs
+
+
+def cold_run(env: dict, name: str, path: str, flags=()) -> float:
+    """Wall time in ms of one process of the cold-start command name; the
+    script fails unless it exits 0 and check prints status "torus"."""
+    argv = [sys.executable, *flags, *COLD_COMMANDS[name]]
+    argv += [path] if name == "check" else []
+    t0 = perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    ms = (perf_counter() - t0) * 1e3
+    if proc.returncode != 0 or (
+            name == "check" and json.loads(proc.stdout)["status"] != "torus"):
+        raise SystemExit(f"{' '.join(argv[1:])}: exit {proc.returncode}, "
+                         f"stdout {proc.stdout[:200]!r}, "
+                         f"stderr {proc.stderr[-300:]!r}")
+    return ms
+
+
+def cold_check(src: Path) -> None:
+    """Each cold-start command once per bytecode mode, with and without
+    -O; the script fails unless each exits 0 and check prints "torus"."""
+    with TemporaryDirectory() as tmp:
+        path, envs = cold_setup({"change": src}, Path(tmp))
+        for (mode, _), env in envs.items():
+            for flags in ((), ("-O",)):
+                for name in COLD_COMMANDS:
+                    cold_run(env, name, path, flags)
+                print(f"cold start, {mode} bytecode{' -O' if flags else ''}: "
+                      f"{', '.join(COLD_COMMANDS)} exit 0, check prints torus")
+
+
+def cold_start_series(srcs: dict) -> list:
+    """Per bytecode mode and cold-start command, the median and quartiles
+    of COLD_REPS process wall times per tree, after one warm-up run of
+    every command; the trees take turns, which goes first alternating
+    from round to round."""
+    points = []
+    with TemporaryDirectory() as tmp:
+        path, envs = cold_setup(srcs, Path(tmp))
+        for mode in ("source", "cached"):
+            for label in srcs:
+                for name in COLD_COMMANDS:
+                    cold_run(envs[mode, label], name, path)
+            times = {(label, name): [] for label in srcs
+                     for name in COLD_COMMANDS}
+            for r in range(COLD_REPS):
+                for label in list(srcs)[::-1 if r % 2 else 1]:
+                    for name in COLD_COMMANDS:
+                        times[label, name].append(
+                            cold_run(envs[mode, label], name, path))
+            for name in COLD_COMMANDS:
+                point = {"bytecode": mode, "command": name, "runs": COLD_REPS}
+                for label in srcs:
+                    ms = times[label, name]
+                    q1, med, q3 = statistics.quantiles(ms, n=4)
+                    point[label] = {"median_ms": round(med, 1),
+                                    "q1_ms": round(q1, 1),
+                                    "q3_ms": round(q3, 1),
+                                    "min_ms": round(min(ms), 1)}
+                if "parent" in srcs:
+                    point["median_ratio"] = round(
+                        point["change"]["median_ms"]
+                        / point["parent"]["median_ms"], 3)
+                points.append(point)
+                print(json.dumps(point), flush=True)
+    return points
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path,
@@ -665,11 +775,15 @@ def main(argv=None) -> int:
     import toruscurves
 
     if args.quick:
-        return quick(toruscurves)
-    trees = {}
+        bad = quick(toruscurves)
+        cold_check(ROOT / "src")
+        return bad
+    trees, srcs = {}, {}
     if args.parent is not None:
         trees["parent"] = load_tree(args.parent.resolve(), "parent_toruscurves")
+        srcs["parent"] = args.parent.resolve()
     trees["change"] = toruscurves
+    srcs["change"] = ROOT / "src"
     doc = {
         "what": "points: check_pluecker_full, check_triangle and "
                 "decide_torus on the Pluecker- and triangle-refuted shapes "
@@ -696,10 +810,18 @@ def main(argv=None) -> int:
                 "bounded_decomposition_search on a non-torus sum of a "
                 "vector scheme within the bound and another one, n = 4 and "
                 "5, bounds 8 and 12, five seeds each, best of 5 wall times "
-                "in ms, and the hit. 'change' is this tree, "
+                "in ms, and the hit. cold_start_points: whole processes, "
+                "python -c pass, python -c 'import toruscurves' and python "
+                "-m toruscurves check on a realizable 6-scheme, each tree's "
+                "package copied without __pycache__, in two bytecode modes "
+                "(source: PYTHONDONTWRITEBYTECODE=1; cached: a fresh "
+                "PYTHONPYCACHEPREFIX warmed by one run of each command), "
+                f"median and quartiles of {COLD_REPS} wall times in ms, the "
+                "trees taking turns. 'change' is this tree, "
                 "'parent' the tree given by --parent; the trees' calls "
                 "alternate, which goes first alternating from round to "
-                "round across points, and a point of any series, kappa "
+                "round across points, and a point of any series but "
+                "cold_start_points, kappa "
                 "included, whose change/parent ratio exceeds "
                 f"{RETIME_RATIO} is timed again, best of {RETIME_REPS} "
                 "alternating calls, with the first reading's ratios under "
@@ -714,6 +836,7 @@ def main(argv=None) -> int:
         "packing_points": packing_series(trees),
         "search_points": search_series(trees),
         "split_points": split_series(trees),
+        "cold_start_points": cold_start_series(srcs),
     }
     if args.out is not None:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
