@@ -79,32 +79,24 @@ def _witness_doc(system):
     return ["empty" if v.is_empty else [v.p, v.q] for v in system]
 
 
+_INDEX_REASONS = {
+    FailedTriangle: ("triangle", "pairwise gcds differ on this triple"),
+    FailedPluecker: ("pluecker", "m_ij*m_kl - m_ik*m_jl + m_il*m_jk != 0"),
+    UnresolvableZero: ("zero",
+                       "zero entry admits no duplicate or empty resolution"),
+}
+
+
 def _reason_doc(reason):
-    if isinstance(reason, FailedTriangle):
-        return {
-            "kind": "triangle",
-            "indices": [reason.i, reason.j, reason.k],
-            "detail": "pairwise gcds differ on this triple",
-        }
-    if isinstance(reason, FailedPluecker):
-        return {
-            "kind": "pluecker",
-            "indices": [reason.i, reason.j, reason.k, reason.l],
-            "detail": "m_ij*m_kl - m_ik*m_jl + m_il*m_jk != 0",
-        }
     if isinstance(reason, FailedToz):
         return {
             "kind": "toz",
             "prime": reason.prime,
             "detail": f"toz total {reason.total} reaches the prime",
         }
-    if isinstance(reason, UnresolvableZero):
-        return {
-            "kind": "zero",
-            "indices": [reason.i, reason.j],
-            "detail": "zero entry admits no duplicate or empty resolution",
-        }
-    raise AssertionError(f"unknown reason {reason!r}")
+    # an unknown reason type fails here with KeyError
+    kind, detail = _INDEX_REASONS[type(reason)]
+    return {"kind": kind, "indices": list(reason), "detail": detail}
 
 
 def _toz_doc(report: TozReport):
@@ -114,9 +106,7 @@ def _toz_doc(report: TozReport):
             {
                 "prime": e.prime,
                 "nu": e.nu,
-                "valuations": {
-                    f"{i},{j}": v for (i, j), v in sorted(e.valuations.items())
-                },
+                "valuations": {f"{i},{j}": v for (i, j), v in e.valuations},
                 "contributions": [str(c) for c in e.contributions],
                 "total": str(e.total),
             }

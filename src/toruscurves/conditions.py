@@ -313,7 +313,7 @@ def _pairs(ks) -> list:
 class PrimeTozEntry(NamedTuple):
     prime: int
     nu: int  # valuation of g_123
-    valuations: dict  # (i,j) -> valuation of m_ij
+    valuations: tuple  # ((i, j), valuation of m_ij), in column order
     contributions: tuple  # Fractions, one per column j = 2..n
     total: Fraction
 
@@ -356,11 +356,11 @@ def _toz_contributions(s: Scheme, p: int, nu: int) -> tuple:
 
 def _toz_entry(s: Scheme, p: int, nu: int) -> PrimeTozEntry:
     """toz(m;p) with the valuations of every entry, for the report."""
-    vals = {
-        (i, j): valuation(get(s, i, j), p)
+    vals = tuple(
+        ((i, j), valuation(get(s, i, j), p))
         for j in range(2, s.n + 1)
         for i in range(1, j)
-    }
+    )
     contribs = _toz_contributions(s, p, nu)
     return PrimeTozEntry(p, nu, vals, contribs, sum(contribs))
 

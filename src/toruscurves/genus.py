@@ -240,8 +240,7 @@ def bounded_decomposition_search(
     (bit v+bound for value v), only the values on which the quadruples and
     triples completing at that slot hold in both summands.  A triple's
     mask is built in closed form (_triple_mask) for each summand and
-    memoized per (target triple, m'_ac, m'_aj); the left summand's depends
-    on (m'_ac, m'_aj) alone and is shared by every target triple.
+    memoized per (target triple, m'_ac, m'_aj).
 
     Each quadruple (a, b, c, j) also gives the linear cross-term equation
     B(m', s) = mu_abcj(s) on m', where B(x, y) = mu(x + y) - mu(x) - mu(y)
@@ -280,7 +279,6 @@ def bounded_decomposition_search(
     k, full = len(target), (1 << (2 * bound + 1)) - 1
     pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
     tables = {}  # target triple -> mask per (m'_ac, m'_aj), built on demand
-    lefts = {}  # left summand's triple mask per (m'_ac, m'_aj)
     # relations completing at slot (c, j): triples (a, c, j) and
     # quadruples (a, b, c, j)
     quads = [[] for _ in range(k)]
@@ -385,11 +383,8 @@ def bounded_decomposition_search(
                 u, w = chosen[tac], chosen[taj]
                 mask = table.get((u, w))
                 if mask is None:
-                    left = lefts.get((u, w))
-                    if left is None:
-                        left = lefts[u, w] = _triple_mask(u, w, 0, bound)
-                    mask = table[u, w] = left & _triple_mask(
-                        sac - u, saj - w, scj, bound)
+                    mask = table[u, w] = _triple_mask(u, w, 0, bound) & (
+                        _triple_mask(sac - u, saj - w, scj, bound))
                 m &= mask
                 if not m:
                     break

@@ -8,10 +8,11 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruscurves import curve, new_scheme, verify_system
-from toruscurves.cli import run
+from toruscurves.cli import _reason_doc, run
 
 
 def write_scheme(tmp_path, name, n, entries, extra=None):
@@ -101,6 +102,14 @@ def test_metadata_roundtrip_ignored(tmp_path, capsys):
     path = write_scheme(tmp_path, "m.json", 2, [5], extra={"metadata": {"k": "v"}})
     code, doc = run_json(capsys, ["check", path])
     assert code == 0
+
+
+def test_unknown_reason_type_fails_loudly():
+    # the golden corpus pins the document of every reason type; a tuple of
+    # the same fields is none of them, and no -O run can skip the lookup
+    for fields in ((2, 5, 7), (2, 3)):
+        with pytest.raises(KeyError):
+            _reason_doc(fields)
 
 
 def test_toz_command(tmp_path, capsys):

@@ -40,9 +40,9 @@ RECORDS = [
     (toruscurves.FailedToz(2, Fraction(3)),
      "FailedToz(prime=2, total=Fraction(3, 1))"),
     (toruscurves.UnresolvableZero(2, 3), "UnresolvableZero(i=2, j=3)"),
-    (PrimeTozEntry(2, 1, {(1, 2): 1}, (Fraction(1), Fraction(1, 2)),
+    (PrimeTozEntry(2, 1, (((1, 2), 1),), (Fraction(1), Fraction(1, 2)),
                    Fraction(3, 2)),
-     "PrimeTozEntry(prime=2, nu=1, valuations={(1, 2): 1}, contributions="
+     "PrimeTozEntry(prime=2, nu=1, valuations=(((1, 2), 1),), contributions="
      "(Fraction(1, 1), Fraction(1, 2)), total=Fraction(3, 2))"),
     (toruscurves.TozReport(6, (), ((2, Fraction(1, 2)),)),
      "TozReport(base_gcd=6, per_prime=(), "
@@ -123,17 +123,21 @@ def test_records_are_type_strict_frozen_tuples(r, want):
         if type(other) is not cls and len(other) == len(r):
             alias = tuple.__new__(type(other), r)
             assert r != alias and alias != r and tuple(alias) == tuple(r)
-    # equal records hash equal; a dict field (PrimeTozEntry.valuations)
-    # leaves the record unhashable, as it leaves the plain tuple
-    try:
-        h = hash(tuple(r))
-    except TypeError:
-        with pytest.raises(TypeError):
-            hash(r)
-    else:
-        assert hash(r) == hash(twin) == h
+    # equal records hash equal, as their plain tuples do
+    assert hash(r) == hash(twin) == hash(tuple(r))
     for name in (*cls._fields, "other"):
         with pytest.raises(AttributeError):
             setattr(r, name, 9)
     back = pickle.loads(pickle.dumps(r))
     assert type(back) is cls and back == r and repr(back) == want
+
+
+def test_toz_report_is_hashable_with_valuations_in_column_order():
+    s = toruscurves.new_scheme(3, [6, 10, 14])
+    report = toruscurves.toz_report(s)
+    twin = toruscurves.toz_report(s)
+    assert hash(report) == hash(twin) and report == twin
+    (entry,) = report.per_prime
+    assert entry.prime == 2
+    assert [ij for ij, _ in entry.valuations] == [(1, 2), (1, 3), (2, 3)]
+    assert dict(entry.valuations) == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
