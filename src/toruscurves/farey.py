@@ -5,7 +5,8 @@ Unoriented primitive classes (p, q) are canonicalized to q > 0 (or (1, 0));
 two classes meet |p1*q2 - p2*q1| times.  A maximum clique under the edge
 relation 1 <= |det| <= d is found by normalizing the clique to contain
 (1, 0) with its minimal-positive-q member reduced to an anchor (p0, q0),
-0 <= p0 < q0 <= d, which confines all further members to a finite grid.
+0 <= p0 < q0 <= d, which confines all further members to a finite grid:
+the candidates (x, y), q0 <= y <= d, in the band |x*q0 - p0*y| <= d.
 
 Each anchor's grid becomes one graph, read off lattice strips rather than
 pairwise tests: the neighbours of a candidate (a, b), b >= 1, in grid row
@@ -18,6 +19,30 @@ passes its best size so far to the next anchor as a floor, so an anchor
 whose candidates cover too few points of P^1(F_p) (below), or whose
 clique, cannot beat it returns nothing.
 
+The band lemma.  Let u = (a, b) and v = (x, y) be candidates of the
+anchor (p0, q0) with 1 <= |det(u, v)| <= d.  By the triangle inequality
+on slopes,
+
+    |a*q0 - p0*b| / (b*q0) = |a/b - p0/q0|
+        <= |a/b - x/y| + |x/y - p0/q0| <= d/(b*y) + d/(y*q0),
+
+and multiplying by b*y*q0 gives y*|a*q0 - p0*b| <= d*(q0 + b).  The left
+factor |a*q0 - p0*b| is nonzero for every candidate, whose determinant
+with the anchor lies in [1, d], so u has no neighbour in any row above
+d*(q0 + b) / |a*q0 - p0*b|, and strip_neighbours stops its scan there.
+
+The mirror lemma.  phi(x, y) = (y - x, y) is in GL(2, Z): it preserves
+|det| and the second coordinate, sends (1, 0) to (-1, 0), the same
+unoriented class, and sends the band of (p0, q0) onto the band of
+(q0 - p0, q0), since |(y - x)*q0 - (q0 - p0)*y| = |x*q0 - p0*y|.  So it
+maps the candidates of the anchor (p0, q0) onto those of
+(q0 - p0, q0), edges onto edges, and both anchors have the same clique
+number.  max_packing tries the anchors in order of q0, then p0, and keeps
+an anchor's packing only when it beats the best so far strictly; of a
+mirror pair with p0 != q0 - p0 the one with 2*p0 > q0 comes second and
+cannot, so it is skipped.  That halves the anchors without changing any
+result.
+
 The projective-line bound.  Let p be the smallest prime above d.  A
 primitive (a, b) is nonzero mod p, so it reduces to a point of the
 projective line P^1(F_p), which has p + 1 points.  Two members u, v of a
@@ -27,16 +52,23 @@ classes (Agol's bound, as given by Aougab, Biringer and Gaster).  Under the
 anchor normalization (1, 0) is the point infinity, and every candidate
 (p', q') has 1 <= q' <= d < p, so its point is p' * q'^-1 mod p; a candidate
 shares no point with (1, 0) or with the anchor, since its determinants with
-both lie in [1, d].  A clique among an anchor's candidates therefore has at
-most as many members as the distinct points the candidates cover, which is
-at most p - 1.  The bound is used three times:
+both lie in [1, d].  Candidates with one point are pairwise non-adjacent,
+so a clique among any set of candidates has at most as many members as
+the distinct points that set covers; for all of an anchor's candidates
+that is at most p - 1.  The bound is used four times:
 
-1. max_clique takes that point count as its ceiling and returns as soon as
-   its incumbent reaches it;
-2. max_packing stops at the first anchor whose packing has p + 1 classes,
+1. max_packing stops at the first anchor whose packing has p + 1 classes,
    since a later anchor must beat the running best strictly;
-3. an anchor whose candidates cover at most floor points is skipped before
-   its graph is built.
+2. an anchor whose candidates cover at most floor points is skipped before
+   its graph is built;
+3. max_clique takes the points as its vertex classes, and with no more
+   points than its floor it returns at once;
+4. in every node of that search, a branch whose clique plus the points
+   its candidates cover cannot beat the incumbent is cut before its
+   colouring; once the incumbent has a member for every point, that cuts
+   every branch left.  The cut only drops branches without a larger
+   clique, so the greedy-colour order of the branches, and with it every
+   witness, stays the same.
 """
 
 from __future__ import annotations
@@ -83,12 +115,12 @@ def candidate_vertices(d: int, anchor) -> list:
         lo = (p0 * q - d + q0 - 1) // q0  # ceil((p0*q - d)/q0)
         hi = (p0 * q + d) // q0
         for p in range(lo, hi + 1):
-            if gcd(abs(p), q) == 1:
+            if gcd(p, q) == 1:
                 out.add((p, q))
     return sorted(out)
 
 
-def strip_neighbours(vertices, d: int) -> list:
+def strip_neighbours(vertices, d: int, anchor=None) -> list:
     """Neighbour lists of the packing graph with bound d on vertices:
     entry i lists the indices j with 1 <= |det(vertices[i], vertices[j])|
     <= d, once each.
@@ -102,13 +134,28 @@ def strip_neighbours(vertices, d: int) -> list:
     a row), and entered in both lists.  Two distinct primitive classes with
     positive second coordinates are never parallel, so every pair found has
     det != 0.
+
+    An anchor (p0, q0), q0 >= 1, states that every vertex lies in its band
+    |x*q0 - p0*y| <= d (a vertex outside it is a DomainError), as the
+    candidates of that anchor do.  Then u has no neighbour in any row y
+    with y*|a*q0 - p0*b| > d*(q0 + b) (the band lemma in the module
+    docstring), and the scan of u's higher rows stops at the first such
+    row.  The lists are the same with and without the anchor.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
+    # without an anchor, (0, 0) puts every vertex in the band at offset 0,
+    # which cuts no row
+    p0, q0 = (0, 0) if anchor is None else anchor
+    if anchor is not None and q0 < 1:
+        raise DomainError(f"bad anchor {anchor}: need q >= 1")
     rows: dict = {}
     for i, (x, y) in enumerate(vertices):
         if y < 1 or gcd(x, y) != 1:
             raise DomainError(f"bad packing vertex {(x, y)}: need y >= 1, primitive")
+        if not -d <= x * q0 - p0 * y <= d:
+            raise DomainError(f"packing vertex {(x, y)} lies outside the band "
+                              f"of anchor {anchor}")
         rows.setdefault(y, []).append((x, i))
     strips = []
     for y in sorted(rows):
@@ -121,9 +168,13 @@ def strip_neighbours(vertices, d: int) -> list:
     nbrs: list = [[] for _ in vertices]
     for s, (b, xs_b, idx_b) in enumerate(strips):
         higher = strips[s + 1:]
+        reach = d * (q0 + b)
         for k, a in enumerate(xs_b):
             found = idx_b[k + 1:bisect_right(xs_b, a + d // b)]
+            off = abs(a * q0 - p0 * b)
             for y, xs, idx in higher:
+                if y * off > reach:
+                    break
                 ay = a * y
                 lo = bisect_left(xs, -((d - ay) // b))  # ceil((ay - d) / b)
                 hi = bisect_right(xs, (ay + d) // b)
@@ -136,7 +187,7 @@ def strip_neighbours(vertices, d: int) -> list:
     return nbrs
 
 
-def max_clique(vertices, neighbours, floor: int = 0, ceiling=None) -> tuple:
+def max_clique(vertices, neighbours, floor: int = 0, classes=None) -> tuple:
     """Deterministic branch-and-bound maximum clique (greedy-coloring
     bound, degree-descending order, lexicographic tie-break).
 
@@ -150,24 +201,41 @@ def max_clique(vertices, neighbours, floor: int = 0, ceiling=None) -> tuple:
     cut only when they cannot beat the incumbent, so for any floor below
     the clique number the result is the clique returned with floor=0.
 
-    A ceiling stops the search as soon as the clique it is growing has
-    ceiling vertices, and returns that clique.  The search only accepts
-    strictly larger cliques, so with any ceiling at or above the clique
-    number the result equals the ceiling=None result; with floor < ceiling
-    below the clique number it is a clique of exactly ceiling vertices; with
-    ceiling <= floor it is ().
+    classes, when given, labels each vertex (classes[i] for vertices[i])
+    so that vertices with equal labels are pairwise non-adjacent; a label
+    shared by two adjacent vertices is a DomainError.  A clique then has
+    at most one member per label, so a branch whose clique plus the labels
+    that meet its candidates cannot beat the incumbent is cut too, before
+    its colouring.  Each branch finds those labels among its parent's, so
+    the list shrinks with the depth.  Once the incumbent has a member for
+    every label, every branch left is cut, and with no more labels than
+    floor nothing is searched.  The labels only cut branches that hold no
+    larger clique, so the result is the same with and without them.
     """
     n = len(vertices)
     if len(neighbours) != n:
         raise DomainError(f"{len(neighbours)} neighbour lists for {n} vertices")
-    if ceiling is not None and ceiling <= floor:
-        return ()
     order = sorted(range(n), key=lambda i: (-len(neighbours[i]), vertices[i]))
     bit = [0] * n
     for r, i in enumerate(order):
         bit[i] = 1 << r
     verts = [vertices[i] for i in order]
     adj = [sum(map(bit.__getitem__, neighbours[i])) for i in order]
+    live = None
+    if classes is not None:
+        if len(classes) != n:
+            raise DomainError(f"{len(classes)} classes for {n} vertices")
+        members: dict = {}  # label -> mask of its vertices' ranks
+        for i in order:
+            c = classes[i]
+            members[c] = members.get(c, 0) | bit[i]
+        for r, i in enumerate(order):
+            if adj[r] & members[classes[i]]:
+                raise DomainError(f"adjacent vertices {verts[r]} share the "
+                                  f"class {classes[i]!r}")
+        if len(members) <= floor:
+            return ()
+        live = list(members.values())
 
     best: list = []
     best_size = floor
@@ -181,36 +249,38 @@ def max_clique(vertices, neighbours, floor: int = 0, ceiling=None) -> tuple:
             color += 1
             avail = uncolored
             while avail:
-                v = (avail & -avail).bit_length() - 1
+                low = avail & -avail
+                v = low.bit_length() - 1
                 colored.append((v, color))
+                uncolored ^= low
+                avail ^= low
                 avail &= ~adj[v]
-                uncolored &= ~(1 << v)
-                avail &= uncolored
         return colored
 
-    def expand(cand_mask: int, current: list) -> bool:
-        # True once current has reached the ceiling and become best
+    def expand(cand_mask: int, live, current: list) -> None:
+        # live: the class masks that meet cand_mask, None without classes
         nonlocal best, best_size
         colored = color_sort(cand_mask)
+        size = len(current)
         for v, bound in reversed(colored):
-            if len(current) + bound <= best_size:
-                return False
+            if size + bound <= best_size:
+                return
             current.append(v)
             sub = cand_mask & adj[v]
-            if len(current) == ceiling:
-                best = current.copy()
-                return True
-            if sub:
-                if expand(sub, current):
-                    return True
-            elif len(current) > best_size:
-                best = current.copy()
-                best_size = len(best)
+            if not sub:
+                if size >= best_size:
+                    best = current.copy()
+                    best_size = size + 1
+            elif live is None:
+                expand(sub, None, current)
+            else:
+                sub_live = [m for m in live if m & sub]
+                if size + 1 + len(sub_live) > best_size:
+                    expand(sub, sub_live, current)
             current.pop()
-            cand_mask &= ~(1 << v)
-        return False
+            cand_mask ^= 1 << v
 
-    expand((1 << n) - 1, [])
+    expand((1 << n) - 1, live, [])
     return tuple(verts[i] for i in sorted(best))
 
 
@@ -218,34 +288,35 @@ def _anchor_best(d: int, p: int, anchor, floor: int):
     """(size, witness) of the largest packing through (1, 0) and the anchor,
     or None when none has more than floor + 2 members.
 
-    p is the smallest prime above d.  A clique of candidates has at most as
-    many members as the points of P^1(F_p) they cover (module docstring), so
-    that count is the ceiling, and an anchor whose count does not exceed
-    floor is not searched.
+    p is the smallest prime above d.  Each candidate (x, y) is labelled by
+    its point x * y^-1 mod p of P^1(F_p), with one inverse per grid row.  A
+    clique of candidates has at most one member per point (module
+    docstring), so an anchor whose candidates cover no more than floor
+    points is not searched, and the points are max_clique's classes.
     """
-    verts = [
-        v
-        for v in candidate_vertices(d, anchor)
-        if v not in ((1, 0), anchor)
-    ]
-    points = len({a * pow(b, -1, p) % p for a, b in verts})
-    if points <= floor:
+    ends = ((1, 0), anchor)
+    verts = [v for v in candidate_vertices(d, anchor) if v not in ends]
+    inverse = {y: pow(y, -1, p) for y in range(anchor[1], d + 1)}
+    points = [x * inverse[y] % p for x, y in verts]
+    if len(set(points)) <= floor:
         return None
-    clique = max_clique(verts, strip_neighbours(verts, d), floor=floor,
-                        ceiling=points)
+    clique = max_clique(verts, strip_neighbours(verts, d, anchor),
+                        floor=floor, classes=points)
     if not clique:
         return None
-    witness = ((1, 0), anchor) + clique
+    witness = ends + clique
     return len(witness), witness
 
 
 def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     """Largest set of distinct classes with pairwise intersection in [1, d].
 
-    Maximizes 2 + max-clique over all anchors.  The anchors run in order,
-    each searched only for a clique larger than the best so far, and the
-    search stops at the first packing of p + 1 classes, p the smallest prime
-    above d (no packing is larger).
+    Maximizes 2 + max-clique over the anchors (p0, q0) with 2*p0 <= q0,
+    one of each mirror pair, since the other has the same clique number
+    and comes later (module docstring).  The anchors run in order of q0,
+    then p0, each searched only for a clique larger than the best so far,
+    and the search stops at the first packing of p + 1 classes, p the
+    smallest prime above d (no packing is larger).
 
     jobs has no effect; it is accepted for older callers, and a value below
     1 is still a DomainError.
@@ -254,10 +325,11 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
         raise DomainError(f"need d >= 1, got {d}")
     if jobs < 1:
         raise DomainError(f"need jobs >= 1, got {jobs}")
+    # of each mirror pair (p0, q0), (q0 - p0, q0) only the first, 2*p0 <= q0
     anchors = [
         (p0, q0)
         for q0 in range(1, d + 1)
-        for p0 in range(q0)
+        for p0 in range(q0 // 2 + 1)
         if gcd(p0, q0) == 1
     ]
     p = next_prime(d)

@@ -20,8 +20,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_corpus.py
 
-The output, cli_corpus.json.gz, is deterministic.  Regenerate it only for
-a deliberate change of the CLI output, and say so in CHANGES.md.
+The output, cli_corpus.json.gz, is deterministic, gzip header included, on
+every supported Python version.  Regenerate it only for a deliberate
+change of the CLI output, and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -152,7 +153,13 @@ def main():
         path = os.path.join(tmp, "scheme.json")
         corpus = [record(n, entries, path) for n, entries in schemes()]
     data = json.dumps(corpus, separators=(",", ":")).encode()
-    CORPUS.write_bytes(gzip.compress(data, mtime=0))
+    # GzipFile writes the header's OS byte as 255 on every Python version,
+    # where gzip.compress writes 3 on some; mtime=0 and no file name keep
+    # the rest of the header fixed too
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0, filename="") as fh:
+        fh.write(data)
+    CORPUS.write_bytes(buf.getvalue())
     runs = sum(len(c["runs"]) for c in corpus)
     print(f"{len(corpus)} schemes, {runs} runs, {len(data)} bytes raw, "
           f"{CORPUS.stat().st_size} bytes written to {CORPUS.name}")

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 from math import gcd
 
@@ -13,6 +14,7 @@ from toruscurves import (
 )
 from toruscurves import farey
 from toruscurves.farey import canon_slope
+from toruscurves.intarith import next_prime
 
 
 def det(u, v):
@@ -86,14 +88,21 @@ def test_max_clique_floor_matches_reference():
         assert max_clique(verts, nbrs) == ref
 
 
-def _is_clique(verts, edges):
-    return all(frozenset(e) in edges for e in combinations(verts, 2))
+def _random_classes(rng, verts, edges):
+    """A random partition of verts into independent sets, as labels."""
+    classes = {}
+    for v in rng.sample(verts, len(verts)):
+        free = sorted(set(classes.values())
+                      - {classes[u] for u in classes if frozenset((u, v)) in edges})
+        classes[v] = (rng.choice(free) if free and rng.random() < 0.7
+                      else len(set(classes.values())))
+    return [classes[v] for v in verts]
 
 
-def test_max_clique_ceiling():
-    # a ceiling at or above the clique number leaves the result as it is,
-    # with any floor below the clique number; a ceiling above the floor
-    # and below the clique number gives a clique of exactly that size
+def test_max_clique_point_classes():
+    # with any partition into independent sets as classes, at any floor,
+    # the search returns what it returns without them: the reference
+    # clique below the clique number, () from it up
     rng = random.Random(12)
     for _ in range(200):
         n = rng.randint(1, 12)
@@ -108,18 +117,88 @@ def test_max_clique_ceiling():
 
         nbrs = reference.pairwise_neighbours(verts, adj)
         ref = reference.max_clique(verts, adj)
+        classes = _random_classes(rng, verts, edges)
         omega = len(ref)
-        for floor in range(omega):
-            for ceiling in range(omega, omega + 3):
-                got = max_clique(verts, nbrs, floor=floor, ceiling=ceiling)
-                assert got == ref, (verts, edges, floor, ceiling)
-            for ceiling in range(floor + 1, omega):
-                got = max_clique(verts, nbrs, floor=floor, ceiling=ceiling)
-                assert len(got) == ceiling and _is_clique(got, edges), (
-                    verts, edges, floor, ceiling)
         for floor in range(omega + 2):
-            for ceiling in range(floor + 1):
-                assert max_clique(verts, nbrs, floor=floor, ceiling=ceiling) == ()
+            got = max_clique(verts, nbrs, floor=floor, classes=classes)
+            assert got == (ref if floor < omega else ()), (verts, edges, floor)
+
+
+def test_max_clique_classes_preconditions():
+    verts = ["a", "b", "c"]
+    nbrs = [[1], [0, 2], [1]]
+    assert max_clique(verts, nbrs, classes=[0, 1, 0]) == max_clique(verts, nbrs)
+    with pytest.raises(DomainError, match="share the class 0"):
+        max_clique(verts, nbrs, classes=[0, 0, 1])
+    with pytest.raises(DomainError, match="2 classes for 3 vertices"):
+        max_clique(verts, nbrs, classes=[0, 1])
+
+
+max_clique_expand = next(c for c in farey.max_clique.__code__.co_consts
+                         if getattr(c, "co_name", None) == "expand")
+
+
+def _expanded(fn):
+    """(fn(), one (clique size, classes left, best size) triple per call of
+    max_clique's nested expand in it, read as the call starts)."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is max_clique_expand:
+            f = frame.f_locals
+            live = None if f["live"] is None else len(f["live"])
+            calls.append((len(f["current"]), live, f["best_size"]))
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def test_max_clique_expands_only_branches_that_can_win():
+    # every branch the search enters can beat the incumbent by its class
+    # count: its clique plus the classes that meet its candidates exceeds
+    # the best size so far, on random graphs and on the (0, 1) grid at
+    # d = 19, where the class bound is what proves 21 candidates optimal
+    rng = random.Random(13)
+    graphs = []
+    for _ in range(100):
+        verts = rng.sample(range(100), rng.randint(1, 14))
+        density = rng.random()
+        edges = {frozenset(e) for e in combinations(verts, 2)
+                 if rng.random() < density}
+        nbrs = reference.pairwise_neighbours(
+            verts, lambda u, v: frozenset((u, v)) in edges)
+        graphs.append((verts, nbrs, _random_classes(rng, verts, edges)))
+    verts = [v for v in candidate_vertices(19, (0, 1))
+             if v not in ((1, 0), (0, 1))]
+    graphs.append((verts, farey.strip_neighbours(verts, 19),
+                   [x * pow(y, -1, 23) % 23 for x, y in verts]))
+    calls = []
+    for verts, nbrs, classes in graphs:
+        calls += _expanded(lambda: max_clique(verts, nbrs, classes=classes))[1]
+    assert calls and all(size + left > best for size, left, best in calls)
+
+
+def test_max_clique_stops_at_the_class_count():
+    # the crown graph on u_1..u_k, v_1..v_k (u_i ~ v_j for i != j) has
+    # clique number 2, but the greedy colouring in rank order pairs u_i
+    # with v_i and needs k colours.  With the classes {u_i} and {v_i}, the
+    # first clique found has a member in both, so the search stops: the
+    # root and one child.  The colours alone leave a branch per vertex of
+    # colour 3 and up, 2*(k - 2) of them: a colour-2 vertex and the
+    # incumbent tie, and a tie is cut
+    k = 12
+    verts = [(i, side) for i in range(k) for side in "uv"]
+    nbrs = [[j for j, (i2, s2) in enumerate(verts) if s2 != s and i2 != i]
+            for i, s in verts]
+    classes = [s for _, s in verts]
+    got, calls = _expanded(lambda: max_clique(verts, nbrs, classes=classes))
+    assert len(got) == 2 and len(calls) == 2
+    plain, plain_calls = _expanded(lambda: max_clique(verts, nbrs))
+    assert plain == got and len(plain_calls) == 1 + 2 * (k - 2)
 
 
 def test_strip_neighbours_match_pairwise():
@@ -147,10 +226,44 @@ def test_strip_neighbours_match_pairwise():
                 break
             verts = [v for v in candidate_vertices(d, anchor)
                      if v not in ((1, 0), anchor)]
+            pairwise = list(map(set, reference.pairwise_neighbours(verts, edge)))
             strip = farey.strip_neighbours(verts, d)
-            pairwise = reference.pairwise_neighbours(verts, edge)
-            assert list(map(set, strip)) == list(map(set, pairwise)), (d, anchor)
+            assert list(map(set, strip)) == pairwise, (d, anchor)
+            banded = farey.strip_neighbours(verts, d, anchor)
+            assert list(map(set, banded)) == pairwise, (d, anchor)
         assert d == 1 or {d, d + 1} <= seen, d
+
+
+def test_strip_neighbours_band_cutoff_at_equality():
+    # the band lemma allows an edge from u = (a, b) into row y only when
+    # y*|a*q0 - p0*b| <= d*(q0 + b).  Equality is reached, with an edge,
+    # at d = 5 by (5, 1)-(5, 2) of anchor (0, 1): 2*5 = 5*(1 + 1); each
+    # such pair of the anchors at d <= 12 is found by the banded scan
+    verts = [(5, 1), (5, 2)]
+    assert farey.strip_neighbours(verts, 5, (0, 1)) == [[1], [0]]
+    tight = 0
+    for d in range(1, 13):
+        for q0 in range(1, d + 1):
+            for p0 in range(q0):
+                if gcd(p0, q0) != 1:
+                    continue
+                verts = [v for v in candidate_vertices(d, (p0, q0))
+                         if v not in ((1, 0), (p0, q0))]
+                nbrs = farey.strip_neighbours(verts, d, (p0, q0))
+                for i, (a, b) in enumerate(verts):
+                    for j, (x, y) in enumerate(verts):
+                        if (y > b and 1 <= abs(a * y - b * x) <= d
+                                and y * abs(a * q0 - p0 * b) == d * (q0 + b)):
+                            tight += 1
+                            assert j in nbrs[i] and i in nbrs[j], (d, (a, b), (x, y))
+    assert tight > 0
+
+
+def test_strip_neighbours_band_preconditions():
+    with pytest.raises(DomainError, match="outside the band"):
+        farey.strip_neighbours([(0, 1), (6, 1)], 5, (0, 1))
+    with pytest.raises(DomainError, match="need q >= 1"):
+        farey.strip_neighbours([(0, 1)], 5, (1, 0))
 
 
 def test_strip_neighbours_at_the_bound():
@@ -241,13 +354,14 @@ def test_packing_prime_bound():
 
 
 @pytest.mark.parametrize(
-    "d,calls,anchors", [(17, 1, 1), (19, 1, 120), (23, 2, 172), (25, 1, 1)]
+    "d,calls,anchors", [(17, 1, 1), (19, 1, 61), (23, 2, 87), (25, 1, 1)]
 )
 def test_max_packing_searches_few_anchors(monkeypatch, d, calls, anchors):
     # the first anchor reaches p + 1 at d = 17 and 25, so no other anchor's
-    # candidates are listed; at d = 19 (120 anchors) the candidates of
-    # every later anchor cover too few points to beat the first; at d = 23
-    # (172 anchors) one later anchor beats it
+    # candidates are listed; at d = 19 (61 anchors with 2*p0 <= q0, of
+    # 120) the candidates of every later anchor cover too few points to
+    # beat the first; at d = 23 (87 of 172 anchors) one later anchor beats
+    # it
     searched = _counted_max_clique(monkeypatch)
     listed = []
 
@@ -259,6 +373,40 @@ def test_max_packing_searches_few_anchors(monkeypatch, d, calls, anchors):
     assert max_packing(d).size == PACKING_SIZES[d - 1]
     assert len(searched) == calls
     assert len(listed) == anchors
+
+
+def test_mirror_anchors_have_equal_clique_numbers():
+    # phi(x, y) = (y - x, y) maps the candidates of (p0, q0) onto those of
+    # (q0 - p0, q0), edges onto edges
+    for d in range(1, 15):
+        p = next_prime(d)
+        for q0 in range(2, d + 1):
+            for p0 in range(1, q0):
+                if gcd(p0, q0) == 1 and 2 * p0 < q0:
+                    # None: no clique beyond (1, 0) and the anchor
+                    got, mirror = (farey._anchor_best(d, p, a, 0) or (2,)
+                                   for a in ((p0, q0), (q0 - p0, q0)))
+                    assert got[0] == mirror[0], (d, p0, q0)
+
+
+def test_max_packing_tries_one_anchor_per_mirror_pair(monkeypatch):
+    # d = 19 stays below p + 1, so every anchor with 2*p0 <= q0 is tried,
+    # in order, and none with 2*p0 > q0
+    tried = []
+    inner = farey._anchor_best
+
+    def counted(d, p, anchor, floor):
+        tried.append(anchor)
+        return inner(d, p, anchor, floor)
+
+    monkeypatch.setattr(farey, "_anchor_best", counted)
+    assert max_packing(19).size == PACKING_SIZES[18]
+    assert tried == [(p0, q0) for q0 in range(1, 20) for p0 in range(q0)
+                     if gcd(p0, q0) == 1 and 2 * p0 <= q0]
+    for d in range(1, 31):
+        tried.clear()
+        max_packing(d)
+        assert all(2 * p0 <= q0 for p0, q0 in tried), d
 
 
 def test_max_packing_small_values():
