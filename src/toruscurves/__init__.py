@@ -26,11 +26,9 @@ from .conditions import (
 from .errors import (
     ConstraintViolation,
     DomainError,
-    InvalidMatrix,
     InvalidModuli,
     InvalidPermutation,
     InvalidShape,
-    NotInvertible,
     PreconditionViolated,
     TorusCurvesError,
 )
@@ -48,19 +46,12 @@ from .intarith import (
     Factorization,
     ResidueClass,
     crt,
-    euler_phi,
     factorize,
-    inv_mod_prime_power,
     is_probable_prime,
     valuation,
     xgcd,
 )
-from .oracle import (
-    OracleResult,
-    oracle_orbit_count,
-    oracle_realizable,
-    pluecker_identity,
-)
+from .oracle import OracleResult, oracle_realizable
 from .render import render_svg
 from .scheme import (
     EMPTY_CURVE,
@@ -75,9 +66,7 @@ from .scheme import (
     new_scheme,
     permute,
     reduce_zeros,
-    replay_reduction,
     scheme_sum,
-    zero_scheme,
 )
 from .solver import (
     KappaConstraintSet,
@@ -87,7 +76,6 @@ from .solver import (
     enumerate_orbits,
     forbidden_count,
     kappa_constraints,
-    sl2_act,
     solve_pair_orbits,
     solve_xy,
     verify_system,

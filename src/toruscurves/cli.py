@@ -7,8 +7,8 @@ on stdout; rational values serialize as "a/b" strings, never floats.
 Exit codes: 0 success (and realizable, for `check` and `solve`), 1 not
 realizable (`check` and `solve`), 2 usage or input errors, including
 integers past the interpreter's int parsing digit limit and documents
-nested too deeply to parse, and output that could not be written (stdout
-a pipe whose reader has closed it).
+nested too deeply to parse, output that could not be written (stdout a
+pipe whose reader has closed it), and a command that ran out of memory.
 """
 
 from __future__ import annotations
@@ -368,6 +368,10 @@ def run(argv) -> int:
         return args.fn(args)
     except (CliError, TorusCurvesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # e.g. a search bound whose bit masks do not fit in memory
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

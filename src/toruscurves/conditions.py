@@ -422,7 +422,7 @@ def _circledast_failures(s: Scheme, cons: KappaConstraintSet):
 class Verdict(NamedTuple):
     realizable: bool
     reasons: tuple  # tuple[Reason, ...]; empty iff realizable
-    witness: Optional[tuple]  # CurveSystem on the original indexing
+    witness: Optional[tuple]  # tuple[CurveClass, ...], original indexing
     used_empty: bool
     reduction: Optional[ReductionLog]
     kappa: Optional[int] = None

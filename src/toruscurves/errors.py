@@ -22,10 +22,6 @@ class PreconditionViolated(TorusCurvesError):
     """Caller skipped a required earlier pipeline stage."""
 
 
-class NotInvertible(TorusCurvesError):
-    """No inverse exists in the requested residue ring."""
-
-
 class InvalidModuli(TorusCurvesError):
     """CRT moduli are not pairwise coprime."""
 
@@ -41,10 +37,6 @@ class ConstraintViolation(TorusCurvesError):
     def __init__(self, message: str, missed=None):
         super().__init__(message)
         self.missed = missed
-
-
-class InvalidMatrix(TorusCurvesError):
-    """Matrix is not in SL(2,Z)."""
 
 
 def _same_record(self, other) -> bool:

@@ -81,15 +81,6 @@ from .errors import DomainError, type_strict
 from .intarith import next_prime
 
 
-def canon_slope(p: int, q: int) -> tuple:
-    """Canonical representative of the unoriented class of (p, q)."""
-    if (p, q) == (0, 0):
-        raise DomainError("(0,0) is not a curve class")
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return (p, q)
-
-
 @type_strict
 class CliqueResult(NamedTuple):
     size: int

@@ -1,5 +1,5 @@
-"""Exact integer kernels: extended gcd, prime-power inverses, CRT,
-factorization, p-adic valuations and Euler's totient.
+"""Exact integer kernels: extended gcd, CRT, primality, factorization and
+p-adic valuations.
 
 Everything here works on arbitrary-precision Python integers; there is no
 overflow regime anywhere in the package.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidModuli, NotInvertible, type_strict
+from .errors import DomainError, InvalidModuli, type_strict
 
 # Witnesses making Miller-Rabin deterministic for all n below
 # _MR_DETERMINISTIC_BOUND, the least strong pseudoprime to all of them
@@ -76,15 +76,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def inv_mod_prime_power(a: int, p: int, e: int) -> int:
-    """Inverse of a modulo p**e for prime p with p not dividing a."""
-    if e < 1:
-        raise DomainError(f"exponent must be >= 1, got {e}")
-    if a % p == 0:
-        raise NotInvertible(f"{a} is divisible by {p}")
-    return pow(a, -1, p**e)
 
 
 def crt(classes: list[ResidueClass]) -> ResidueClass:
@@ -306,13 +297,3 @@ def valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def euler_phi(m: int) -> int:
-    """Euler's totient of m >= 1."""
-    if m < 1:
-        raise DomainError(f"euler_phi needs m >= 1, got {m}")
-    out = m
-    for p, _ in factorize(m).pairs:
-        out = out // p * (p - 1)
-    return out

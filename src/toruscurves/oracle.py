@@ -1,5 +1,4 @@
-"""Exhaustive decision procedure used to validate the condition pipeline,
-and the five-term Pluecker identity as a self-test.
+"""Exhaustive decision procedure used to validate the condition pipeline.
 
 Every witness normalizes to gamma_1 = (1,0), gamma_j = (r_j, m_1j), and the
 stabilizer of (1,0) reduces r_2 mod m_12, so scanning r_2 over [0, |m_12|)
@@ -69,32 +68,3 @@ def oracle_realizable(s: Scheme) -> OracleResult:
         )
         found.append(NormalizedWitness(r2, tuple(rs), system))
     return OracleResult(bool(found), tuple(found), len(found))
-
-
-def oracle_orbit_count(s: Scheme) -> int:
-    """Number of accepted r_2 values, one per stabilizer orbit."""
-    return oracle_realizable(s).orbit_count
-
-
-def pluecker_identity(s: Scheme, a: int, b: int, c: int, d: int, e: int) -> int:
-    """m_ae*mu_abcd - m_ad*mu_abce + m_ac*mu_abde - m_ab*mu_acde.
-
-    Identically zero on any scheme; exposed as a self-test oracle.
-    """
-    idx = (a, b, c, d, e)
-    if len(set(idx)) != 5 or not all(1 <= t <= s.n for t in idx):
-        raise IndexError(f"need five distinct valid indices, got {idx}")
-
-    def mu(i, j, k, l):  # the indices need not be sorted
-        return (
-            get(s, i, j) * get(s, k, l)
-            - get(s, i, k) * get(s, j, l)
-            + get(s, i, l) * get(s, j, k)
-        )
-
-    return (
-        get(s, a, e) * mu(a, b, c, d)
-        - get(s, a, d) * mu(a, b, c, e)
-        + get(s, a, c) * mu(a, b, d, e)
-        - get(s, a, b) * mu(a, c, d, e)
-    )

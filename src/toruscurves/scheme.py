@@ -65,9 +65,6 @@ def curve(p: int, q: int) -> CurveClass:
     return CurveClass(p, q)
 
 
-CurveSystem = tuple  # tuple[CurveClass, ...]
-
-
 # a frozen dataclass, not a NamedTuple record: __post_init__ validates
 # every instance, which NamedTuple's _make and _replace would bypass
 @dataclass(frozen=True)
@@ -94,9 +91,6 @@ class Scheme:
             raise InvalidShape(
                 f"n={self.n} needs {want} entries, got {len(self.entries)}"
             )
-
-    def get(self, i: int, j: int) -> int:
-        return get(self, i, j)
 
     def __repr__(self) -> str:
         return f"Scheme(n={self.n}, {list(self.entries)})"
@@ -178,10 +172,6 @@ def scheme_sum(a: Scheme, b: Scheme) -> Scheme:
     if a.n != b.n:
         raise InvalidShape(f"size mismatch: {a.n} vs {b.n}")
     return Scheme(a.n, tuple(x + y for x, y in zip(a.entries, b.entries)))
-
-
-def zero_scheme(n: int) -> Scheme:
-    return Scheme(n, (0,) * (n * (n - 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +310,6 @@ def _sources(log: ReductionLog) -> list:
         if step.reason == DUPLICATE:
             src[step.removed_index] = step.sign * src[step.of_index]
     return src[1:]
-
-
-def replay_reduction(log: ReductionLog) -> Scheme:
-    """Rebuild the original scheme from the log; inverse of reduce_zeros."""
-    rows = dense_rows(log.reduced)
-    src = _sources(log)
-    entries = []
-    for j, tj in enumerate(src):
-        for ti in src[:j]:
-            if ti == 0 or tj == 0:
-                entries.append(0)
-            else:
-                m = rows[abs(ti) - 1][abs(tj) - 1]
-                entries.append(m if (ti > 0) == (tj > 0) else -m)
-    return Scheme(len(src), tuple(entries))
 
 
 def lift_system(log: ReductionLog, system) -> tuple:

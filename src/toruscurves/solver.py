@@ -43,7 +43,6 @@ from typing import NamedTuple, Optional
 from .errors import (
     ConstraintViolation,
     DomainError,
-    InvalidMatrix,
     InvalidShape,
     PreconditionViolated,
     type_strict,
@@ -427,20 +426,6 @@ def forbidden_count(s: Scheme, g_l: int) -> int:
     # a union of classes mod g_l
     pc = _prime_constraint(_kappa_line(s, w), g_l, nu)
     return g_l - pc.count // g_l ** (nu - 1)
-
-
-def sl2_act(a_matrix, system) -> tuple:
-    """Apply an SL(2,Z) matrix to every non-Empty vector of a system."""
-    (a, b), (c, d) = a_matrix
-    if a * d - b * c != 1:
-        raise InvalidMatrix(f"determinant is {a * d - b * c}, not 1")
-    out = []
-    for v in system:
-        if v.is_empty:
-            out.append(v)
-        else:
-            out.append(curve(a * v.p + b * v.q, c * v.p + d * v.q))
-    return tuple(out)
 
 
 def verify_system(s: Scheme, system) -> bool:

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from toruscurves import Scheme, new_scheme
+from toruscurves import Scheme, curve, new_scheme
 
 
 def random_nonzero_scheme(rng: random.Random, n: int, hi: int = 12) -> Scheme:
@@ -77,6 +77,21 @@ def count_pluecker_tests(monkeypatch) -> list:
 
     monkeypatch.setattr(conditions, "_nonzero_pfaffians", counted)
     return calls
+
+
+def sl2_act(matrix, system) -> tuple:
+    """Apply an SL(2,Z) matrix to every non-Empty vector of a system;
+    ValueError when its determinant is not 1."""
+    (a, b), (c, d) = matrix
+    if a * d - b * c != 1:
+        raise ValueError(f"determinant is {a * d - b * c}, not 1")
+    return tuple(v if v.is_empty else curve(a * v.p + b * v.q, c * v.p + d * v.q)
+                 for v in system)
+
+
+def phi(m: int) -> int:
+    """Euler's totient of m >= 1, by counting the units mod m."""
+    return sum(1 for r in range(m) if gcd(r, m) == 1)
 
 
 def random_permutation(rng: random.Random, n: int):

@@ -6,6 +6,9 @@ package's dense and certificate-first implementations:
 
   * reduce_zeros: rescans the current scheme and rebuilds it after every
     removed curve;
+  * replay_reduction: the inverse of reduce_zeros, the original scheme
+    rebuilt from a ReductionLog through the package's own map from
+    original curves to reduced ones (scheme._sources);
   * check_triangle / check_pluecker_full / verify_system: one get() per
     matrix element;
   * kappa_constraints / forbidden_count / witness_r: the base-triple
@@ -51,7 +54,9 @@ from toruscurves.scheme import (
     ReductionStep,
     Scheme,
     Unresolvable,
+    _sources,
     curve,
+    dense_rows,
     get,
     lift_system,
 )
@@ -125,6 +130,21 @@ def reduce_zeros(s):
                 survivors[i - 1], survivors[j - 1], tuple(steps), cur,
                 tuple(survivors),
             )
+
+
+def replay_reduction(log):
+    """Rebuild the original scheme from the log; inverse of reduce_zeros."""
+    rows = dense_rows(log.reduced)
+    src = _sources(log)
+    entries = []
+    for j, tj in enumerate(src):
+        for ti in src[:j]:
+            if ti == 0 or tj == 0:
+                entries.append(0)
+            else:
+                m = rows[abs(ti) - 1][abs(tj) - 1]
+                entries.append(m if (ti > 0) == (tj > 0) else -m)
+    return Scheme(len(src), tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,9 @@ from toruscurves import (
     decompose_3scheme,
     endemic_family,
     enumerate_orbits,
-    euler_phi,
     genus_upper_bound,
     max_packing,
     new_scheme,
-    oracle_orbit_count,
     oracle_realizable,
     permute,
     scheme_sum,
@@ -28,7 +26,12 @@ from toruscurves import (
     verify_system,
 )
 from toruscurves.genus import Decomposition
-from conftest import random_nonzero_scheme, random_permutation, random_vector_scheme
+from conftest import (
+    phi,
+    random_nonzero_scheme,
+    random_permutation,
+    random_vector_scheme,
+)
 
 REALIZABLE_WITNESSES = []  # (scheme, witness) pairs collected across criteria
 
@@ -121,8 +124,8 @@ def test_criterion_04_orbit_counts():
     t0 = time.monotonic()
     for m in range(1, 201):
         s = new_scheme(2, [m])
-        phi = euler_phi(m)
-        assert len(enumerate_orbits(s)) == phi == oracle_orbit_count(s), m
+        count = oracle_realizable(s).orbit_count
+        assert len(enumerate_orbits(s)) == phi(m) == count, m
     elapsed = time.monotonic() - t0
     _report(4, elapsed < 10, f"m in [1,200] all equal phi(m), {elapsed:.1f}s")
 

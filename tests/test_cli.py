@@ -342,6 +342,37 @@ def test_render_refuses_a_picture_past_the_segment_limit(tmp_path):
     assert proc.stdout == "" and not out.exists()
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    from toruscurves import cli
+
+    def exhausted(s, bound):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "bounded_decomposition_search", exhausted)
+    assert run(["endemic", "--p", "3", "--q", "5", "--search-bound", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory\n"
+
+
+def test_out_of_memory_exits_2_as_a_process():
+    # the bound-10^11 search needs a mask of 2*10^11 + 1 bits (25 GB); the
+    # child alone gets a 1 GiB address space, so the mask cannot be built
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "toruscurves", "endemic", "--p", "3", "--q",
+         "5", "--search-bound", str(10**11)],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: out of memory\n" and proc.stdout == ""
+
+
 def test_input_errors(tmp_path):
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json")

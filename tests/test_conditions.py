@@ -23,7 +23,6 @@ from toruscurves import (
     new_scheme,
     oracle_realizable,
     permute,
-    pluecker_identity,
     pluecker_mu,
     toz_report,
     verify_system,
@@ -66,6 +65,15 @@ def test_check_pluecker_full():
     assert check_pluecker_full(PENTA) == (FailedPluecker(1, 2, 3, 4),)
 
 
+def _five_term(s):
+    """m_15*mu_1234 - m_14*mu_1235 + m_13*mu_1245 - m_12*mu_1345 of a
+    5-scheme, through pluecker_mu: zero on every 5-scheme."""
+    return (get(s, 1, 5) * pluecker_mu(s, 1, 2, 3, 4)
+            - get(s, 1, 4) * pluecker_mu(s, 1, 2, 3, 5)
+            + get(s, 1, 3) * pluecker_mu(s, 1, 2, 4, 5)
+            - get(s, 1, 2) * pluecker_mu(s, 1, 3, 4, 5))
+
+
 def test_pluecker_identity_worked_example():
     # row-order values m_12..m_45 = 1..10 (column-order storage below)
     s = new_scheme(5, [1, 2, 5, 3, 6, 8, 4, 7, 9, 10])
@@ -73,17 +81,18 @@ def test_pluecker_identity_worked_example():
     assert pluecker_mu(s, 1, 2, 3, 5) == 15
     assert pluecker_mu(s, 1, 2, 4, 5) == 13
     assert pluecker_mu(s, 1, 3, 4, 5) == 25
-    assert pluecker_identity(s, 1, 2, 3, 4, 5) == 0
+    assert _five_term(s) == 4 * 11 - 3 * 15 + 2 * 13 - 1 * 25 == 0
     with pytest.raises(IndexError):
-        pluecker_identity(s, 1, 2, 3, 4, 4)
+        pluecker_mu(s, 1, 2, 4, 4)
 
 
 @given(st.lists(st.integers(min_value=-99, max_value=99), min_size=10,
                 max_size=10))
 def test_pluecker_identity_is_identity(entries):
     s = new_scheme(5, entries)
-    assert pluecker_identity(s, 1, 2, 3, 4, 5) == 0
-    assert pluecker_identity(s, 2, 4, 1, 5, 3) == 0
+    assert _five_term(s) == 0
+    # the curves relabelled, so that the terms read m_23*mu_2415 - ...
+    assert _five_term(permute(s, (2, 4, 1, 5, 3))) == 0
 
 
 def test_toz_report_paper_fixtures():

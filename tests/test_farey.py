@@ -13,20 +13,11 @@ from toruscurves import (
     max_packing,
 )
 from toruscurves import farey
-from toruscurves.farey import canon_slope
 from toruscurves.intarith import next_prime
 
 
 def det(u, v):
     return u[0] * v[1] - v[0] * u[1]
-
-
-def test_canon_slope():
-    assert canon_slope(1, -2) == (-1, 2)
-    assert canon_slope(-1, 0) == (1, 0)
-    assert canon_slope(3, 4) == (3, 4)
-    with pytest.raises(DomainError):
-        canon_slope(0, 0)
 
 
 def test_candidate_vertices_small():
@@ -437,10 +428,11 @@ def test_sl2_renormalization_preserves_clique_size():
     w = result.witness
     for _ in range(5):
         m = rng.choice(mats)
-        w = [
-            canon_slope(m[0][0] * p + m[0][1] * q, m[1][0] * p + m[1][1] * q)
-            for p, q in w
-        ]
+        w = [(m[0][0] * p + m[0][1] * q, m[1][0] * p + m[1][1] * q)
+             for p, q in w]
+        # the unoriented class: y > 0, or y = 0 and x > 0
+        w = [(x, y) if y > 0 or (y == 0 and x > 0) else (-x, -y)
+             for x, y in w]
         assert len(set(w)) == result.size
         for i in range(len(w)):
             for j in range(i + 1, len(w)):

@@ -18,7 +18,6 @@ from toruscurves import (
     new_scheme,
     pluecker_mu,
     scheme_sum,
-    zero_scheme,
 )
 from toruscurves.genus import _progression, _quotient_mask, _triple_mask
 from toruscurves.scheme import Scheme, get
@@ -277,7 +276,7 @@ def test_search_degenerate_split():
     s = new_scheme(3, [1, 1, 1])
     out = bounded_decomposition_search(s, 0)
     assert out is not None and out.degenerate
-    assert out.left == zero_scheme(3) and out.right == s
+    assert out.left == new_scheme(3, [0, 0, 0]) and out.right == s
 
 
 def test_search_rejects_bad_bounds():

@@ -8,12 +8,9 @@ from hypothesis import given, strategies as st
 from toruscurves import (
     DomainError,
     InvalidModuli,
-    NotInvertible,
     ResidueClass,
     crt,
-    euler_phi,
     factorize,
-    inv_mod_prime_power,
     is_probable_prime,
     valuation,
     xgcd,
@@ -37,24 +34,6 @@ def test_xgcd_identity(a, b):
     assert g >= 0
     if g:
         assert a % g == 0 and b % g == 0
-
-
-def test_inv_mod_prime_power():
-    assert inv_mod_prime_power(2, 3, 1) == 2
-    assert inv_mod_prime_power(3, 5, 2) == 17
-    with pytest.raises(NotInvertible):
-        inv_mod_prime_power(6, 3, 2)
-
-
-@given(st.integers(min_value=-(10**6), max_value=10**6),
-       st.sampled_from([2, 3, 5, 7, 11, 101]),
-       st.integers(min_value=1, max_value=5))
-def test_inv_mod_prime_power_identity(a, p, e):
-    if a % p == 0:
-        return
-    b = inv_mod_prime_power(a, p, e)
-    assert 0 <= b < p**e
-    assert a * b % p**e == 1
 
 
 def test_residue_class_validates_and_is_frozen():
@@ -151,21 +130,6 @@ def test_valuation_examples():
        st.sampled_from([2, 3, 5, 7]))
 def test_valuation_additive(a, b, p):
     assert valuation(a * b, p) == valuation(a, p) + valuation(b, p)
-
-
-def test_euler_phi():
-    assert euler_phi(6) == 2
-    assert euler_phi(1) == 1
-    assert euler_phi(7) == 6
-    with pytest.raises(DomainError):
-        euler_phi(0)
-
-
-@given(st.integers(min_value=1, max_value=3000))
-def test_euler_phi_counts_units(m):
-    from math import gcd
-
-    assert euler_phi(m) == sum(1 for r in range(m) if gcd(r, m) == 1)
 
 
 def test_miller_rabin_known_values():

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import importlib
 import pickle
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,36 @@ import pytest
 import toruscurves
 from toruscurves.conditions import PrimeTozEntry
 from toruscurves.solver import PrimeConstraint
+
+
+# Every name the package exports, modules aside.  A new export, or a
+# removed one, must edit this set.
+EXPORTS = {
+    "AlreadyTorus", "CliqueResult", "ConstraintViolation", "CurveClass",
+    "Decomposition", "DomainError", "EMPTY_CURVE", "Factorization",
+    "FailedPluecker", "FailedToz", "FailedTriangle", "InvalidModuli",
+    "InvalidPermutation", "InvalidShape", "KappaConstraintSet",
+    "NormalizedWitness", "OracleResult", "PreconditionViolated",
+    "ReductionLog", "ReductionStep", "ResidueClass", "Scheme",
+    "TorusCurvesError", "TozReport", "Unresolvable", "UnresolvableZero",
+    "Verdict", "XYWitness", "bounded_decomposition_search",
+    "candidate_vertices", "check_circledast", "check_pluecker_full",
+    "check_triangle", "construct_witness", "coprime_shift", "crt", "curve",
+    "decide_torus", "decompose_3scheme", "endemic_family",
+    "enumerate_orbits", "factorize", "forbidden_count", "genus_upper_bound",
+    "get", "is_probable_prime", "kappa_constraints", "lift_system",
+    "max_clique", "max_packing", "new_scheme", "oracle_realizable",
+    "permute", "pluecker_mu", "reduce_zeros", "render_svg", "scheme_sum",
+    "solve_pair_orbits", "solve_xy", "toz_report", "valuation",
+    "verify_system", "xgcd",
+}
+
+
+def test_package_exports_exactly_the_public_surface():
+    exported = {name for name, value in vars(toruscurves).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == EXPORTS
 
 
 def test_no_assert_statements_in_package():

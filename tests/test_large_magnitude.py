@@ -26,13 +26,11 @@ from toruscurves import (
     new_scheme,
     permute,
     reduce_zeros,
-    replay_reduction,
-    sl2_act,
     verify_system,
 )
 from toruscurves.cli import run
 from toruscurves.scheme import dense_rows
-from conftest import dets
+from conftest import dets, sl2_act
 
 BIG = 10**30
 _COORD = st.integers(-BIG, BIG)
@@ -83,7 +81,7 @@ def test_huge_systems(system, t, u, data):
     assert verify_system(s, sl2_act(_sl2(t, u), v.witness))
 
     red = reduce_zeros(s)
-    assert replay_reduction(red) == s
+    assert reference.replay_reduction(red) == s
     rows = dense_rows(s)
     for step in red.steps:
         row = rows[step.removed_index - 1]

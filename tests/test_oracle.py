@@ -4,13 +4,11 @@ from toruscurves import (
     DomainError,
     PreconditionViolated,
     decide_torus,
-    euler_phi,
     new_scheme,
-    oracle_orbit_count,
     oracle_realizable,
     verify_system,
 )
-from conftest import random_nonzero_scheme, random_vector_scheme
+from conftest import phi, random_nonzero_scheme, random_vector_scheme
 
 
 def test_oracle_examples():
@@ -22,9 +20,9 @@ def test_oracle_examples():
     (w,) = out.witnesses
     assert w.kappa == 1 and w.r == (1, -1)
 
-    assert oracle_orbit_count(new_scheme(2, [6])) == 2
-    assert oracle_orbit_count(new_scheme(2, [7])) == 6
-    assert oracle_orbit_count(new_scheme(3, [1, 1, 1])) == 1
+    assert oracle_realizable(new_scheme(2, [6])).orbit_count == 2
+    assert oracle_realizable(new_scheme(2, [7])).orbit_count == 6
+    assert oracle_realizable(new_scheme(3, [1, 1, 1])).orbit_count == 1
 
 
 def test_oracle_preconditions():
@@ -48,8 +46,8 @@ def test_oracle_witnesses_verify(rng):
 
 def test_oracle_pair_counts_are_phi():
     for m in range(1, 60):
-        assert oracle_orbit_count(new_scheme(2, [m])) == euler_phi(m)
-        assert oracle_orbit_count(new_scheme(2, [-m])) == euler_phi(m)
+        assert oracle_realizable(new_scheme(2, [m])).orbit_count == phi(m)
+        assert oracle_realizable(new_scheme(2, [-m])).orbit_count == phi(m)
 
 
 def test_oracle_agrees_with_decide(rng):

@@ -20,7 +20,6 @@ from toruscurves import (
     factorize,
     new_scheme,
     reduce_zeros,
-    replay_reduction,
 )
 from toruscurves.cli import run
 from toruscurves.scheme import DUPLICATE, EMPTY
@@ -49,7 +48,7 @@ def _padded(s):
     curve, so its curve t is curve t + 2 of the result (t + 1 for t = 1)."""
     steps = (ReductionStep(1, EMPTY), ReductionStep(3, DUPLICATE, 2, -1))
     survivors = (2,) + tuple(range(4, s.n + 3))
-    padded = replay_reduction(ReductionLog(steps, s, survivors))
+    padded = reference.replay_reduction(ReductionLog(steps, s, survivors))
     red = reduce_zeros(padded)
     assert (red.steps, red.reduced, red.survivors) == (steps, s, survivors)
     return padded

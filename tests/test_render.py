@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toruscurves import decide_torus, new_scheme, render_svg
+from toruscurves import decide_torus, get, new_scheme, render_svg
 from toruscurves import render
 from toruscurves.errors import DomainError
 from toruscurves.render import curve_offset, curve_segments
@@ -86,7 +86,7 @@ def test_rendered_witness_crossings_equal_scheme():
                 u.p, u.q, curve_offset(i - 1, n),
                 v.p, v.q, curve_offset(j - 1, n),
             )
-            assert got == s.get(i, j)
+            assert got == get(s, i, j)
 
 
 def test_render_svg_writes_file(tmp_path):
