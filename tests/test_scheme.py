@@ -52,8 +52,11 @@ def test_dense_rows_is_the_antisymmetric_matrix():
 
 def test_new_scheme_rejects_non_integers():
     for bad in (2.9, 4.0, "2", Fraction(4, 1), None):
-        with pytest.raises(DomainError, match=r"entries\[1\] "):
-            new_scheme(3, [2, bad, 4])
+        # a one-shot iterator too, which the first conversion consumes
+        for seq in ([2, bad, 4], (2, bad, 4), iter([2, bad, 4])):
+            with pytest.raises(DomainError, match=r"entries\[1\] "):
+                new_scheme(3, seq)
+    assert new_scheme(3, iter([2, 3, 4])).entries == (2, 3, 4)
     big = 10**400
     assert new_scheme(3, [big, -big, True]).entries == (big, -big, 1)
     # n too, so a float or string n never reaches Scheme or decide_torus

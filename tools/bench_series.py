@@ -50,8 +50,9 @@ wall times of reduce_zeros and of decide_torus.
 Kappa series: the realizable 3-schemes (2,3,5)*p^nu for p = 2 (nu = 4,
 8, 12, 16, 20, 23, 40), p = 7 (nu = 1, 2, 4, 6, 8) and p = 101 (nu = 1..4).
 Per point it records the best of a few wall times of decide_torus and
-the byte length of the `check FILE` document.  There is no refusal path:
-a tree that raises on a point stops the script.
+of an in-process `check FILE` (JSON parse, decision and JSON output), and
+the byte length of the check document.  There is no refusal path: a tree
+that raises on a point stops the script.
 
 Packing series: max_packing(d) for d = 1..80.  Per point it records the
 best of a few wall times (5 up to d = 24, 3 up to d = 40 and 1 beyond) and
@@ -100,9 +101,9 @@ process, alternating with this tree's, so both columns see the same
 machine state; the script fails unless both trees give the same reasons,
 the same reduction and witness on every duplicates point, the same
 unresolvable pair, reduction and reasons on every mostly-zero point, the
-same kappa and witness at every kappa point, the same packing size and
-witness at every d, and the same search hit at every search and split
-point.
+same kappa, witness and check stdout at every kappa point, the same
+packing size and witness at every d, and the same search hit at every
+search and split point.
 
 --quick times nothing: it runs the refutation points with n <= 40, the
 last_pair points again with curve 1 duplicated (decide_torus only: zero
@@ -570,14 +571,14 @@ def mostly_zero_series(trees: dict) -> list:
     return points
 
 
-def check_bytes(cli, path: str) -> int:
-    """stdout length of one in-process `check path`, which must exit 0."""
+def check_stdout(cli, path: str) -> str:
+    """stdout of one in-process `check path`, which must exit 0."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = cli.run(["check", path])
     if code != 0:
         raise SystemExit(f"check {path} exits {code}")
-    return len(out.getvalue())
+    return out.getvalue()
 
 
 def kappa_series(trees: dict) -> list:
@@ -593,12 +594,14 @@ def kappa_series(trees: dict) -> list:
 
             def run(label, tree):
                 ms, v = timed(tree.decide_torus, tree.new_scheme(3, entries))
-                return ({"decide_ms": ms,
-                         "check_bytes": check_bytes(clis[label], path)},
-                        witness_of(v))
+                check_ms, text = timed(partial(check_stdout, clis[label]),
+                                       path)
+                return ({"decide_ms": ms, "check_ms": check_ms,
+                         "check_bytes": len(text)},
+                        (witness_of(v), text))
 
             record(points, trees, 5 if p**nu <= 10**6 else 3, run,
-                   ("decide_ms",),
+                   ("decide_ms", "check_ms"),
                    lambda out: {"p": p, "nu": nu, "modulus": p**nu})
     return points
 
@@ -796,9 +799,10 @@ def main(argv=None) -> int:
                 "curves with m_{i,n} = i and every other entry 0, with the "
                 "unresolvable pair; best of 5 (n <= 80) or 3 wall times in "
                 "ms. "
-                "kappa_points: decide_torus on (2,3,5)*p^nu, "
-                "best of 5 (p^nu <= 10^6) or 3 wall times in ms, and the "
-                "byte length of the check document; there is no refusal "
+                "kappa_points: decide_torus and an in-process check FILE "
+                "on (2,3,5)*p^nu, best of 5 (p^nu <= 10^6) or 3 wall times "
+                "in ms, and the byte length of the check document, which "
+                "must be the same in every tree; there is no refusal "
                 "path, a tree that raises stops the run. packing_points: "
                 "max_packing(d), best of 5 (d <= 24), 3 (d <= 40) or 1 wall "
                 "times in ms, and the farey.max_clique calls of each timed "
