@@ -13,10 +13,18 @@ s = m' + m'' with mu(m') = mu(m'') = 0 satisfies the linear equation
 B(m', s) = mu(s), B the polarization of mu.  With the left summand's
 Pluecker relation, that equation solves each quadruple's last two slots
 by Cramer's rule as soon as its first slot in the last column is tried.
+
+The left summand's triple mask at (m'_ac, m'_aj) asks whether
+(m'_ac; m'_aj, m'_cj) is realizable, which reads no entry of the scheme,
+so searches in one process share those masks through a cache of at most
+4096 of them (every (m'_ac, m'_aj) pair up to bound 31), each of
+2*bound + 1 bits, about 0.8 MB when full at bounds <= 31.  The right
+summand's masks read the scheme and are kept per search.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional, Union
 
@@ -225,6 +233,14 @@ def _triple_mask(x: int, y: int, c: int, bound: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=4096)
+def _left_mask(u: int, w: int, bound: int) -> int:
+    """_triple_mask(u, w, 0, bound), the left summand's triple mask at
+    m'_ac = u, m'_aj = w, kept for every search in the process; 4096
+    entries hold the (2*bound + 1)**2 pairs (u, w) of any bound <= 31."""
+    return _triple_mask(u, w, 0, bound)
+
+
 def bounded_decomposition_search(
     s: Scheme, bound: int
 ) -> Optional[Decomposition]:
@@ -240,7 +256,13 @@ def bounded_decomposition_search(
     (bit v+bound for value v), only the values on which the quadruples and
     triples completing at that slot hold in both summands.  A triple's
     mask is built in closed form (_triple_mask) for each summand and
-    memoized per (target triple, m'_ac, m'_aj).
+    memoized per (target triple, m'_ac, m'_aj).  The left summand's factor,
+    the realizability of (m'_ac; m'_aj, m'_cj), is a function of m'_ac,
+    m'_aj and the bound alone, no entry of s, so it is also kept across
+    searches: a process-wide cache (_left_mask) of at most 4096 masks of
+    2*bound + 1 bits each, enough for every (m'_ac, m'_aj) pair of a
+    search with bound <= 31.  The right summand's factor and the combined
+    mask read the target triple and stay in the per-search memo.
 
     Each quadruple (a, b, c, j) also gives the linear cross-term equation
     B(m', s) = mu_abcj(s) on m', where B(x, y) = mu(x + y) - mu(x) - mu(y)
@@ -383,7 +405,7 @@ def bounded_decomposition_search(
                 u, w = chosen[tac], chosen[taj]
                 mask = table.get((u, w))
                 if mask is None:
-                    mask = table[u, w] = _triple_mask(u, w, 0, bound) & (
+                    mask = table[u, w] = _left_mask(u, w, bound) & (
                         _triple_mask(sac - u, saj - w, scj, bound))
                 m &= mask
                 if not m:

@@ -19,7 +19,12 @@ from toruscurves import (
     pluecker_mu,
     scheme_sum,
 )
-from toruscurves.genus import _progression, _quotient_mask, _triple_mask
+from toruscurves.genus import (
+    _left_mask,
+    _progression,
+    _quotient_mask,
+    _triple_mask,
+)
 from toruscurves.scheme import Scheme, get
 
 from conftest import dets, random_vector_scheme
@@ -200,10 +205,15 @@ def test_search_matches_reference(rng):
     cases += [(endemic_family(p, q), bound)
               for p in odd_primes for q in odd_primes if p != q
               for bound in (2, 4)]
+    wants = [search_generic(target, bound) for target, bound in cases]
+    # the first pass starts from an empty left-mask cache; the second, in
+    # reverse order, reads masks that searches at other bounds and on
+    # other schemes left in it
+    _left_mask.cache_clear()
     hits = 0
-    for target, bound in cases:
+    for (target, bound), want in [*zip(cases, wants),
+                                  *zip(cases[::-1], wants[::-1])]:
         out = bounded_decomposition_search(target, bound)
-        want = search_generic(target, bound)
         if out is None:
             assert want is None, (target, bound)
             continue
@@ -214,7 +224,8 @@ def test_search_matches_reference(rng):
         assert out.right_verdict == decide_torus(out.right)
         assert out.degenerate == (not any(out.left.entries)
                                   or not any(out.right.entries))
-    assert hits >= len(cases) // 2
+    assert _left_mask.cache_info().hits
+    assert hits >= len(cases)  # half the cases, once per pass
 
 
 def _vectors(rng, n):

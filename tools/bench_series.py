@@ -64,9 +64,14 @@ bound; the packing series alone takes about 12 minutes with --parent.
 Search series: bounded_decomposition_search on the endemic 4-schemes
 (q; pq,pq; pq,pq,p) for the 20 ordered pairs of distinct p, q in
 {3, 5, 7, 11, 13} at bounds 8, 12 and 18, and on (3,5), (5,3) and (3,7)
-at bound 30.  Per point it records the best of a few wall times (5 at
-bound 8, 3 up to bound 18 and 1 at bound 30) and the hit: null when the
-search exhausts, else the left summand's entries.
+at bound 30.  Each timed run empties the search's left-mask cache (a
+tree without one has nothing to empty), calls the search, the cold call,
+and calls it again on the masks the first call left, the warm call.  Per
+point it records the best of a few runs (5 at bound 8, 3 up to bound 18
+and 1 at bound 30) of the warm call's wall time (ms) and of the cold
+call's (cold_ms), and the hit: null when the search exhausts, else the
+left summand's entries.  The split series' best of 5 reads the cache
+warm from its second call on.
 
 Split series: bounded_decomposition_search on schemes that do split, at
 n = 4 and 5 and bounds 8 and 12, five seeds each.  Each is the sum of a
@@ -111,7 +116,9 @@ reduction removes the copy and the reasons are moved back to the original
 indices), duplicates and mostly-zero points with n = 12, 20, 28 and 40,
 the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30, the
 20 endemic searches at bounds 0..4 and the split points' construction at
-bounds 2 and 3 (n = 4) and 1 and 2 (n = 5), runs each cold-start
+bounds 2 and 3 (n = 4) and 1 and 2 (n = 5), the searches twice in one
+process (the second time on the left triple masks the first left in the
+search's cache), runs each cold-start
 command once in each bytecode mode, with and without -O, and fails unless
 every cold-start command exits 0 (check printing status "torus"), every
 refutation
@@ -490,22 +497,26 @@ def quick(tree) -> int:
         ref = reference.max_packing(d)
         bad += report((got.size, got.witness) == (ref.size, ref.witness),
                       f"d={d}: packing of {got.size}, %s the reference")
-    for p, q in ENDEMIC_PAIRS:
-        s = tree.endemic_family(p, q)
-        got = [left_entries(tree.bounded_decomposition_search(s, bound))
-               for bound in QUICK_SEARCH_BOUNDS]
-        bad += report(
-            got == [reference.search_generic(s, bound)
-                    for bound in QUICK_SEARCH_BOUNDS],
-            f"endemic ({p},{q}) at bounds {QUICK_SEARCH_BOUNDS[0]}.."
-            f"{QUICK_SEARCH_BOUNDS[-1]}: {sum(h is not None for h in got)} "
-            "splits, %s the reference")
-    for n, bound, seed in QUICK_SPLIT_POINTS:
-        s = tree.new_scheme(n, split_entries(n, bound, seed))
-        got = left_entries(tree.bounded_decomposition_search(s, bound))
-        bad += report(
-            got is not None and got == reference.search_generic(s, bound),
-            f"split n={n} bound {bound} seed {seed}: {got}, %s the reference")
+    # the second pass searches again in the same process, so its hits come
+    # from left triple masks that the first pass left in the cache
+    for again in ("", "again, "):
+        for p, q in ENDEMIC_PAIRS:
+            s = tree.endemic_family(p, q)
+            got = [left_entries(tree.bounded_decomposition_search(s, bound))
+                   for bound in QUICK_SEARCH_BOUNDS]
+            bad += report(
+                got == [reference.search_generic(s, bound)
+                        for bound in QUICK_SEARCH_BOUNDS],
+                f"endemic ({p},{q}) at bounds {QUICK_SEARCH_BOUNDS[0]}.."
+                f"{QUICK_SEARCH_BOUNDS[-1]}, {again}"
+                f"{sum(h is not None for h in got)} splits, %s the reference")
+        for n, bound, seed in QUICK_SPLIT_POINTS:
+            s = tree.new_scheme(n, split_entries(n, bound, seed))
+            got = left_entries(tree.bounded_decomposition_search(s, bound))
+            bad += report(
+                got is not None and got == reference.search_generic(s, bound),
+                f"split n={n} bound {bound} seed {seed}, {again}{got}, "
+                "%s the reference")
     return 1 if bad else 0
 
 
@@ -650,11 +661,20 @@ def search_series(trees: dict) -> list:
 
         def run(label, tree):
             search = partial(tree.bounded_decomposition_search, bound=bound)
-            ms, hit = timed(search, tree.endemic_family(p, q))
-            return {"ms": ms}, left_entries(hit)
+            s = tree.endemic_family(p, q)
+            # a tree without the left-mask cache times two plain calls
+            left_mask = getattr(tree.genus, "_left_mask", None)
+            if left_mask is not None:
+                left_mask.cache_clear()
+            cold_ms, cold = timed(search, s)
+            ms, hit = timed(search, s)
+            if hit != cold:
+                raise SystemExit(f"endemic ({p},{q}) bound {bound}: {label} "
+                                 "hits differ on an empty and a warm cache")
+            return {"cold_ms": cold_ms, "ms": ms}, left_entries(hit)
 
         record(points, trees, 5 if bound <= 8 else 3 if bound <= 18 else 1,
-               run, ("ms",),
+               run, ("ms", "cold_ms"),
                lambda out: {"p": p, "q": q, "bound": bound, "hit": out})
     return points
 
@@ -808,9 +828,12 @@ def main(argv=None) -> int:
                 "times in ms, and the farey.max_clique calls of each timed "
                 "call. "
                 "search_points: bounded_decomposition_search on the endemic "
-                "4-scheme of (p, q) at the bound, best of 5 (bound 8), 3 "
-                "(bound <= 18) or 1 wall times in ms, and the hit (null, or "
-                "the left summand's entries). split_points: "
+                "4-scheme of (p, q) at the bound, each run a cold call "
+                "(after the left-mask cache is emptied; a plain call on a "
+                "tree without the cache) and the same call again on a warm "
+                "cache, best of 5 (bound 8), 3 (bound <= 18) or 1 runs of "
+                "the warm (ms) and cold (cold_ms) wall times in ms, and the "
+                "hit (null, or the left summand's entries). split_points: "
                 "bounded_decomposition_search on a non-torus sum of a "
                 "vector scheme within the bound and another one, n = 4 and "
                 "5, bounds 8 and 12, five seeds each, best of 5 wall times "
