@@ -419,7 +419,8 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # e.g. a search bound whose bit masks do not fit in memory
+        # e.g. a search whose bit masks, within the bound limit, still do
+        # not fit in the memory left to the process
         print("error: out of memory", file=sys.stderr)
         return 2
 

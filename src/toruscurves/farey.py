@@ -61,14 +61,14 @@ that is at most p - 1.  The bound is used four times:
    since a later anchor must beat the running best strictly;
 2. an anchor whose candidates cover at most floor points is skipped before
    its graph is built;
-3. max_clique takes the points as its vertex classes, and with no more
-   points than its floor it returns at once;
+3. max_clique requires vertex classes, and the points are the ones it
+   is given; with no more points than its floor it returns at once;
 4. in every node of that search, a branch whose clique plus the points
    its candidates cover cannot beat the incumbent is cut before its
    colouring; once the incumbent has a member for every point, that cuts
    every branch left.  The cut only drops branches without a larger
-   clique, so the greedy-colour order of the branches, and with it every
-   witness, stays the same.
+   clique, and the order of the branches is the greedy colouring's, so
+   the witness is the first maximum clique in that order.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def candidate_vertices(d: int, anchor) -> list:
     return sorted(out)
 
 
-def strip_neighbours(vertices, d: int, anchor=None) -> list:
+def strip_neighbours(vertices, d: int, anchor) -> list:
     """Neighbour lists of the packing graph with bound d on vertices:
     entry i lists the indices j with 1 <= |det(vertices[i], vertices[j])|
     <= d, once each.
@@ -126,19 +126,16 @@ def strip_neighbours(vertices, d: int, anchor=None) -> list:
     positive second coordinates are never parallel, so every pair found has
     det != 0.
 
-    An anchor (p0, q0), q0 >= 1, states that every vertex lies in its band
-    |x*q0 - p0*y| <= d (a vertex outside it is a DomainError), as the
-    candidates of that anchor do.  Then u has no neighbour in any row y
-    with y*|a*q0 - p0*b| > d*(q0 + b) (the band lemma in the module
-    docstring), and the scan of u's higher rows stops at the first such
-    row.  The lists are the same with and without the anchor.
+    The anchor (p0, q0), q0 >= 1, is required, and every vertex must lie
+    in its band |x*q0 - p0*y| <= d (else a DomainError), as the candidates
+    of that anchor do.  Then u has no neighbour in any row y with
+    y*|a*q0 - p0*b| > d*(q0 + b) (the band lemma in the module docstring),
+    and the scan of u's higher rows stops at the first such row.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
-    # without an anchor, (0, 0) puts every vertex in the band at offset 0,
-    # which cuts no row
-    p0, q0 = (0, 0) if anchor is None else anchor
-    if anchor is not None and q0 < 1:
+    p0, q0 = anchor
+    if q0 < 1:
         raise DomainError(f"bad anchor {anchor}: need q >= 1")
     rows: dict = {}
     for i, (x, y) in enumerate(vertices):
@@ -178,7 +175,7 @@ def strip_neighbours(vertices, d: int, anchor=None) -> list:
     return nbrs
 
 
-def max_clique(vertices, neighbours, floor: int = 0, classes=None) -> tuple:
+def max_clique(vertices, neighbours, floor: int = 0, *, classes) -> tuple:
     """Deterministic branch-and-bound maximum clique (greedy-coloring
     bound, degree-descending order, lexicographic tie-break).
 
@@ -192,16 +189,16 @@ def max_clique(vertices, neighbours, floor: int = 0, classes=None) -> tuple:
     cut only when they cannot beat the incumbent, so for any floor below
     the clique number the result is the clique returned with floor=0.
 
-    classes, when given, labels each vertex (classes[i] for vertices[i])
-    so that vertices with equal labels are pairwise non-adjacent; a label
-    shared by two adjacent vertices is a DomainError.  A clique then has
-    at most one member per label, so a branch whose clique plus the labels
-    that meet its candidates cannot beat the incumbent is cut too, before
-    its colouring.  Each branch finds those labels among its parent's, so
-    the list shrinks with the depth.  Once the incumbent has a member for
-    every label, every branch left is cut, and with no more labels than
-    floor nothing is searched.  The labels only cut branches that hold no
-    larger clique, so the result is the same with and without them.
+    classes (required) labels each vertex, classes[i] for vertices[i],
+    so that vertices with equal labels are pairwise non-adjacent, as
+    range(n) does; a label shared by two adjacent vertices is a
+    DomainError.  A clique has at most one member per label, so a branch
+    whose clique plus the labels that meet its candidates cannot beat the
+    incumbent is cut too, before its colouring.  Each branch finds those
+    labels among its parent's, so the list shrinks with the depth.  Once
+    the incumbent has a member for every label, every branch left is cut,
+    and with no more labels than floor nothing is searched.  This cut too
+    drops only branches that hold no larger clique, so no witness moves.
     """
     n = len(vertices)
     if len(neighbours) != n:
@@ -212,21 +209,18 @@ def max_clique(vertices, neighbours, floor: int = 0, classes=None) -> tuple:
         bit[i] = 1 << r
     verts = [vertices[i] for i in order]
     adj = [sum(map(bit.__getitem__, neighbours[i])) for i in order]
-    live = None
-    if classes is not None:
-        if len(classes) != n:
-            raise DomainError(f"{len(classes)} classes for {n} vertices")
-        members: dict = {}  # label -> mask of its vertices' ranks
-        for i in order:
-            c = classes[i]
-            members[c] = members.get(c, 0) | bit[i]
-        for r, i in enumerate(order):
-            if adj[r] & members[classes[i]]:
-                raise DomainError(f"adjacent vertices {verts[r]} share the "
-                                  f"class {classes[i]!r}")
-        if len(members) <= floor:
-            return ()
-        live = list(members.values())
+    if len(classes) != n:
+        raise DomainError(f"{len(classes)} classes for {n} vertices")
+    members: dict = {}  # label -> mask of its vertices' ranks
+    for i in order:
+        c = classes[i]
+        members[c] = members.get(c, 0) | bit[i]
+    for r, i in enumerate(order):
+        if adj[r] & members[classes[i]]:
+            raise DomainError(f"adjacent vertices {verts[r]} share the "
+                              f"class {classes[i]!r}")
+    if len(members) <= floor:
+        return ()
 
     best: list = []
     best_size = floor
@@ -249,7 +243,7 @@ def max_clique(vertices, neighbours, floor: int = 0, classes=None) -> tuple:
         return colored
 
     def expand(cand_mask: int, live, current: list) -> None:
-        # live: the class masks that meet cand_mask, None without classes
+        # live: the class masks that meet cand_mask
         nonlocal best, best_size
         colored = color_sort(cand_mask)
         size = len(current)
@@ -262,8 +256,6 @@ def max_clique(vertices, neighbours, floor: int = 0, classes=None) -> tuple:
                 if size >= best_size:
                     best = current.copy()
                     best_size = size + 1
-            elif live is None:
-                expand(sub, None, current)
             else:
                 sub_live = [m for m in live if m & sub]
                 if size + 1 + len(sub_live) > best_size:
@@ -271,7 +263,7 @@ def max_clique(vertices, neighbours, floor: int = 0, classes=None) -> tuple:
             current.pop()
             cand_mask ^= 1 << v
 
-    expand((1 << n) - 1, live, [])
+    expand((1 << n) - 1, list(members.values()), [])
     return tuple(verts[i] for i in sorted(best))
 
 

@@ -38,6 +38,10 @@ from .conditions import Verdict, decide_torus, pluecker_mu
 from .intarith import is_probable_prime
 from .scheme import Scheme, _integer, _pos, get, permute, scheme_sum
 
+# bounded_decomposition_search refuses a larger bound before it builds any
+# mask: a slot's mask has 2*bound + 1 bits, about 256 KiB at this bound
+MAX_SEARCH_BOUND = 2**20
+
 
 def genus_upper_bound(n: int) -> int:
     """Genus of the generic realizing surface: n(n+1)/2 - 2."""
@@ -293,10 +297,13 @@ def bounded_decomposition_search(
     here completes no split.
 
     Nothing realizable is pruned, so the first hit matches the unpruned scan.
+    A bound outside [0, MAX_SEARCH_BOUND] (2**20) is a DomainError.
     """
     bound = _integer(bound, "bound")
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
+    if bound > MAX_SEARCH_BOUND:
+        raise DomainError(f"bound must be <= {MAX_SEARCH_BOUND}, got {bound}")
     n, target = s.n, s.entries
     k, full = len(target), (1 << (2 * bound + 1)) - 1
     pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]

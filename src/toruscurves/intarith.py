@@ -31,12 +31,6 @@ class Factorization(NamedTuple):
 
     pairs: tuple[tuple[int, int], ...]
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
 

@@ -219,7 +219,6 @@ class Unresolvable(NamedTuple):
     i: int
     j: int
     steps: tuple
-    partial: Scheme
     survivors: tuple
 
 
@@ -296,15 +295,15 @@ def reduce_zeros(s: Scheme) -> Union[ReductionLog, Unresolvable]:
             else:
                 unresolved.append((a, b))
     keep = [k for k in range(n) if alive[k]]
-    cur = Scheme(
-        len(keep),
-        tuple(rows[a][b] for t, b in enumerate(keep) for a in keep[:t]),
-    )
     survivors = tuple(k + 1 for k in keep)
     for a, b in unresolved:
         if alive[a] and alive[b]:
-            return Unresolvable(a + 1, b + 1, tuple(steps), cur, survivors)
-    return ReductionLog(tuple(steps), cur, survivors)
+            return Unresolvable(a + 1, b + 1, tuple(steps), survivors)
+    reduced = Scheme(
+        len(keep),
+        tuple(rows[a][b] for t, b in enumerate(keep) for a in keep[:t]),
+    )
+    return ReductionLog(tuple(steps), reduced, survivors)
 
 
 def _sources(log: ReductionLog) -> list:

@@ -127,7 +127,7 @@ def reduce_zeros(s):
         else:
             i, j = zero_pairs[0]
             return Unresolvable(
-                survivors[i - 1], survivors[j - 1], tuple(steps), cur,
+                survivors[i - 1], survivors[j - 1], tuple(steps),
                 tuple(survivors),
             )
 

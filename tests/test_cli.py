@@ -355,8 +355,9 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 
 
 def test_out_of_memory_exits_2_as_a_process():
-    # the bound-10^11 search needs a mask of 2*10^11 + 1 bits (25 GB); the
-    # child alone gets a 1 GiB address space, so the mask cannot be built
+    # the bound-10^11 search would need a mask of 2*10^11 + 1 bits (25 GB);
+    # the child alone gets a 1 GiB address space, so a mask built before
+    # the bound is refused would print "error: out of memory" instead
     import resource
 
     def limit():
@@ -370,7 +371,9 @@ def test_out_of_memory_exits_2_as_a_process():
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=limit)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "error: out of memory\n" and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: bound must be <= {2**20}, got {10**11}\n"), proc.stderr
+    assert proc.stdout == ""
 
 
 def test_input_errors(tmp_path):

@@ -48,16 +48,18 @@ def test_max_clique_known_graphs():
         return (u, v) in edges or (v, u) in edges
 
     nbrs = reference.pairwise_neighbours(verts, adj)
-    assert set(max_clique(verts, nbrs)) == {"a", "b", "c"}
-    assert max_clique([], []) == ()
-    assert max_clique(["z"], [[]]) == ("z",)
+    one_each = range(len(verts))
+    assert set(max_clique(verts, nbrs, classes=one_each)) == {"a", "b", "c"}
+    assert max_clique([], [], classes=range(0)) == ()
+    assert max_clique(["z"], [[]], classes=range(1)) == ("z",)
     with pytest.raises(DomainError, match="3 neighbour lists for 4 vertices"):
-        max_clique(verts, [[1], [0], []])
+        max_clique(verts, [[1], [0], []], classes=one_each)
 
 
 def test_max_clique_floor_matches_reference():
-    # with any floor below the clique number the search returns the
-    # reference clique; from the clique number up it returns ()
+    # with one class per vertex and any floor below the clique number the
+    # search returns the reference clique; from the clique number up it
+    # returns ()
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(1, 12)
@@ -73,10 +75,11 @@ def test_max_clique_floor_matches_reference():
         nbrs = reference.pairwise_neighbours(verts, adj)
         ref = reference.max_clique(verts, adj)
         omega = len(ref)
+        one_each = range(n)
         for floor in range(omega + 2):
-            got = max_clique(verts, nbrs, floor=floor)
+            got = max_clique(verts, nbrs, floor=floor, classes=one_each)
             assert got == (ref if floor < omega else ()), (verts, edges, floor)
-        assert max_clique(verts, nbrs) == ref
+        assert max_clique(verts, nbrs, classes=one_each) == ref
 
 
 def _random_classes(rng, verts, edges):
@@ -92,8 +95,8 @@ def _random_classes(rng, verts, edges):
 
 def test_max_clique_point_classes():
     # with any partition into independent sets as classes, at any floor,
-    # the search returns what it returns without them: the reference
-    # clique below the clique number, () from it up
+    # the search returns the reference clique below the clique number and
+    # () from it up
     rng = random.Random(12)
     for _ in range(200):
         n = rng.randint(1, 12)
@@ -118,7 +121,8 @@ def test_max_clique_point_classes():
 def test_max_clique_classes_preconditions():
     verts = ["a", "b", "c"]
     nbrs = [[1], [0, 2], [1]]
-    assert max_clique(verts, nbrs, classes=[0, 1, 0]) == max_clique(verts, nbrs)
+    assert (max_clique(verts, nbrs, classes=[0, 1, 0])
+            == max_clique(verts, nbrs, classes=range(3)))
     with pytest.raises(DomainError, match="share the class 0"):
         max_clique(verts, nbrs, classes=[0, 0, 1])
     with pytest.raises(DomainError, match="2 classes for 3 vertices"):
@@ -137,8 +141,7 @@ def _expanded(fn):
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is max_clique_expand:
             f = frame.f_locals
-            live = None if f["live"] is None else len(f["live"])
-            calls.append((len(f["current"]), live, f["best_size"]))
+            calls.append((len(f["current"]), len(f["live"]), f["best_size"]))
 
     sys.setprofile(profile)
     try:
@@ -165,7 +168,7 @@ def test_max_clique_expands_only_branches_that_can_win():
         graphs.append((verts, nbrs, _random_classes(rng, verts, edges)))
     verts = [v for v in candidate_vertices(19, (0, 1))
              if v not in ((1, 0), (0, 1))]
-    graphs.append((verts, farey.strip_neighbours(verts, 19),
+    graphs.append((verts, farey.strip_neighbours(verts, 19, (0, 1)),
                    [x * pow(y, -1, 23) % 23 for x, y in verts]))
     calls = []
     for verts, nbrs, classes in graphs:
@@ -176,11 +179,10 @@ def test_max_clique_expands_only_branches_that_can_win():
 def test_max_clique_stops_at_the_class_count():
     # the crown graph on u_1..u_k, v_1..v_k (u_i ~ v_j for i != j) has
     # clique number 2, but the greedy colouring in rank order pairs u_i
-    # with v_i and needs k colours.  With the classes {u_i} and {v_i}, the
-    # first clique found has a member in both, so the search stops: the
-    # root and one child.  The colours alone leave a branch per vertex of
-    # colour 3 and up, 2*(k - 2) of them: a colour-2 vertex and the
-    # incumbent tie, and a tie is cut
+    # with v_i and needs k colours, so colour bounds alone would leave a
+    # branch per vertex of colour 3 and up.  With the classes {u_i} and
+    # {v_i}, the first clique found has a member in both, so the search
+    # stops: the root and one child
     k = 12
     verts = [(i, side) for i in range(k) for side in "uv"]
     nbrs = [[j for j, (i2, s2) in enumerate(verts) if s2 != s and i2 != i]
@@ -188,8 +190,6 @@ def test_max_clique_stops_at_the_class_count():
     classes = [s for _, s in verts]
     got, calls = _expanded(lambda: max_clique(verts, nbrs, classes=classes))
     assert len(got) == 2 and len(calls) == 2
-    plain, plain_calls = _expanded(lambda: max_clique(verts, nbrs))
-    assert plain == got and len(plain_calls) == 1 + 2 * (k - 2)
 
 
 def test_strip_neighbours_match_pairwise():
@@ -218,8 +218,6 @@ def test_strip_neighbours_match_pairwise():
             verts = [v for v in candidate_vertices(d, anchor)
                      if v not in ((1, 0), anchor)]
             pairwise = list(map(set, reference.pairwise_neighbours(verts, edge)))
-            strip = farey.strip_neighbours(verts, d)
-            assert list(map(set, strip)) == pairwise, (d, anchor)
             banded = farey.strip_neighbours(verts, d, anchor)
             assert list(map(set, banded)) == pairwise, (d, anchor)
         assert d == 1 or {d, d + 1} <= seen, d
@@ -260,9 +258,10 @@ def test_strip_neighbours_band_preconditions():
 def test_strip_neighbours_at_the_bound():
     # d = 5: |det| is exactly 5 for (0, 1)-(5, 1) in row 1 and for
     # (1, 2)-(4, 3) in row 3, both edges; it is 6 for (0, 1)-(6, 1) and for
-    # (1, 2)-(5, 4) in row 4, neither an edge
+    # (1, 2)-(5, 4) in row 4, neither an edge.  Every vertex lies in the
+    # band of the anchor (1, 1), |x - y| <= 5
     verts = [(0, 1), (5, 1), (6, 1), (1, 2), (4, 3), (5, 4)]
-    nbrs = [set(nb) for nb in farey.strip_neighbours(verts, 5)]
+    nbrs = [set(nb) for nb in farey.strip_neighbours(verts, 5, (1, 1))]
     assert nbrs == [{1, 3, 4, 5}, {0, 2}, {1}, {0, 4}, {0, 3, 5}, {0, 4}]
     pairwise = reference.pairwise_neighbours(
         verts, lambda u, v: reference._edge(u, v, 5))
@@ -278,7 +277,7 @@ def test_strip_neighbours_at_the_bound():
 ], ids=["y=0", "y<0", "not-primitive", "repeated", "d=0"])
 def test_strip_neighbours_preconditions(verts, d, match):
     with pytest.raises(DomainError, match=match):
-        farey.strip_neighbours(verts, d)
+        farey.strip_neighbours(verts, d, (0, 1))
 
 
 def _counted_max_clique(monkeypatch):
@@ -448,7 +447,7 @@ def test_exact_intersection_cliques(k, expected):
         (p, k) for p in range(-2 * k, 2 * k + 1) if gcd(abs(p), k) == 1
     ]
     nbrs = reference.pairwise_neighbours(verts, lambda u, v: abs(det(u, v)) == k)
-    clique = max_clique(verts, nbrs)
+    clique = max_clique(verts, nbrs, classes=range(len(verts)))
     assert len(clique) == expected
 
 

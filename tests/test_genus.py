@@ -294,6 +294,10 @@ def test_search_rejects_bad_bounds():
     s = new_scheme(3, [6, 10, 14])
     with pytest.raises(DomainError, match="bound must be >= 0"):
         bounded_decomposition_search(s, -1)
+    # 10**11 would need masks of 2*10**11 + 1 bits (25 GB)
+    with pytest.raises(DomainError,
+                       match=f"bound must be <= {2**20}, got {10**11}"):
+        bounded_decomposition_search(s, 10**11)
     for bad in (2.5, 2.0, "2", None):
         with pytest.raises(DomainError, match="bound is "):
             bounded_decomposition_search(s, bad)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -83,7 +84,7 @@ def test_factorize_examples():
 @given(st.integers(min_value=1, max_value=10**10))
 def test_factorize_roundtrip(n):
     f = factorize(n)
-    assert f.value() == n
+    assert prod(p**e for p, e in f.pairs) == n
     for p, e in f.pairs:
         assert is_probable_prime(p)
         assert e >= 1

@@ -89,9 +89,8 @@ RECORDS = [
      "ReductionLog(steps=(ReductionStep(removed_index=3, reason='empty', "
      "of_index=None, sign=None),), reduced=Scheme(n=2, [5]), "
      "survivors=(1, 2))"),
-    (toruscurves.Unresolvable(1, 2, (), toruscurves.Scheme(2, (0,)), (1, 2)),
-     "Unresolvable(i=1, j=2, steps=(), partial=Scheme(n=2, [0]), "
-     "survivors=(1, 2))"),
+    (toruscurves.Unresolvable(1, 2, (), (1, 2)),
+     "Unresolvable(i=1, j=2, steps=(), survivors=(1, 2))"),
     (toruscurves.XYWitness(1, 0, 1, 1, 1, 1),
      "XYWitness(x=1, y=0, g123=1, m12p=1, m13p=1, m23p=1)"),
     (PC, PC_REPR),
