@@ -298,6 +298,14 @@ def bounded_decomposition_search(
 
     Nothing realizable is pruned, so the first hit matches the unpruned scan.
     A bound outside [0, MAX_SEARCH_BOUND] (2**20) is a DomainError.
+
+    MAX_SEARCH_BOUND guards memory, not time.  On the endemic 4-schemes
+    (q; pq,pq; pq,pq,p), p != q in {3, 5, 7, 11, 13}, a search takes
+    0.25-1.7 ms at bound 8, 0.46-4.6 ms at bound 12, 2.0-12.9 ms at bound
+    18 and 16-53 ms at bound 30 with the left masks cached, and
+    0.26-2.0, 0.50-5.9, 2.8-16.5 and 20-61 ms from an empty cache
+    (tools/bench_series.py, BENCH_34.json: Python 3.11.7, 2-core x86_64);
+    the (3, 5) search at bound 2**20 did not finish in 40 s.
     """
     bound = _integer(bound, "bound")
     if bound < 0:

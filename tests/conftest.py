@@ -1,10 +1,16 @@
 import random
+import sys
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from toruscurves import Scheme, curve, new_scheme
+
+# the tests check the small points of tools/bench_series.py's series
+# against reference.py, built with that script's own generators
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 def random_nonzero_scheme(rng: random.Random, n: int, hi: int = 12) -> Scheme:

@@ -244,7 +244,14 @@ def test_farey_command(capsys):
     assert out == "" and "unrecognized arguments: --jobs 2" in err
 
 
-def test_module_entry_point(tmp_path):
+# the process tests run with and without -O, which strips assert
+# statements; pytest cannot itself run under -O, as it would strip its own
+with_and_without_O = pytest.mark.parametrize(
+    "flags", [[], ["-O"]], ids=["plain", "-O"])
+
+
+@with_and_without_O
+def test_module_entry_point(tmp_path, flags):
     # python -m toruscurves and python -m toruscurves.cli keep the exit
     # codes of the installed script
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -259,13 +266,18 @@ def test_module_entry_point(tmp_path):
     for module in ("toruscurves", "toruscurves.cli"):
         for path, code, status in cases:
             proc = subprocess.run(
-                [sys.executable, "-m", module, "check", path],
+                [sys.executable, *flags, "-m", module, "check", path],
                 env=env, capture_output=True, text=True, timeout=60)
             assert proc.returncode == code, (module, path, proc.stderr)
             if status is None:
                 assert proc.stdout == "" and proc.stderr.startswith("error: ")
             else:
-                assert json.loads(proc.stdout)["status"] == status
+                doc = json.loads(proc.stdout)
+                assert doc["status"] == status
+                # json.dumps(doc, indent=2, sort_keys=True) byte for byte,
+                # plus one newline
+                assert proc.stdout == json.dumps(
+                    doc, indent=2, sort_keys=True) + "\n", (module, path)
         # stdout a pipe whose reader closed it before the child started:
         # the output cannot be written, so exit 2 with one error line
         for path, _, status in cases:
@@ -275,14 +287,38 @@ def test_module_entry_point(tmp_path):
             os.close(read_end)
             try:
                 proc = subprocess.run(
-                    [sys.executable, "-m", module, "check", path], env=env,
-                    stdout=write_end, stderr=subprocess.PIPE, text=True,
-                    timeout=60)
+                    [sys.executable, *flags, "-m", module, "check", path],
+                    env=env, stdout=write_end, stderr=subprocess.PIPE,
+                    text=True, timeout=60)
             finally:
                 os.close(write_end)
             assert proc.returncode == 2, (module, path, proc.stderr)
             assert proc.stderr.startswith("error: ")
             assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@with_and_without_O
+def test_readme_commands_as_processes(tmp_path, flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    path = write_scheme(tmp_path, "m.json", 3, [6, 10, 14])
+
+    def tc(*argv):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "toruscurves", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        return json.loads(proc.stdout)
+
+    doc = tc("decompose", path)
+    assert (doc["left"]["entries"], doc["right"]["entries"]) == (
+        [5, 9, 14], [1, 1, 0])
+    assert tc("farey", "--d", "7")["size"] == 10
+    # d = 25 builds its graph from lattice strips, explicit raises included
+    assert tc("farey", "--d", "25")["size"] == 30
+    # the bound-30 search exhausts
+    doc = tc("endemic", "--p", "3", "--q", "5", "--search-bound", "30")
+    assert doc["search"]["found"] is False
 
 
 def test_repeated_runs_reuse_one_parser(tmp_path, capsys, monkeypatch):
@@ -354,10 +390,12 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert out == "" and err == "error: out of memory\n"
 
 
-def test_out_of_memory_exits_2_as_a_process():
+@with_and_without_O
+def test_out_of_memory_exits_2_as_a_process(flags):
     # the bound-10^11 search would need a mask of 2*10^11 + 1 bits (25 GB);
-    # the child alone gets a 1 GiB address space, so a mask built before
-    # the bound is refused would print "error: out of memory" instead
+    # under a 1 GiB address space (the child's alone) a mask built before
+    # the bound is refused would print "error: out of memory" instead, and
+    # without a limit the bound must still be refused at once
     import resource
 
     def limit():
@@ -365,15 +403,16 @@ def test_out_of_memory_exits_2_as_a_process():
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "toruscurves", "endemic", "--p", "3", "--q",
-         "5", "--search-bound", str(10**11)],
-        env=env, capture_output=True, text=True, timeout=60,
-        preexec_fn=limit)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == (
-        f"error: bound must be <= {2**20}, got {10**11}\n"), proc.stderr
-    assert proc.stdout == ""
+    for preexec_fn, timeout in ((limit, 60), (None, 10)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "toruscurves", "endemic", "--p",
+             "3", "--q", "5", "--search-bound", str(10**11)],
+            env=env, capture_output=True, text=True, timeout=timeout,
+            preexec_fn=preexec_fn)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"error: bound must be <= {2**20}, got {10**11}\n"), proc.stderr
+        assert proc.stdout == ""
 
 
 def test_input_errors(tmp_path):

@@ -294,7 +294,7 @@ def _counted_max_clique(monkeypatch):
 
 def test_max_packing_matches_reference(monkeypatch):
     refs = {}
-    for d in range(1, 21):
+    for d in range(1, 31):
         ref = refs[d] = reference.max_packing(d)
         got = max_packing(d)
         assert (got.size, got.witness) == (ref.size, ref.witness), d

@@ -10,6 +10,7 @@ from math import comb, gcd
 
 import pytest
 
+import bench_series
 import reference
 from conftest import (
     count_pluecker_tests,
@@ -125,6 +126,14 @@ def test_reduce_zeros_matches_reference_on_duplicate_heavy_schemes(rng):
             seen.add("unresolvable")
         seen.update(step.reason + str(step.sign) for step in got.steps)
     assert {"duplicate_of1", "duplicate_of-1", "emptyNone"} <= seen
+    # the duplicates series of tools/bench_series.py at small n: realizable,
+    # with the reference's reduction and witness
+    for n in (12, 20, 28, 40):
+        s = new_scheme(n, bench_series.duplicate_entries(n))
+        assert reduce_zeros(s) == reference.reduce_zeros(s), n
+        got, want = decide_torus(s), reference.decide_torus(s)
+        assert got.realizable and want.realizable, n
+        assert bench_series.witness_of(got) == bench_series.witness_of(want), n
 
 
 def _mostly_zero_scheme(rng: random.Random, n: int) -> Scheme:
@@ -162,6 +171,15 @@ def test_reduce_zeros_matches_reference_on_mostly_zero_schemes(rng):
                 seen.add("unresolvable")
             seen.update(step.reason + str(step.sign) for step in got.steps)
     assert {"unresolvable", "duplicate_of1", "duplicate_of-1", "emptyNone"} <= seen
+    # the mostly-zero series of tools/bench_series.py at small n
+    # (m_{i,n} = i, all else 0): unresolvable, with the reference's
+    # reduction and reasons
+    for n in (12, 20, 28, 40):
+        s = new_scheme(n, bench_series.mostly_zero_entries(n))
+        got = reduce_zeros(s)
+        assert isinstance(got, Unresolvable), n
+        assert got == reference.reduce_zeros(s), n
+        assert decide_torus(s).reasons == reference.decide_torus(s).reasons, n
 
 
 def test_dense_checks_match_reference(rng):
@@ -214,6 +232,31 @@ def test_pluecker_screen_matches_reference(rng):
                 got = check_pluecker_full(t)
                 assert got == reference.check_pluecker_full(t)
                 assert got
+
+
+def _with_first_duplicated(n: int, entries: list) -> list:
+    """The entries of n + 1 curves, curve n + 1 a copy of curve 1:
+    m_{1,n+1} = 0 and m_{i,n+1} = m_{i,1} = -m_{1i}."""
+    return entries + [0] + [-entries[_pos(1, i)] for i in range(2, n + 1)]
+
+
+@pytest.mark.parametrize("n,shape", [
+    (n, shape) for n, shape in bench_series.shape_points() if n <= 40])
+def test_series_refutations_match_reference(n, shape):
+    # the refutation points of tools/bench_series.py: both screens and the
+    # decision's reasons against the full scans of the reference
+    s = new_scheme(n, bench_series.shape_entries(n, shape))
+    got = decide_torus(s).reasons
+    assert got and got == reference.decide_torus(s).reasons
+    assert check_triangle(s) == reference.check_triangle(s)
+    assert check_pluecker_full(s) == reference.check_pluecker_full(s)
+    if shape == "last_pair":
+        # zero reduction drops the copy, and the reasons are moved back to
+        # the original curve indices
+        s = new_scheme(n + 1, _with_first_duplicated(n, list(s.entries)))
+        got = decide_torus(s)
+        assert len(got.reduction.steps) == 1
+        assert got.reasons and got.reasons == reference.decide_torus(s).reasons
 
 
 def test_pluecker_screen_is_output_sensitive(monkeypatch):
@@ -512,6 +555,12 @@ def test_kappa_scan_matches_reference(rng):
                 assert forbidden_count(s, g_l) == reference.forbidden_count(s, g_l)
                 forbidden += 1
     assert checked >= 400 and cut >= 50 and forbidden >= 30
+    # the kappa series of tools/bench_series.py, (2,3,5)*p^nu, up to
+    # p^nu = 10^4
+    for p, nu in bench_series.KAPPA_POINTS:
+        if p**nu <= 10**4:
+            s = new_scheme(3, bench_series.kappa_entries(p, nu))
+            assert _check_kappa_against_scan(s).per_prime, (p, nu)
 
 
 def test_construct_witness_matches_reference(rng):

@@ -27,6 +27,7 @@ from toruscurves.genus import (
 )
 from toruscurves.scheme import Scheme, get
 
+import bench_series
 from conftest import dets, random_vector_scheme
 from reference import realizable3, search_generic
 
@@ -201,11 +202,17 @@ def test_search_matches_reference(rng):
     for _ in range(6):
         cases.append((Scheme(5, tuple(rng.choice((0, 0, 1, -1, 2, 3))
                                       for _ in range(10))), 1))
-    odd_primes = (3, 5, 7, 11, 13)
+    # the endemic and split series of tools/bench_series.py at small
+    # bounds; each split point is a non-torus sum of a vector scheme within
+    # the bound and another one, so it splits
     cases += [(endemic_family(p, q), bound)
-              for p in odd_primes for q in odd_primes if p != q
-              for bound in (2, 4)]
+              for p, q in bench_series.ENDEMIC_PAIRS for bound in range(5)]
+    splits = [(new_scheme(n, bench_series.split_entries(n, bound, seed)), bound)
+              for n, bounds in ((4, (2, 3)), (5, (1, 2)))
+              for bound in bounds for seed in range(5)]
+    cases += splits
     wants = [search_generic(target, bound) for target, bound in cases]
+    assert None not in wants[-len(splits):]
     # the first pass starts from an empty left-mask cache; the second, in
     # reverse order, reads masks that searches at other bounds and on
     # other schemes left in it

@@ -3,7 +3,6 @@ kappa classes, Farey packing and the bounded decomposition search,
 standard library only.
 
     python3 tools/bench_series.py --parent OTHER/src --out BENCH.json
-    python3 tools/bench_series.py --quick
 
 Refutation series: each point is a realizable scheme of n distinct curve
 classes (coordinates in [-30, 30], seeded by n) with a perturbation.  The
@@ -90,7 +89,10 @@ modes: source, with PYTHONDONTWRITEBYTECODE=1, so the package compiles on
 every run (the standard library reads its installed bytecode); and
 cached, with a fresh PYTHONPYCACHEPREFIX per tree warmed by one run of
 each command.  Per (mode, command) and tree it records the median and
-quartiles of COLD_REPS runs, the trees taking turns.
+quartiles of COLD_REPS runs, the trees taking turns.  With --parent it
+also records paired_ratio: the median, over the COLD_REPS rounds, of the
+change/parent ratio of the command's two runs in that round, so that
+drift between rounds cancels.
 
 With --parent, the trees take turns in every series, and which goes
 first alternates from round to round across points, so a point timed
@@ -110,26 +112,14 @@ same kappa, witness and check stdout at every kappa point, the same
 packing size and witness at every d, and the same search hit at every
 search and split point.
 
---quick times nothing: it runs the refutation points with n <= 40, the
-last_pair points again with curve 1 duplicated (decide_torus only: zero
-reduction removes the copy and the reasons are moved back to the original
-indices), duplicates and mostly-zero points with n = 12, 20, 28 and 40,
-the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30, the
-20 endemic searches at bounds 0..4 and the split points' construction at
-bounds 2 and 3 (n = 4) and 1 and 2 (n = 5), the searches twice in one
-process (the second time on the left triple masks the first left in the
-search's cache), runs each cold-start
-command once in each bytecode mode, with and without -O, and fails unless
-every cold-start command exits 0 (check printing status "torus"), every
-refutation
-point's check_triangle and check_pluecker_full equal tests/reference.py's
-scans and its decide_torus reasons equal tests/reference.py's
-decide_torus, every duplicates point's reduction and witness and every
-mostly-zero point's reduction and reasons equal tests/reference.py's
-reduce_zeros and decide_torus, every kappa point's classes equal
-tests/reference.py's residue scan, every packing's size and witness equal
-tests/reference.py's max_packing, and every search's hit equals
-tests/reference.py's search_generic.
+The tier-1 tests check the small points of these series against
+tests/reference.py, building them with the generators below: the
+refutation points with n <= 40 (the last_pair ones also with curve 1
+duplicated), the duplicates and mostly-zero shapes at n = 12, 20, 28 and
+40, the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30, the
+endemic searches at bounds 0..4 and the split construction at small
+bounds; they also run each cold-start command once in each bytecode mode,
+with and without -O.
 """
 
 from __future__ import annotations
@@ -157,7 +147,6 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (28, 40, 80, 160, 320)
-QUICK_MAX_N = 40
 SHAPES = ("last_pair", "first_row", "base_row", "two_negated",
           "all_bases_dirty", "scaled_last_pair", "last_plus_one",
           "base_plus_one")
@@ -170,28 +159,20 @@ KAPPA_POINTS = (
     + [(7, nu) for nu in (1, 2, 4, 6, 8)]
     + [(101, nu) for nu in (1, 2, 3, 4)]
 )
-QUICK_MAX_MODULUS = 10**4
 PACKING_DS = range(1, 81)
-QUICK_MAX_D = 30
 ODD_PRIMES = (3, 5, 7, 11, 13)
 ENDEMIC_PAIRS = [(p, q) for p in ODD_PRIMES for q in ODD_PRIMES if p != q]
 SEARCH_POINTS = (
     [(p, q, bound) for bound in (8, 12, 18) for p, q in ENDEMIC_PAIRS]
     + [(3, 5, 30), (5, 3, 30), (3, 7, 30)]
 )
-QUICK_SEARCH_BOUNDS = range(5)
-# (n, bound, seed) of the split series, and of its --quick check
+# (n, bound, seed) of the split series
 SPLIT_POINTS = [(n, bound, seed) for n in (4, 5) for bound in (8, 12)
                 for seed in range(5)]
-QUICK_SPLIT_POINTS = [(n, bound, seed)
-                      for n, bounds in ((4, (2, 3)), (5, (1, 2)))
-                      for bound in bounds for seed in range(5)]
 # curve counts of the duplicates series: n curves over n // 4 classes
 DUP_SIZES = (44, 80, 160, 320)
-QUICK_DUP_SIZES = (12, 20, 28, 40)
 # curve counts of the mostly-zero series
 MOSTLY_ZERO_SIZES = (80, 160, 320)
-QUICK_MOSTLY_ZERO_SIZES = (12, 20, 28, 40)
 # processes per (mode, command) and tree in the cold-start series
 COLD_REPS = 30
 # the cold-start commands, each after the interpreter's path
@@ -385,12 +366,6 @@ def reasons(failures) -> list:
             for f in failures]
 
 
-def with_first_duplicated(n: int, entries: list) -> list:
-    """The entries of n + 1 curves, curve n + 1 a copy of curve 1:
-    m_{1,n+1} = 0 and m_{i,n+1} = m_{i,1} = -m_{1i}."""
-    return entries + [0] + [-entries[_pos(1, i)] for i in range(2, n + 1)]
-
-
 def shape_points():
     """(n, shape) of every refutation point, in run order."""
     return [(n, shape) for n in SIZES for shape in SHAPES
@@ -430,94 +405,6 @@ def mostly_zero_entries(n: int) -> list:
 def kappa_entries(p: int, nu: int) -> list:
     g = p**nu
     return [2 * g, 3 * g, 5 * g]
-
-
-def report(same: bool, line: str) -> bool:
-    """Print line with its %s filled by whether same holds; True on a
-    mismatch."""
-    print(line % ("match" if same else "DIFFER from"))
-    return not same
-
-
-def quick(tree) -> int:
-    sys.path.insert(0, str(ROOT / "tests"))
-    import reference
-
-    bad = 0
-    for n, shape in shape_points():
-        if n > QUICK_MAX_N:
-            continue
-        s = tree.new_scheme(n, shape_entries(n, shape))
-        got = tree.decide_torus(s).reasons
-        bad += report(
-            got == reference.decide_torus(s).reasons
-            and tree.check_triangle(s) == reference.check_triangle(s)
-            and tree.check_pluecker_full(s) == reference.check_pluecker_full(s),
-            f"n={n} {shape}: {len(got)} {type(got[0]).__name__} reasons, "
-            "%s the reference")
-        if shape == "last_pair":
-            # zero reduction drops the copy, and the reasons are moved back
-            # to the original curve indices
-            s = tree.new_scheme(n + 1, with_first_duplicated(
-                n, shape_entries(n, shape)))
-            got = tree.decide_torus(s)
-            bad += report(
-                len(got.reduction.steps) == 1
-                and got.reasons == reference.decide_torus(s).reasons,
-                f"n={n + 1} {shape} with curve 1 duplicated: "
-                f"{len(got.reasons)} {type(got.reasons[0]).__name__} reasons, "
-                "%s the reference")
-    for n in QUICK_DUP_SIZES:
-        s = tree.new_scheme(n, duplicate_entries(n))
-        red, v = tree.reduce_zeros(s), tree.decide_torus(s)
-        ref = reference.decide_torus(s)
-        bad += report(
-            red == reference.reduce_zeros(s) and v.realizable
-            and ref.realizable and witness_of(v) == witness_of(ref),
-            f"n={n} duplicates: {len(red.steps)} curves removed, "
-            "%s the reference")
-    for n in QUICK_MOSTLY_ZERO_SIZES:
-        s = tree.new_scheme(n, mostly_zero_entries(n))
-        red, v = tree.reduce_zeros(s), tree.decide_torus(s)
-        bad += report(
-            red == reference.reduce_zeros(s)
-            and v.reasons == reference.decide_torus(s).reasons,
-            f"n={n} mostly zero: unresolvable ({red.i}, {red.j}), "
-            "%s the reference")
-    for p, nu in KAPPA_POINTS:
-        if p**nu > QUICK_MAX_MODULUS:
-            continue
-        s = tree.new_scheme(3, kappa_entries(p, nu))
-        got = tree.kappa_constraints(s)
-        bad += report(got == reference.kappa_constraints(s),
-                      f"{p}^{nu}: {got.per_prime[0].count} kappa classes, "
-                      "%s the reference scan")
-    for d in range(1, QUICK_MAX_D + 1):
-        got = tree.max_packing(d)
-        ref = reference.max_packing(d)
-        bad += report((got.size, got.witness) == (ref.size, ref.witness),
-                      f"d={d}: packing of {got.size}, %s the reference")
-    # the second pass searches again in the same process, so its hits come
-    # from left triple masks that the first pass left in the cache
-    for again in ("", "again, "):
-        for p, q in ENDEMIC_PAIRS:
-            s = tree.endemic_family(p, q)
-            got = [left_entries(tree.bounded_decomposition_search(s, bound))
-                   for bound in QUICK_SEARCH_BOUNDS]
-            bad += report(
-                got == [reference.search_generic(s, bound)
-                        for bound in QUICK_SEARCH_BOUNDS],
-                f"endemic ({p},{q}) at bounds {QUICK_SEARCH_BOUNDS[0]}.."
-                f"{QUICK_SEARCH_BOUNDS[-1]}, {again}"
-                f"{sum(h is not None for h in got)} splits, %s the reference")
-        for n, bound, seed in QUICK_SPLIT_POINTS:
-            s = tree.new_scheme(n, split_entries(n, bound, seed))
-            got = left_entries(tree.bounded_decomposition_search(s, bound))
-            bad += report(
-                got is not None and got == reference.search_generic(s, bound),
-                f"split n={n} bound {bound} seed {seed}, {again}{got}, "
-                "%s the reference")
-    return 1 if bad else 0
 
 
 def series(trees: dict) -> list:
@@ -734,24 +621,12 @@ def cold_run(env: dict, name: str, path: str, flags=()) -> float:
     return ms
 
 
-def cold_check(src: Path) -> None:
-    """Each cold-start command once per bytecode mode, with and without
-    -O; the script fails unless each exits 0 and check prints "torus"."""
-    with TemporaryDirectory() as tmp:
-        path, envs = cold_setup({"change": src}, Path(tmp))
-        for (mode, _), env in envs.items():
-            for flags in ((), ("-O",)):
-                for name in COLD_COMMANDS:
-                    cold_run(env, name, path, flags)
-                print(f"cold start, {mode} bytecode{' -O' if flags else ''}: "
-                      f"{', '.join(COLD_COMMANDS)} exit 0, check prints torus")
-
-
 def cold_start_series(srcs: dict) -> list:
     """Per bytecode mode and cold-start command, the median and quartiles
     of COLD_REPS process wall times per tree, after one warm-up run of
-    every command; the trees take turns, which goes first alternating
-    from round to round."""
+    every command, and with a parent the median of the per-round
+    change/parent ratios; the trees take turns, which goes first
+    alternating from round to round."""
     points = []
     with TemporaryDirectory() as tmp:
         path, envs = cold_setup(srcs, Path(tmp))
@@ -776,9 +651,9 @@ def cold_start_series(srcs: dict) -> list:
                                     "q3_ms": round(q3, 1),
                                     "min_ms": round(min(ms), 1)}
                 if "parent" in srcs:
-                    point["median_ratio"] = round(
-                        point["change"]["median_ms"]
-                        / point["parent"]["median_ms"], 3)
+                    point["paired_ratio"] = round(statistics.median(
+                        c / p for c, p in zip(times["change", name],
+                                              times["parent", name])), 3)
                 points.append(point)
                 print(json.dumps(point), flush=True)
     return points
@@ -789,18 +664,11 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path,
                     help="src/ directory of a second tree to time alongside")
     ap.add_argument("--out", type=Path, help="write the series as JSON here")
-    ap.add_argument("--quick", action="store_true",
-                    help="small points only, checked against the references, "
-                         "no timing")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
     import toruscurves
 
-    if args.quick:
-        bad = quick(toruscurves)
-        cold_check(ROOT / "src")
-        return bad
     trees, srcs = {}, {}
     if args.parent is not None:
         trees["parent"] = load_tree(args.parent.resolve(), "parent_toruscurves")
@@ -844,7 +712,9 @@ def main(argv=None) -> int:
                 "(source: PYTHONDONTWRITEBYTECODE=1; cached: a fresh "
                 "PYTHONPYCACHEPREFIX warmed by one run of each command), "
                 f"median and quartiles of {COLD_REPS} wall times in ms, the "
-                "trees taking turns. 'change' is this tree, "
+                "trees taking turns, and paired_ratio, the median over the "
+                "rounds of the change/parent ratio of the two runs in a "
+                "round. 'change' is this tree, "
                 "'parent' the tree given by --parent; the trees' calls "
                 "alternate, which goes first alternating from round to "
                 "round across points, and a point of any series but "
