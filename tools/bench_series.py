@@ -26,51 +26,47 @@ only Pluecker relations fail; the last two break the triangle condition:
   base_plus_one    m_12 += 1, which leaves decide_torus no primitive
                    system, so neither check has missed pairs on offer.
 
-It runs n = 28, 40, 80, 160, 320 and records, per point, the best of a
-few wall times (time.perf_counter) of check_pluecker_full, of
-check_triangle and of decide_torus on the same scheme, with the stage
-that refuted it.  all_bases_dirty stops at
+It runs n = 28, 40, 80, 160, 320 and records, per point, the wall times
+of check_pluecker_full, of check_triangle and of decide_torus on the same
+scheme, with the stage that refuted it.  all_bases_dirty stops at
 n = 160: there every check tests all C(n,4) quadruples, which takes
 about 2.5 s at n = 160 and some 16 times that at n = 320.
 
 Duplicates series: n = 44, 80, 160, 320 curves over n // 4 classes
 (coordinates in [-30, 30], seeded by n), each class used four times, each
 curve in a random direction, the shape of the duplicate-heavy schemes
-whose zero reduction dominates a decision.  Per point it records the best
-of a few wall times of reduce_zeros and of decide_torus, and the number
-of curves the reduction removes.
+whose zero reduction dominates a decision.  Per point it records the
+wall times of reduce_zeros and of decide_torus, and the number of curves
+the reduction removes.
 
 Mostly-zero series: n = 80, 160, 320 curves whose only nonzero entries
 are the last column's, m_{i,n} = i.  No zero pair resolves, so the
 reduction scans every zero pair of the matrix before it returns the
-first, (1, 2), as unresolvable.  Per point it records the best of a few
-wall times of reduce_zeros and of decide_torus.
+first, (1, 2), as unresolvable.  Per point it records the wall times of
+reduce_zeros and of decide_torus.
 
 Kappa series: the realizable 3-schemes (2,3,5)*p^nu for p = 2 (nu = 4,
 8, 12, 16, 20, 23, 40), p = 7 (nu = 1, 2, 4, 6, 8) and p = 101 (nu = 1..4).
-Per point it records the best of a few wall times of decide_torus and
-of an in-process `check FILE` (JSON parse, decision and JSON output), and
-the byte length of the check document.  There is no refusal path: a tree
-that raises on a point stops the script.
+Per point it records the wall times of decide_torus and of an in-process
+`check FILE` (JSON parse, decision and JSON output), and the byte length
+of the check document.  There is no refusal path: a tree that raises on
+a point stops the script.
 
 Packing series: max_packing(d) for d = 1..80.  Per point it records the
-best of a few wall times (5 up to d = 24, 3 up to d = 40 and 1 beyond) and
-the number of farey.max_clique calls, counted on the timed calls.  Past
-d = 40 one call can take a minute or more where the packing stays below
+wall time and the number of farey.max_clique calls of one call.  Past
+d = 40 one call can take half a minute where the packing stays below
 p + 1 (d = 73, 75 and 79), since the clique search must then prove its
-bound; the packing series alone takes about 12 minutes with --parent.
+bound; the packing series is about half of a run with --parent, some
+15 minutes.
 
 Search series: bounded_decomposition_search on the endemic 4-schemes
 (q; pq,pq; pq,pq,p) for the 20 ordered pairs of distinct p, q in
 {3, 5, 7, 11, 13} at bounds 8, 12 and 18, and on (3,5), (5,3) and (3,7)
-at bound 30.  Each timed run empties the search's left-mask cache (a
-tree without one has nothing to empty), calls the search, the cold call,
-and calls it again on the masks the first call left, the warm call.  Per
-point it records the best of a few runs (5 at bound 8, 3 up to bound 18
-and 1 at bound 30) of the warm call's wall time (ms) and of the cold
-call's (cold_ms), and the hit: null when the search exhausts, else the
-left summand's entries.  The split series' best of 5 reads the cache
-warm from its second call on.
+at bound 30.  A cold call empties the search's left-mask cache first (a
+tree without one has nothing to empty); the warm calls come after the
+cold ones and read the masks they left.  Per point it records the wall
+times of the warm call (ms) and of the cold call (cold_ms), and the hit:
+null when the search exhausts, else the left summand's entries.
 
 Split series: bounded_decomposition_search on schemes that do split, at
 n = 4 and 5 and bounds 8 and 12, five seeds each.  Each is the sum of a
@@ -78,7 +74,7 @@ vector scheme of primitive vectors with coordinates in [-2, 2] whose
 entries lie within the bound and one with coordinates in [-3, 3], drawn
 again until the sum has no zero entry and fails the triangle condition,
 so it is not torus-realizable but has a split within the bound.  Per
-point it records the best of 5 wall times and the hit.
+point it records the wall time and the hit.
 
 Cold-start series: wall times of whole processes, each tree's package
 copied afresh (without __pycache__) and put first on PYTHONPATH:
@@ -88,29 +84,31 @@ determinants of six primitive classes, exit 0).  It runs in two bytecode
 modes: source, with PYTHONDONTWRITEBYTECODE=1, so the package compiles on
 every run (the standard library reads its installed bytecode); and
 cached, with a fresh PYTHONPYCACHEPREFIX per tree warmed by one run of
-each command.  Per (mode, command) and tree it records the median and
-quartiles of COLD_REPS runs, the trees taking turns.  With --parent it
-also records paired_ratio: the median, over the COLD_REPS rounds, of the
-change/parent ratio of the command's two runs in that round, so that
-drift between rounds cancels.
+each command.  Per (mode, command) it records the wall time of one
+process.
 
-With --parent, the trees take turns in every series, and which goes
-first alternates from round to round across points, so a point timed
-once is led by the parent and the next one by this tree.  A point of any
-series but the cold-start one, kappa included, whose change/parent time
-ratio exceeds 1.25 is timed again, best of 5 calls per tree,
-alternating, before it is recorded; the first reading's ratios are kept
-under first_ratios.  A point timed once can read noise.
+Every timed quantity of every series gets ROUNDS paired rounds of its
+own.  In a round the trees take turns call by call, which goes first
+alternating from pair to pair across points, until each tree has run
+once and its calls have taken ROUND_S seconds; a tree's value for the
+round is its mean wall time per call (time.perf_counter, in ms), and the
+point records per tree the median over the rounds.  With --parent it
+also records, for each timed key, the key with "ms" replaced by "ratio":
+the median of the rounds' change/parent ratios, so that drift between
+rounds cancels, with the ratios themselves under round_ratios.  A count
+(max_clique_calls, check_bytes) is recorded as the last call gives it.
+The garbage collector runs before every call, so that its work inside a
+call does not depend on the calls before it.
 
 With --parent, a second toruscurves tree (the src/ directory of another
 checkout) is loaded under another module name and timed in the same
-process, alternating with this tree's, so both columns see the same
-machine state; the script fails unless both trees give the same reasons,
-the same reduction and witness on every duplicates point, the same
-unresolvable pair, reduction and reasons on every mostly-zero point, the
-same kappa, witness and check stdout at every kappa point, the same
-packing size and witness at every d, and the same search hit at every
-search and split point.
+process, so both columns see the same machine state; the script fails
+unless both trees give the same reasons, the same reduction and witness
+on every duplicates point, the same unresolvable pair, reduction and
+reasons on every mostly-zero point, the same kappa, witness and check
+stdout at every kappa point, the same packing size and witness at every
+d, and the same search hit at every search and split point, where the
+cold and warm calls must agree too.
 
 The tier-1 tests check the small points of these series against
 tests/reference.py, building them with the generators below: the
@@ -173,18 +171,16 @@ SPLIT_POINTS = [(n, bound, seed) for n in (4, 5) for bound in (8, 12)
 DUP_SIZES = (44, 80, 160, 320)
 # curve counts of the mostly-zero series
 MOSTLY_ZERO_SIZES = (80, 160, 320)
-# processes per (mode, command) and tree in the cold-start series
-COLD_REPS = 30
 # the cold-start commands, each after the interpreter's path
 COLD_COMMANDS = {
     "bare": ["-c", "pass"],
     "import": ["-c", "import toruscurves"],
     "check": ["-m", "toruscurves", "check"],  # + the scheme file
 }
-# with --parent, a point whose change/parent time ratio exceeds this is
-# timed again, alternating best of RETIME_REPS, before it is recorded
-RETIME_RATIO = 1.25
-RETIME_REPS = 5
+# paired rounds per timed key, and the least time, in seconds, that each
+# tree's calls take in a round (as timeit.Timer.autorange's 0.2 s)
+ROUNDS = 5
+ROUND_S = 0.2
 
 
 def load_tree(src: Path, alias: str):
@@ -291,70 +287,76 @@ def shape_entries(n: int, shape: str) -> list:
 
 def timed(fn, arg):
     """(wall time in ms, result) of one call."""
-    gc.collect()
     t0 = perf_counter()
     out = fn(arg)
     return (perf_counter() - t0) * 1e3, out
 
 
-# rounds of alternate, counted across calls, so that which tree goes first
-# alternates from point to point even where a point is timed once
-ROUNDS = count()
+# pairs of calls, counted across points, so that which tree goes first
+# alternates from pair to pair even where every round holds one pair
+TURNS = count()
 
 
-def alternate(trees: dict, reps: int, run):
-    """Call run(label, tree) -> ({key: ms}, output) reps times per tree,
-    the trees taking turns, each going first in every other round of
-    ROUNDS; ({label: {key: best ms}}, {label: output of the last call}).
-    A key may also hold a deterministic per-tree count, which the best of
-    the reps then reads unchanged."""
-    times = {label: {} for label in trees}
-    outs = {}
-    for _ in range(reps):
-        order = list(trees.items())[::-1 if next(ROUNDS) % 2 else 1]
-        for label, tree in order:
-            ms, outs[label] = run(label, tree)
-            for key, value in ms.items():
-                times[label].setdefault(key, []).append(value)
-    best = {label: {key: round(min(values), 3) for key, values in kv.items()}
-            for label, kv in times.items()}
-    return best, outs
+def measure(trees: dict, key: str, run):
+    """ROUNDS paired rounds of run(label, tree) -> ({key: ms, count: value,
+    ...}, output).  In a round the trees take turns, which goes first
+    alternating by TURNS, until each has run once and its calls have taken
+    ROUND_S; a tree's value for the round is its mean ms per call.
+    ({label: {key: median of the tree's round values, count: the last
+    call's value}}, {label: the last call's output}, [the change/parent
+    ratio of each round], empty without a parent)."""
+    means = {label: [] for label in trees}
+    last, outs = {}, {}
+    # every call starts from an empty young heap, so that the collector
+    # does the same work in each tree's calls; frozen, the objects alive
+    # now cost those collections nothing
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(ROUNDS):
+            total, calls = dict.fromkeys(trees, 0.0), 0
+            while not calls or min(total.values()) < ROUND_S * 1e3:
+                order = list(trees.items())[::-1 if next(TURNS) % 2 else 1]
+                for label, tree in order:
+                    gc.collect()
+                    last[label], outs[label] = run(label, tree)
+                    total[label] += last[label][key]
+                calls += 1
+            for label in trees:
+                means[label].append(total[label] / calls)
+    finally:
+        gc.unfreeze()
+    values = {label: {**last[label],
+                      key: round(statistics.median(means[label]), 3)}
+              for label in trees}
+    ratios = ([c / p for c, p in zip(means["change"], means["parent"])]
+              if "parent" in trees else [])
+    return values, outs, ratios
 
 
-def measure(trees: dict, reps: int, run, keys):
-    """alternate(trees, reps, run), plus the change/parent ratio of each
-    timed key in keys (its name with "ms" replaced by "ratio") when there
-    is a parent tree.  A point with a ratio above RETIME_RATIO is timed
-    again, alternating best of RETIME_REPS, and the new times are kept:
-    a point timed once or a few times can read noise.  The first reading's
-    ratios are then kept under "first_ratios"."""
-    best, outs = alternate(trees, reps, run)
-    if "parent" not in trees:
-        return best, outs, {}
-
-    def ratios():
-        return {key.replace("ms", "ratio"):
-                round(best["change"][key] / best["parent"][key], 3)
-                for key in keys}
-
-    extra = ratios()
-    if max(extra.values()) > RETIME_RATIO:
-        first = extra
-        best, outs = alternate(trees, RETIME_REPS, run)
-        extra = ratios()
-        extra["first_ratios"] = first
-    return best, outs, extra
-
-
-def record(points: list, trees: dict, reps: int, run, keys, fields) -> None:
-    """measure(trees, reps, run, keys); fails the script unless every
-    tree's output equals this tree's, then appends {**fields(output),
-    **best, **extra} to points and prints it."""
-    best, outs, extra = measure(trees, reps, run, keys)
-    out = outs["change"]
-    if any(o != out for o in outs.values()):
+def record(points: list, trees: dict, runs: dict, fields) -> None:
+    """measure(trees, key, run) for each key, run in runs; fails the script
+    unless, for every key, every tree's output equals this tree's, then
+    appends {**fields({key: this tree's output}), label: its values, the
+    key with "ms" replaced by "ratio": the median of its round ratios,
+    "round_ratios": those ratios} to points and prints it."""
+    values = {label: {} for label in trees}
+    outs, extra, rounds = {}, {}, {}
+    for key, run in runs.items():
+        vals, outs[key], ratios = measure(trees, key, run)
+        for label in trees:
+            values[label].update(vals[label])
+        if ratios:
+            name = key.replace("ms", "ratio")
+            extra[name] = round(statistics.median(ratios), 3)
+            rounds[name] = [round(r, 3) for r in ratios]
+    out = {key: by_tree["change"] for key, by_tree in outs.items()}
+    if any(o != out[key] for key, by_tree in outs.items()
+           for o in by_tree.values()):
         raise SystemExit(f"{fields(out)}: the trees' outputs differ")
-    point = {**fields(out), **best, **extra}
+    point = {**fields(out), **values, **extra}
+    if rounds:
+        point["round_ratios"] = rounds
     points.append(point)
     print(json.dumps(point), flush=True)
 
@@ -413,17 +415,25 @@ def series(trees: dict) -> list:
         entries = shape_entries(n, shape)
         schemes = {label: t.new_scheme(n, entries) for label, t in trees.items()}
 
-        def run(label, tree):
-            s = schemes[label]
-            ms = {"pluecker_ms": timed(tree.check_pluecker_full, s)[0],
-                  "triangle_ms": timed(tree.check_triangle, s)[0]}
-            ms["decide_ms"], v = timed(tree.decide_torus, s)
-            return ms, (type(v.reasons[0]).__name__, reasons(v.reasons))
+        def pluecker(label, tree):
+            ms = timed(tree.check_pluecker_full, schemes[label])[0]
+            return {"pluecker_ms": ms}, None
 
-        record(points, trees, 5 if n <= 40 else 3, run,
-               ("pluecker_ms", "decide_ms"),
-               lambda out: {"n": n, "shape": shape, "stage": out[0],
-                            "reasons": len(out[1])})
+        def triangle(label, tree):
+            ms = timed(tree.check_triangle, schemes[label])[0]
+            return {"triangle_ms": ms}, None
+
+        def decide(label, tree):
+            ms, v = timed(tree.decide_torus, schemes[label])
+            return ({"decide_ms": ms},
+                    (type(v.reasons[0]).__name__, reasons(v.reasons)))
+
+        record(points, trees,
+               {"pluecker_ms": pluecker, "triangle_ms": triangle,
+                "decide_ms": decide},
+               lambda out: {"n": n, "shape": shape,
+                            "stage": out["decide_ms"][0],
+                            "reasons": len(out["decide_ms"][1])})
     return points
 
 
@@ -433,19 +443,19 @@ def duplicates_series(trees: dict) -> list:
         entries = duplicate_entries(n)
         schemes = {label: t.new_scheme(n, entries) for label, t in trees.items()}
 
-        def run(label, tree):
-            s = schemes[label]
-            ms = {}
-            ms["reduce_ms"], red = timed(tree.reduce_zeros, s)
-            ms["decide_ms"], v = timed(tree.decide_torus, s)
+        def reduce(label, tree):
+            ms, red = timed(tree.reduce_zeros, schemes[label])
+            return {"reduce_ms": ms}, reduction_of(red)
+
+        def decide(label, tree):
+            ms, v = timed(tree.decide_torus, schemes[label])
             if not v.realizable:
                 raise SystemExit(f"n={n} duplicates: {label} refutes")
-            return ms, (reduction_of(red), witness_of(v))
+            return {"decide_ms": ms}, witness_of(v)
 
-        record(points, trees, 5 if n <= 80 else 3, run,
-               ("reduce_ms", "decide_ms"),
+        record(points, trees, {"reduce_ms": reduce, "decide_ms": decide},
                lambda out: {"n": n, "classes": n // 4,
-                            "removed": len(out[0][0])})
+                            "removed": len(out["reduce_ms"][0])})
     return points
 
 
@@ -455,17 +465,16 @@ def mostly_zero_series(trees: dict) -> list:
         entries = mostly_zero_entries(n)
         schemes = {label: t.new_scheme(n, entries) for label, t in trees.items()}
 
-        def run(label, tree):
-            s = schemes[label]
-            ms = {}
-            ms["reduce_ms"], red = timed(tree.reduce_zeros, s)
-            ms["decide_ms"], v = timed(tree.decide_torus, s)
-            return ms, ((red.i, red.j), reduction_of(red),
-                        [(r.i, r.j) for r in v.reasons])
+        def reduce(label, tree):
+            ms, red = timed(tree.reduce_zeros, schemes[label])
+            return {"reduce_ms": ms}, ((red.i, red.j), reduction_of(red))
 
-        record(points, trees, 5 if n <= 80 else 3, run,
-               ("reduce_ms", "decide_ms"),
-               lambda out: {"n": n, "unresolvable": out[0]})
+        def decide(label, tree):
+            ms, v = timed(tree.decide_torus, schemes[label])
+            return {"decide_ms": ms}, [(r.i, r.j) for r in v.reasons]
+
+        record(points, trees, {"reduce_ms": reduce, "decide_ms": decide},
+               lambda out: {"n": n, "unresolvable": out["reduce_ms"][0]})
     return points
 
 
@@ -490,16 +499,15 @@ def kappa_series(trees: dict) -> list:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"n": 3, "entries": entries}, fh)
 
-            def run(label, tree):
+            def decide(label, tree):
                 ms, v = timed(tree.decide_torus, tree.new_scheme(3, entries))
-                check_ms, text = timed(partial(check_stdout, clis[label]),
-                                       path)
-                return ({"decide_ms": ms, "check_ms": check_ms,
-                         "check_bytes": len(text)},
-                        (witness_of(v), text))
+                return {"decide_ms": ms}, witness_of(v)
 
-            record(points, trees, 5 if p**nu <= 10**6 else 3, run,
-                   ("decide_ms", "check_ms"),
+            def check(label, tree):
+                ms, text = timed(partial(check_stdout, clis[label]), path)
+                return {"check_ms": ms, "check_bytes": len(text)}, text
+
+            record(points, trees, {"decide_ms": decide, "check_ms": check},
                    lambda out: {"p": p, "nu": nu, "modulus": p**nu})
     return points
 
@@ -532,8 +540,8 @@ def packing_series(trees: dict) -> list:
             return ({"ms": ms, "max_clique_calls": calls},
                     (res.size, res.witness))
 
-        record(points, trees, 5 if d <= 24 else 3 if d <= 40 else 1, run,
-               ("ms",), lambda out: {"d": d, "size": out[0]})
+        record(points, trees, {"ms": run},
+               lambda out: {"d": d, "size": out["ms"][0]})
     return points
 
 
@@ -546,23 +554,26 @@ def search_series(trees: dict) -> list:
     points = []
     for p, q, bound in SEARCH_POINTS:
 
-        def run(label, tree):
-            search = partial(tree.bounded_decomposition_search, bound=bound)
+        def search(label, tree, cold):
             s = tree.endemic_family(p, q)
-            # a tree without the left-mask cache times two plain calls
+            # a tree without the left-mask cache times plain calls
             left_mask = getattr(tree.genus, "_left_mask", None)
-            if left_mask is not None:
+            if cold and left_mask is not None:
                 left_mask.cache_clear()
-            cold_ms, cold = timed(search, s)
-            ms, hit = timed(search, s)
-            if hit != cold:
-                raise SystemExit(f"endemic ({p},{q}) bound {bound}: {label} "
-                                 "hits differ on an empty and a warm cache")
-            return {"cold_ms": cold_ms, "ms": ms}, left_entries(hit)
+            ms, hit = timed(
+                partial(tree.bounded_decomposition_search, bound=bound), s)
+            return {"cold_ms" if cold else "ms": ms}, left_entries(hit)
 
-        record(points, trees, 5 if bound <= 8 else 3 if bound <= 18 else 1,
-               run, ("ms", "cold_ms"),
-               lambda out: {"p": p, "q": q, "bound": bound, "hit": out})
+        def fields(out):
+            if out["cold_ms"] != out["ms"]:
+                raise SystemExit(f"endemic ({p},{q}) bound {bound}: hits "
+                                 "differ on an empty and a warm cache")
+            return {"p": p, "q": q, "bound": bound, "hit": out["ms"]}
+
+        # the cold calls first, so that the warm ones read their masks
+        record(points, trees,
+               {"cold_ms": partial(search, cold=True),
+                "ms": partial(search, cold=False)}, fields)
     return points
 
 
@@ -579,9 +590,9 @@ def split_series(trees: dict) -> list:
                                  f"{label} finds no split")
             return {"ms": ms}, left_entries(hit)
 
-        record(points, trees, 5, run, ("ms",),
+        record(points, trees, {"ms": run},
                lambda out: {"n": n, "bound": bound, "seed": seed,
-                            "entries": entries, "hit": out})
+                            "entries": entries, "hit": out["ms"]})
     return points
 
 
@@ -622,40 +633,23 @@ def cold_run(env: dict, name: str, path: str, flags=()) -> float:
 
 
 def cold_start_series(srcs: dict) -> list:
-    """Per bytecode mode and cold-start command, the median and quartiles
-    of COLD_REPS process wall times per tree, after one warm-up run of
-    every command, and with a parent the median of the per-round
-    change/parent ratios; the trees take turns, which goes first
-    alternating from round to round."""
+    """Per bytecode mode and cold-start command, the wall time of one
+    process per tree, recorded after one warm-up run of every command."""
     points = []
     with TemporaryDirectory() as tmp:
         path, envs = cold_setup(srcs, Path(tmp))
         for mode in ("source", "cached"):
-            for label in srcs:
+            trees = {label: envs[mode, label] for label in srcs}
+            for env in trees.values():
                 for name in COLD_COMMANDS:
-                    cold_run(envs[mode, label], name, path)
-            times = {(label, name): [] for label in srcs
-                     for name in COLD_COMMANDS}
-            for r in range(COLD_REPS):
-                for label in list(srcs)[::-1 if r % 2 else 1]:
-                    for name in COLD_COMMANDS:
-                        times[label, name].append(
-                            cold_run(envs[mode, label], name, path))
+                    cold_run(env, name, path)
             for name in COLD_COMMANDS:
-                point = {"bytecode": mode, "command": name, "runs": COLD_REPS}
-                for label in srcs:
-                    ms = times[label, name]
-                    q1, med, q3 = statistics.quantiles(ms, n=4)
-                    point[label] = {"median_ms": round(med, 1),
-                                    "q1_ms": round(q1, 1),
-                                    "q3_ms": round(q3, 1),
-                                    "min_ms": round(min(ms), 1)}
-                if "parent" in srcs:
-                    point["paired_ratio"] = round(statistics.median(
-                        c / p for c, p in zip(times["change", name],
-                                              times["parent", name])), 3)
-                points.append(point)
-                print(json.dumps(point), flush=True)
+
+                def run(label, env):
+                    return {"ms": cold_run(env, name, path)}, None
+
+                record(points, trees, {"ms": run},
+                       lambda out: {"bytecode": mode, "command": name})
     return points
 
 
@@ -679,50 +673,42 @@ def main(argv=None) -> int:
         "what": "points: check_pluecker_full, check_triangle and "
                 "decide_torus on the Pluecker- and triangle-refuted shapes "
                 f"{', '.join(SHAPES)}, with the refuting stage and its "
-                "reason count; best of 5 (n <= 40) or 3 wall times in ms. "
-                "duplicates_points: reduce_zeros and decide_torus on n "
-                "curves over n // 4 classes, with the curves the reduction "
-                "removes; best of 5 (n <= 80) or 3 wall times in ms. "
-                "mostly_zero_points: reduce_zeros and decide_torus on n "
-                "curves with m_{i,n} = i and every other entry 0, with the "
-                "unresolvable pair; best of 5 (n <= 80) or 3 wall times in "
-                "ms. "
+                "reason count. duplicates_points: reduce_zeros and "
+                "decide_torus on n curves over n // 4 classes, with the "
+                "curves the reduction removes. mostly_zero_points: "
+                "reduce_zeros and decide_torus on n curves with m_{i,n} = i "
+                "and every other entry 0, with the unresolvable pair. "
                 "kappa_points: decide_torus and an in-process check FILE "
-                "on (2,3,5)*p^nu, best of 5 (p^nu <= 10^6) or 3 wall times "
-                "in ms, and the byte length of the check document, which "
-                "must be the same in every tree; there is no refusal "
-                "path, a tree that raises stops the run. packing_points: "
-                "max_packing(d), best of 5 (d <= 24), 3 (d <= 40) or 1 wall "
-                "times in ms, and the farey.max_clique calls of each timed "
-                "call. "
-                "search_points: bounded_decomposition_search on the endemic "
-                "4-scheme of (p, q) at the bound, each run a cold call "
-                "(after the left-mask cache is emptied; a plain call on a "
-                "tree without the cache) and the same call again on a warm "
-                "cache, best of 5 (bound 8), 3 (bound <= 18) or 1 runs of "
-                "the warm (ms) and cold (cold_ms) wall times in ms, and the "
-                "hit (null, or the left summand's entries). split_points: "
+                "on (2,3,5)*p^nu, and the byte length of the check "
+                "document, which must be the same in every tree; there is "
+                "no refusal path, a tree that raises stops the run. "
+                "packing_points: max_packing(d), with the farey.max_clique "
+                "calls of one call. search_points: "
+                "bounded_decomposition_search on the endemic 4-scheme of "
+                "(p, q) at the bound, cold (cold_ms, the left-mask cache "
+                "emptied first; a plain call on a tree without the cache) "
+                "and then warm (ms), and the hit (null, or the left "
+                "summand's entries). split_points: "
                 "bounded_decomposition_search on a non-torus sum of a "
                 "vector scheme within the bound and another one, n = 4 and "
-                "5, bounds 8 and 12, five seeds each, best of 5 wall times "
-                "in ms, and the hit. cold_start_points: whole processes, "
-                "python -c pass, python -c 'import toruscurves' and python "
-                "-m toruscurves check on a realizable 6-scheme, each tree's "
-                "package copied without __pycache__, in two bytecode modes "
-                "(source: PYTHONDONTWRITEBYTECODE=1; cached: a fresh "
-                "PYTHONPYCACHEPREFIX warmed by one run of each command), "
-                f"median and quartiles of {COLD_REPS} wall times in ms, the "
-                "trees taking turns, and paired_ratio, the median over the "
-                "rounds of the change/parent ratio of the two runs in a "
-                "round. 'change' is this tree, "
-                "'parent' the tree given by --parent; the trees' calls "
-                "alternate, which goes first alternating from round to "
-                "round across points, and a point of any series but "
-                "cold_start_points, kappa "
-                "included, whose change/parent ratio exceeds "
-                f"{RETIME_RATIO} is timed again, best of {RETIME_REPS} "
-                "alternating calls, with the first reading's ratios under "
-                "first_ratios",
+                "5, bounds 8 and 12, five seeds each, and the hit. "
+                "cold_start_points: whole processes, python -c pass, python "
+                "-c 'import toruscurves' and python -m toruscurves check on "
+                "a realizable 6-scheme, each tree's package copied without "
+                "__pycache__, in two bytecode modes (source: "
+                "PYTHONDONTWRITEBYTECODE=1; cached: a fresh "
+                "PYTHONPYCACHEPREFIX warmed by one run of each command). "
+                "'change' is this tree, 'parent' the tree given by "
+                f"--parent. Every *ms key gets {ROUNDS} paired rounds of its "
+                "own: in a round the trees' calls alternate, which goes "
+                "first alternating from pair to pair, until each tree has "
+                f"run once and its calls have taken {ROUND_S} s; a tree's "
+                "value for a round is its mean wall time per call in ms, "
+                "and the point records per tree the median over the "
+                "rounds. With a parent, the key with ms replaced by ratio "
+                "is the median of the rounds' change/parent ratios, which "
+                "round_ratios lists. Counts (max_clique_calls, "
+                "check_bytes) are those of one call",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
