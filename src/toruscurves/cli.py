@@ -45,7 +45,7 @@ from .genus import (
 )
 from .oracle import oracle_realizable
 from .render import render_svg
-from .scheme import Scheme, Unresolvable, lift_system, new_scheme, reduce_zeros
+from .scheme import Scheme, Unresolvable, lift_system, reduce_zeros
 from .solver import _orbits, construct_witness
 
 
@@ -68,12 +68,13 @@ def _load_scheme(path: str) -> Scheme:
         raise CliError('scheme document needs fields "n" and "entries"')
     n, entries = doc["n"], doc["entries"]
     # json.load builds exact types, so this refuses bools (JSON true and
-    # false) as well as floats, strings, null, lists and objects
+    # false) as well as floats, strings, null, lists and objects; the
+    # entries are then exact ints, so Scheme checks only the shape
     if type(n) is not int or type(entries) is not list or not set(
         map(type, entries)
     ) <= {int}:
         raise CliError('"n" must be an integer and "entries" a list of integers')
-    return new_scheme(n, entries)
+    return Scheme(n, tuple(entries))
 
 
 def _witness_doc(system):
@@ -265,6 +266,10 @@ def _cmd_toz(args) -> int:
         raise CliError(
             f"zero entry m_{red.i}{red.j} cannot be reduced; toz is undefined"
         )
+    if red.reduced.n < 3 and red.steps:
+        # toz_report's own message would count only the curves left
+        raise CliError("toz needs at least 3 curves; zero reduction left "
+                       f"{red.reduced.n} of {s.n}")
     _emit(_toz_doc(toz_report(red.reduced)))
     return 0
 

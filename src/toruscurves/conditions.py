@@ -86,7 +86,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, gcd
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .errors import ConstraintViolation, PreconditionViolated, type_strict
 from .intarith import factorize, is_probable_prime, valuation
@@ -149,9 +149,6 @@ class FailedToz(NamedTuple):
 class UnresolvableZero(NamedTuple):
     i: int
     j: int
-
-
-Reason = Union[FailedTriangle, FailedPluecker, FailedToz, UnresolvableZero]
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +321,6 @@ class TozReport(NamedTuple):
     per_prime: tuple  # tuple[PrimeTozEntry, ...], one per prime of base_gcd
     checked_primes: tuple  # ((p, total) for primes p < n)
 
-    def total_for(self, p: int) -> Fraction:
-        for entry in self.per_prime:
-            if entry.prime == p:
-                return entry.total
-        return Fraction(0)
-
 
 def _primes_below(n: int):
     return [c for c in range(2, n) if is_probable_prime(c)]
@@ -421,7 +412,7 @@ def _circledast_failures(s: Scheme, cons: KappaConstraintSet):
 @type_strict
 class Verdict(NamedTuple):
     realizable: bool
-    reasons: tuple  # tuple[Reason, ...]; empty iff realizable
+    reasons: tuple  # the failure records; empty iff realizable
     witness: Optional[tuple]  # tuple[CurveClass, ...], original indexing
     used_empty: bool
     reduction: Optional[ReductionLog]

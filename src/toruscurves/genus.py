@@ -39,7 +39,10 @@ from .intarith import is_probable_prime
 from .scheme import Scheme, _integer, _pos, get, permute, scheme_sum
 
 # bounded_decomposition_search refuses a larger bound before it builds any
-# mask: a slot's mask has 2*bound + 1 bits, about 256 KiB at this bound
+# mask: a slot's mask has 2*bound + 1 bits, about 256 KiB at this bound.
+# That sizes one mask only: _left_mask's process-wide cache may hold 4096
+# masks of that many bits, about 1 GiB at this bound, next to a search's
+# own memo (by the code; no search was run to that size)
 MAX_SEARCH_BOUND = 2**20
 
 
@@ -299,7 +302,10 @@ def bounded_decomposition_search(
     Nothing realizable is pruned, so the first hit matches the unpruned scan.
     A bound outside [0, MAX_SEARCH_BOUND] (2**20) is a DomainError.
 
-    MAX_SEARCH_BOUND guards memory, not time.  On the endemic 4-schemes
+    MAX_SEARCH_BOUND sizes one mask at about 256 KiB, but _left_mask's
+    cache may hold 4096 masks of 2*bound + 1 bits, about 1 GiB at bound
+    2**20 (by the code, not run at that size), so it bounds neither the
+    search's memory nor its time.  On the endemic 4-schemes
     (q; pq,pq; pq,pq,p), p != q in {3, 5, 7, 11, 13}, a search takes
     0.25-1.7 ms at bound 8, 0.46-4.6 ms at bound 12, 2.0-12.9 ms at bound
     18 and 16-53 ms at bound 30 with the left masks cached, and

@@ -7,7 +7,7 @@ overflow regime anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -31,26 +31,24 @@ class Factorization(NamedTuple):
 
     pairs: tuple[tuple[int, int], ...]
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
 
+@type_strict
+class ResidueClass(namedtuple("ResidueClass", "modulus residue")):
+    """A residue class r mod m with 0 <= r < m, checked in __new__, which
+    _make, _replace, copy and pickle all go through."""
 
-# a frozen dataclass, not a NamedTuple record: __post_init__ validates
-# every instance, which NamedTuple's _make and _replace would bypass
-@dataclass(frozen=True)
-class ResidueClass:
-    """A residue class r mod m with 0 <= r < m."""
+    __slots__ = ()
 
-    modulus: int
-    residue: int
+    def __new__(cls, modulus: int, residue: int):
+        if modulus < 1:
+            raise DomainError(f"modulus must be >= 1, got {modulus}")
+        if not 0 <= residue < modulus:
+            raise DomainError(f"residue {residue} not in [0, {modulus})")
+        return tuple.__new__(cls, (modulus, residue))
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise DomainError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise DomainError(
-                f"residue {self.residue} not in [0, {self.modulus})"
-            )
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -12,7 +12,7 @@ everything zero times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, zip_longest
 from math import gcd
 from operator import index, neg
@@ -65,32 +65,36 @@ def curve(p: int, q: int) -> CurveClass:
     return CurveClass(p, q)
 
 
-# a frozen dataclass, not a NamedTuple record: __post_init__ validates
-# every instance, which NamedTuple's _make and _replace would bypass
-@dataclass(frozen=True)
-class Scheme:
+@type_strict
+class Scheme(namedtuple("Scheme", "n entries")):
     """Upper-triangular table of intersection numbers, column order.
 
     n must be an integer and entries a tuple, else DomainError; the
     entries themselves are not checked here (new_scheme converts each).
+    The checks run in __new__, which _make, _replace, copy and pickle
+    all go through.
     """
 
-    n: int
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _integer(self.n, "n")
-        if not isinstance(self.entries, tuple):
+    def __new__(cls, n: int, entries: tuple):
+        _integer(n, "n")
+        if not isinstance(entries, tuple):
             raise DomainError(
-                f"entries is a {type(self.entries).__name__}, not a tuple"
+                f"entries is a {type(entries).__name__}, not a tuple"
             )
-        if self.n < 1:
-            raise InvalidShape(f"need n >= 1, got n={self.n}")
-        want = self.n * (self.n - 1) // 2
-        if len(self.entries) != want:
+        if n < 1:
+            raise InvalidShape(f"need n >= 1, got n={n}")
+        want = n * (n - 1) // 2
+        if len(entries) != want:
             raise InvalidShape(
-                f"n={self.n} needs {want} entries, got {len(self.entries)}"
+                f"n={n} needs {want} entries, got {len(entries)}"
             )
+        return tuple.__new__(cls, (n, entries))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __repr__(self) -> str:
         return f"Scheme(n={self.n}, {list(self.entries)})"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from functools import lru_cache
@@ -98,6 +100,21 @@ def sl2_act(matrix, system) -> tuple:
 def phi(m: int) -> int:
     """Euler's totient of m >= 1, by counting the units mod m."""
     return sum(1 for r in range(m) if gcd(r, m) == 1)
+
+
+def every_route(record) -> list:
+    """Callables that build a record of record's class from its field
+    values, one per route an instance can take: the constructor, _make,
+    record._replace, and copy.deepcopy and pickle of a tuple of that
+    class that skipped the constructor."""
+    cls = type(record)
+    return [
+        lambda *a: cls(*a),
+        lambda *a: cls._make(a),
+        lambda *a: record._replace(**dict(zip(cls._fields, a))),
+        lambda *a: copy.deepcopy(tuple.__new__(cls, a)),
+        lambda *a: pickle.loads(pickle.dumps(tuple.__new__(cls, a))),
+    ]
 
 
 def random_permutation(rng: random.Random, n: int):

@@ -611,8 +611,11 @@ def test_library_errors_exit_2(tmp_path, capsys):
     empty = write_scheme(tmp_path, "zero.json", 0, [])
     big = write_scheme(tmp_path, "big.json", 2, [10**7 + 1])
     small = write_scheme(tmp_path, "small.json", 3, [2, 2, 4])
+    zeros = write_scheme(tmp_path, "zeros.json", 3, [0, 0, 0])
     cases = [
         (["toz", two], "toz needs at least 3 curves"),
+        (["toz", zeros],
+         "toz needs at least 3 curves; zero reduction left 1 of 3"),
         (["decompose", four], "need a 3-scheme, got n=4"),
         (["check", empty], "need n >= 1, got n=0"),
         (["endemic", "--p", "4", "--q", "3"], "4 is not an odd prime"),

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from math import prod
@@ -16,6 +17,7 @@ from toruscurves import (
     valuation,
     xgcd,
 )
+from conftest import every_route
 
 ints = st.integers(min_value=-(10**12), max_value=10**12)
 
@@ -38,16 +40,19 @@ def test_xgcd_identity(a, b):
 
 
 def test_residue_class_validates_and_is_frozen():
-    # a dataclass, unlike the result records: __post_init__ checks every
-    # instance, where a NamedTuple's _make and _replace would skip a check
-    # made in __new__
-    for m, r in ((0, 0), (-3, 1)):
-        with pytest.raises(DomainError, match=r"^modulus must be >= 1, got "):
-            ResidueClass(m, r)
-    for m, r in ((5, -1), (5, 5), (1, 1)):
-        with pytest.raises(DomainError, match=rf"^residue {r} not in "):
-            ResidueClass(m, r)
+    # a type-strict record whose __new__ checks every instance: the
+    # constructor, _make, _replace, copy.deepcopy and pickle alike
     c = ResidueClass(5, 4)
+    for build in every_route(c):
+        for m, r in ((0, 0), (-3, 1)):
+            with pytest.raises(DomainError,
+                               match=rf"^modulus must be >= 1, got {m}$"):
+                build(m, r)
+        for m, r in ((5, -1), (5, 5), (1, 1)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"residue {r} not in [0, {m})") + "$"):
+                build(m, r)
+        assert build(5, 4) == c
     assert (c.modulus, c.residue) == (5, 4) and ResidueClass(1, 0).residue == 0
     with pytest.raises(AttributeError):
         c.residue = 7
@@ -88,7 +93,8 @@ def test_factorize_roundtrip(n):
     for p, e in f.pairs:
         assert is_probable_prime(p)
         assert e >= 1
-    assert list(f.primes()) == sorted(f.primes())
+    primes = [p for p, _ in f.pairs]
+    assert primes == sorted(primes)
 
 
 def test_factorize_large_semiprime():

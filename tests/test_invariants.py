@@ -2,7 +2,10 @@ import ast
 import copy
 import dataclasses
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -109,6 +112,8 @@ RECORDS = [
      "CliqueResult(size=3, witness=((1, 0), (0, 1), (1, 1)), d=1)"),
     (toruscurves.OracleResult(False, (), 0),
      "OracleResult(realizable=False, witnesses=(), orbit_count=0)"),
+    (toruscurves.Scheme(2, (5,)), "Scheme(n=2, [5])"),
+    (toruscurves.ResidueClass(3, 1), "ResidueClass(modulus=3, residue=1)"),
 ]
 
 
@@ -126,8 +131,11 @@ def test_records_are_named_tuples_but_scheme_and_residue_class_validate():
     records = {c for c in classes if issubclass(c, tuple)}
     assert records == {type(r) for r, _ in RECORDS}
     assert all(hasattr(c, "_fields") for c in records)
-    assert {c for c in classes if dataclasses.is_dataclass(c)} == {
-        toruscurves.Scheme, toruscurves.ResidueClass}
+    # no dataclass: the two records that validate their fields, Scheme and
+    # ResidueClass, do so in __new__, which _make, _replace, copy and
+    # pickle all call (tests/test_scheme.py, tests/test_intarith.py)
+    assert not any(dataclasses.is_dataclass(c) for c in classes)
+    assert {toruscurves.Scheme, toruscurves.ResidueClass} <= records
     # the plain tuples are equal, the records are not
     toz = toruscurves.FailedToz(2, Fraction(3))
     zero = toruscurves.UnresolvableZero(2, 3)
@@ -160,6 +168,20 @@ def test_records_are_type_strict_frozen_tuples(r, want):
             setattr(r, name, 9)
     back = pickle.loads(pickle.dumps(r))
     assert type(back) is cls and back == r and repr(back) == want
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # no record is a dataclass, so importing the CLI, the package with it,
+    # pulls in neither module; -S keeps site's own imports out of the count
+    src = Path(toruscurves.__file__).resolve().parent.parent
+    code = ("import sys, toruscurves.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_toz_report_is_hashable_with_valuations_in_column_order():

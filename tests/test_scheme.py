@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from toruscurves import (
 from toruscurves.scheme import dense_rows
 from reference import replay_reduction
 from conftest import (
+    every_route,
     random_nonzero_scheme,
     random_permutation,
     random_vector_scheme,
@@ -68,19 +70,32 @@ def test_new_scheme_rejects_non_integers():
 
 def test_scheme_constructor_rejects_non_integer_n_and_non_tuples():
     # Scheme is public too: a float n used to build and then make
-    # decide_torus raise TypeError, and list entries made it unhashable
-    for bad in (3.0, "3", Fraction(3, 1), None):
-        with pytest.raises(DomainError, match=r"^n is "):
-            Scheme(bad, (1, 1, 1))
-    for bad in ([1, 1, 1], range(1, 4), (x for x in (1, 1, 1))):
-        with pytest.raises(DomainError, match=r"^entries is a "):
-            Scheme(3, bad)
+    # decide_torus raise TypeError, and list entries made it unhashable.
+    # Every route to an instance checks alike: the constructor, _make,
+    # _replace, copy.deepcopy and pickle
     s = Scheme(3, (1, 1, 1))
+    routes = every_route(s)
+    for build in routes:
+        for bad in (3.0, "3", Fraction(3, 1), None):
+            with pytest.raises(DomainError,
+                               match=rf"^n is {re.escape(repr(bad))}, "
+                                     "not an integer$"):
+                build(bad, (1, 1, 1))
+        for bad in ([1, 1, 1], range(1, 4)):
+            with pytest.raises(DomainError, match=rf"^entries is a "
+                               rf"{type(bad).__name__}, not a tuple$"):
+                build(3, bad)
+        with pytest.raises(InvalidShape, match=r"^n=3 needs 3 entries, got 2$"):
+            build(3, (1, 1))
+        with pytest.raises(InvalidShape, match=r"^need n >= 1, got n=0$"):
+            build(0, ())
+        assert build(3, (1, 1, 1)) == s
+    # a generator can be neither copied nor pickled
+    for build in routes[:3]:
+        with pytest.raises(DomainError,
+                           match=r"^entries is a generator, not a tuple$"):
+            build(3, (x for x in (1, 1, 1)))
     assert hash(s) == hash(new_scheme(3, [1, 1, 1])) and s.n == 3
-    with pytest.raises(InvalidShape):
-        Scheme(3, (1, 1))
-    with pytest.raises(InvalidShape):
-        Scheme(0, ())
     with pytest.raises(AttributeError):
         s.n = 4
 

@@ -143,7 +143,7 @@ def test_out_of_base_gcd_primes(rng):
         for j in range(2, n + 1):
             rj = v.witness[j - 1].p
             m1j = v.witness[j - 1].q
-            for p in factorize(abs(m1j)).primes():
+            for p, _ in factorize(abs(m1j)).pairs:
                 if w.g123 % p != 0:
                     assert rj % p != 0
 
@@ -196,7 +196,7 @@ def test_enumerate_orbits_vs_oracle(rng):
         if s.n >= 3:
             g123 = solve_xy(s).g123
             assert reps[0].kappa == canonical_kappa(kappa_constraints(s)) < g123
-            multi += len(factorize(g123).primes()) >= 2
+            multi += len(factorize(g123).pairs) >= 2
         for w in reps:
             assert verify_system(s, w.system)
         # orbit representatives are pairwise inequivalent under the
@@ -252,7 +252,7 @@ def test_forbidden_count_matches_corollary(rng):
         w = solve_xy(s)
         if w.g123 == 1:
             continue
-        for g_l in factorize(w.g123).primes():
+        for g_l, _ in factorize(w.g123).pairs:
             expected = 1 if (w.m12p * w.m13p * w.m23p) % g_l == 0 else 2
             assert forbidden_count(s, g_l) == expected
             checked += 1
