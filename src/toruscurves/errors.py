@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the equality rule of
-its result records."""
+"""Exception types shared across the package, the equality rule of its
+result records, and the integer check of their arguments."""
+
+from operator import index
 
 
 class TorusCurvesError(Exception):
@@ -55,3 +57,11 @@ def type_strict(cls):
     cls.__eq__, cls.__ne__, cls.__hash__ = (
         _same_record, _other_record, tuple.__hash__)
     return cls
+
+
+def _integer(value, name: str) -> int:
+    # operator.index, with DomainError instead of TypeError
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{name} is {value!r}, not an integer") from None

@@ -77,7 +77,7 @@ from bisect import bisect_left, bisect_right
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DomainError, type_strict
+from .errors import DomainError, _integer, type_strict
 from .intarith import next_prime
 
 
@@ -304,6 +304,7 @@ def max_packing(d: int, jobs: int = 1) -> CliqueResult:
     jobs has no effect; it is accepted for older callers, and a value below
     1 is still a DomainError.
     """
+    d = _integer(d, "d")
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     if jobs < 1:

@@ -32,11 +32,12 @@ from .errors import (
     DomainError,
     InvalidShape,
     PreconditionViolated,
+    _integer,
     type_strict,
 )
 from .conditions import Verdict, decide_torus, pluecker_mu
 from .intarith import is_probable_prime
-from .scheme import Scheme, _integer, _pos, get, permute, scheme_sum
+from .scheme import Scheme, _pos, get, permute, scheme_sum
 
 # bounded_decomposition_search refuses a larger bound before it builds any
 # mask: a slot's mask has 2*bound + 1 bits, about 256 KiB at this bound.
@@ -155,6 +156,7 @@ def endemic_family(p: int, q: int) -> Scheme:
     Members are realized on a genus-2 surface but on no torus, and admit no
     torus+torus scheme decomposition at all.
     """
+    p, q = _integer(p, "p"), _integer(q, "q")
     for t in (p, q):
         if t <= 2 or not is_probable_prime(t):
             raise DomainError(f"{t} is not an odd prime")

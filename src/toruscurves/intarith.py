@@ -11,7 +11,7 @@ from collections import namedtuple
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidModuli, type_strict
+from .errors import DomainError, InvalidModuli, _integer, type_strict
 
 # Witnesses making Miller-Rabin deterministic for all n below
 # _MR_DETERMINISTIC_BOUND, the least strong pseudoprime to all of them
@@ -34,12 +34,15 @@ class Factorization(NamedTuple):
 
 @type_strict
 class ResidueClass(namedtuple("ResidueClass", "modulus residue")):
-    """A residue class r mod m with 0 <= r < m, checked in __new__, which
-    _make, _replace, copy and pickle all go through."""
+    """A residue class r mod m with 0 <= r < m, both integers stored as
+    operator.index returns them, checked in __new__, which _make,
+    _replace, copy and pickle all go through."""
 
     __slots__ = ()
 
     def __new__(cls, modulus: int, residue: int):
+        modulus = _integer(modulus, "modulus")
+        residue = _integer(residue, "residue")
         if modulus < 1:
             raise DomainError(f"modulus must be >= 1, got {modulus}")
         if not 0 <= residue < modulus:

@@ -23,6 +23,7 @@ from .errors import (
     InvalidPermutation,
     InvalidShape,
     PreconditionViolated,
+    _integer,
     type_strict,
 )
 
@@ -69,8 +70,9 @@ def curve(p: int, q: int) -> CurveClass:
 class Scheme(namedtuple("Scheme", "n entries")):
     """Upper-triangular table of intersection numbers, column order.
 
-    n must be an integer and entries a tuple, else DomainError; the
-    entries themselves are not checked here (new_scheme converts each).
+    n must be an integer, stored as operator.index returns it, and
+    entries a tuple, else DomainError; the entries themselves are not
+    checked here (new_scheme converts each).
     The checks run in __new__, which _make, _replace, copy and pickle
     all go through.
     """
@@ -78,7 +80,7 @@ class Scheme(namedtuple("Scheme", "n entries")):
     __slots__ = ()
 
     def __new__(cls, n: int, entries: tuple):
-        _integer(n, "n")
+        n = _integer(n, "n")
         if not isinstance(entries, tuple):
             raise DomainError(
                 f"entries is a {type(entries).__name__}, not a tuple"
@@ -100,14 +102,6 @@ class Scheme(namedtuple("Scheme", "n entries")):
         return f"Scheme(n={self.n}, {list(self.entries)})"
 
 
-def _integer(value, name: str) -> int:
-    # operator.index, with DomainError instead of TypeError
-    try:
-        return index(value)
-    except TypeError:
-        raise DomainError(f"{name} is {value!r}, not an integer") from None
-
-
 def new_scheme(n: int, entries) -> Scheme:
     """Validated scheme from an entry sequence in column order.
 
@@ -115,7 +109,6 @@ def new_scheme(n: int, entries) -> Scheme:
     floats, strings and fractions raise DomainError rather than being
     truncated or parsed.
     """
-    n = _integer(n, "n")
     if type(entries) not in (list, tuple):
         # map below consumes an iterator; the fallback reads entries again
         entries = tuple(entries)

@@ -29,15 +29,20 @@ r mod m, nothing, or one of its p sub-balls mod p*m.  kappa_constraints
 stores that closed form per prime (PrimeConstraint), with an exact count
 and the residues in increasing order on demand, in O(n * nu) steps and
 without a scan.  The admitted classes of all primes combine by CRT into
-classes mod g_123 (_crt_product).
+classes mod g_123.
 Shifting kappa by g_123 is the stabilizer of (1,0), so these classes are
-exactly the orbits of normalized witnesses.
+exactly the orbits of normalized witnesses.  Orbit i takes, at each
+prime, the allowed residue whose index is i's digit in the mixed radix
+of the per-prime counts, the last prime's digit least significant
+(itertools.product order); one crt call combines them (_orbit_kappa).
+Orbit 0, the minimal allowed residue at every prime, is the canonical
+kappa.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -45,6 +50,7 @@ from .errors import (
     DomainError,
     InvalidShape,
     PreconditionViolated,
+    _integer,
     type_strict,
 )
 from .intarith import (
@@ -287,34 +293,24 @@ def kappa_constraints(s: Scheme) -> KappaConstraintSet:
     return KappaConstraintSet(per)
 
 
-def _crt_product(per_prime):
-    """Lazily CRT-combine one allowed residue per PrimeConstraint.
-
-    Yields a ResidueClass mod g_123 for every allowed kappa class, in
-    itertools.product order; each prefix costs one crt step, shared by
-    all its extensions.  No constraints yield the one class 0 mod 1.
-    """
-
-    def extend(prefix, rest):
-        if not rest:
-            yield prefix
-            return
-        pc = rest[0]
-        for r in pc.allowed:
-            cls = ResidueClass(pc.modulus, r)
-            if prefix.modulus > 1:
-                cls = crt([prefix, cls])
-            yield from extend(cls, rest[1:])
-
-    return extend(ResidueClass(1, 0), tuple(per_prime))
+def _orbit_kappa(per_prime, i: int) -> int:
+    """The kappa of orbit i, in [0, g_123): the digits of i in the mixed
+    radix of the per-prime counts, the last prime's least significant,
+    pick one allowed residue per prime (itertools.product order), and one
+    crt call combines them.  No constraints give 0, of the class 0 mod 1."""
+    picks = []
+    for pc in reversed(per_prime):
+        i, k = divmod(i, pc.count)
+        picks.append(ResidueClass(pc.modulus, pc.allowed[k]))
+    return crt(picks).residue
 
 
 def canonical_kappa(cons: KappaConstraintSet) -> int:
-    """Smallest nonnegative kappa whose residue mod each p^nu is the
-    minimal allowed one; it lies below g_123."""
+    """The kappa of orbit 0: the smallest nonnegative kappa whose residue
+    mod each p^nu is the minimal allowed one; it lies below g_123."""
     if not cons.feasible():
         raise DomainError("no allowed kappa: scheme is not realizable")
-    return next(_crt_product(cons.per_prime)).residue
+    return _orbit_kappa(cons.per_prime, 0)
 
 
 def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
@@ -372,7 +368,7 @@ def solve_pair_orbits(m: int) -> list:
     There are phi(|m|) of them, one per r in [0,|m|) coprime to m; the
     convention 0 <= r < |m| covers negative m as well.
     """
-    return list(_pair_classes(m))
+    return list(_pair_classes(_integer(m, "m")))
 
 
 def _orbits(s: Scheme, cons: Optional[KappaConstraintSet]):
@@ -383,8 +379,10 @@ def _orbits(s: Scheme, cons: Optional[KappaConstraintSet]):
     elif s.n == 2:
         yield from _pair_classes(get(s, 1, 2))
     else:
-        for cls in _crt_product(cons.per_prime):
-            yield construct_witness(s, cls.residue)
+        per = cons.per_prime
+        # range, not len(): the count can pass sys.maxsize
+        for i in range(prod(pc.count for pc in per)):
+            yield construct_witness(s, _orbit_kappa(per, i))
 
 
 def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
@@ -393,9 +391,9 @@ def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
     Orbits are classes of witnesses under the stabilizer of (1,0), which
     shifts every r_j by m_1j at once; only the first limit get a witness.
     Raises DomainError when the scheme is not realizable, and for a limit
-    below 1.
+    that is not an integer or is below 1.
     """
-    if limit is not None and limit < 1:
+    if limit is not None and _integer(limit, "limit") < 1:
         raise DomainError(f"orbit limit must be >= 1, got {limit}")
     cons = None
     if s.n >= 3:

@@ -128,7 +128,7 @@ def test_record_times_a_point_in_both_trees(monkeypatch):
              "change": toruscurves}
     try:
         assert trees["parent"].__name__ == alias
-        entries = bench_series.kappa_entries(7, 2)
+        entries = bench_series.kappa_entries(7**2)
 
         def run(label, tree):
             ms, v = bench_series.timed(tree.decide_torus,

@@ -454,6 +454,10 @@ def test_exact_intersection_cliques(k, expected):
 def test_bad_inputs():
     with pytest.raises(DomainError):
         max_packing(0)
+    # d goes through operator.index: a float is refused, a bool is 1
+    with pytest.raises(DomainError, match=r"^d is 2\.5, not an integer$"):
+        max_packing(2.5)
+    assert type(max_packing(True).d) is int
     for jobs in (0, -3):
         with pytest.raises(DomainError, match="need jobs >= 1"):
             max_packing(3, jobs=jobs)

@@ -107,6 +107,9 @@ def test_endemic_family():
         endemic_family(9, 5)
     with pytest.raises(DomainError):
         endemic_family(5, 5)
+    # a float prime is refused, not multiplied into float entries
+    with pytest.raises(DomainError, match=r"^p is 3\.0, not an integer$"):
+        endemic_family(3.0, 5)
 
 
 def test_endemic_family_not_torus():

@@ -52,6 +52,17 @@ def test_residue_class_validates_and_is_frozen():
             with pytest.raises(DomainError, match=re.escape(
                     f"residue {r} not in [0, {m})") + "$"):
                 build(m, r)
+        # both fields go through operator.index and are stored as it
+        # returns them
+        for m, r, name, bad in ((2.5, 0, "modulus", 2.5),
+                                (5, 4.0, "residue", 4.0),
+                                ("5", 4, "modulus", "'5'")):
+            with pytest.raises(DomainError,
+                               match=rf"^{name} is {bad}, not an integer$"):
+                build(m, r)
+        unit = build(True, False)
+        assert unit == ResidueClass(1, 0)
+        assert [type(x) for x in unit] == [int, int]
         assert build(5, 4) == c
     assert (c.modulus, c.residue) == (5, 4) and ResidueClass(1, 0).residue == 0
     with pytest.raises(AttributeError):

@@ -90,6 +90,9 @@ def test_scheme_constructor_rejects_non_integer_n_and_non_tuples():
         with pytest.raises(InvalidShape, match=r"^need n >= 1, got n=0$"):
             build(0, ())
         assert build(3, (1, 1, 1)) == s
+        # n is stored as operator.index returns it, not as passed
+        one = build(True, ())
+        assert type(one.n) is int and repr(one) == "Scheme(n=1, [])"
     # a generator can be neither copied nor pickled
     for build in routes[:3]:
         with pytest.raises(DomainError,

@@ -1,6 +1,6 @@
 import json
 import sys
-from itertools import islice
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -24,7 +24,7 @@ from toruscurves import (
 )
 import reference
 from conftest import dets, random_vector_scheme, sl2_act
-from toruscurves.intarith import ResidueClass
+from toruscurves.intarith import ResidueClass, crt
 from toruscurves.solver import KappaConstraintSet, canonical_kappa
 
 
@@ -157,6 +157,12 @@ def test_solve_pair_orbits():
         assert w.system[1].q == -5 and gcd(w.kappa, 5) == 1
     with pytest.raises(DomainError):
         solve_pair_orbits(0)
+    # m goes through operator.index: a bool gives int coordinates, a
+    # float is refused
+    ((one, q),) = [w.system for w in solve_pair_orbits(True)]
+    assert type(q.q) is int and (one, q) == (curve(1, 0), curve(0, 1))
+    with pytest.raises(DomainError, match=r"^m is 6\.0, not an integer$"):
+        solve_pair_orbits(6.0)
 
 
 def test_enumerate_orbits_counts():
@@ -217,6 +223,68 @@ def test_enumerate_orbits_limit():
         for limit in (0, -1, -3):
             with pytest.raises(DomainError):
                 enumerate_orbits(new_scheme(n, entries), limit=limit)
+        # a limit that is not an integer is a DomainError, not islice's
+        # ValueError
+        with pytest.raises(DomainError,
+                           match=r"^limit is 2\.5, not an integer$"):
+            enumerate_orbits(new_scheme(n, entries), limit=2.5)
+
+
+def _multi_prime_schemes(rng, count):
+    # realizable candidates whose g_123 has several prime factors: vector
+    # schemes of (p, g*q), primitive, and triples (a,b,c)*g with a, b, c
+    # pairwise coprime
+    for t in range(count):
+        g = rng.choice((6, 10, 12, 30, 45, 60, 210, 330, 420, 1155))
+        if t % 2:
+            n, vecs = rng.randint(3, 5), []
+            while len(vecs) < n:
+                p, q = rng.randint(-5, 5), g * rng.randint(-3, 3)
+                if gcd(p, q) == 1:
+                    vecs.append((p, q))
+            yield new_scheme(n, dets(vecs))
+        else:
+            while True:
+                a, b, c = (rng.randint(1, 7) * rng.choice((-1, 1))
+                           for _ in range(3))
+                if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1:
+                    break
+            yield new_scheme(3, [a * g, b * g, c * g])
+
+
+def test_orbit_i_is_the_crt_of_the_ith_product_pick(rng):
+    # orbit i combines the i-th pick of itertools.product over the
+    # per-prime allowed residues, and orbit 0 is the decision's kappa
+    checked = {2: 0, 3: 0, 4: 0}
+    for s in _multi_prime_schemes(rng, 400):
+        if 0 in s.entries:
+            continue
+        v = decide_torus(s)
+        per = v.constraints.per_prime if v.realizable else ()
+        if len(per) not in checked:
+            continue
+        want = [
+            crt([ResidueClass(pc.modulus, r) for pc, r in zip(per, pick)])
+            .residue
+            for pick in islice(product(*(pc.allowed for pc in per)), 12)
+        ]
+        assert [w.kappa for w in enumerate_orbits(s, limit=12)] == want, s
+        assert v.kappa == want[0] == canonical_kappa(v.constraints)
+        checked[len(per)] += 1
+    assert min(checked.values()) >= 30, checked
+
+
+def test_orbits_of_two_primes_past_maxsize():
+    # g_123 = 3 * (2^89 - 1): orbit counts past sys.maxsize still stream
+    g = 3 * (2**89 - 1)
+    s = new_scheme(3, [2 * g, 3 * g, 5 * g])
+    per = kappa_constraints(s).per_prime
+    assert [pc.prime for pc in per] == [3, 2**89 - 1]
+    assert per[0].count * per[1].count > sys.maxsize
+    reps = enumerate_orbits(s, limit=3)
+    assert [w.kappa for w in reps] == [
+        0, 1237940039285380274899124223, 618970019642690137449562113]
+    assert all(verify_system(s, w.system) for w in reps)
 
 
 def test_kappa_translation_gives_stabilizer_shift():

@@ -45,12 +45,15 @@ reduction scans every zero pair of the matrix before it returns the
 first, (1, 2), as unresolvable.  Per point it records the wall times of
 reduce_zeros and of decide_torus.
 
-Kappa series: the realizable 3-schemes (2,3,5)*p^nu for p = 2 (nu = 4,
-8, 12, 16, 20, 23, 40), p = 7 (nu = 1, 2, 4, 6, 8) and p = 101 (nu = 1..4).
-Per point it records the wall times of decide_torus and of an in-process
-`check FILE` (JSON parse, decision and JSON output), and the byte length
-of the check document.  There is no refusal path: a tree that raises on
-a point stops the script.
+Kappa series: the realizable 3-schemes (2,3,5)*g, whose g_123 is g, for
+the prime powers g = 2^nu (nu = 4, 8, 12, 16, 20, 23, 40), 7^nu (nu = 1,
+2, 4, 6, 8) and 101^nu (nu = 1..4), and for g = 7*11, 7*11*13*17 and
+7*11*13*17*19*23, which have 2, 4 and 6 prime factors.  Per point it
+records g_123, its number of distinct prime factors (omega), the wall
+times of decide_torus and of an in-process `check FILE` (JSON parse,
+decision and JSON output), and the byte length of the check document.
+There is no refusal path: a tree that raises on a point stops the
+script.
 
 Packing series: max_packing(d) for d = 1..80.  Per point it records the
 wall time and the number of farey.max_clique calls of one call.  Past
@@ -114,7 +117,7 @@ The tier-1 tests check the small points of these series against
 tests/reference.py, building them with the generators below: the
 refutation points with n <= 40 (the last_pair ones also with curve 1
 duplicated), the duplicates and mostly-zero shapes at n = 12, 20, 28 and
-40, the kappa points with p^nu <= 10^4, max_packing(d) for d <= 30, the
+40, the kappa points with g_123 <= 10^4, max_packing(d) for d <= 30, the
 endemic searches at bounds 0..4 and the split construction at small
 bounds; they also run each cold-start command once in each bytecode mode,
 with and without -O.
@@ -151,11 +154,12 @@ SHAPES = ("last_pair", "first_row", "base_row", "two_negated",
 # the largest n of each shape whose checks scan all C(n,4) quadruples
 FULL_SCAN_MAX_N = {"all_bases_dirty": 160}
 CMAX = 30
-# (p, nu) of the kappa series
+# g_123 of the kappa series: prime powers, then 2, 4 and 6 primes
 KAPPA_POINTS = (
-    [(2, nu) for nu in (4, 8, 12, 16, 20, 23, 40)]
-    + [(7, nu) for nu in (1, 2, 4, 6, 8)]
-    + [(101, nu) for nu in (1, 2, 3, 4)]
+    [2**nu for nu in (4, 8, 12, 16, 20, 23, 40)]
+    + [7**nu for nu in (1, 2, 4, 6, 8)]
+    + [101**nu for nu in (1, 2, 3, 4)]
+    + [7 * 11, 7 * 11 * 13 * 17, 7 * 11 * 13 * 17 * 19 * 23]
 )
 PACKING_DS = range(1, 81)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -404,8 +408,8 @@ def mostly_zero_entries(n: int) -> list:
     return [0] * _pos(1, n) + list(range(1, n))
 
 
-def kappa_entries(p: int, nu: int) -> list:
-    g = p**nu
+def kappa_entries(g: int) -> list:
+    """The entries of (2,3,5)*g, whose g_123 is g."""
     return [2 * g, 3 * g, 5 * g]
 
 
@@ -493,9 +497,9 @@ def kappa_series(trees: dict) -> list:
             for label, t in trees.items()}
     points = []
     with TemporaryDirectory() as tmp:
-        for p, nu in KAPPA_POINTS:
-            entries = kappa_entries(p, nu)
-            path = os.path.join(tmp, f"k{p}_{nu}.json")
+        for g in KAPPA_POINTS:
+            entries = kappa_entries(g)
+            path = os.path.join(tmp, f"k{g}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"n": 3, "entries": entries}, fh)
 
@@ -508,7 +512,8 @@ def kappa_series(trees: dict) -> list:
                 return {"check_ms": ms, "check_bytes": len(text)}, text
 
             record(points, trees, {"decide_ms": decide, "check_ms": check},
-                   lambda out: {"p": p, "nu": nu, "modulus": p**nu})
+                   lambda out: {"g123": g, "omega": len(
+                       trees["change"].factorize(g).pairs)})
     return points
 
 
@@ -679,8 +684,9 @@ def main(argv=None) -> int:
                 "reduce_zeros and decide_torus on n curves with m_{i,n} = i "
                 "and every other entry 0, with the unresolvable pair. "
                 "kappa_points: decide_torus and an in-process check FILE "
-                "on (2,3,5)*p^nu, and the byte length of the check "
-                "document, which must be the same in every tree; there is "
+                "on (2,3,5)*g123, g123 a prime power or a product of 2, 4 "
+                "or 6 primes (omega of them), and the byte length of the "
+                "check document, which must be the same in every tree; there is "
                 "no refusal path, a tree that raises stops the run. "
                 "packing_points: max_packing(d), with the farey.max_clique "
                 "calls of one call. search_points: "
