@@ -8,7 +8,7 @@ overflow regime anywhere in the package.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidModuli, _integer, type_strict
@@ -77,23 +77,36 @@ def crt(classes: list[ResidueClass]) -> ResidueClass:
     """Combine residue classes with pairwise coprime moduli.
 
     Returns the unique class modulo the product of the moduli that reduces
-    to every input class.
+    to every input class: the sum of each residue times its _crt_basis
+    element.
     """
-    if not classes:
-        return ResidueClass(1, 0)
-    modulus, residue = classes[0].modulus, classes[0].residue
-    for cls in classes[1:]:
-        g, x, _ = xgcd(modulus, cls.modulus)
-        if g != 1:
+    moduli = [cls.modulus for cls in classes]
+    basis = _crt_basis(moduli)
+    modulus = prod(moduli)
+    return ResidueClass(
+        modulus,
+        sum(cls.residue * e for cls, e in zip(classes, basis)) % modulus,
+    )
+
+
+def _crt_basis(moduli: list[int]) -> tuple[int, ...]:
+    """For pairwise coprime moduli m_1, ..., m_k with product M, the e_i in
+    [0, M) with e_i = 1 mod m_i and e_i = 0 mod every other modulus, so
+    that the sum of r_i * e_i reduces to r_i mod each m_i.  Raises
+    InvalidModuli when two moduli share a factor.
+    """
+    total = prod(moduli)
+    basis = []
+    for m in moduli:
+        rest = total // m
+        try:
+            inverse = pow(rest, -1, m)
+        except ValueError:
             raise InvalidModuli(
-                f"moduli {modulus} and {cls.modulus} share factor {g}"
-            )
-        # residue + modulus * t == cls.residue (mod cls.modulus)
-        t = ((cls.residue - residue) * x) % cls.modulus
-        residue = residue + modulus * t
-        modulus *= cls.modulus
-        residue %= modulus
-    return ResidueClass(modulus, residue)
+                f"modulus {m} shares factor {gcd(rest, m)} with the others"
+            ) from None
+        basis.append(rest * inverse)
+    return tuple(basis)
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -31,12 +31,9 @@ and the residues in increasing order on demand, in O(n * nu) steps and
 without a scan.  The admitted classes of all primes combine by CRT into
 classes mod g_123.
 Shifting kappa by g_123 is the stabilizer of (1,0), so these classes are
-exactly the orbits of normalized witnesses.  Orbit i takes, at each
-prime, the allowed residue whose index is i's digit in the mixed radix
-of the per-prime counts, the last prime's digit least significant
-(itertools.product order); one crt call combines them (_orbit_kappa).
-Orbit 0, the minimal allowed residue at every prime, is the canonical
-kappa.
+exactly the orbits of normalized witnesses: _orbit_kappas lists them,
+by the mixed-radix digits of the orbit index, and orbit 0 is the
+canonical kappa.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from .errors import (
 )
 from .intarith import (
     ResidueClass,
-    crt,
+    _crt_basis,
     factorize,
     is_probable_prime,
     valuation,
@@ -293,24 +290,35 @@ def kappa_constraints(s: Scheme) -> KappaConstraintSet:
     return KappaConstraintSet(per)
 
 
-def _orbit_kappa(per_prime, i: int) -> int:
-    """The kappa of orbit i, in [0, g_123): the digits of i in the mixed
-    radix of the per-prime counts, the last prime's least significant,
-    pick one allowed residue per prime (itertools.product order), and one
-    crt call combines them.  No constraints give 0, of the class 0 mod 1."""
-    picks = []
-    for pc in reversed(per_prime):
-        i, k = divmod(i, pc.count)
-        picks.append(ResidueClass(pc.modulus, pc.allowed[k]))
-    return crt(picks).residue
+def _orbit_kappas(per_prime):
+    """Lazily, the kappa of orbit i, in [0, g_123), for i = 0, 1, ...
+
+    The digits of i in the mixed radix of the per-prime counts, the last
+    prime's least significant, pick one allowed residue per prime
+    (itertools.product order), and the CRT basis of the prime powers,
+    computed once, combines them.  Orbit 0 takes the minimal allowed
+    residue at every prime.  No constraints give 0, of the class 0 mod 1.
+    """
+    moduli = [pc.modulus for pc in per_prime]
+    g123 = prod(moduli)
+    digits = [(pc.count, pc.allowed, e)
+              for pc, e in zip(per_prime, _crt_basis(moduli))][::-1]
+    # range, not len(): the count can pass sys.maxsize
+    for i in range(prod([pc.count for pc in per_prime])):
+        kappa = 0
+        for count, allowed, e in digits:
+            i, k = divmod(i, count)
+            kappa += allowed[k] * e
+        yield kappa % g123
 
 
 def canonical_kappa(cons: KappaConstraintSet) -> int:
     """The kappa of orbit 0: the smallest nonnegative kappa whose residue
     mod each p^nu is the minimal allowed one; it lies below g_123."""
-    if not cons.feasible():
+    kappa = next(_orbit_kappas(cons.per_prime), None)
+    if kappa is None:
         raise DomainError("no allowed kappa: scheme is not realizable")
-    return _orbit_kappa(cons.per_prime, 0)
+    return kappa
 
 
 def construct_witness(s: Scheme, kappa: int) -> NormalizedWitness:
@@ -379,10 +387,8 @@ def _orbits(s: Scheme, cons: Optional[KappaConstraintSet]):
     elif s.n == 2:
         yield from _pair_classes(get(s, 1, 2))
     else:
-        per = cons.per_prime
-        # range, not len(): the count can pass sys.maxsize
-        for i in range(prod(pc.count for pc in per)):
-            yield construct_witness(s, _orbit_kappa(per, i))
+        for kappa in _orbit_kappas(cons.per_prime):
+            yield construct_witness(s, kappa)
 
 
 def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
@@ -393,13 +399,11 @@ def enumerate_orbits(s: Scheme, limit: Optional[int] = None) -> list:
     Raises DomainError when the scheme is not realizable, and for a limit
     that is not an integer or is below 1.
     """
-    if limit is not None and _integer(limit, "limit") < 1:
+    if limit is not None and (limit := _integer(limit, "limit")) < 1:
         raise DomainError(f"orbit limit must be >= 1, got {limit}")
-    cons = None
-    if s.n >= 3:
-        cons = kappa_constraints(s)
-        if not cons.feasible():
-            raise DomainError("scheme is not realizable on a torus")
+    cons = kappa_constraints(s) if s.n >= 3 else None
+    if cons is not None and not cons.feasible():
+        raise DomainError("scheme is not realizable on a torus")
     return list(islice(_orbits(s, cons), limit))
 
 

@@ -74,7 +74,10 @@ def test_crt_examples():
     out = crt([ResidueClass(2, 1), ResidueClass(9, 5)])
     assert out == ResidueClass(18, 5)
     assert crt([ResidueClass(7, 3)]) == ResidueClass(7, 3)
-    with pytest.raises(InvalidModuli):
+    assert crt([]) == ResidueClass(1, 0)
+    assert crt([ResidueClass(1, 0), ResidueClass(5, 3)]) == ResidueClass(5, 3)
+    with pytest.raises(InvalidModuli,
+                       match=r"^modulus 4 shares factor 2 with the others$"):
         crt([ResidueClass(4, 1), ResidueClass(6, 5)])
 
 

@@ -228,6 +228,11 @@ def test_enumerate_orbits_limit():
         with pytest.raises(DomainError,
                            match=r"^limit is 2\.5, not an integer$"):
             enumerate_orbits(new_scheme(n, entries), limit=2.5)
+        # the limit is read as operator.index gives it: False is 0
+        with pytest.raises(DomainError,
+                           match=r"^orbit limit must be >= 1, got 0$"):
+            enumerate_orbits(new_scheme(n, entries), limit=False)
+        assert len(enumerate_orbits(new_scheme(n, entries), limit=True)) == 1
 
 
 def _multi_prime_schemes(rng, count):
